@@ -30,13 +30,9 @@ from .measures import (
     two_adic_complexity,
 )
 from .ntheory import (
-    CharacterSpec,
-    CosetPartition,
     PrimeParams,
     SexticParams,
     build_index_table,
-    character_phase,
-    cyclotomic_cosets,
     find_primitive_root,
     is_prime,
 )

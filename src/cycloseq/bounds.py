@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .measures import (
     DEFAULT_BUDGET,
     berlekamp_massey_profile,
@@ -159,7 +159,6 @@ class DifferenceSetReport:
     lambda_value: int | None
     autocorr_values: tuple[int, ...]
     two_level_ideal: bool
-    verdicts_agree: bool
     hall_form_u: int | None  # u with p = 4u**2 + 27, if any
     three_in_c1: bool
 
@@ -169,8 +168,8 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
 
     lambda(t) counts ordered pairs (a, b) of ones-set elements with a - b = t;
     constant lambda (difference set) must coincide with ideal two-level
-    autocorrelation A(t) = -1, and the two independently computed verdicts are
-    asserted to agree.
+    autocorrelation A(t) = -1; InvariantViolation if the two independently
+    computed verdicts differ.
     """
     p = params.p
     seq = hall_sequence(params, p)
@@ -180,7 +179,8 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
 
     lambda_constant = len(set(lambdas)) == 1
     two_level = all(a == -1 for a in autocorr)
-    assert lambda_constant == two_level, "difference-set and autocorrelation verdicts differ"
+    if lambda_constant != two_level:
+        raise InvariantViolation(f"p={p}: difference-set and autocorrelation verdicts differ")
 
     u = None
     if p > 27 and (p - 27) % 4 == 0:
@@ -195,7 +195,6 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
         lambda_value=lambdas[0] if lambda_constant else None,
         autocorr_values=autocorr,
         two_level_ideal=two_level,
-        verdicts_agree=lambda_constant == two_level,
         hall_form_u=u,
         three_in_c1=params.ind(3) % 6 == 1,
     )

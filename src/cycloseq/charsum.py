@@ -15,7 +15,7 @@ from itertools import product
 
 from .bounds import BoundEvaluation
 from .errors import DegenerateCharacter, ParameterError
-from .ntheory import SexticParams
+from .ntheory import SexticParams, reduce_zeta6
 from .seqgen import HALL_CLASSES
 
 # exp(2*pi*i*r/6) for r = 0..5
@@ -24,12 +24,6 @@ ROOT6 = tuple(cmath.exp(2j * cmath.pi * r / 6) for r in range(6))
 # Per-factor expansion coefficients of (-1)**h as sum_m coeff_m * chi**m,
 # merged over chi-powers m = 1..5; each pair (a, b) encodes (a + b*w)/3.
 FACTOR_COEFFS = {1: (-1, 1), 2: (-2, 1), 3: (1, 0), 4: (-1, -1), 5: (0, -1)}
-
-
-def reduce_zeta6(counts) -> tuple[int, int]:
-    """sum_r c_r * w**r as a + b*w in Z[w]."""
-    c0, c1, c2, c3, c4, c5 = counts
-    return c0 - c2 - c3 + c5, c1 + c2 - c4 - c5
 
 
 def zeta6_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

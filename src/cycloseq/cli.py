@@ -1,8 +1,11 @@
 """Command-line front end: generate | measure | verify | scan | baseline.
 
 Exit codes: 0 success, 2 parameter error, 3 budget exceeded, 4 verification
-failure.  Records are emitted as JSON (default) or CSV; `measure` results are
-served from a JSONL cache keyed by (label, measure, params) unless --no-cache.
+failure (including a broken internal identity).  Records are emitted as JSON
+(default) or CSV; `measure` results are served from a JSONL cache unless
+--no-cache, keyed by a sha256 of the word's packed bits with its length and
+period, the measure, its params and the toolkit version (the label is
+provenance only).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import csv
 import math
 import sys
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -20,26 +24,16 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     CycloseqError,
+    InvariantViolation,
     NoSuchRoot,
     ParameterError,
 )
-from .records import MeasureRecord, RecordCache
+from .records import MeasureRecord, RecordCache, cache_key
 
 EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-
-SUITES = (
-    "cross-construction",
-    "iw17",
-    "bw06",
-    "moc-le-lc",
-    "diffset",
-    "weil",
-    "index-representation",
-)
-
 
 def _parse_primes(spec: str, need=None) -> list[int]:
     """'13,31,43' or 'upto:B'; `need` filters eligibility (e.g. p = 1 mod 6)."""
@@ -86,14 +80,11 @@ def _build_sequence(args) -> seqgen.BitSequence:
         return seqgen.legendre_sequence(args.p, length or args.p)
     if args.construction == "dhl":
         return seqgen.dhl_sequence(args.p, _resolve_g(args.p, args.g), length or args.p)
-    if args.construction == "cyclotomic":
-        if args.m is None or args.classes is None:
-            raise ParameterError("cyclotomic needs --m and --classes")
-        params = ntheory.PrimeParams.create(args.p, g=_resolve_g(args.p, args.g))
-        return seqgen.cyclotomic_sequence(
-            params, args.m, _parse_classes(args.classes), length or args.p
-        )
-    raise ParameterError(f"unknown construction {args.construction!r}")
+    # cyclotomic: argparse's choices admit no other construction
+    if args.m is None or args.classes is None:
+        raise ParameterError("cyclotomic needs --m and --classes")
+    params = ntheory.PrimeParams.create(args.p, g=_resolve_g(args.p, args.g))
+    return seqgen.cyclotomic_sequence(params, args.m, _parse_classes(args.classes), length or args.p)
 
 
 def _load_sequence(args) -> seqgen.BitSequence:
@@ -121,91 +112,109 @@ def cmd_generate(args) -> int:
 
 def cmd_measure(args) -> int:
     seq = _load_sequence(args)
-
+    # One pass picks the measure, its params and compute() -> (value, witness).
     if args.ck is not None:
+        measure = "Ck"
         if args.sampled:
             params = {"k": args.ck, "samples": args.sampled, "seed": args.seed}
+            run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed)
         else:
             params = {"k": args.ck, "budget": args.budget}
-        measure = "Ck"
+            run = lambda: measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
+
+        def compute():
+            rep = run()
+            witness = {"D": list(rep.witness_D), "M": rep.witness_M, "exhaustive": rep.exhaustive}
+            return rep.value, witness
+
+    elif args.autocorr == "all":
+        measure, params = "autocorr", {"t": "all"}
+
+        def compute():
+            if seq.period is None:
+                raise ParameterError("--autocorr all needs a periodic sequence")
+            T = seq.period
+            return {str(t): measures.periodic_autocorrelation(seq, t) for t in range(1, T)}, None
+
     elif args.autocorr is not None:
-        params = {"t": args.autocorr if args.autocorr == "all" else int(args.autocorr)}
-        measure = "autocorr"
+        measure, params = "autocorr", {"t": int(args.autocorr)}
+        compute = lambda: (measures.periodic_autocorrelation(seq, params["t"]), None)
     elif args.lc_profile:
-        params = {}
-        measure = "lc_profile"
+        measure, params = "lc_profile", {}
+        compute = lambda: (list(measures.berlekamp_massey_profile(seq).values), None)
     elif args.moc_profile:
-        params = {}
-        measure = "moc_profile"
+        measure, params = "moc_profile", {}
+        compute = lambda: (list(measures.max_order_complexity_profile(seq).values), None)
     elif args.two_adic:
-        params = {}
-        measure = "two_adic"
+        measure, params = "two_adic", {}
+
+        def compute():
+            rep = measures.two_adic_complexity(seq)
+            value = {
+                "S2": rep.numerator,
+                "modulus": rep.modulus,
+                "gcd": rep.gcd_value,
+                "complexity": rep.complexity,
+                "maximal": rep.is_maximal,
+            }
+            return value, None
+
     else:
         raise ParameterError(
             "pick one of --ck / --autocorr / --lc-profile / --moc-profile / --two-adic"
         )
 
     cache = RecordCache(args.cache)
-    probe = MeasureRecord(sequence_label=seq.label, measure=measure, params=params, value=None)
+    key = cache_key(seq, measure, params)
     if not args.no_cache:
-        hit = cache.get(probe.cache_key)
+        hit = cache.get(key)
         if hit is not None:
-            MeasureRecord.from_dict(hit).write(fmt=args.format)
+            MeasureRecord(**hit).write(fmt=args.format)
             return EXIT_OK
 
-    witness = None
-    if measure == "Ck":
-        if args.sampled:
-            rep = measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed)
-        else:
-            rep = measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
-        value = rep.value
-        witness = {"D": list(rep.witness_D), "M": rep.witness_M, "exhaustive": rep.exhaustive}
-    elif measure == "autocorr":
-        if args.autocorr == "all":
-            T = seq.period
-            if T is None:
-                raise ParameterError("--autocorr all needs a periodic sequence")
-            value = {str(t): measures.periodic_autocorrelation(seq, t) for t in range(1, T)}
-        else:
-            value = measures.periodic_autocorrelation(seq, params["t"])
-    elif measure == "lc_profile":
-        value = list(measures.berlekamp_massey_profile(seq).values)
-    elif measure == "moc_profile":
-        value = list(measures.max_order_complexity_profile(seq).values)
-    else:  # two_adic
-        rep = measures.two_adic_complexity(seq)
-        value = {
-            "S2": rep.numerator,
-            "modulus": rep.modulus,
-            "gcd": rep.gcd_value,
-            "complexity": rep.complexity,
-            "maximal": rep.is_maximal,
-        }
-
-    record = MeasureRecord(
-        sequence_label=seq.label, measure=measure, params=params, value=value, witness=witness
-    )
+    value, witness = compute()
+    record = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
+                           value=value, witness=witness, cache_key=key)
     if not args.no_cache:
         cache.append(record)
     record.write(fmt=args.format)
     return EXIT_OK
 
 
-def _sextic_instances(primes, policies):
-    """(p, policy, params) for each prime and satisfiable policy."""
-    for p in primes:
+def _status(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _sextic_suite(args, check):
+    """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
+    policies = ["smallest", "three-in-c1"] if args.g_policy == "both" else [args.g_policy]
+    for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
         for policy in policies:
+            name = f"{args.suite} p={p} policy={policy}"
             try:
-                yield p, policy, ntheory.SexticParams.create(p, g_policy=policy)
+                params = ntheory.SexticParams.create(p, g_policy=policy)
             except NoSuchRoot:
-                yield p, policy, None
+                yield name, "n/a", "NoSuchRoot"
+                continue
+            yield name, *check(params)
 
 
-def _policies(arg: str) -> list[str]:
-    if arg == "both":
-        return ["smallest", "three-in-c1"]
-    return [arg]
+def _cross_construction(params):
+    a = seqgen.hall_sequence(params, params.p)
+    b = seqgen.hall_sequence_via_characters(params, params.p)
+    return _status(np.array_equal(a.bits, b.bits)), f"g={params.g}"
+
+
+def _index_representation(params):
+    return _status(seqgen.check_index_representation(params)), f"g={params.g}"
+
+
+def _diffset(params):
+    rep = bounds.difference_set_check(params)
+    if rep.hall_form_u is not None and rep.three_in_c1:
+        ok = rep.two_level_ideal and rep.lambda_value == (params.p - 3) // 4
+        return _status(ok), f"u={rep.hall_form_u} lambda={rep.lambda_value}"
+    return "report", f"two_level={rep.two_level_ideal} (p not 4u^2+27 or 3 not in C1)"
 
 
 def _suite_instances(args):
@@ -223,143 +232,100 @@ def _suite_instances(args):
     return out
 
 
+def _inequality_suite(args, check):
+    for name, seq in _suite_instances(args):
+        ev = check(seq, seq.length, k_cap=args.kmax, budget=args.budget)
+        status = {True: "pass", False: "fail", None: "n/a"}[ev.satisfied]
+        yield f"{args.suite} {name}", status, ev.inputs.get("mode", "")
+
+
+def _moc_le_lc_suite(args):
+    for name, seq in _suite_instances(args):
+        moc = measures.max_order_complexity_profile(seq)
+        lc = measures.berlekamp_massey_profile(seq)
+        ok = all(m <= l for m, l in zip(moc.values, lc.values))
+        yield f"moc-le-lc {name}", _status(ok), f"N={seq.length}"
+
+
+def _weil_suite(args):
+    primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
+    rng = np.random.default_rng(args.seed)
+    for p in primes:
+        params = ntheory.SexticParams.create(p, g_policy="smallest")
+        bad = 0
+        total = 0
+        for k in range(1, args.kmax + 1):
+            for shifts in combinations(range(p), k):
+                for ms in product(range(1, 6), repeat=k):
+                    q = charsum.CharSumQuery(
+                        params=params, exponents=ms, shifts=shifts, window=p
+                    )
+                    total += 1
+                    if not charsum.weil_check(q).satisfied:
+                        bad += 1
+        yield (f"weil complete p={p} k<={args.kmax}", _status(bad == 0),
+               f"{total - bad}/{total} within (k-1)sqrt(p)+k")
+        sat = 0
+        for _ in range(args.queries):
+            k = int(rng.integers(1, args.kmax + 1))
+            shifts = tuple(sorted(int(d) for d in rng.choice(p, size=k, replace=False)))
+            ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
+            window = int(rng.integers(2, p + 1))
+            q = charsum.CharSumQuery(params=params, exponents=ms, shifts=shifts, window=window)
+            if charsum.weil_check(q).satisfied:
+                sat += 1
+        yield (f"weil incomplete p={p} ({args.queries} random)", "report",
+               f"{sat}/{args.queries} within k*sqrt(p)*(1+ln p)")
+
+
+# Each suite yields (name, status, detail), status one of pass/fail/n/a/report.
+# Library functions are looked up at call time, so rebinding one (a monkeypatch,
+# a tracer) reaches the suites.
+_SUITES = {
+    "cross-construction": lambda args: _sextic_suite(args, _cross_construction),
+    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17),
+    "bw06": lambda args: _inequality_suite(args, bounds.check_bw06),
+    "moc-le-lc": _moc_le_lc_suite,
+    "diffset": lambda args: _sextic_suite(args, _diffset),
+    "weil": _weil_suite,
+    "index-representation": lambda args: _sextic_suite(args, _index_representation),
+}
+SUITES = tuple(_SUITES)
+
+
 def cmd_verify(args) -> int:
-    checks = []  # (name, status, detail); status in pass/fail/n-a/report
-
-    if args.suite == "cross-construction":
-        primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
-        for p, policy, params in _sextic_instances(primes, _policies(args.g_policy)):
-            name = f"cross-construction p={p} policy={policy}"
-            if params is None:
-                checks.append((name, "n/a", "NoSuchRoot"))
-                continue
-            a = seqgen.hall_sequence(params, p)
-            b = seqgen.hall_sequence_via_characters(params, p)
-            ok = bool(np.array_equal(a.bits, b.bits))
-            checks.append((name, "pass" if ok else "fail", f"g={params.g}"))
-
-    elif args.suite == "index-representation":
-        primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
-        for p, policy, params in _sextic_instances(primes, _policies(args.g_policy)):
-            name = f"index-representation p={p} policy={policy}"
-            if params is None:
-                checks.append((name, "n/a", "NoSuchRoot"))
-                continue
-            ok = seqgen.check_index_representation(params)
-            checks.append((name, "pass" if ok else "fail", f"g={params.g}"))
-
-    elif args.suite == "diffset":
-        primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
-        for p, policy, params in _sextic_instances(primes, _policies(args.g_policy)):
-            name = f"diffset p={p} policy={policy}"
-            if params is None:
-                checks.append((name, "n/a", "NoSuchRoot"))
-                continue
-            rep = bounds.difference_set_check(params)
-            if not rep.verdicts_agree:
-                checks.append((name, "fail", "verdicts disagree"))
-            elif rep.hall_form_u is not None and rep.three_in_c1:
-                ok = rep.two_level_ideal and rep.lambda_value == (p - 3) // 4
-                checks.append(
-                    (name, "pass" if ok else "fail", f"u={rep.hall_form_u} lambda={rep.lambda_value}")
-                )
-            else:
-                checks.append(
-                    (name, "report", f"two_level={rep.two_level_ideal} (p not 4u^2+27 or 3 not in C1)")
-                )
-
-    elif args.suite in ("iw17", "bw06"):
-        fn = bounds.check_iw17 if args.suite == "iw17" else bounds.check_bw06
-        for name, seq in _suite_instances(args):
-            ev = fn(seq, seq.length, k_cap=args.kmax, budget=args.budget)
-            status = {True: "pass", False: "fail", None: "n/a"}[ev.satisfied]
-            checks.append((f"{args.suite} {name}", status, ev.inputs.get("mode", "")))
-
-    elif args.suite == "moc-le-lc":
-        for name, seq in _suite_instances(args):
-            moc = measures.max_order_complexity_profile(seq)
-            lc = measures.berlekamp_massey_profile(seq)
-            ok = all(m <= l for m, l in zip(moc.values, lc.values))
-            checks.append((f"moc-le-lc {name}", "pass" if ok else "fail", f"N={seq.length}"))
-
-    elif args.suite == "weil":
-        primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
-        rng = np.random.default_rng(args.seed)
-        for p in primes:
-            params = ntheory.SexticParams.create(p, g_policy="smallest")
-            bad = 0
-            total = 0
-            for k in range(1, args.kmax + 1):
-                for shifts in combinations(range(p), k):
-                    for ms in product(range(1, 6), repeat=k):
-                        q = charsum.CharSumQuery(
-                            params=params, exponents=ms, shifts=shifts, window=p
-                        )
-                        total += 1
-                        if not charsum.weil_check(q).satisfied:
-                            bad += 1
-            checks.append(
-                (f"weil complete p={p} k<={args.kmax}", "pass" if bad == 0 else "fail",
-                 f"{total - bad}/{total} within (k-1)sqrt(p)+k"),
-            )
-            sat = 0
-            for _ in range(args.queries):
-                k = int(rng.integers(1, args.kmax + 1))
-                shifts = tuple(sorted(int(d) for d in rng.choice(p, size=k, replace=False)))
-                ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
-                window = int(rng.integers(2, p + 1))
-                q = charsum.CharSumQuery(params=params, exponents=ms, shifts=shifts, window=window)
-                if charsum.weil_check(q).satisfied:
-                    sat += 1
-            checks.append(
-                (f"weil incomplete p={p} ({args.queries} random)", "report",
-                 f"{sat}/{args.queries} within k*sqrt(p)*(1+ln p)"),
-            )
-    else:
-        raise ParameterError(f"unknown suite {args.suite!r}; pick from {', '.join(SUITES)}")
-
-    failed = 0
+    checks = list(_SUITES[args.suite](args))
     for name, status, detail in checks:
         print(f"[{status.upper():6s}] {name}  {detail}")
-        failed += status == "fail"
-    n_pass = sum(1 for c in checks if c[1] == "pass")
-    print(f"suite={args.suite}: {n_pass} passed, {failed} failed, "
-          f"{sum(1 for c in checks if c[1] == 'n/a')} n/a, "
-          f"{sum(1 for c in checks if c[1] == 'report')} reported")
-    return EXIT_VERIFY if failed else EXIT_OK
+    n = Counter(status for _, status, _ in checks)
+    print(f"suite={args.suite}: {n['pass']} passed, {n['fail']} failed, "
+          f"{n['n/a']} n/a, {n['report']} reported")
+    return EXIT_VERIFY if n["fail"] else EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
+    header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
     rows = []
-    for p in primes:
+    for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
+        row = dict.fromkeys(header, "")
+        row["p"] = p
+        rows.append(row)
         try:
             params = ntheory.SexticParams.create(p, g_policy=args.g_policy)
         except NoSuchRoot:
-            rows.append({"p": p, "g": "", "C_k": "", "sqrt_p_ln_p": "", "ratio": "",
-                         "theorem1_kernel": "", "within_kernel": "", "status": "no-such-root"})
+            row["status"] = "no-such-root"
             continue
         seq = seqgen.hall_sequence(params, p)
         kernel = bounds.theorem1_kernel(args.ck, p)
         norm = math.sqrt(p) * math.log(p)
+        row.update(g=params.g, sqrt_p_ln_p=f"{norm:.6g}", theorem1_kernel=f"{kernel:.6g}")
         try:
             rep = measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
         except BudgetExceeded:
-            rows.append({"p": p, "g": params.g, "C_k": "", "sqrt_p_ln_p": f"{norm:.6g}",
-                         "ratio": "", "theorem1_kernel": f"{kernel:.6g}",
-                         "within_kernel": "", "status": "budget-exceeded"})
+            row["status"] = "budget-exceeded"
             continue
-        rows.append({
-            "p": p,
-            "g": params.g,
-            "C_k": rep.value,
-            "sqrt_p_ln_p": f"{norm:.6g}",
-            "ratio": f"{rep.value / norm:.6g}",
-            "theorem1_kernel": f"{kernel:.6g}",
-            "within_kernel": rep.value <= kernel,
-            "status": "ok",
-        })
-    header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
+        row.update(C_k=rep.value, ratio=f"{rep.value / norm:.6g}",
+                   within_kernel=rep.value <= kernel, status="ok")
     if args.format == "csv":
         w = csv.DictWriter(sys.stdout, fieldnames=header)
         w.writeheader()
@@ -465,6 +431,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantViolation as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAM

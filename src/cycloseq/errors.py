@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 ParameterError subclasses signal bad inputs (CLI exit code 2);
-BudgetExceeded / CapExceeded signal refused work (exit code 3).
+BudgetExceeded / CapExceeded signal refused work (exit code 3);
+InvariantViolation signals a broken internal identity (exit code 4).
 """
 
 
@@ -47,6 +48,10 @@ class NoPeriod(ParameterError):
 
 class DegenerateCharacter(ParameterError):
     """Composed multiplicative character is principal."""
+
+
+class InvariantViolation(CycloseqError):
+    """Two independent computations that must agree do not."""
 
 
 class BudgetExceeded(CycloseqError):

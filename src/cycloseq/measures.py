@@ -17,7 +17,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadShifts, BudgetExceeded, CapExceeded, NoPeriod, ParameterError
+from .errors import (
+    BadShifts,
+    BudgetExceeded,
+    CapExceeded,
+    InvariantViolation,
+    NoPeriod,
+    ParameterError,
+)
 from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
@@ -79,16 +86,14 @@ def correlation_for_shifts(seq: BitSequence, D) -> tuple[int, int]:
     """Inner maximization over M for a fixed shift tuple D.
 
     Returns (max_M |P_M|, smallest maximizing M) where P_M is the signed
-    prefix sum of the k-fold products.
+    prefix sum of the k-fold products.  P_M = W[d_1+M] - W[d_1] on the walk W
+    of the pattern D - d_1.
     """
     N = seq.length
     D = _validate_shifts(D, N)
-    x = seq.signs()
-    L = N - D[-1]
-    T = np.ones(L, dtype=np.int64)
-    for d in D:
-        T *= x[d : d + L]
-    P = np.abs(np.cumsum(T))
+    d1 = D[0]
+    W = _pattern_walk(seq.signs(), tuple(d - d1 for d in D[1:]))
+    P = np.abs(W[d1 + 1 : N - D[-1] + d1 + 1] - W[d1])
     value = int(P.max())
     best_m = int(np.argmax(P)) + 1
     return value, best_m
@@ -178,7 +183,8 @@ def correlation_measure_exact(
         cand = (tuple(a + d for d in (0, *rest)), b - a)
         if witness is None or cand < witness:
             witness = cand
-    assert witness is not None
+    if witness is None:
+        raise InvariantViolation(f"no (D, M) attains the computed C_{k} = {best}")
     return CorrelationReport(
         k=k, value=best, witness_D=witness[0], witness_M=witness[1], exhaustive=True
     )

@@ -1,9 +1,11 @@
-"""Prime parameters, primitive roots, index tables, cyclotomic cosets, characters.
+"""Prime parameters, primitive roots, index tables, and exact Z[w] reduction.
 
 Everything downstream lives in the arena set up here: a prime p, a primitive
 root g, and the dense discrete-log table ind_g(n) for n = 1..p-1.  Characters
-are handled as integer phases (k-th roots of unity indexed 0..k-1), never as
-floating complex values; only the charsum module materializes floats.
+are handled as integer phases (the character chi**j of order dividing 6 has
+phase j*ind_g(n) mod 6 at n), never as floating complex values; sums of
+sixth roots of unity are reduced exactly by `reduce_zeta6`, and only the
+charsum module materializes floats.
 
 Primes are limited to p < 2**31 so the index table stays a dense int64 array
 and all modular arithmetic fits comfortably in 64 bits.
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadOrder, NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
+from .errors import NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
 
 P_LIMIT = 2**31
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3*10**24.
+# Deterministic Miller-Rabin witness set, valid for all n < 3.3*10**24; is_prime
+# also tries these primes as divisors first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 THREE_IN_C1 = "3 in C1"
@@ -29,7 +32,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (valid far beyond 2**31)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -99,13 +102,7 @@ def find_primitive_root(p: int, constraint: str | None = None) -> int:
         raise ParameterError(f"constraint {THREE_IN_C1!r} needs p = 1 (mod 6), got p={p}")
 
     factors = _prime_factors(p - 1)
-    smallest = None
-    for g in range(2, p):
-        if is_primitive_root(g, p, factors):
-            smallest = g
-            break
-    if smallest is None:  # unreachable for prime p
-        raise NoSuchRoot(f"no primitive root mod {p}")
+    smallest = next(g for g in range(2, p) if is_primitive_root(g, p, factors))
     if constraint is None:
         return smallest
 
@@ -195,52 +192,7 @@ class SexticParams(PrimeParams):
         return cls(p=p, g=g, index_table=build_index_table(p, g), f=(p - 1) // 6)
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """Cyclotomic cosets of order m: C_l = {n : ind_g(n) = l (mod m)}."""
-
-    m: int
-    classes: tuple[frozenset[int], ...]
-
-    def class_of(self, n: int) -> int:
-        for l, c in enumerate(self.classes):
-            if n in c:
-                return l
-        raise ZeroArgument(f"{n} lies in no coset")
-
-
-def cyclotomic_cosets(params: PrimeParams, m: int) -> CosetPartition:
-    """Partition {1..p-1} into the m cyclotomic cosets, in index order."""
-    if m < 1 or (params.p - 1) % m != 0:
-        raise BadOrder(f"m={m} does not divide p-1={params.p - 1}")
-    residues = np.arange(1, params.p)
-    cls = np.asarray(params.index_table[1:]) % m
-    classes = tuple(frozenset(int(n) for n in residues[cls == l]) for l in range(m))
-    return CosetPartition(m=m, classes=classes)
-
-
-@dataclass(frozen=True)
-class CharacterSpec:
-    """Multiplicative character of order 3 or 6 fixed by value at g, as a phase map.
-
-    The character value at n is the root of unity exp(2*pi*i*phase/order) with
-    phase = (j * ind_g(n)) mod order; the complex number itself is never built
-    here.
-    """
-
-    order: int
-    j: int
-    params: PrimeParams
-
-    def __post_init__(self):
-        if self.order not in (3, 6):
-            raise BadOrder(f"character order must be 3 or 6, got {self.order}")
-        if (self.params.p - 1) % self.order != 0:
-            raise BadOrder(f"order {self.order} does not divide p-1={self.params.p - 1}")
-        if not 1 <= self.j <= self.order - 1:
-            raise ParameterError(f"exponent j={self.j} outside 1..{self.order - 1}")
-
-
-def character_phase(spec: CharacterSpec, n: int) -> int:
-    """Phase index of the character value at n, in 0..order-1."""
-    return (spec.j * spec.params.ind(n)) % spec.order
+def reduce_zeta6(counts) -> tuple[int, int]:
+    """sum_r c_r * w**r as a + b*w in Z[w], w a primitive 6th root (w^2 = w - 1, w^3 = -1)."""
+    c0, c1, c2, c3, c4, c5 = counts
+    return c0 - c2 - c3 + c5, c1 + c2 - c4 - c5

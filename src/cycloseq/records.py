@@ -9,11 +9,31 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 TOOLKIT_VERSION = "0.1.0"
 
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def cache_key(seq, measure: str, params: dict) -> str:
+    """Identity of a measure result on a BitSequence.
+
+    Built from the content of the word (a sha256 of its packed bits, its length
+    and its period), the measure and its params, and the toolkit version.  The
+    label is provenance only: equal labels on different words get different keys.
+    """
+    payload = {
+        "bits": hashlib.sha256(np.packbits(seq.bits).tobytes()).hexdigest(),
+        "length": seq.length,
+        "period": seq.period,
+        "measure": measure,
+        "params": params,
+        "version": TOOLKIT_VERSION,
+    }
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 @dataclass
@@ -26,30 +46,14 @@ class MeasureRecord:
     kernel_values: dict | None = None
     timestamp: str = ""
     toolkit_version: str = TOOLKIT_VERSION
+    cache_key: str | None = None  # see cache_key(); None for records never cached
 
     def __post_init__(self):
         if not self.timestamp:
             self.timestamp = datetime.now(timezone.utc).isoformat()
 
-    @property
-    def cache_key(self) -> str:
-        payload = _canonical(
-            {"label": self.sequence_label, "measure": self.measure, "params": self.params}
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["cache_key"] = self.cache_key
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasureRecord":
-        d = {k: v for k, v in d.items() if k != "cache_key"}
-        return cls(**d)
-
     def to_json(self) -> str:
-        return _canonical(self.to_dict())
+        return _canonical(asdict(self))
 
     def write(self, stream=None, fmt: str = "json") -> None:
         stream = stream or sys.stdout
@@ -94,7 +98,7 @@ def _json_cell(v) -> str:
 
 
 class RecordCache:
-    """Append-friendly JSONL store keyed by record content hash."""
+    """Append-friendly JSONL store of records, keyed by their cache_key."""
 
     def __init__(self, path):
         self.path = Path(path)

@@ -14,8 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadOrder, BadPrime, BadSubset, ParameterError, ZeroArgument
-from .ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root
+from .errors import (
+    BadOrder,
+    BadPrime,
+    BadSubset,
+    InvariantViolation,
+    ParameterError,
+    ZeroArgument,
+)
+from .ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root, reduce_zeta6
 
 # Hall ones live on C0 u C1 u C3 of the order-6 cosets.
 HALL_CLASSES = frozenset({0, 1, 3})
@@ -95,43 +102,36 @@ def hall_sequence(params: SexticParams, length: int) -> BitSequence:
 def delta1(params: SexticParams, n: int) -> int:
     """(1 + eta(n) + eta^2(n))/3 for the cubic character eta, evaluated exactly.
 
-    The three terms are accumulated as phase counts and reduced in Z[zeta3];
-    the result must be a rational integer in {0, 1}.
+    eta = chi**2, so the cubic phase r is the sixth-root phase 2r; the three
+    terms are accumulated as phase counts and reduced in Z[w].
     """
     ind = params.ind(n)
-    counts = [0, 0, 0]
+    counts = [0] * 6
     for j in range(3):
-        counts[(j * ind) % 3] += 1
-    a, b = _reduce_zeta3(counts)
-    assert b == 0 and a % 3 == 0 and a // 3 in (0, 1)
-    return a // 3
+        counts[2 * (j * ind % 3)] += 1
+    return _indicator(counts, 3)
 
 
 def delta2(params: SexticParams, n: int) -> int:
     """(1 + sum_j omega^-j chi^j(n))/6 for the sextic character chi, exactly.
 
-    omega = chi(g); the j-th term has phase j*(ind(n) - 1) mod 6.  Reduction in
-    Z[omega] must land on a rational integer in {0, 1}.
+    omega = chi(g); the j-th term has phase j*(ind(n) - 1) mod 6.
     """
     ind = params.ind(n)
     counts = [0] * 6
     for j in range(6):
         counts[(j * (ind - 1)) % 6] += 1
-    a, b = _reduce_zeta6(counts)
-    assert b == 0 and a % 6 == 0 and a // 6 in (0, 1)
-    return a // 6
+    return _indicator(counts, 6)
 
 
-def _reduce_zeta3(counts) -> tuple[int, int]:
-    # sum c_r zeta3^r -> a + b*zeta3 using zeta3^2 = -1 - zeta3
-    c0, c1, c2 = counts
-    return c0 - c2, c1 - c2
-
-
-def _reduce_zeta6(counts) -> tuple[int, int]:
-    # sum c_r w^r -> a + b*w using w^2 = w-1, w^3 = -1 (w a primitive 6th root)
-    c0, c1, c2, c3, c4, c5 = counts
-    return c0 - c2 - c3 + c5, c1 + c2 - c4 - c5
+def _indicator(counts, denominator: int) -> int:
+    """The phase-count sum over `denominator`, which must be the rational integer 0 or 1."""
+    a, b = reduce_zeta6(counts)
+    if b != 0 or a not in (0, denominator):
+        raise InvariantViolation(
+            f"character sum {a} + {b}*w over {denominator} is not an indicator value"
+        )
+    return a // denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +159,8 @@ def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequen
         raise ParameterError("length must be >= 1")
     dec = delta_decomposition(params)
     core = (dec.delta1 + dec.delta2).astype(np.uint8)
-    assert np.all(core <= 1)
+    if np.any(core > 1):
+        raise InvariantViolation("delta1 and delta2 overlap: C0 u C3 and C1 must be disjoint")
     return BitSequence.create(
         _extend(core, length),
         period=params.p,

@@ -1,6 +1,11 @@
 import json
 
-from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, main
+import pytest
+
+from cycloseq import bounds
+from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
+from cycloseq.errors import InvariantViolation
+from cycloseq.ntheory import SexticParams
 from cycloseq.seqgen import read_sequence
 
 
@@ -78,6 +83,30 @@ def test_measure_cache_coherence(tmp_path, capsys):
     assert a == b
 
 
+def test_measure_cache_keyed_on_content_not_label(tmp_path, capsys):
+    # hall p=13 at lengths 13 and 26 share the label hall(p=13,g=2)
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "1",
+            "--cache", str(tmp_path / "cache.jsonl"))
+    _, short, _ = run(capsys, *args)
+    _, long, _ = run(capsys, *args, "--length", "26")
+    a, b = json.loads(short), json.loads(long)
+    assert a["sequence_label"] == b["sequence_label"]
+    assert (a["value"], b["value"]) == (4, 5)
+    assert a["cache_key"] != b["cache_key"]
+
+
+def test_measure_cache_headerless_files(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    records = []
+    for name, bits in (("hall.seq", "0110010010011"), ("zeros.seq", "0" * 13)):
+        (tmp_path / name).write_text(bits + "\n")  # no header: both labels are ""
+        _, out, _ = run(capsys, "measure", "--input", str(tmp_path / name), "--ck", "1",
+                        "--cache", str(cache))
+        records.append(json.loads(out))
+    assert [r["value"] for r in records] == [4, 13]
+    assert records[0]["cache_key"] != records[1]["cache_key"]
+
+
 def test_measure_autocorr_all(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "measure", "--construction", "hall", "--p", "31", "--g", "three-in-c1",
@@ -141,6 +170,18 @@ def test_verify_diffset(capsys):
     )
     assert code == EXIT_OK
     assert stdout.count("[PASS") == 2
+
+
+def test_diffset_verdict_disagreement_is_invariant_violation(monkeypatch, capsys):
+    # p = 31 is a difference set; a forged A(t) = 0 contradicts its constant lambda
+    monkeypatch.setattr(bounds, "periodic_autocorrelation", lambda seq, t: 0)
+    with pytest.raises(InvariantViolation):
+        bounds.difference_set_check(SexticParams.create(31, g_policy="three-in-c1"))
+    code, stdout, err = run(
+        capsys, "verify", "--suite", "diffset", "--primes", "31", "--g-policy", "three-in-c1",
+    )
+    assert code == EXIT_VERIFY
+    assert err.startswith("error:") and "verdicts differ" in err
 
 
 def test_verify_cross_construction_upto(capsys):

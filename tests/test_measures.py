@@ -85,6 +85,22 @@ def test_for_shifts_examples():
     assert correlation_for_shifts(HALL13, (0,)) == (3, 11)
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_for_shifts_matches_direct_sums(data):
+    # oracle: |sum_{n<M} prod_i x[n+d_i]| for every M, straight off the definition
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+    N = len(bits)
+    k = data.draw(st.integers(1, min(N, 4)))
+    D = tuple(sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=k, max_size=k))))
+    x = [1 - 2 * b for b in bits]
+    sums = []
+    for M in range(1, N - D[-1] + 1):
+        sums.append(abs(sum(math.prod(x[n + d] for d in D) for n in range(M))))
+    value = max(sums)
+    assert correlation_for_shifts(BitSequence.create(bits), D) == (value, sums.index(value) + 1)
+
+
 def test_for_shifts_validation():
     seq = BitSequence.create([0, 1, 1, 0])
     with pytest.raises(BadShifts):

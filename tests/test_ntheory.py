@@ -3,20 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.errors import BadOrder, NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
+from cycloseq.charsum import CharSumQuery, character_sum
+from cycloseq.errors import NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
 from cycloseq.ntheory import (
     THREE_IN_C1,
-    CharacterSpec,
     PrimeParams,
     SexticParams,
     build_index_table,
-    character_phase,
-    cyclotomic_cosets,
     find_primitive_root,
     is_prime,
 )
+from cycloseq.seqgen import cyclotomic_sequence
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 61, 97, 101]
+
+
+def coset(params, m, l):
+    """C_l of order m, read off the characteristic sequence of that one coset."""
+    bits = cyclotomic_sequence(params, m, {l}, params.p).bits
+    return [n for n in range(params.p) if bits[n]]
+
+
+def chi_phase(params, order, j, n):
+    """Phase r of the order-`order` character value w**r at n, w = exp(pi*i/3).
+
+    The character is chi**(j*6/order) with chi(g) = w, evaluated as the
+    one-term character sum at argument n.
+    """
+    q = CharSumQuery(params=params, exponents=(j * 6 // order,), shifts=(n - 1,), window=2)
+    return character_sum(q).counts.index(1)
 
 
 def test_is_prime_small():
@@ -95,82 +110,55 @@ def test_index_table_rejects_non_primitive():
 
 def test_cyclotomic_cosets_p13():
     params = SexticParams.create(13, g=2)
-    cosets = cyclotomic_cosets(params, 6)
-    assert [sorted(c) for c in cosets.classes] == [
+    assert [coset(params, 6, l) for l in range(6)] == [
         [1, 12], [2, 11], [4, 9], [5, 8], [3, 10], [6, 7]]
 
 
 def test_cyclotomic_cosets_trivial_and_p5():
     params = SexticParams.create(13, g=2)
-    assert sorted(cyclotomic_cosets(params, 1).classes[0]) == list(range(1, 13))
+    assert coset(params, 1, 0) == list(range(1, 13))
     p5 = PrimeParams.create(5, g=2)
-    cosets = cyclotomic_cosets(p5, 4)
-    assert [sorted(c) for c in cosets.classes] == [[1], [2], [4], [3]]
-
-
-def test_cyclotomic_cosets_bad_order():
-    params = SexticParams.create(13, g=2)
-    with pytest.raises(BadOrder):
-        cyclotomic_cosets(params, 5)
-
-
-def test_coset_index_consistency_exhaustive():
-    for p in [q for q in range(7, 102) if is_prime(q) and q % 6 == 1]:
-        params = SexticParams.create(p)
-        for m in (2, 3, 6):
-            cosets = cyclotomic_cosets(params, m)
-            for n in range(1, p):
-                assert (params.ind(n) % m) == cosets.class_of(n)
+    assert [coset(p5, 4, l) for l in range(4)] == [[1], [2], [4], [3]]
 
 
 def test_character_phase_examples():
     p13 = SexticParams.create(13, g=2)
-    assert character_phase(CharacterSpec(order=6, j=1, params=p13), 5) == 3  # ind=9
-    assert character_phase(CharacterSpec(order=6, j=1, params=p13), 1) == 0
-    assert character_phase(CharacterSpec(order=3, j=1, params=p13), 12) == 0  # ind=6
+    assert chi_phase(p13, 6, 1, 5) == 3  # ind 9
+    assert chi_phase(p13, 6, 1, 1) == 0
+    assert chi_phase(p13, 3, 1, 12) == 0  # ind 6
 
 
 def test_character_phase_zero_argument():
     p13 = SexticParams.create(13, g=2)
     with pytest.raises(ZeroArgument):
-        character_phase(CharacterSpec(order=6, j=1, params=p13), 13)
-
-
-def test_character_spec_validation():
-    p13 = SexticParams.create(13, g=2)
-    with pytest.raises(BadOrder):
-        CharacterSpec(order=4, j=1, params=p13)
-    with pytest.raises(ParameterError):
-        CharacterSpec(order=6, j=0, params=p13)
-    with pytest.raises(ParameterError):
-        CharacterSpec(order=6, j=6, params=p13)
+        p13.ind(13)
+    # chi(0) = 0: the term at a vanishing argument has no phase
+    v = character_sum(CharSumQuery(params=p13, exponents=(1,), shifts=(12,), window=2))
+    assert v.counts == (0,) * 6 and v.skipped == 1
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 61, 97])
 @pytest.mark.parametrize("order,j", [(3, 1), (3, 2), (6, 1), (6, 5)])
 def test_character_multiplicativity_exhaustive(p, order, j):
     params = SexticParams.create(p)
-    spec = CharacterSpec(order=order, j=j, params=params)
+    phase = [None] + [chi_phase(params, order, j, n) for n in range(1, p)]
     for a in range(1, p):
         for b in range(1, p):
-            lhs = character_phase(spec, a * b % p)
-            rhs = (character_phase(spec, a) + character_phase(spec, b)) % order
-            assert lhs == rhs
+            assert phase[a * b % p] == (phase[a] + phase[b]) % 6
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 97])
 def test_character_orthogonality(p):
-    # each attained phase value occurs equally often; for gcd(j, order) = 1
-    # that is every value, (p-1)/order times apiece
+    # each attained value occurs equally often; for gcd(j, order) = 1 that is
+    # every order-th root of unity, (p-1)/order times apiece
     params = SexticParams.create(p)
     for order in (3, 6):
         for j in range(1, order):
-            spec = CharacterSpec(order=order, j=j, params=params)
-            phases = [character_phase(spec, n) for n in range(1, p)]
+            phases = [chi_phase(params, order, j, n) for n in range(1, p)]
             g = int(np.gcd(j, order))
             for r in range(order):
                 expected = (p - 1) * g // order if r % g == 0 else 0
-                assert phases.count(r) == expected
+                assert phases.count(r * 6 // order) == expected
 
 
 @given(st.sampled_from([7, 13, 19, 31]), st.data())
