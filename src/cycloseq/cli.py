@@ -115,7 +115,7 @@ def cmd_measure(args) -> int:
     # One pass picks the measure, its params and compute() -> (value, witness).
     if args.ck is not None:
         measure = "Ck"
-        if args.sampled:
+        if args.sampled is not None:
             params = {"k": args.ck, "samples": args.sampled, "seed": args.seed}
             run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed)
         else:
@@ -137,8 +137,12 @@ def cmd_measure(args) -> int:
             return {str(t): measures.periodic_autocorrelation(seq, t) for t in range(1, T)}, None
 
     elif args.autocorr is not None:
-        measure, params = "autocorr", {"t": int(args.autocorr)}
-        compute = lambda: (measures.periodic_autocorrelation(seq, params["t"]), None)
+        try:
+            t = int(args.autocorr)
+        except ValueError:
+            raise ParameterError(f"--autocorr must be all or an integer; got {args.autocorr!r}")
+        measure, params = "autocorr", {"t": t}
+        compute = lambda: (measures.periodic_autocorrelation(seq, t), None)
     elif args.lc_profile:
         measure, params = "lc_profile", {}
         compute = lambda: (list(measures.berlekamp_massey_profile(seq).values), None)

@@ -244,34 +244,19 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
     Conventions: an all-zero prefix has complexity 0; a prefix 0...01 has
     complexity equal to its length.
     """
-    s = [int(b) for b in seq.bits]
-    N = len(s)
-    C = [1]
-    B = [1]
+    # C and B are bitmasks (bit i = coefficient of x**i); bit i of hist is s_{n-i}.
+    C = B = 1
     L = 0
     m = 1
+    hist = 0
     values = []
-    for n in range(N):
-        d = s[n]
-        for i in range(1, min(L, len(C) - 1) + 1):
-            d ^= C[i] & s[n - i]
-        if d:
-            need = m + len(B)
-            if len(C) < need:
-                C.extend([0] * (need - len(C)))
+    for n, bit in enumerate(seq.bits.tolist()):
+        hist = (hist << 1) | bit
+        if (C & hist & ((1 << (L + 1)) - 1)).bit_count() & 1:
+            prev, C = C, C ^ (B << m)
             if 2 * L <= n:
-                prev = C[:]
-                for i, bi in enumerate(B):
-                    C[m + i] ^= bi
-                L = n + 1 - L
-                B = prev
-                m = 1
-            else:
-                for i, bi in enumerate(B):
-                    C[m + i] ^= bi
-                m += 1
-        else:
-            m += 1
+                L, B, m = n + 1 - L, prev, 0
+        m += 1
         values.append(L)
     return ComplexityProfile(kind="linear", values=tuple(values))
 
@@ -382,9 +367,7 @@ def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:
         raise CapExceeded(T, TWO_ADIC_CAP)
     if seq.length < T:
         raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
-    s2 = 0
-    for n in range(T - 1, -1, -1):
-        s2 = (s2 << 1) | int(seq.bits[n])
+    s2 = int.from_bytes(np.packbits(seq.bits[:T], bitorder="little").tobytes(), "little")
     modulus = (1 << T) - 1
     g = math.gcd(s2, modulus)
     return TwoAdicReport(

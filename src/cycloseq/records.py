@@ -103,25 +103,23 @@ class RecordCache:
     def __init__(self, path):
         self.path = Path(path)
 
-    def load(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
+    def get(self, key: str) -> dict | None:
+        """The last record stored under `key`, or None; corrupt lines are skipped.
+
+        Only lines containing `key` as a substring are parsed.
+        """
         if not self.path.exists():
-            return out
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
+            return None
+        for line in reversed(self.path.read_text().splitlines()):
+            if key not in line:
                 continue
             try:
                 d = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            key = d.get("cache_key")
-            if key:
-                out[key] = d
-        return out
-
-    def get(self, key: str) -> dict | None:
-        return self.load().get(key)
+            if d.get("cache_key") == key:
+                return d
+        return None
 
     def append(self, record: MeasureRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

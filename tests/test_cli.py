@@ -163,6 +163,26 @@ def test_measure_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_measure_autocorr_not_an_integer(tmp_path, capsys):
+    code, stdout, err = run(
+        capsys, "measure", "--construction", "hall", "--p", "13", "--autocorr", "abc",
+        "--cache", str(tmp_path / "c.jsonl"),
+    )
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert err.strip().startswith("error:") and "--autocorr" in err
+
+
+def test_measure_sampled_zero_is_refused(capsys):
+    code, stdout, err = run(
+        capsys, "measure", "--construction", "hall", "--p", "13", "--ck", "1",
+        "--sampled", "0", "--no-cache",
+    )
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert "samples must be >= 1" in err
+
+
 def test_verify_diffset(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--suite", "diffset", "--primes", "31,43",

@@ -75,6 +75,39 @@ def naive_linear_complexity(bits):
     return N
 
 
+def _bm_reference(bits):
+    """Berlekamp-Massey over lists of bits: the loop the bit-packed kernel replaced."""
+    s = [int(b) for b in bits]
+    C = [1]
+    B = [1]
+    L = 0
+    m = 1
+    values = []
+    for n in range(len(s)):
+        d = s[n]
+        for i in range(1, min(L, len(C) - 1) + 1):
+            d ^= C[i] & s[n - i]
+        if d:
+            need = m + len(B)
+            if len(C) < need:
+                C.extend([0] * (need - len(C)))
+            if 2 * L <= n:
+                prev = C[:]
+                for i, bi in enumerate(B):
+                    C[m + i] ^= bi
+                L = n + 1 - L
+                B = prev
+                m = 1
+            else:
+                for i, bi in enumerate(B):
+                    C[m + i] ^= bi
+                m += 1
+        else:
+            m += 1
+        values.append(L)
+    return tuple(values)
+
+
 # --- correlation -------------------------------------------------------------
 
 
@@ -242,6 +275,21 @@ def test_bm_matches_naive_recurrence_search(bits):
     profile = berlekamp_massey_profile(BitSequence.create(bits))
     for n in range(1, len(bits) + 1):
         assert profile.at(n) == naive_linear_complexity(bits[:n])
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=512))
+@settings(max_examples=150, deadline=None)
+def test_bm_matches_list_reference(bits):
+    assert berlekamp_massey_profile(BitSequence.create(bits)).values == _bm_reference(bits)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [hall_sequence(SexticParams.create(1033), 2066), legendre_sequence(1033, 2066)],
+    ids=["hall", "legendre"],
+)
+def test_bm_matches_list_reference_at_2p(seq):
+    assert berlekamp_massey_profile(seq).values == _bm_reference(seq.bits)
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
