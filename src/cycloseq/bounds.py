@@ -210,7 +210,7 @@ class BaselineStatistics:
     ratios: tuple[float, ...]  # C_k / sqrt(N ln N)
     mean_ratio: float
     max_ratio: float
-    quartiles: tuple[float, float, float]
+    quartiles: tuple[float, float, float]  # of the ratios, like mean and max
 
 
 def random_baseline(
@@ -226,7 +226,7 @@ def random_baseline(
         word = BitSequence.create(rng.integers(0, 2, size=n, dtype=np.uint8), label="random")
         values.append(correlation_measure_exact(word, k, budget=budget).value)
     ratios = tuple(v / norm for v in values)
-    q25, q50, q75 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
+    q25, q50, q75 = (float(q) for q in np.quantile(ratios, [0.25, 0.5, 0.75]))
     return BaselineStatistics(
         n=n,
         k=k,

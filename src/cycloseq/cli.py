@@ -119,7 +119,8 @@ def cmd_measure(args) -> int:
             params = {"k": args.ck, "samples": args.sampled, "seed": args.seed}
             run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed)
         else:
-            params = {"k": args.ck, "budget": args.budget}
+            # an exact value does not depend on the budget, so it is no part of the key
+            params = {"k": args.ck}
             run = lambda: measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
 
         def compute():

@@ -7,6 +7,20 @@ The kernel enumerates shift *patterns* with d_1 = 0 and reads off, for each
 pattern, the max-min spread of the signed prefix-sum walk: a window of the
 pattern translated by a and of length b-a sums to P_b - P_a, so the spread
 covers every (D, M) with that difference pattern in one linear pass.
+
+For k >= 2 the patterns are walked depth first over the head shifts
+(d_2..d_{k-1}), with an explicit stack rather than recursion, so k = N does
+not nest N levels deep.  Each head's sign product extends its parent's by one
+row, and the walks of all last shifts d_k under one head form one matrix
+cumsum.  A pattern with last shift d_k has N - d_k walk steps, so its spread is
+at most N - d_k.  Two cuts follow from that bound and the running best: a
+branch at shift d with r shifts still to place (d_k included) is cut once
+N - d - r < best, and a head's cumsum keeps only the rows with d_k <= N - best
+and the N - d_{k-1} - 1 columns its longest row needs.  Both cuts compare
+strictly, so every pattern that ties the final maximum is still evaluated and
+the lexicographically smallest witness does not depend on them.  The budget
+is an upfront refusal on the nominal count binom(N, k) * N, not a count of
+the walk steps evaluated.
 """
 
 from __future__ import annotations
@@ -153,18 +167,28 @@ def correlation_measure_exact(
         best = int(P.max() - P.min())
         attaining = [()]
     else:
-        # Batch the last shift: for a fixed (d_2..d_{k-1}) the walks of all d_k
-        # form one matrix cumsum.  x is zero-padded, so each row's tail beyond
-        # its valid window is flat and cannot move the spread; the implicit
-        # leading P_0 = 0 is folded in by clamping the extrema at 0.
+        # path[j] holds the shift at pattern position j for the node being
+        # expanded and its ancestors.  A node's product is kept only over the
+        # N - d - todo steps a descendant can use.  x_ext is x zero-padded, so
+        # each cumsum row's tail beyond its valid window is flat and cannot move
+        # the spread; P_0 = 0 is folded in by clamping the extrema at 0.
         x_ext = np.concatenate([x, np.zeros(N, dtype=np.int64)])
         windows = np.lib.stride_tricks.sliding_window_view(x_ext, N)
-        for head in combinations(range(1, N - 1), k - 2):
-            base = x_ext[:N].copy()
-            for d in head:
-                base *= x_ext[d : d + N]
-            lo = (head[-1] if head else 0) + 1
-            walks = np.cumsum(base[None, :] * windows[lo:N], axis=1)
+        path = [0] * (k - 1)
+        stack = [(0, 0, np.ones(N, dtype=np.int64))]  # (position, shift, parent's product)
+        while stack:
+            j, d, prod = stack.pop()
+            todo = k - 1 - j
+            if N - d - todo < best:
+                continue
+            path[j] = d
+            prod = prod[: N - d - todo] * x[d : N - todo]
+            if todo > 1:
+                # pushed in reverse, so the smallest shift is expanded first
+                stack.extend((j + 1, c, prod) for c in range(N - todo, d, -1))
+                continue
+            lo = d + 1
+            walks = np.cumsum(prod * windows[lo : min(N, N + 1 - best), : N - lo], axis=1)
             spreads = np.maximum(walks.max(axis=1), 0) - np.minimum(walks.min(axis=1), 0)
             v = int(spreads.max())
             if v < best:
@@ -172,15 +196,18 @@ def correlation_measure_exact(
             if v > best:
                 best = v
                 attaining = []
-            attaining.extend((*head, lo + int(r)) for r in np.flatnonzero(spreads == v))
+            attaining.extend((*path[1:], lo + int(r)) for r in np.flatnonzero(spreads == v))
 
     witness = None
     for rest in attaining:
+        pattern = (0, *rest)
+        if witness is not None and pattern > witness[0]:
+            continue  # its every D is pattern + a >= pattern > witness D
         ab = _lex_smallest_window(_pattern_walk(x, rest), best)
         if ab is None:
             continue
         a, b = ab
-        cand = (tuple(a + d for d in (0, *rest)), b - a)
+        cand = (tuple(a + d for d in pattern), b - a)
         if witness is None or cand < witness:
             witness = cand
     if witness is None:

@@ -138,7 +138,7 @@ def test_baseline_deterministic():
 def test_baseline_band_n256():
     st = random_baseline(256, 2, trials=20, rng_seed=3)
     assert 0.5 <= st.mean_ratio <= 3.0
-    assert st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2]
+    assert min(st.ratios) <= st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2] <= max(st.ratios)
 
 
 def test_corollary1_positive_implies_moc_at_least_one():

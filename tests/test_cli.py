@@ -95,6 +95,17 @@ def test_measure_cache_keyed_on_content_not_label(tmp_path, capsys):
     assert a["cache_key"] != b["cache_key"]
 
 
+def test_measure_exact_cache_ignores_budget(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "2", "--cache", str(cache))
+    _, first, _ = run(capsys, *args, "--budget", "1000000000")
+    code, second, _ = run(capsys, *args, "--budget", "100000000")
+    assert code == EXIT_OK
+    assert second == first  # served verbatim, timestamp included
+    assert len(cache.read_text().splitlines()) == 1
+    assert json.loads(first)["params"] == {"k": 2}
+
+
 def test_measure_cache_headerless_files(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     records = []

@@ -52,6 +52,53 @@ def brute_force_ck(seq, k):
     return best, bestw
 
 
+def _ck_reference(seq, k):
+    """Exact C_k and its lex-smallest (D, M) by the batched loop the depth-first
+    kernel replaced: every head, its product re-multiplied, no pruning."""
+    N = seq.length
+    x = seq.signs()
+    best, attaining = 0, []
+    if k == 1:
+        P = np.concatenate([[0], np.cumsum(x)])
+        best, attaining = int(P.max() - P.min()), [()]
+    else:
+        x_ext = np.concatenate([x, np.zeros(N, dtype=np.int64)])
+        windows = np.lib.stride_tricks.sliding_window_view(x_ext, N)
+        for head in combinations(range(1, N - 1), k - 2):
+            base = x_ext[:N].copy()
+            for d in head:
+                base *= x_ext[d : d + N]
+            lo = (head[-1] if head else 0) + 1
+            walks = np.cumsum(base[None, :] * windows[lo:N], axis=1)
+            spreads = np.maximum(walks.max(axis=1), 0) - np.minimum(walks.min(axis=1), 0)
+            v = int(spreads.max())
+            if v < best:
+                continue
+            if v > best:
+                best, attaining = v, []
+            attaining.extend((*head, lo + int(r)) for r in np.flatnonzero(spreads == v))
+    witness = None
+    for rest in attaining:
+        pattern = (0, *rest)
+        L = N - pattern[-1]
+        P = np.concatenate([[0], np.cumsum(x[np.add.outer(pattern, np.arange(L))].prod(axis=0))])
+        # first (a, b), a < b, in row-major order with |P_b - P_a| = best
+        a, b = (int(i) for i in np.argwhere(np.triu(np.abs(P[None, :] - P[:, None]) == best, 1))[0])
+        cand = (tuple(a + d for d in pattern), b - a)
+        if witness is None or cand < witness:
+            witness = cand
+    return best, witness
+
+
+@st.composite
+def biased_words(draw, max_size):
+    """Words whose density of ones is drawn first, so long runs and ties are common."""
+    n = draw(st.integers(2, max_size))
+    ones = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    return BitSequence.create([int(v < ones) for v in draws])
+
+
 def naive_linear_complexity(bits):
     """Exhaustive search over all recurrences of each length (N <= 16)."""
     N = len(bits)
@@ -188,6 +235,32 @@ def test_exact_matches_brute_force(seq, k):
     rep = correlation_measure_exact(seq, k)
     assert rep.value == value
     assert (rep.witness_D, rep.witness_M) == witness
+
+
+@given(biased_words(12), st.integers(4, 5))
+@settings(max_examples=25, deadline=None)
+def test_exact_matches_brute_force_deep_heads(seq, k):
+    # k = 4, 5 put two or three shifts in the head, so the depth-first walk
+    # and both of its cuts meet the definition
+    k = min(k, seq.length)
+    rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == brute_force_ck(seq, k)
+
+
+@given(biased_words(28), st.integers(1, 6))
+@settings(max_examples=120, deadline=None)
+def test_exact_matches_batched_reference(seq, k):
+    k = min(k, seq.length)
+    rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
+
+
+@pytest.mark.parametrize("k", [1200, 1199])
+def test_exact_order_near_length(k):
+    # the head then holds k - 2 shifts: the walk over it must not nest
+    seq = BitSequence.create(np.random.default_rng(1200).integers(0, 2, size=1200, dtype=np.uint8))
+    rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
 
 
 @given(words, st.integers(1, 3))
