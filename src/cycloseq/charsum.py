@@ -4,6 +4,16 @@ Sums are accumulated as integer counts over the six 6th-root-of-unity phases
 and reduced exactly in Z[w] (w = exp(pi*i/3), w^2 = w - 1), so every equality
 assertion is integer arithmetic; floats appear only in reported magnitudes and
 bound comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
+
+One kernel, `phase_counts`, computes every sum.  Sums that share a shift tuple
+and a window differ only in their exponent vectors, so for a batch of B
+exponent vectors (a B x k matrix E) the kernel gathers ind(n + d_i) mod 6 once
+as a W x k array (dropping the n where some n + d_i = 0 mod p), forms all the
+phases as ind @ E.T mod 6 and takes a six-bin histogram per column.  A single
+sum is a one-row batch; the Weil suite evaluates the 5**k complete sums of a
+shift tuple, and a correlation expansion its 5**k terms, in one call.  The
+per-term loop it replaced stays in tests/test_charsum.py as
+`_character_sum_reference`, the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .bounds import BoundEvaluation
 from .errors import DegenerateCharacter, ParameterError
@@ -90,50 +102,67 @@ class CharSumValue:
         return math.sqrt(zeta6_norm_sq(self.reduced))
 
 
+def phase_counts(params: SexticParams, exponents, shifts, window: int) -> tuple[np.ndarray, int]:
+    """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k})
+    for a batch of exponent vectors sharing `shifts` and `window`.
+
+    `exponents` is a B x k array of exponent rows.  Returns (counts, skipped):
+    counts[b, r] is the number of terms of row b with phase r, and skipped the
+    number of n with a vanishing argument (the same for every row).
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    E = np.asarray(exponents, dtype=np.int64)
+    if E.ndim != 2 or E.shape[1] != shifts.size:
+        raise ParameterError(f"exponents of shape {E.shape} do not match {shifts.size} shifts")
+    args = (np.arange(1, window)[:, None] + shifts) % params.p
+    keep = (args != 0).all(axis=1)
+    phases = (params.index_table[args[keep]] % 6) @ E.T % 6
+    B = E.shape[0]
+    counts = np.bincount((phases + 6 * np.arange(B)).ravel(), minlength=6 * B).reshape(B, 6)
+    return counts, window - 1 - int(keep.sum())
+
+
+def _value(counts, skipped: int) -> CharSumValue:
+    counts = tuple(int(c) for c in counts)
+    value = sum(c * ROOT6[r] for r, c in enumerate(counts))
+    return CharSumValue(counts=counts, reduced=reduce_zeta6(counts), value=value, skipped=skipped)
+
+
 def character_sum(query: CharSumQuery) -> CharSumValue:
     """Evaluate the sum exactly (phase counts) and as a complex double."""
-    p = query.params.p
-    table = query.params.index_table
-    counts = [0] * 6
-    skipped = 0
-    for n in range(1, query.window):
-        phase = 0
-        for m, d in zip(query.exponents, query.shifts):
-            arg = (n + d) % p
-            if arg == 0:
-                phase = -1
-                break
-            phase += m * int(table[arg])
-        if phase < 0:
-            skipped += 1
-            continue
-        counts[phase % 6] += 1
-    reduced = reduce_zeta6(counts)
-    value = sum(c * ROOT6[r] for r, c in enumerate(counts))
-    return CharSumValue(counts=tuple(counts), reduced=reduced, value=value, skipped=skipped)
+    counts, skipped = phase_counts(query.params, [query.exponents], query.shifts, query.window)
+    return _value(counts[0], skipped)
 
 
-def weil_check(query: CharSumQuery) -> BoundEvaluation:
-    """Compare |sum| with the Weil-type bound.
+def _weil(magnitude, p: int, k: int, complete: bool):
+    """(bound, magnitude <= bound) for scalar or array magnitudes.
 
     Complete sums are held to the exact bound (k-1)*sqrt(p) + k; incomplete
     sums to the desk-scale explicit form k*sqrt(p)*(1 + ln p) standing in for
     the cited O(k sqrt(p) log p).
     """
-    if all(m % 6 == 0 for m in query.exponents):
-        raise DegenerateCharacter("composed character is principal")
-    p = query.params.p
-    k = query.k
-    mag = character_sum(query).magnitude
-    if query.complete:
+    if complete:
         bound = (k - 1) * math.sqrt(p) + k
     else:
         bound = k * math.sqrt(p) * (1.0 + math.log(p))
+    return bound, magnitude <= bound + 1e-9
+
+
+def _check_nondegenerate(E) -> None:
+    if (np.asarray(E) % 6 == 0).all(axis=-1).any():
+        raise DegenerateCharacter("composed character is principal")
+
+
+def weil_check(query: CharSumQuery) -> BoundEvaluation:
+    """Compare |sum| with the Weil-type bound (see `_weil`)."""
+    _check_nondegenerate(query.exponents)
+    mag = character_sum(query).magnitude
+    bound, satisfied = _weil(mag, query.params.p, query.k, query.complete)
     return BoundEvaluation(
         name="weil",
         inputs={
-            "p": p,
-            "k": k,
+            "p": query.params.p,
+            "k": query.k,
             "exponents": query.exponents,
             "shifts": query.shifts,
             "window": query.window,
@@ -141,8 +170,17 @@ def weil_check(query: CharSumQuery) -> BoundEvaluation:
         },
         kernel_value=bound,
         measured_value=mag,
-        satisfied=mag <= bound + 1e-9,
+        satisfied=satisfied,
     )
+
+
+def weil_verdicts(params: SexticParams, exponents, shifts, window: int) -> np.ndarray:
+    """`weil_check(...).satisfied` for each exponent row of a batch sharing
+    `shifts` and `window`, from one `phase_counts` call."""
+    _check_nondegenerate(exponents)
+    counts, _ = phase_counts(params, exponents, shifts, window)
+    mag = np.sqrt(zeta6_norm_sq(reduce_zeta6(counts.T)))
+    return _weil(mag, params.p, len(shifts), window == params.p)[1]
 
 
 @dataclass(frozen=True)
@@ -167,21 +205,32 @@ class CorrelationExpansion:
     merged_count: int  # 5**k
     unmerged_count: int  # 7**k
 
+    def _values(self) -> list[CharSumValue]:
+        """Every term's sum from one kernel call; the terms share shifts and window."""
+        q = self.terms[0].query
+        shared = (q.shifts, q.window)
+        if any(t.query.params is not q.params or (t.query.shifts, t.query.window) != shared
+               for t in self.terms):
+            raise ParameterError("expansion terms must share params, shifts and window")
+        counts, skipped = phase_counts(
+            q.params, [t.query.exponents for t in self.terms], q.shifts, q.window
+        )
+        return [_value(row, skipped) for row in counts]
+
     def evaluate_exact(self) -> tuple[int, int]:
         """Numerator of the expansion value as a + b*w (denominator 3**k)."""
         acc = (0, 0)
-        for term in self.terms:
-            s = character_sum(term.query).reduced
-            ab = zeta6_mul(term.coeff, s)
+        for term, s in zip(self.terms, self._values()):
+            ab = zeta6_mul(term.coeff, s.reduced)
             acc = (acc[0] + ab[0], acc[1] + ab[1])
         return acc
 
     def evaluate_complex(self) -> complex:
         total = 0j
-        for term in self.terms:
+        for term, s in zip(self.terms, self._values()):
             a, b = term.coeff
             coeff = (a + b * ROOT6[1]) / self.denominator
-            total += coeff * character_sum(term.query).value
+            total += coeff * s.value
         return total
 
 

@@ -18,7 +18,10 @@ branch at shift d with r shifts still to place (d_k included) is cut once
 N - d - r < best, and a head's cumsum keeps only the rows with d_k <= N - best
 and the N - d_{k-1} - 1 columns its longest row needs.  Both cuts compare
 strictly, so every pattern that ties the final maximum is still evaluated and
-the lexicographically smallest witness does not depend on them.  The budget
+the lexicographically smallest witness does not depend on them.  A branch
+with N - d - r = best can only tie, and only through its one completion with
+d_k = d + r, the consecutive shifts d+1..d+r; that pattern is evaluated
+directly instead of expanding the branch.  The budget
 is an upfront refusal on the nominal count binom(N, k) * N, not a count of
 the walk steps evaluated.
 """
@@ -182,6 +185,13 @@ def correlation_measure_exact(
             if N - d - todo < best:
                 continue
             path[j] = d
+            if todo > 1 and N - d - todo == best:
+                # only the consecutive completion d+1..d+todo can tie best
+                tail = np.lib.stride_tricks.sliding_window_view(x, todo + 1)[d : d + best]
+                walk = np.cumsum(prod[:best] * tail.prod(axis=1))
+                if max(int(walk.max()), 0) - min(int(walk.min()), 0) == best:
+                    attaining.append((*path[1 : j + 1], *range(d + 1, d + todo + 1)))
+                continue
             prod = prod[: N - d - todo] * x[d : N - todo]
             if todo > 1:
                 # pushed in reverse, so the smallest shift is expanded first

@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq.charsum import (
     FACTOR_COEFFS,
@@ -12,7 +14,9 @@ from cycloseq.charsum import (
     character_sum,
     direct_signed_sum,
     expand_correlation_to_charsums,
+    phase_counts,
     weil_check,
+    weil_verdicts,
     zeta6_conj,
     zeta6_mul,
     zeta6_norm_sq,
@@ -23,6 +27,78 @@ from cycloseq.seqgen import hall_sequence
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
+
+
+SEXTIC = {p: SexticParams.create(p) for p in (7, 13, 19, 31, 37, 43)}
+
+
+def _character_sum_reference(params, exponents, shifts, window):
+    """(counts, skipped) by the per-term loop the batched kernel replaced."""
+    p = params.p
+    table = params.index_table
+    counts = [0] * 6
+    skipped = 0
+    for n in range(1, window):
+        phase = 0
+        for m, d in zip(exponents, shifts):
+            arg = (n + d) % p
+            if arg == 0:
+                phase = -1
+                break
+            phase += m * int(table[arg])
+        if phase < 0:
+            skipped += 1
+            continue
+        counts[phase % 6] += 1
+    return counts, skipped
+
+
+@st.composite
+def kernel_batches(draw):
+    p = draw(st.sampled_from(sorted(SEXTIC)))
+    k = draw(st.integers(1, 3))
+    shifts = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=k, max_size=k))))
+    window = draw(st.integers(1, p))
+    if draw(st.booleans()):
+        batch = list(product(range(1, 6), repeat=k))
+    else:
+        row = st.tuples(*[st.integers(1, 5)] * k)
+        batch = draw(st.lists(row, min_size=1, max_size=40))
+    return SEXTIC[p], batch, shifts, window
+
+
+@given(kernel_batches())
+@settings(max_examples=200, deadline=None)
+def test_phase_counts_match_reference(case):
+    params, batch, shifts, window = case
+    counts, skipped = phase_counts(params, batch, shifts, window)
+    assert counts.shape == (len(batch), 6)
+    for row, ms in zip(counts, batch):
+        ref_counts, ref_skipped = _character_sum_reference(params, ms, shifts, window)
+        assert row.tolist() == ref_counts
+        assert skipped == ref_skipped
+
+
+def test_phase_counts_shape_mismatch():
+    with pytest.raises(ParameterError):
+        phase_counts(P13, [(1, 2)], (0,), 13)
+
+
+def test_weil_verdicts_match_weil_check():
+    for k in (1, 2):
+        batch = list(product(range(1, 6), repeat=k))
+        for shifts in ((0, 5)[:k], (3, 12)[:k]):
+            for window in (2, 7, 13):
+                ok = weil_verdicts(P13, batch, shifts, window)
+                ref = [
+                    weil_check(
+                        CharSumQuery(params=P13, exponents=ms, shifts=shifts, window=window)
+                    ).satisfied
+                    for ms in batch
+                ]
+                assert ok.tolist() == ref
+    with pytest.raises(DegenerateCharacter):
+        weil_verdicts(P13, [(1,), (6,)], (0,), 13)
 
 
 def test_zeta6_arithmetic():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cycloseq import bounds
+from cycloseq import bounds, cli
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from cycloseq.errors import InvariantViolation
 from cycloseq.ntheory import SexticParams
@@ -201,6 +201,18 @@ def test_verify_diffset(capsys):
     )
     assert code == EXIT_OK
     assert stdout.count("[PASS") == 2
+
+
+def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, capsys):
+    # the parser is built once per process; main must still dispatch to the
+    # cmd_* bound at call time
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "1",
+            "--cache", str(tmp_path / "c.jsonl"))
+    assert run(capsys, *args)[0] == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_measure", lambda a: seen.append(a.ck) or EXIT_VERIFY)
+    assert run(capsys, *args)[0] == EXIT_VERIFY
+    assert seen == [1]
 
 
 def test_diffset_verdict_disagreement_is_invariant_violation(monkeypatch, capsys):

@@ -255,6 +255,17 @@ def test_exact_matches_batched_reference(seq, k):
     assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
 
 
+@given(biased_words(40), st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_exact_near_length_matches_batched_reference(seq, j):
+    # k = N - j leaves at most j - 1 gaps in a pattern, so branches whose
+    # spread bound only ties the best (evaluated as one consecutive
+    # completion instead of expanded) are common
+    k = max(seq.length - j, 1)
+    rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
+
+
 @pytest.mark.parametrize("k", [1200, 1199])
 def test_exact_order_near_length(k):
     # the head then holds k - 2 shifts: the walk over it must not nest
