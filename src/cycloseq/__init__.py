@@ -9,13 +9,7 @@ from .bounds import (
     random_baseline,
     theorem1_kernel,
 )
-from .charsum import (
-    CharSumQuery,
-    character_sum,
-    direct_signed_sum,
-    expand_correlation_to_charsums,
-    weil_check,
-)
+from .charsum import direct_signed_sum, expand_correlation_to_charsums
 from .measures import (
     ComplexityProfile,
     CorrelationReport,

@@ -35,30 +35,25 @@ DEFAULT_K_CAP = 6
 class BoundEvaluation:
     """Outcome of one named bound check; satisfied=None means not-applicable."""
 
-    name: str  # theorem1 | corollary1 | iw17 | bw06 | weil
+    name: str  # iw17 | bw06
     inputs: dict = field(default_factory=dict)
     kernel_value: float = float("nan")
     measured_value: float = float("nan")
     satisfied: bool | None = None
 
 
-def theorem1_kernel(k: int, p: int, log_base: float = math.e) -> float:
-    """(14/3)**k * k * sqrt(p) * log(p), the bound shape without its constant.
-
-    log is natural by default; pass log_base=2 for base-2 reports.
-    """
+def theorem1_kernel(k: int, p: int) -> float:
+    """(14/3)**k * k * sqrt(p) * ln(p), the bound shape without its constant."""
     if k < 1 or p < 2:
         raise ParameterError(f"need k >= 1 and prime p, got k={k}, p={p}")
-    return (14.0 / 3.0) ** k * k * math.sqrt(p) * (math.log(p) / math.log(log_base))
+    return (14.0 / 3.0) ** k * k * math.sqrt(p) * math.log(p)
 
 
-def corollary1_kernel(n: int, p: int, log_base: float = math.e) -> float:
-    """log(min(N, p) / (sqrt(p) * log(p)**2)); negative means the bound is vacuous."""
+def corollary1_kernel(n: int, p: int) -> float:
+    """ln(min(N, p) / (sqrt(p) * ln(p)**2)); negative means the bound is vacuous."""
     if n < 1 or p < 2:
         raise ParameterError(f"need N >= 1 and prime p, got N={n}, p={p}")
-    lg = math.log(log_base)
-    logp = math.log(p) / lg
-    return math.log(min(n, p) / (math.sqrt(p) * logp**2)) / lg
+    return math.log(min(n, p) / (math.sqrt(p) * math.log(p) ** 2))
 
 
 def _ascending_ck_check(

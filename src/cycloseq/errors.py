@@ -46,10 +46,6 @@ class NoPeriod(ParameterError):
     """Sequence has no declared period."""
 
 
-class DegenerateCharacter(ParameterError):
-    """Composed multiplicative character is principal."""
-
-
 class InvariantViolation(CycloseqError):
     """Two independent computations that must agree do not."""
 
@@ -57,13 +53,10 @@ class InvariantViolation(CycloseqError):
 class BudgetExceeded(CycloseqError):
     """Exact enumeration would exceed the configured budget."""
 
-    def __init__(self, estimate: int, budget: int):
+    def __init__(self, estimate: int, budget: int, hint: str = "use the sampled variant"):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(
-            f"estimated {estimate} window evaluations exceed budget {budget}; "
-            "use the sampled variant"
-        )
+        super().__init__(f"estimated {estimate} window evaluations exceed budget {budget}; {hint}")
 
 
 class CapExceeded(CycloseqError):

@@ -46,6 +46,9 @@ from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
 MOC_NAIVE_CAP = 4096
+# Not a cost cap: the gcd takes 16 ms at T = 100003.  It keeps the record
+# printable: past T = 14 284 bits, S2 and 2**T - 1 exceed Python's 4300-digit
+# int-to-str limit, and writing the record ends in a ValueError.
 TWO_ADIC_CAP = 10000
 
 

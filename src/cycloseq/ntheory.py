@@ -185,7 +185,7 @@ class SexticParams(PrimeParams):
         if g is None:
             if g_policy == "smallest":
                 g = find_primitive_root(p)
-            elif g_policy in ("three-in-c1", THREE_IN_C1):
+            elif g_policy == "three-in-c1":
                 g = find_primitive_root(p, THREE_IN_C1)
             else:
                 raise ParameterError(f"unknown g policy {g_policy!r}")

@@ -19,8 +19,8 @@ def test_theorem1_kernel_values():
     assert theorem1_kernel(1, 13) == pytest.approx((14 / 3) * math.sqrt(13) * math.log(13))
     assert theorem1_kernel(1, 13) == pytest.approx(43.158, abs=5e-3)
     assert theorem1_kernel(2, 31) == pytest.approx(832.77, abs=5e-2)
-    assert theorem1_kernel(2, 31, log_base=2) == pytest.approx(
-        (14 / 3) ** 2 * 2 * math.sqrt(31) * math.log2(31)
+    assert theorem1_kernel(2, 31) == pytest.approx(
+        (14 / 3) ** 2 * 2 * math.sqrt(31) * math.log(31)
     )
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from itertools import combinations, product
 
@@ -8,21 +9,15 @@ from hypothesis import strategies as st
 
 from cycloseq.charsum import (
     FACTOR_COEFFS,
-    ROOT6,
-    CharSumQuery,
-    CorrelationExpansion,
-    character_sum,
     direct_signed_sum,
     expand_correlation_to_charsums,
     phase_counts,
-    weil_check,
     weil_verdicts,
-    zeta6_conj,
     zeta6_mul,
     zeta6_norm_sq,
 )
-from cycloseq.errors import DegenerateCharacter, ParameterError
-from cycloseq.ntheory import SexticParams
+from cycloseq.errors import ParameterError
+from cycloseq.ntheory import SexticParams, reduce_zeta6
 from cycloseq.seqgen import hall_sequence
 
 P13 = SexticParams.create(13, g=2)
@@ -30,6 +25,22 @@ P31 = SexticParams.create(31, g=3)
 
 
 SEXTIC = {p: SexticParams.create(p) for p in (7, 13, 19, 31, 37, 43)}
+
+# exp(2*pi*i*r/6) for r = 0..5: the float side the exact Z[w] values are checked against
+ROOT6 = tuple(cmath.exp(2j * cmath.pi * r / 6) for r in range(6))
+
+
+def zeta6_conj(x):
+    """Complex conjugate of a + b*w in Z[w]: conj(w) = 1 - w."""
+    a, b = x
+    return a + b, -b
+
+
+def one_sum(params, exponents, shifts, window):
+    """(counts, exact a + b*w, skipped) of one sum, as a one-row kernel batch."""
+    counts, skipped = phase_counts(params, [exponents], shifts, window)
+    counts = tuple(int(c) for c in counts[0])
+    return counts, reduce_zeta6(counts), skipped
 
 
 def _character_sum_reference(params, exponents, shifts, window):
@@ -84,20 +95,27 @@ def test_phase_counts_shape_mismatch():
         phase_counts(P13, [(1, 2)], (0,), 13)
 
 
-def test_weil_verdicts_match_weil_check():
+def _reference_bound_ok(params, ms, shifts, window):
+    """The Weil verdict from the reference loop's counts and the bound written out."""
+    counts, _ = _character_sum_reference(params, ms, shifts, window)
+    p, k = params.p, len(shifts)
+    if window == p:
+        bound = (k - 1) * math.sqrt(p) + k
+    else:
+        bound = k * math.sqrt(p) * (1.0 + math.log(p))
+    return math.sqrt(zeta6_norm_sq(reduce_zeta6(counts))) <= bound + 1e-9
+
+
+def test_weil_verdicts_match_reference():
     for k in (1, 2):
         batch = list(product(range(1, 6), repeat=k))
         for shifts in ((0, 5)[:k], (3, 12)[:k]):
             for window in (2, 7, 13):
                 ok = weil_verdicts(P13, batch, shifts, window)
-                ref = [
-                    weil_check(
-                        CharSumQuery(params=P13, exponents=ms, shifts=shifts, window=window)
-                    ).satisfied
-                    for ms in batch
-                ]
+                ref = [_reference_bound_ok(P13, ms, shifts, window) for ms in batch]
                 assert ok.tolist() == ref
-    with pytest.raises(DegenerateCharacter):
+    # a principal row (exponent 6) is refused as an exponent outside 1..5
+    with pytest.raises(ParameterError):
         weil_verdicts(P13, [(1,), (6,)], (0,), 13)
 
 
@@ -116,27 +134,28 @@ def test_zeta6_arithmetic():
 
 
 def test_query_validation():
-    with pytest.raises(ParameterError):
-        CharSumQuery(params=P13, exponents=(6,), shifts=(0,), window=13)  # m=6 invalid
-    with pytest.raises(ParameterError):
-        CharSumQuery(params=P13, exponents=(0,), shifts=(0,), window=13)
-    with pytest.raises(ParameterError):
-        CharSumQuery(params=P13, exponents=(1, 1), shifts=(1, 1), window=13)
-    with pytest.raises(ParameterError):
-        CharSumQuery(params=P13, exponents=(1,), shifts=(0,), window=14)
-    with pytest.raises(ParameterError):
-        CharSumQuery(params=P13, exponents=(1, 2), shifts=(0,), window=13)
+    for exponents, shifts, window in (
+        ((6,), (0,), 13),  # m = 6 is the principal character
+        ((0,), (0,), 13),
+        ((1, 1), (1, 1), 13),  # shifts not strictly increasing
+        ((1,), (-1,), 13),
+        ((1,), (13,), 13),  # shift not a residue below p
+        ((1,), (0,), 14),  # window outside 1..p
+        ((1,), (0,), 0),
+        ((1, 2), (0,), 13),  # k mismatch
+        ((), (), 13),
+    ):
+        with pytest.raises(ParameterError):
+            phase_counts(P13, [exponents], shifts, window)
 
 
 def test_complete_single_character_sums_vanish():
     # orthogonality: sum over 1..p-1 of chi^m is exactly zero
     for params in (P13, P31):
         for m in range(1, 6):
-            v = character_sum(
-                CharSumQuery(params=params, exponents=(m,), shifts=(0,), window=params.p)
-            )
-            assert v.reduced == (0, 0)
-            assert abs(v.value) < 1e-6 * params.p
+            counts, reduced, _ = one_sum(params, (m,), (0,), params.p)
+            assert reduced == (0, 0)
+            assert abs(sum(c * ROOT6[r] for r, c in enumerate(counts))) < 1e-6 * params.p
 
 
 def test_float_matches_exact_representation():
@@ -146,10 +165,10 @@ def test_float_matches_exact_representation():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(1, 32))
-        v = character_sum(CharSumQuery(params=P31, exponents=ms, shifts=shifts, window=window))
-        a, b = v.reduced
-        assert abs(v.value - (a + b * ROOT6[1])) < 1e-9
-        assert sum(v.counts) + v.skipped == max(window - 1, 0)
+        counts, (a, b), skipped = one_sum(P31, ms, shifts, window)
+        value = sum(c * ROOT6[r] for r, c in enumerate(counts))
+        assert abs(value - (a + b * ROOT6[1])) < 1e-9
+        assert sum(counts) + skipped == max(window - 1, 0)
 
 
 def test_conjugate_symmetry():
@@ -159,30 +178,24 @@ def test_conjugate_symmetry():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(2, 32))
-        a = character_sum(CharSumQuery(params=P31, exponents=ms, shifts=shifts, window=window))
-        b = character_sum(
-            CharSumQuery(
-                params=P31, exponents=tuple(6 - m for m in ms), shifts=shifts, window=window
-            )
-        )
-        assert b.reduced == zeta6_conj(a.reduced)
-        assert zeta6_norm_sq(a.reduced) == zeta6_norm_sq(b.reduced)
+        _, a, _ = one_sum(P31, ms, shifts, window)
+        _, b, _ = one_sum(P31, tuple(6 - m for m in ms), shifts, window)
+        assert b == zeta6_conj(a)
+        assert zeta6_norm_sq(a) == zeta6_norm_sq(b)
 
 
 def test_weil_complete_exhaustive_p13():
     for k in (1, 2):
+        batch = list(product(range(1, 6), repeat=k))
         for shifts in combinations(range(13), k):
-            for ms in product(range(1, 6), repeat=k):
-                ev = weil_check(
-                    CharSumQuery(params=P13, exponents=ms, shifts=shifts, window=13)
-                )
-                assert ev.satisfied, (shifts, ms)
+            ok = weil_verdicts(P13, batch, shifts, 13)
+            assert ok.shape == (len(batch),)
+            assert ok.all(), shifts
 
 
 def test_weil_example_bound():
-    q = CharSumQuery(params=P13, exponents=(1, 1), shifts=(0, 1), window=13)
-    v = character_sum(q)
-    assert v.magnitude <= math.sqrt(13) + 2
+    _, reduced, _ = one_sum(P13, (1, 1), (0, 1), 13)
+    assert math.sqrt(zeta6_norm_sq(reduced)) <= math.sqrt(13) + 2
 
 
 def test_weil_incomplete_random_p31():
@@ -192,20 +205,7 @@ def test_weil_incomplete_random_p31():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(2, 32))
-        ev = weil_check(CharSumQuery(params=P31, exponents=ms, shifts=shifts, window=window))
-        assert ev.satisfied
-
-
-def test_degenerate_character_guard():
-    q = CharSumQuery(params=P13, exponents=(1,), shifts=(0,), window=13)
-    principal = CharSumQuery.__new__(CharSumQuery)
-    object.__setattr__(principal, "params", P13)
-    object.__setattr__(principal, "exponents", (6,))
-    object.__setattr__(principal, "shifts", (0,))
-    object.__setattr__(principal, "window", 13)
-    with pytest.raises(DegenerateCharacter):
-        weil_check(principal)
-    assert weil_check(q).name == "weil"
+        assert weil_verdicts(P31, [ms], shifts, window).tolist() == [True]
 
 
 def test_factor_coefficients_reproduce_sign():
@@ -221,12 +221,19 @@ def test_factor_coefficients_reproduce_sign():
 
 
 def test_expansion_term_counts():
-    for k in (1, 2):
+    for k in (1, 2, 3):
         exp = expand_correlation_to_charsums(P13, tuple(range(k)), 13)
-        assert len(exp.terms) == exp.merged_count == 5**k
-        assert exp.unmerged_count == 7**k
-        assert len(exp.terms) <= 7**k
+        # every exponent vector over 1..5 exactly once: 5**k merged terms, not 7**k
+        assert sorted(exp.exponents) == list(product(range(1, 6), repeat=k))
+        assert len(exp.coeffs) == len(exp.exponents) == 5**k
+        assert exp.k == k and exp.shifts == tuple(range(k)) and exp.window == 13
         assert exp.denominator == 3**k
+
+
+def test_expansion_refuses_bad_shifts_and_window():
+    for shifts, window in (((), 13), ((2, 1), 13), ((0, 13), 13), ((0,), 14), ((0,), 0)):
+        with pytest.raises(ParameterError):
+            expand_correlation_to_charsums(P13, shifts, window)
 
 
 def test_reconstruction_exact_seeded():
@@ -241,9 +248,3 @@ def test_reconstruction_exact_seeded():
                 direct = direct_signed_sum(params, shifts, window)
                 assert b == 0
                 assert a == exp.denominator * direct
-
-
-def test_reconstruction_complex_path():
-    exp = expand_correlation_to_charsums(P13, (0,), 13)
-    direct = direct_signed_sum(P13, (0,), 13)
-    assert abs(exp.evaluate_complex() - direct) < 1e-9

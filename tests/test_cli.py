@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from cycloseq import bounds, cli
+from cycloseq import bounds, cli, measures, ntheory, seqgen
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from cycloseq.errors import InvariantViolation
 from cycloseq.ntheory import SexticParams
@@ -152,6 +153,24 @@ def test_measure_two_adic(tmp_path, capsys):
     assert rec["value"]["maximal"] is True
 
 
+def test_measure_two_adic_record_at_cap_round_trips(tmp_path, capsys):
+    # the cap keeps S2 and 2**T - 1 within the int-to-str digit limit, so the
+    # largest prime period it admits still writes, caches and re-reads a record
+    p = max(n for n in range(measures.TWO_ADIC_CAP + 1) if ntheory.is_prime(n))
+    assert p == 9973
+    args = ("measure", "--construction", "legendre", "--p", str(p), "--two-adic",
+            "--cache", str(tmp_path / "c.jsonl"))
+    code, first, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    code, second, _ = run(capsys, *args)
+    assert code == EXIT_OK and second == first  # served from the cache
+    rec = json.loads(first)
+    rep = measures.two_adic_complexity(seqgen.legendre_sequence(p, p))
+    assert rec["value"]["S2"] == rep.numerator
+    assert rec["value"]["modulus"] == rep.modulus == 2**p - 1
+    assert rec["value"]["gcd"] == rep.gcd_value
+
+
 def test_measure_from_file(tmp_path, capsys):
     seqfile = tmp_path / "s.seq"
     run(capsys, "generate", "--construction", "legendre", "--p", "7", "--output", str(seqfile))
@@ -263,6 +282,24 @@ def test_verify_weil_small(capsys):
     )
     assert code == EXIT_OK
     assert "[PASS" in stdout
+
+
+def test_verify_weil_refused_over_budget(capsys):
+    # p = 31 at the default --kmax 6: about 3.7e11 window evaluations
+    code, stdout, err = run(capsys, "verify", "--suite", "weil", "--primes", "31")
+    assert code == EXIT_BUDGET
+    assert stdout == ""  # refused before any check ran
+    assert err.startswith("error:") and "budget" in err and "--kmax" in err
+
+
+def test_verify_weil_budget_counts_every_prime(capsys):
+    # the estimate sums C(p, k) * 5**k * p over both primes and every k <= --kmax
+    estimate = sum(math.comb(p, k) * 5**k * p for p in (13, 31) for k in (1, 2))
+    args = ("verify", "--suite", "weil", "--primes", "13,31", "--kmax", "2", "--queries", "5")
+    code, stdout, _ = run(capsys, *args, "--budget", str(estimate))
+    assert code == EXIT_OK and "[PASS" in stdout
+    code, stdout, _ = run(capsys, *args, "--budget", str(estimate - 1))
+    assert code == EXIT_BUDGET and stdout == ""
 
 
 def test_verify_nonprime_rejected(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.charsum import CharSumQuery, character_sum
+from cycloseq.charsum import phase_counts
 from cycloseq.errors import NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
 from cycloseq.ntheory import (
     THREE_IN_C1,
@@ -30,8 +30,8 @@ def chi_phase(params, order, j, n):
     The character is chi**(j*6/order) with chi(g) = w, evaluated as the
     one-term character sum at argument n.
     """
-    q = CharSumQuery(params=params, exponents=(j * 6 // order,), shifts=(n - 1,), window=2)
-    return character_sum(q).counts.index(1)
+    counts, _ = phase_counts(params, [(j * 6 // order,)], (n - 1,), 2)
+    return counts[0].tolist().index(1)
 
 
 def test_is_prime_small():
@@ -133,8 +133,8 @@ def test_character_phase_zero_argument():
     with pytest.raises(ZeroArgument):
         p13.ind(13)
     # chi(0) = 0: the term at a vanishing argument has no phase
-    v = character_sum(CharSumQuery(params=p13, exponents=(1,), shifts=(12,), window=2))
-    assert v.counts == (0,) * 6 and v.skipped == 1
+    counts, skipped = phase_counts(p13, [(1,)], (12,), 2)
+    assert counts.tolist() == [[0] * 6] and skipped == 1
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 61, 97])
