@@ -36,10 +36,18 @@ EXIT_PARAM = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
+
+def _parse_int(tok: str, option: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParameterError(f"{option} takes integers; got {tok!r}")
+
+
 def _parse_primes(spec: str, need=None) -> list[int]:
     """'13,31,43' or 'upto:B'; `need` filters eligibility (e.g. p = 1 mod 6)."""
     if spec.startswith("upto:"):
-        bound = int(spec[len("upto:") :])
+        bound = _parse_int(spec[len("upto:") :], "--primes upto:")
         ps = [p for p in range(3, bound + 1) if ntheory.is_prime(p)]
     else:
         ps = []
@@ -47,7 +55,7 @@ def _parse_primes(spec: str, need=None) -> list[int]:
             tok = tok.strip()
             if not tok:
                 continue
-            p = int(tok)
+            p = _parse_int(tok, "--primes")
             if not ntheory.is_prime(p):
                 raise ParameterError(f"{p} is not prime")
             ps.append(p)
@@ -69,7 +77,7 @@ def _resolve_g(p: int, g_arg: str):
 
 
 def _parse_classes(spec: str) -> list[int]:
-    return [int(x) for x in spec.split(",") if x.strip() != ""]
+    return [_parse_int(x, "--classes") for x in spec.split(",") if x.strip() != ""]
 
 
 def _build_sequence(args) -> seqgen.BitSequence:
@@ -299,6 +307,10 @@ SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args) -> int:
+    if args.kmax < 1:
+        raise ParameterError(f"--kmax must be >= 1; got {args.kmax}")
+    if args.queries < 0:
+        raise ParameterError(f"--queries must be >= 0; got {args.queries}")
     checks = list(_SUITES[args.suite](args))
     for name, status, detail in checks:
         print(f"[{status.upper():6s}] {name}  {detail}")

@@ -10,20 +10,35 @@ covers every (D, M) with that difference pattern in one linear pass.
 
 For k >= 2 the patterns are walked depth first over the head shifts
 (d_2..d_{k-1}), with an explicit stack rather than recursion, so k = N does
-not nest N levels deep.  Each head's sign product extends its parent's by one
-row, and the walks of all last shifts d_k under one head form one matrix
-cumsum.  A pattern with last shift d_k has N - d_k walk steps, so its spread is
-at most N - d_k.  Two cuts follow from that bound and the running best: a
-branch at shift d with r shifts still to place (d_k included) is cut once
-N - d - r < best, and a head's cumsum keeps only the rows with d_k <= N - best
-and the N - d_{k-1} - 1 columns its longest row needs.  Both cuts compare
-strictly, so every pattern that ties the final maximum is still evaluated and
-the lexicographically smallest witness does not depend on them.  A branch
-with N - d - r = best can only tie, and only through its one completion with
-d_k = d + r, the consecutive shifts d+1..d+r; that pattern is evaluated
-directly instead of expanding the branch.  The budget
-is an upfront refusal on the nominal count binom(N, k) * N, not a count of
-the walk steps evaluated.
+not nest N levels deep.  The walk works on packed bits.  Row s packs bits
+s..s+N-1 of the word, zero past its end, so a pattern's sign product is the
+XOR of its shifts' rows; a head's product is a Python int, its parent's XOR
+one row.  A walk is read 8 steps per lookup: three 9 x 256 tables, built once
+at import, give for each byte and each count of valid leading steps the sum,
+the max prefix and the min prefix, and a row's cells carry their byte's count
+of valid steps beside the byte.
+
+A pattern with last shift d_k has N - d_k walk steps, so its spread is at
+most N - d_k.  Two cuts follow from that bound and the running best: a branch
+at shift d with r shifts still to place (d_k included) is cut once
+N - d - r < best, and a head keeps only the rows with d_k <= N - best.  Both
+cuts compare strictly, so every pattern that ties the final maximum is still
+evaluated and the lexicographically smallest witness does not depend on them.
+A branch with N - d - r = best can only tie, and only through its one
+completion with d_k = d + r, the consecutive shifts d+1..d+r; that pattern is
+checked directly (its best steps must share one sign) instead of expanding
+the branch.
+
+The (d_{k-1}, d_k) rows of consecutive heads are evaluated together, in
+blocks of at most _BLOCK_CELLS row bytes; a head's rows are split across
+blocks where they do not fit, so besides the packed rows (N^2 / 4 bytes) the
+memory a call needs does not grow with N.  The running best rises only when
+a block is evaluated, and the cuts are re-read after each block.  A cut made
+against an older, lower best evaluates more patterns but never drops one
+that attains the final maximum.  While best is still the trivial 1, each head
+is evaluated at once, so the cuts start from a real maximum.  The budget is an
+upfront refusal on the nominal count binom(N, k) * N, not a count of the walk
+steps evaluated.
 """
 
 from __future__ import annotations
@@ -150,6 +165,147 @@ def _lex_smallest_window(P: np.ndarray, v: int) -> tuple[int, int] | None:
     return min(cands) if cands else None
 
 
+def _prefix_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(9, 256) tables over a byte read as 8 walk steps (-1)**bit, low bit first.
+
+    Entry [c, b] covers the first c steps of byte b: their sum, and the max and
+    min of the walk over them, the empty prefix (0) included.
+    """
+    steps = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
+    walk = np.concatenate([np.zeros((256, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+    tables = (walk, np.maximum.accumulate(walk, axis=1), np.minimum.accumulate(walk, axis=1))
+    return tuple(np.ascontiguousarray(t.T, dtype=np.int8) for t in tables)
+
+
+_PREFIX_SUM, _PREFIX_MAX, _PREFIX_MIN = _prefix_tables()
+# Cells (row bytes) per evaluated block: bounds the block's memory and how long
+# the cuts go stale between updates of the running best.
+_BLOCK_CELLS = 1 << 14
+
+
+def _bits_to_int(bits: np.ndarray) -> int:
+    """The 0/1 array as a Python int whose bit n is bits[n]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Row s, s < N: bits s..s+N-1 packed little-endian, zero past the word.
+
+    Each uint16 cell holds one byte of the row in its low half and, in its high
+    half, how many of that byte's steps a pattern whose last shift is s has
+    (N - s - 8j for byte j, clipped to 0..8), so a cell is its own index into
+    the flattened prefix tables.
+    """
+    N = bits.size
+    nb = -(-N // 8)
+    ext = np.zeros(8 * (2 * nb + 1), dtype=np.uint8)
+    ext[:N] = bits
+    # packed[r, g] is byte g of the bits shifted by r, so row 8g + r is
+    # packed[r, g : g + nb]; no (N, N) array of single bits is built.  The
+    # strided views are ndarrays over the buffers, which checks their bounds.
+    packed = np.packbits(np.ndarray((8, 16 * nb), np.uint8, ext, 0, (1, 1)), axis=1,
+                         bitorder="little")
+    rows = np.ndarray((nb, 8, nb), np.uint8, packed, 0, (1, 2 * nb, 1))
+    rows = rows.reshape(8 * nb, nb)[:N].astype(np.uint16)
+    valid = np.zeros(N + 8 * nb, dtype=np.uint16)
+    valid[:N] = np.minimum(np.arange(N, 0, -1), 8) << 8
+    rows |= np.ndarray((N, nb), np.uint16, valid, 0, (2, 16))  # [s, j] = valid[s + 8j]
+    return rows
+
+
+def _spreads(cells: np.ndarray) -> np.ndarray:
+    """Walk spread of each row of flat table indices (valid steps << 8 | byte)."""
+    steps = _PREFIX_SUM.take(cells)
+    ends = np.cumsum(steps, axis=1, dtype=np.int32)
+    ends -= steps  # the walk's value before each byte
+    high = (ends + _PREFIX_MAX.take(cells)).max(axis=1)
+    return high - (ends + _PREFIX_MIN.take(cells)).min(axis=1)
+
+
+def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Max spread over the patterns (0, *rest) of k >= 2 shifts, and every rest
+    that attains it."""
+    N = bits.size
+    R = _packed_rows(bits)
+    nb = R.shape[1]
+    word = _bits_to_int(bits)
+    parity = np.zeros(N + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=parity[1:])
+    # bit n of prefix >> a ^ prefix >> (b + 1) is the parity of bits n+a..n+b
+    prefix = _bits_to_int(parity)
+
+    # one step alone sums to +-1, so every pattern's spread is at least 1
+    best = 1
+    attaining: list[tuple[int, ...]] = []
+    block: list[tuple[int, tuple[int, ...], int, int]] = []  # (product, head, first d_k, rows)
+    cells = 0
+
+    def evaluate_block():
+        nonlocal best, attaining, cells
+        prods, heads, firsts, sizes = zip(*block)
+        sizes = np.array(sizes)
+        starts = sizes.cumsum() - sizes
+        last = np.arange(cells // nb) + (np.array(firsts) - starts).repeat(sizes)
+        rows = R[last]
+        rows ^= np.frombuffer(
+            b"".join(p.to_bytes(nb, "little") * n for p, n in zip(prods, sizes.tolist())),
+            dtype=np.uint8,
+        ).reshape(rows.shape)
+        spreads = _spreads(rows)
+        block.clear()
+        cells = 0
+        v = int(spreads.max())
+        if v < best:
+            return
+        if v > best:
+            best = v
+            attaining = []
+        hits = np.flatnonzero(spreads == v)
+        owners = starts.searchsorted(hits, side="right") - 1
+        attaining.extend((*heads[h], d) for h, d in zip(owners.tolist(), last[hits].tolist()))
+
+    # path[j] holds the shift at pattern position j for the node being expanded
+    # and its ancestors.  A node's product is the XOR of its shifts' rows, as a
+    # Python int whose bit n is step n.
+    path = [0] * (k - 1)
+    stack = [(0, 0, 0)]  # (position, shift, parent's product)
+    while stack:
+        j, d, prod = stack.pop()
+        todo = k - 1 - j
+        if N - d - todo < best:
+            continue
+        if todo > 1 and N - d - todo == best:
+            # only the consecutive completion d+1..d+todo can tie best, and only
+            # if its best steps all have one sign
+            mask = (1 << best) - 1
+            v = (prod ^ (prefix >> d) ^ (prefix >> (d + todo + 1))) & mask
+            if v == 0 or v == mask:
+                attaining.append((*path[:j], *range(d, d + todo + 1))[1:])
+            continue
+        path[j] = d
+        prod ^= word >> d
+        if todo > 1:
+            # pushed in reverse, so the smallest shift is expanded first; a
+            # child past N - todo + 1 - best is cut before it is pushed
+            stack.extend((j + 1, c, prod) for c in range(N - todo + 1 - best, d, -1))
+            continue
+        # a head: its rows d_k = d+1..N-best join the block, which is
+        # evaluated once it is full, or at once while best is the trivial 1 so
+        # that the cuts start from a real maximum; the cut is re-read after each
+        head = tuple(path[1:])
+        first = d + 1
+        while first <= N - best:
+            n = min(N - best + 1 - first, max(1, (_BLOCK_CELLS - cells) // nb))
+            block.append((prod, head, first, n))
+            cells += n * nb
+            first += n
+            if cells + nb > _BLOCK_CELLS or best == 1:
+                evaluate_block()
+    if block:
+        evaluate_block()
+    return best, attaining
+
+
 def correlation_measure_exact(
     seq: BitSequence, k: int, budget: int = DEFAULT_BUDGET
 ) -> CorrelationReport:
@@ -166,50 +322,12 @@ def correlation_measure_exact(
         raise BudgetExceeded(estimate, budget)
     x = seq.signs()
 
-    best = 0
-    attaining: list[tuple[int, ...]] = []
     if k == 1:
         P = _pattern_walk(x, ())
         best = int(P.max() - P.min())
         attaining = [()]
     else:
-        # path[j] holds the shift at pattern position j for the node being
-        # expanded and its ancestors.  A node's product is kept only over the
-        # N - d - todo steps a descendant can use.  x_ext is x zero-padded, so
-        # each cumsum row's tail beyond its valid window is flat and cannot move
-        # the spread; P_0 = 0 is folded in by clamping the extrema at 0.
-        x_ext = np.concatenate([x, np.zeros(N, dtype=np.int64)])
-        windows = np.lib.stride_tricks.sliding_window_view(x_ext, N)
-        path = [0] * (k - 1)
-        stack = [(0, 0, np.ones(N, dtype=np.int64))]  # (position, shift, parent's product)
-        while stack:
-            j, d, prod = stack.pop()
-            todo = k - 1 - j
-            if N - d - todo < best:
-                continue
-            path[j] = d
-            if todo > 1 and N - d - todo == best:
-                # only the consecutive completion d+1..d+todo can tie best
-                tail = np.lib.stride_tricks.sliding_window_view(x, todo + 1)[d : d + best]
-                walk = np.cumsum(prod[:best] * tail.prod(axis=1))
-                if max(int(walk.max()), 0) - min(int(walk.min()), 0) == best:
-                    attaining.append((*path[1 : j + 1], *range(d + 1, d + todo + 1)))
-                continue
-            prod = prod[: N - d - todo] * x[d : N - todo]
-            if todo > 1:
-                # pushed in reverse, so the smallest shift is expanded first
-                stack.extend((j + 1, c, prod) for c in range(N - todo, d, -1))
-                continue
-            lo = d + 1
-            walks = np.cumsum(prod * windows[lo : min(N, N + 1 - best), : N - lo], axis=1)
-            spreads = np.maximum(walks.max(axis=1), 0) - np.minimum(walks.min(axis=1), 0)
-            v = int(spreads.max())
-            if v < best:
-                continue
-            if v > best:
-                best = v
-                attaining = []
-            attaining.extend((*path[1:], lo + int(r)) for r in np.flatnonzero(spreads == v))
+        best, attaining = _search_patterns(seq.bits, k)
 
     witness = None
     for rest in attaining:
@@ -407,7 +525,7 @@ def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:
         raise CapExceeded(T, TWO_ADIC_CAP)
     if seq.length < T:
         raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
-    s2 = int.from_bytes(np.packbits(seq.bits[:T], bitorder="little").tobytes(), "little")
+    s2 = _bits_to_int(seq.bits[:T])
     modulus = (1 << T) - 1
     g = math.gcd(s2, modulus)
     return TwoAdicReport(

@@ -302,6 +302,27 @@ def test_verify_weil_budget_counts_every_prime(capsys):
     assert code == EXIT_BUDGET and stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "0"),
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", "-3"),
+        ("verify", "--suite", "bw06", "--primes", "13", "--kmax", "0"),
+        ("verify", "--suite", "diffset", "--primes", "upto:abc"),
+        ("verify", "--suite", "diffset", "--primes", "13,x"),
+        ("measure", "--construction", "cyclotomic", "--p", "13", "--m", "6",
+         "--classes", "0,x", "--lc-profile", "--no-cache"),
+    ],
+    ids=["weil-kmax-0", "queries-negative", "bw06-kmax-0", "primes-upto-abc", "primes-13-x",
+         "classes-0-x"],
+)
+def test_bad_input_is_refused(argv, capsys):
+    code, stdout, err = run(capsys, *argv)
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 def test_verify_nonprime_rejected(capsys):
     code, _, err = run(capsys, "verify", "--suite", "diffset", "--primes", "15")
     assert code == EXIT_PARAM

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloseq import measures
 from cycloseq.errors import BadShifts, BudgetExceeded, CapExceeded, NoPeriod, ParameterError
 from cycloseq.measures import (
     berlekamp_massey_profile,
@@ -263,6 +264,87 @@ def test_exact_near_length_matches_batched_reference(seq, j):
     # completion instead of expanded) are common
     k = max(seq.length - j, 1)
     rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
+
+
+@st.composite
+def byte_edge_words(draw):
+    """Biased words of length 8q + r, r in {7, 0, 1}: the last walk byte is
+    short by one, full, or holds a single step."""
+    n = 8 * draw(st.integers(0, 8)) + draw(st.sampled_from([7, 8, 9]))
+    ones = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    return BitSequence.create([int(v < ones) for v in draws])
+
+
+@given(byte_edge_words(), st.integers(1, 4), st.sampled_from([1, 24]))
+@settings(max_examples=80, deadline=None)
+def test_exact_matches_batched_reference_small_blocks(seq, k, bound):
+    # the minimum bound, one cell, evaluates every row as its own block, so each
+    # head's rows are split and the cuts are re-read between all of them; 24
+    # cells split a head into blocks of two or more rows
+    k = min(k, seq.length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        rep = correlation_measure_exact(seq, k)
+    assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
+
+
+def _attaining_reference(seq, k):
+    """Max walk spread over every pattern (0, *rest) of k shifts, and the set of
+    rests that attain it, by enumerating them all."""
+    N = seq.length
+    x = seq.signs()
+    spreads = {}
+    for rest in combinations(range(1, N), k - 1):
+        L = N - rest[-1]
+        steps = x[:L].copy()
+        for d in rest:
+            steps *= x[d : d + L]
+        walk = np.concatenate([[0], np.cumsum(steps)])
+        spreads[rest] = int(walk.max() - walk.min())
+    best = max(spreads.values())
+    return best, {rest for rest, v in spreads.items() if v == best}
+
+
+@given(st.data(), biased_words(14), st.sampled_from([1, 17, 40]))
+@settings(max_examples=150, deadline=None)
+def test_search_attaining_set_matches_enumeration(data, seq, bound):
+    # every k from 2 to N, so the tie-only consecutive completions decide
+    # often; bounds of 17 and 40 cells split heads into blocks of several rows
+    k = data.draw(st.integers(2, seq.length))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        best, attaining = measures._search_patterns(seq.bits, k)
+    assert len(set(attaining)) == len(attaining)
+    assert (best, set(attaining)) == _attaining_reference(seq, k)
+
+
+def test_prefix_tables_match_direct_walk():
+    for byte in range(256):
+        for count in range(9):
+            walk = [0]
+            for i in range(count):
+                walk.append(walk[-1] + (-1 if byte >> i & 1 else 1))
+            got = tuple(int(t[count, byte]) for t in
+                        (measures._PREFIX_SUM, measures._PREFIX_MAX, measures._PREFIX_MIN))
+            assert got == (walk[-1], max(walk), min(walk)), (byte, count)
+
+
+@pytest.mark.parametrize("n, k", [(1201, 2), (150, 3)])
+def test_exact_blocks_stay_within_cell_bound(monkeypatch, n, k):
+    seq = BitSequence.create(np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8))
+    sizes = []
+    spreads = measures._spreads
+
+    def recording(cells):
+        sizes.append(cells.size)
+        return spreads(cells)
+
+    monkeypatch.setattr(measures, "_spreads", recording)
+    monkeypatch.setattr(measures, "_BLOCK_CELLS", 4096)
+    rep = correlation_measure_exact(seq, k)
+    assert len(sizes) > 1 and max(sizes) <= 4096
     assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
 
 
