@@ -21,6 +21,7 @@ from .measures import (
     max_order_complexity_naive,
     max_order_complexity_profile,
     periodic_autocorrelation,
+    periodic_autocorrelations,
     two_adic_complexity,
 )
 from .ntheory import (

@@ -23,7 +23,7 @@ from .measures import (
     berlekamp_massey_profile,
     correlation_measure_exact,
     max_order_complexity_profile,
-    periodic_autocorrelation,
+    periodic_autocorrelations,
 )
 from .ntheory import SexticParams
 from .seqgen import BitSequence, hall_sequence
@@ -161,16 +161,18 @@ class DifferenceSetReport:
 def difference_set_check(params: SexticParams) -> DifferenceSetReport:
     """Count difference multiplicities of C0 u C1 u C3 and compare with A(t).
 
-    lambda(t) counts ordered pairs (a, b) of ones-set elements with a - b = t;
-    constant lambda (difference set) must coincide with ideal two-level
-    autocorrelation A(t) = -1; InvariantViolation if the two independently
-    computed verdicts differ.
+    lambda(t) counts ordered pairs (a, b) of ones-set elements with a - b = t,
+    for all t at once from the 0/1 indicator; A(t) comes from the sign
+    sequence's all-shift autocorrelation.  Constant lambda (difference set)
+    must coincide with ideal two-level autocorrelation A(t) = -1;
+    InvariantViolation if the two independently computed verdicts differ.
     """
     p = params.p
     seq = hall_sequence(params, p)
     h = seq.bits.astype(np.int64)
-    lambdas = tuple(int(np.dot(h, np.roll(h, t))) for t in range(1, p))
-    autocorr = tuple(periodic_autocorrelation(seq, t) for t in range(1, p))
+    # lambda(t) = sum_n h_n h_{n+t}: the 0/1 indicator correlated with itself doubled
+    lambdas = tuple(np.correlate(np.concatenate([h, h[:-1]]), h, "valid")[1:].tolist())
+    autocorr = tuple(periodic_autocorrelations(seq).tolist())
 
     lambda_constant = len(set(lambdas)) == 1
     two_level = all(a == -1 for a in autocorr)

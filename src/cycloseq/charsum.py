@@ -6,16 +6,23 @@ assertion is integer arithmetic; floats appear only in magnitudes and bound
 comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
 
 One kernel, `phase_counts`, computes every sum, and it is the only way in.
-Sums that share a shift tuple and a window differ only in their exponent
-vectors, so for a batch of B exponent vectors (a B x k matrix E) the kernel
-gathers ind(n + d_i) mod 6 once as a W x k array (dropping the n where some
-n + d_i = 0 mod p), forms all the phases as ind @ E.T mod 6 and takes a
-six-bin histogram per row.  A single sum is a one-row batch.  `weil_verdicts`
-holds a batch to its Weil-type bound, and a correlation expansion evaluates
-its 5**k exponent rows in one call.  Exponents range over 1..5, so no row is
-the principal character and Weil applies to every sum.  The per-term loop the
-kernel replaced stays in tests/test_charsum.py as `_character_sum_reference`,
-the oracle the kernel is tested against.
+It takes a T x k array of shift tuples with one window each, and exponent
+rows either shared by all tuples (B x k) or given per tuple (T x B x k); a
+single sum is the one-tuple, one-row batch.  Tuples are evaluated in chunks of
+at most about _BLOCK_CELLS array cells, so memory does not grow with T.  The
+residues ind(n + d_i) mod 6 of a term form a k-digit base-6 code.  When the
+6**k codes are few next to the window, each tuple's codes are histogrammed
+first and the histogram is multiplied by a table of every code's phase under
+every exponent row; otherwise each term's phase is formed from its digits.
+Either way the six phase counts are summed as one integer word with a 10-bit
+lane per phase, in pieces of at most 1023 terms so that no lane overflows.
+The kernel is integer numpy throughout (no float product, so no BLAS
+threads).  `weil_verdicts` holds a batch to its Weil-type bound chunk by
+chunk, and a correlation expansion evaluates its 5**k exponent rows in one
+call.  Exponents range over 1..5, so no row is the principal character and
+Weil applies to every sum.  The per-term loop the kernel replaced stays in
+tests/test_charsum.py as `_character_sum_reference`, the oracle the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -48,62 +55,206 @@ def zeta6_norm_sq(x):
     return a * a + a * b + b * b
 
 
-def _checked_shifts(params: SexticParams, shifts, window: int) -> tuple[int, ...]:
-    """`shifts` as ints; refuses an empty tuple, shifts that are not strictly
-    increasing residues below p, and a window outside 1..p."""
-    shifts = tuple(int(d) for d in shifts)
-    if not shifts:
-        raise ParameterError("need at least one shift")
-    if any(a >= b for a, b in zip(shifts, shifts[1:])) or shifts[0] < 0:
-        raise ParameterError(f"shifts {shifts} not strictly increasing")
-    if shifts[-1] >= params.p:
-        raise ParameterError("shifts must be residues below p")
-    if not 1 <= window <= params.p:
-        raise ParameterError(f"window {window} outside 1..p")
-    return shifts
+# Tuples are evaluated in chunks of at most about this many array cells, so the
+# memory of a call does not grow with the number of tuples.
+_BLOCK_CELLS = 16384
+
+# A packed count word holds the six phase counts in 10-bit lanes; a packed sum
+# runs over at most _PIECE terms, so no lane overflows into the next, and
+# _PIECE also masks one lane.
+_LANE = 10
+_PIECE = (1 << _LANE) - 1
 
 
-def phase_counts(params: SexticParams, exponents, shifts, window: int) -> tuple[np.ndarray, int]:
-    """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k})
-    for a batch of exponent vectors sharing `shifts` and `window`.
+def _checked_shifts(params: SexticParams, shifts, window) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts as a T x k array, windows as a length-T array), one tuple per row.
 
-    `exponents` is a B x k array of exponent rows, each in 1..5; `shifts` are
-    strictly increasing residues below p and `window` lies in 1..p (window = p
-    gives the complete sum).  Terms where some n + d_i vanishes mod p contribute
-    0 (chi(0) = 0).  Returns (counts, skipped): counts[b, r] is the number of
-    terms of row b with phase r, and skipped the number of n with a vanishing
-    argument (the same for every row).
+    A 1-d `shifts` is one tuple; `window` is one window for every tuple or one
+    per tuple.  Refuses an empty tuple, shifts that are not strictly increasing
+    residues below p, and a window outside 1..p.
     """
-    shifts = _checked_shifts(params, shifts, window)
-    E = np.asarray(exponents, dtype=np.int64)
-    if E.ndim != 2 or E.shape[1] != len(shifts):
-        raise ParameterError(f"exponents of shape {E.shape} do not match {len(shifts)} shifts")
+    try:
+        S = np.array(shifts, dtype=np.int64, ndmin=2)
+    except (TypeError, ValueError):
+        raise ParameterError("shift tuples must be integers, all of one length")
+    if S.ndim != 2 or S.shape[1] == 0:
+        raise ParameterError("need at least one shift per tuple")
+    bad = (np.diff(S, axis=1) <= 0).any(axis=1) | (S[:, 0] < 0)
+    if bad.any():
+        raise ParameterError(f"shifts {tuple(S[bad.argmax()].tolist())} not strictly increasing")
+    if (S[:, -1] >= params.p).any():
+        raise ParameterError("shifts must be residues below p")
+    try:
+        windows = np.broadcast_to(np.asarray(window, dtype=np.int64), S.shape[:1])
+    except ValueError:
+        raise ParameterError(f"{np.size(window)} windows for {len(S)} shift tuples")
+    outside = (windows < 1) | (windows > params.p)
+    if outside.any():
+        raise ParameterError(f"window {int(windows[outside][0])} outside 1..p")
+    return S, windows
+
+
+def _checked_exponents(exponents, T: int, k: int) -> np.ndarray:
+    """Exponent rows as a (1 or T) x B x k array: one B x k batch shared by every
+    tuple, or one batch per tuple; entries in 1..5."""
+    try:
+        E = np.asarray(exponents, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ParameterError("exponent rows must be integers, all of one length")
+    if E.ndim == 2:
+        E = E[None]
+    if E.ndim != 3 or E.shape[0] not in (1, T) or E.shape[2] != k:
+        raise ParameterError(f"exponents of shape {E.shape} do not match {T} tuples of {k} shifts")
     if ((E < 1) | (E > 5)).any():
         raise ParameterError("exponents outside 1..5")
-    args = (np.arange(1, window)[:, None] + shifts) % params.p
-    keep = (args != 0).all(axis=1)
-    phases = (params.index_table[args[keep]] % 6) @ E.T % 6
-    B = E.shape[0]
-    counts = np.bincount((phases + 6 * np.arange(B)).ravel(), minlength=6 * B).reshape(B, 6)
-    return counts, window - 1 - int(keep.sum())
+    return E
 
 
-def weil_verdicts(params: SexticParams, exponents, shifts, window: int) -> np.ndarray:
-    """|sum| <= its Weil-type bound, for each exponent row of a `phase_counts` batch.
+def _packed_phases(E: np.ndarray) -> np.ndarray:
+    """For exponent batches E (.. x B x k), the (.. x 6**k x B) table whose entry
+    at residue code c is 1 << (_LANE * phase), phase = sum_i E_i * digit_i(c) mod 6."""
+    k = E.shape[-1]
+    digits = np.arange(6**k)[:, None] // 6 ** np.arange(k) % 6
+    phase = (E[..., None, :, :] * digits[:, None, :]).sum(axis=-1) % 6
+    return np.left_shift(np.uint64(1), (_LANE * phase).astype(np.uint64))
+
+
+def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, gather): the exponent rows to evaluate, and the index that maps
+    their counts, flattened to rows x 6, back to E's B x 6 counts.
+
+    The conjugate row 6 - m has the negated phases of row m, so its counts are
+    m's mirrored (phase r -> -r mod 6).  Rows shared by all tuples are reduced
+    to one row per class of equal or conjugate rows; per-tuple rows are kept
+    as they are (gather is None).
+    """
+    if len(E) > 1:
+        return E, None
+    E = E[0]
+    first = (E != 3).argmax(axis=1)  # the first entry the conjugation changes
+    flip = E[np.arange(len(E)), first] > 3
+    rows, back = np.unique(np.where(flip[:, None], 6 - E, E), axis=0, return_inverse=True)
+    phase = np.where(flip[:, None], -np.arange(6) % 6, np.arange(6))
+    return rows[None], 6 * back.reshape(-1, 1) + phase
+
+
+def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
+    """Yield (lo, hi, counts) for consecutive chunks of the tuples S[lo:hi]:
+    counts[t, b, r] is the number of terms n in 1..window-1 of tuple lo + t
+    whose exponent row b has phase r.
+
+    The residues ind(n + d_i) mod 6 of a term are its k base-6 digits; a term
+    outside its window (first digit) or with a vanishing argument (that
+    argument's digit) gets an out-of-range digit and counts nowhere.  Phase counts are summed as packed words, one
+    10-bit lane per phase, over pieces of at most _PIECE terms.  When the
+    window is long next to the 6**k digit codes, each tuple's codes are
+    histogrammed and the histogram is multiplied by a table of packed phases;
+    otherwise each term's phase is formed from its digits and packed.
+    """
+    p = params.p
+    T, k = S.shape
+    B = E.shape[1]
+    K = 6**k
+    # terms n = 1..W, masked per window, summed in pieces of L <= _PIECE terms
+    W = max(1, int(windows.max(initial=1)) - 1)
+    pieces = -(-W // _PIECE)
+    L = -(-W // pieces)
+    W = pieces * L
+    n = np.arange(1, W + 1)
+    # histogramming first costs about 6**k multiply-adds per row and tuple, forming
+    # each term's phase about 8 times as much per term (measured)
+    by_code = K <= 8 * W
+    # an out-of-range digit: it makes the code >= K, or the phase sum exceed
+    # every real one (at most two digits of a term are out of range: window
+    # and a vanishing argument, so a phase sum stays below 11 * out)
+    out = K if by_code else 25 * k + 1
+    dtype = np.int64 if by_code else np.min_scalar_type(-11 * out)
+    # ind(x) mod 6 for the arguments x = n + d_i < 3p; x = p vanishes mod p
+    ind6 = np.tile(params.index_table % 6, 3).astype(dtype)
+    ind6[p] = out
+    per_tuple = W * k + pieces * B * 7
+    if by_code:
+        per_tuple += pieces * K + (K * B * k if len(E) > 1 else 0)
+        shared = _packed_phases(E[0]) if len(E) == 1 else None
+    else:
+        per_tuple += W * B
+        Et = np.ascontiguousarray(E.transpose(0, 2, 1), dtype=dtype)  # rows along the last axis
+        lane = np.zeros(11 * out, dtype=np.uint64)
+        lane[:out] = np.left_shift(np.uint64(1), (_LANE * (np.arange(out) % 6)).astype(np.uint64))
+    step = max(1, _BLOCK_CELLS // per_tuple)
+    for lo in range(0, T, step):
+        hi = min(T, lo + step)
+        digits = ind6[S[lo:hi, :, None] + n]  # tuple x digit x term
+        digits[:, 0][n >= windows[lo:hi, None]] = out
+        if by_code:
+            codes = np.minimum(np.matmul(6 ** np.arange(k), digits), K)
+            slot = (n - 1) // L + pieces * np.arange(hi - lo)[:, None]
+            hist = np.bincount((codes + (K + 1) * slot).ravel(), minlength=(K + 1) * slot.size // L)
+            hist = hist.reshape(hi - lo, pieces, K + 1)[..., :K].astype(np.uint64)
+            packed = np.matmul(hist, shared if shared is not None else _packed_phases(E[lo:hi]))
+        else:
+            Ec = Et if len(Et) == 1 else Et[lo:hi]
+            phase = Ec[:, 0, :, None] * digits[:, None, 0, :]
+            for i in range(1, k):
+                phase += Ec[:, i, :, None] * digits[:, None, i, :]
+            packed = lane[phase].reshape(hi - lo, -1, pieces, L).sum(axis=3).transpose(0, 2, 1)
+        lanes = packed[..., None] >> np.arange(0, 6 * _LANE, _LANE, dtype=np.uint64)
+        yield lo, hi, (lanes & np.uint64(_PIECE)).sum(axis=1).astype(np.int64)
+
+
+def _skipped(p: int, S: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Terms n in 1..window-1 with a vanishing argument: n = p - d_i for each
+    d_i >= p - window + 1 (distinct shifts give distinct n)."""
+    return (S >= (p - windows + 1)[:, None]).sum(axis=1)
+
+
+def phase_counts(params: SexticParams, exponents, shifts, window):
+    """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).
+
+    `shifts` is a T x k array of shift tuples, each strictly increasing residues
+    below p, and `window` one window in 1..p per tuple (or one for all); window
+    = p gives the complete sum.  `exponents` is a B x k array of exponent rows
+    in 1..5 shared by every tuple, or a T x B x k array of rows per tuple.
+    Terms where some n + d_i vanishes mod p contribute 0 (chi(0) = 0).  Returns
+    (counts, skipped): counts[t, b, r] is the number of terms of tuple t, row
+    b with phase r, and skipped[t] the number of n with a vanishing argument.
+    A 1-d `shifts` is the one-tuple batch, returned as (B x 6 counts, int).
+    """
+    S, windows = _checked_shifts(params, shifts, window)
+    E = _checked_exponents(exponents, *S.shape)
+    rows, gather = _conjugate_classes(E)
+    counts = np.empty((len(S), E.shape[1], 6), dtype=np.int64)
+    for lo, hi, c in _count_chunks(params, rows, S, windows):
+        counts[lo:hi] = c if gather is None else c.reshape(hi - lo, -1)[:, gather]
+    skipped = _skipped(params.p, S, windows)
+    if np.ndim(shifts) == 1:
+        return counts[0], int(skipped[0])
+    return counts, skipped
+
+
+def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
+    """|sum| <= its Weil-type bound, for each (tuple, exponent row) of a
+    `phase_counts` batch: a T x B array, or B for a 1-d `shifts`.
 
     Complete sums (window = p) are held to the exact bound (k-1)*sqrt(p) + k;
     incomplete sums to the desk-scale explicit form k*sqrt(p)*(1 + ln p)
     standing in for the cited O(k sqrt(p) log p).  |sum| is the square root of
-    the exact Z[w] norm.
+    the exact Z[w] norm.  Counts are reduced chunk by chunk and never held for
+    the whole batch.
     """
-    counts, _ = phase_counts(params, exponents, shifts, window)
-    mag = np.sqrt(zeta6_norm_sq(reduce_zeta6(counts.T)))
-    p, k = params.p, len(shifts)
-    if window == p:
-        bound = (k - 1) * math.sqrt(p) + k
-    else:
-        bound = k * math.sqrt(p) * (1.0 + math.log(p))
-    return mag <= bound + 1e-9
+    S, windows = _checked_shifts(params, shifts, window)
+    E = _checked_exponents(exponents, *S.shape)
+    p, k = params.p, S.shape[1]
+    bound = np.where(windows == p, (k - 1) * math.sqrt(p) + k,
+                     k * math.sqrt(p) * (1.0 + math.log(p)))
+    rows, gather = _conjugate_classes(E)
+    ok = np.empty((len(S), E.shape[1]), dtype=bool)
+    for lo, hi, counts in _count_chunks(params, rows, S, windows):
+        mag = np.sqrt(zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0))))
+        within = mag <= bound[lo:hi, None] + 1e-9
+        # a row and its conjugate have sums of equal modulus
+        ok[lo:hi] = within if gather is None else within[:, gather[:, 0] // 6]
+    return ok[0] if np.ndim(shifts) == 1 else ok
 
 
 @dataclass(frozen=True)
@@ -142,7 +293,10 @@ def expand_correlation_to_charsums(
     params: SexticParams, shifts, window: int
 ) -> CorrelationExpansion:
     """Expansion of the order-k correlation sum of the Hall sequence."""
-    shifts = _checked_shifts(params, shifts, window)
+    if np.ndim(shifts) != 1:
+        raise ParameterError("an expansion holds one shift tuple")
+    S, _ = _checked_shifts(params, shifts, window)
+    shifts = tuple(S[0].tolist())
     rows = tuple(product(range(1, 6), repeat=len(shifts)))
     coeffs = tuple(reduce(zeta6_mul, (FACTOR_COEFFS[m] for m in ms), (1, 0)) for ms in rows)
     return CorrelationExpansion(

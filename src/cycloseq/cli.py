@@ -16,7 +16,7 @@ import functools
 import math
 import sys
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -143,8 +143,8 @@ def cmd_measure(args) -> int:
         def compute():
             if seq.period is None:
                 raise ParameterError("--autocorr all needs a periodic sequence")
-            T = seq.period
-            return {str(t): measures.periodic_autocorrelation(seq, t) for t in range(1, T)}, None
+            values = measures.periodic_autocorrelations(seq).tolist()
+            return {str(t): a for t, a in enumerate(values, 1)}, None
 
     elif args.autocorr is not None:
         try:
@@ -274,19 +274,27 @@ def _weil_suite(args):
         total = 0
         for k in range(1, args.kmax + 1):
             exponents = np.array(list(product(range(1, 6), repeat=k)))
-            for shifts in combinations(range(p), k):
-                ok = charsum.weil_verdicts(params, exponents, shifts, p)
-                total += ok.size
-                bad += ok.size - int(ok.sum())
+            tuples = np.fromiter(chain.from_iterable(combinations(range(p), k)), dtype=np.int64,
+                                 count=math.comb(p, k) * k).reshape(-1, k)
+            ok = charsum.weil_verdicts(params, exponents, tuples, p)
+            total += ok.size
+            bad += ok.size - int(ok.sum())
         yield (f"weil complete p={p} k<={args.kmax}", _status(bad == 0),
                f"{total - bad}/{total} within (k-1)sqrt(p)+k")
-        sat = 0
+        # the draws keep their order; the queries are then evaluated per k,
+        # each tuple with its own exponent row and window
+        queries = {}
         for _ in range(args.queries):
             k = int(rng.integers(1, args.kmax + 1))
-            shifts = tuple(sorted(int(d) for d in rng.choice(p, size=k, replace=False)))
+            shifts = np.sort(rng.choice(p, size=k, replace=False))
             ms = rng.integers(1, 6, size=k)
             window = int(rng.integers(2, p + 1))
-            sat += int(charsum.weil_verdicts(params, [ms], shifts, window)[0])
+            queries.setdefault(k, []).append((shifts, ms, window))
+        sat = 0
+        for k, drawn in queries.items():
+            shifts, ms, windows = zip(*drawn)
+            ok = charsum.weil_verdicts(params, np.array(ms)[:, None, :], np.array(shifts), windows)
+            sat += int(ok.sum())
         yield (f"weil incomplete p={p} ({args.queries} random)", "report",
                f"{sat}/{args.queries} within k*sqrt(p)*(1+ln p)")
 

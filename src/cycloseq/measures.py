@@ -383,17 +383,29 @@ def correlation_measure_sampled(
     return CorrelationReport(k=k, value=value, witness_D=D, witness_M=m, exhaustive=False)
 
 
-def periodic_autocorrelation(seq: BitSequence, t: int) -> int:
-    """A(t) = sum over one period of (-1)**(s_n + s_{n+t mod T})."""
+def _period_signs(seq: BitSequence) -> np.ndarray:
+    """(-1)**s_n over one declared period; NoPeriod without one."""
     T = seq.period
     if T is None:
         raise NoPeriod("periodic autocorrelation needs a declared period")
     if seq.length < T:
         raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
-    if not 1 <= t <= T - 1:
-        raise ParameterError(f"shift t={t} outside 1..{T - 1}")
-    x = seq.signs()[:T]
+    return seq.signs()[:T]
+
+
+def periodic_autocorrelation(seq: BitSequence, t: int) -> int:
+    """A(t) = sum over one period of (-1)**(s_n + s_{n+t mod T})."""
+    x = _period_signs(seq)
+    if not 1 <= t <= len(x) - 1:
+        raise ParameterError(f"shift t={t} outside 1..{len(x) - 1}")
     return int(np.dot(x, np.roll(x, -t)))
+
+
+def periodic_autocorrelations(seq: BitSequence) -> np.ndarray:
+    """A(t) for every t = 1..T-1 (entry t - 1), as one integer correlation of a
+    period against the period doubled."""
+    x = _period_signs(seq)
+    return np.correlate(np.concatenate([x, x[:-1]]), x, "valid")[1:]
 
 
 def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:

@@ -3,7 +3,12 @@
 The Hall sequence is built two independent ways: by coset membership and by
 the exact character-sum identity for its indicator deltas.  Bit-for-bit
 agreement of the two routes is the mechanical check of the identity
-(-1)**h_n = 1 - 2*delta(n), performed in exact integer arithmetic.
+(-1)**h_n = 1 - 2*delta(n), performed in exact integer arithmetic.  The deltas
+are evaluated for every n in 1..p-1 at once: the index table gives each
+character term's sixth-root phase, the terms are counted per phase and each
+row of counts is reduced in Z[w].  The index representation is checked the
+same way, with the map f applied once to the array 1..p-1.  The per-n
+evaluations these replaced stay in tests/test_seqgen.py as the oracles.
 """
 
 from __future__ import annotations
@@ -99,41 +104,6 @@ def hall_sequence(params: SexticParams, length: int) -> BitSequence:
     )
 
 
-def delta1(params: SexticParams, n: int) -> int:
-    """(1 + eta(n) + eta^2(n))/3 for the cubic character eta, evaluated exactly.
-
-    eta = chi**2, so the cubic phase r is the sixth-root phase 2r; the three
-    terms are accumulated as phase counts and reduced in Z[w].
-    """
-    ind = params.ind(n)
-    counts = [0] * 6
-    for j in range(3):
-        counts[2 * (j * ind % 3)] += 1
-    return _indicator(counts, 3)
-
-
-def delta2(params: SexticParams, n: int) -> int:
-    """(1 + sum_j omega^-j chi^j(n))/6 for the sextic character chi, exactly.
-
-    omega = chi(g); the j-th term has phase j*(ind(n) - 1) mod 6.
-    """
-    ind = params.ind(n)
-    counts = [0] * 6
-    for j in range(6):
-        counts[(j * (ind - 1)) % 6] += 1
-    return _indicator(counts, 6)
-
-
-def _indicator(counts, denominator: int) -> int:
-    """The phase-count sum over `denominator`, which must be the rational integer 0 or 1."""
-    a, b = reduce_zeta6(counts)
-    if b != 0 or a not in (0, denominator):
-        raise InvariantViolation(
-            f"character sum {a} + {b}*w over {denominator} is not an indicator value"
-        )
-    return a // denominator
-
-
 @dataclass(frozen=True, eq=False)
 class DeltaDecomposition:
     """Indicator maps delta1 (C0 u C3) and delta2 (C1) on 1..p-1; slot 0 unused."""
@@ -142,12 +112,38 @@ class DeltaDecomposition:
     delta2: np.ndarray
 
 
+def _indicators(phases: np.ndarray) -> np.ndarray:
+    """sum_j w**phases[n, j] / J for each row n, which must be the rational integer 0 or 1.
+
+    The J terms of a row are counted per phase and reduced in Z[w].
+    """
+    J = phases.shape[1]
+    a, b = reduce_zeta6((phases[:, :, None] == np.arange(6)).sum(axis=1).T)
+    bad = (b != 0) | ((a != 0) & (a != J))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(
+            f"character sum {a[i]} + {b[i]}*w over {J} at n={i + 1} is not an indicator value"
+        )
+    return (a // J).astype(np.uint8)
+
+
 def delta_decomposition(params: SexticParams) -> DeltaDecomposition:
+    """delta1 = (1 + eta + eta^2)/3 and delta2 = (1 + sum_j omega^-j chi^j)/6, exactly.
+
+    Both are evaluated at every n in 1..p-1 at once from the index table.  eta =
+    chi**2 is the cubic character, so eta**j has the sixth-root phase 2*(j*ind(n)
+    mod 3); omega = chi(g), so the j-th term of delta2 has phase j*(ind(n) - 1)
+    mod 6.  InvariantViolation if some value is not 0 or 1, or if delta1 and
+    delta2 overlap (C0 u C3 and C1 are disjoint).
+    """
+    ind = params.index_table[1:, None]
     d1 = np.zeros(params.p, dtype=np.uint8)
     d2 = np.zeros(params.p, dtype=np.uint8)
-    for n in range(1, params.p):
-        d1[n] = delta1(params, n)
-        d2[n] = delta2(params, n)
+    d1[1:] = _indicators(2 * (np.arange(3) * ind % 3))
+    d2[1:] = _indicators(np.arange(6) * (ind - 1) % 6)
+    if (d1 & d2).any():
+        raise InvariantViolation("delta1 and delta2 overlap: C0 u C3 and C1 must be disjoint")
     d1.setflags(write=False)
     d2.setflags(write=False)
     return DeltaDecomposition(delta1=d1, delta2=d2)
@@ -158,11 +154,8 @@ def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequen
     if length < 1:
         raise ParameterError("length must be >= 1")
     dec = delta_decomposition(params)
-    core = (dec.delta1 + dec.delta2).astype(np.uint8)
-    if np.any(core > 1):
-        raise InvariantViolation("delta1 and delta2 overlap: C0 u C3 and C1 must be disjoint")
     return BitSequence.create(
-        _extend(core, length),
+        _extend(dec.delta1 + dec.delta2, length),
         period=params.p,
         label=f"hall_via_characters(p={params.p},g={params.g})",
     )
@@ -216,34 +209,37 @@ def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> Bit
     )
 
 
-def permutation_map_f(params: SexticParams, n: int) -> int:
-    """The bijection of {1..p-1} interchanging cosets C2 and C3 (identity elsewhere)."""
-    n %= params.p
-    if n == 0:
+def permutation_map_f(params: SexticParams, n):
+    """The bijection of {1..p-1} interchanging cosets C2 and C3 (identity elsewhere).
+
+    Elementwise on an array of residues (an int gives an int); ZeroArgument if
+    any argument is 0 mod p.
+    """
+    p = params.p
+    n = np.asarray(np.asarray(n) % p, dtype=np.int64)
+    if (n == 0).any():
         raise ZeroArgument("f is undefined at 0")
-    l = params.ind(n) % 6
-    if l == 2:
-        return params.g * n % params.p
-    if l == 3:
-        return params.g_inverse() * n % params.p
-    return n
+    l = params.index_table[n] % 6
+    out = np.where(l == 2, params.g * n % p, np.where(l == 3, params.g_inverse() * n % p, n))
+    return int(out) if out.ndim == 0 else out
 
 
 def check_index_representation(params: SexticParams, mapping=None) -> bool:
     """Verify h_n = 0 exactly when ind_{g^-1}(f(n)) mod 6 lies in {1, 2, 3}.
 
-    ind with respect to g^-1 is (-ind_g) mod (p-1).  Passing a different
-    mapping (e.g. the identity) shows the role f plays.
+    ind with respect to g^-1 is (-ind_g) mod (p-1).  `mapping(params, ns)` is
+    evaluated once on the array ns = 1..p-1; passing a different mapping (e.g.
+    the identity) shows the role f plays.
     """
     if mapping is None:
         mapping = permutation_map_f
+    p = params.p
+    fn = np.asarray(mapping(params, np.arange(1, p))) % p
+    if (fn == 0).any():
+        raise ZeroArgument("ind is undefined at 0")
+    val = (-params.index_table[fn]) % (p - 1) % 6
     core = _core_from_classes(params, 6, HALL_CLASSES)
-    for n in range(1, params.p):
-        fn = mapping(params, n)
-        val = (-params.ind(fn)) % (params.p - 1) % 6
-        if (core[n] == 0) != (1 <= val <= 3):
-            return False
-    return True
+    return bool(np.array_equal(core[1:] == 0, (1 <= val) & (val <= 3)))
 
 
 _PERIOD_RE = re.compile(r"^(?P<label>.*?)\s*period=(?P<t>\d+)$")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloseq import charsum
 from cycloseq.charsum import (
     FACTOR_COEFFS,
     direct_signed_sum,
@@ -88,6 +89,99 @@ def test_phase_counts_match_reference(case):
         ref_counts, ref_skipped = _character_sum_reference(params, ms, shifts, window)
         assert row.tolist() == ref_counts
         assert skipped == ref_skipped
+
+
+@st.composite
+def tuple_batches(draw):
+    """Several shift tuples of one k with their windows (1 and p among them
+    often), and exponent rows shared by all tuples or drawn per tuple."""
+    p = draw(st.sampled_from(sorted(SEXTIC)))
+    k = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 6))
+    shifts = [sorted(draw(st.sets(st.integers(0, p - 1), min_size=k, max_size=k)))
+              for _ in range(T)]
+    windows = draw(st.lists(st.one_of(st.just(1), st.just(p), st.integers(1, p)),
+                            min_size=T, max_size=T))
+    row = st.tuples(*[st.integers(1, 5)] * k)
+    B = draw(st.integers(1, 6))
+    rows = [draw(st.lists(row, min_size=B, max_size=B)) for _ in range(T)]
+    if draw(st.booleans()):
+        rows = [rows[0]] * T
+        exponents = rows[0]
+    else:
+        exponents = rows
+    block = draw(st.sampled_from([1, 50, charsum._BLOCK_CELLS]))
+    return SEXTIC[p], exponents, rows, shifts, windows, block
+
+
+@given(tuple_batches())
+@settings(max_examples=200, deadline=None)
+def test_batched_tuples_match_reference(case):
+    params, exponents, rows, shifts, windows, block = case
+    # a small chunk constant puts chunk edges between (at 1, inside) the tuples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsum, "_BLOCK_CELLS", block)
+        counts, skipped = phase_counts(params, exponents, shifts, windows)
+        ok = weil_verdicts(params, exponents, shifts, windows)
+    T, B = len(shifts), len(rows[0])
+    assert counts.shape == (T, B, 6) and skipped.shape == (T,) and ok.shape == (T, B)
+    for t, (ds, window) in enumerate(zip(shifts, windows)):
+        for b, ms in enumerate(rows[t]):
+            ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
+            assert counts[t, b].tolist() == ref_counts
+            assert skipped[t] == ref_skipped
+            assert ok[t, b] == _reference_bound_ok(params, ms, ds, window)
+
+
+def test_long_windows_are_summed_in_pieces():
+    # windows past _PIECE terms overflow a packed lane unless split; the
+    # code-histogram path (k <= 2, and k = 4 at window 200) and the per-term
+    # path (k = 4 at window 40, k = 6) are checked against the reference loop
+    params = SexticParams.create(2053)
+    cases = [((1,), [(0,), (7,)], [2053, 1500]),
+             ((2, 5), [(0, 1), (3, 2050)], [2053, 1024]),
+             ((1, 2, 3, 4), [(0, 1, 2, 3)], [40]),
+             ((1, 2, 3, 4), [(5, 9, 700, 2052)], [200]),
+             ((1, 2, 3, 4, 5, 1), [(0, 1, 2, 3, 4, 5), (9, 99, 999, 1999, 2000, 2052)], [1100, 2053])]
+    for ms, shifts, windows in cases:
+        counts, skipped = phase_counts(params, [ms], shifts, windows)
+        for t, (ds, window) in enumerate(zip(shifts, windows)):
+            ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
+            assert counts[t, 0].tolist() == ref_counts
+            assert skipped[t] == ref_skipped
+
+
+def test_single_tuple_is_the_one_row_batch():
+    batch = list(product(range(1, 6), repeat=2))
+    counts, skipped = phase_counts(P31, batch, (3, 17), 20)
+    assert counts.shape == (25, 6) and counts.dtype == np.int64
+    assert type(skipped) is int
+    many, many_skipped = phase_counts(P31, batch, [(3, 17)], [20])
+    assert np.array_equal(counts, many[0]) and skipped == many_skipped[0]
+    ok = weil_verdicts(P31, batch, (3, 17), 20)
+    assert ok.shape == (25,) and np.array_equal(ok, weil_verdicts(P31, batch, [(3, 17)], 20)[0])
+
+
+def test_one_bad_tuple_among_good_ones_is_refused():
+    good = [(0, 1), (2, 5), (4, 12)]
+    for shifts, windows in (
+        (good[:1] + [(3, 3)] + good[1:], 13),  # not strictly increasing
+        (good + [(5, 2)], 13),
+        (good + [(-1, 2)], 13),
+        (good + [(4, 13)], 13),  # not a residue below p
+        (good, [13, 0, 13]),  # window outside 1..p
+        (good, [13, 14, 13]),
+        (good, [13, 13]),  # one window per tuple
+    ):
+        with pytest.raises(ParameterError):
+            phase_counts(P13, [(1, 2)], shifts, windows)
+        with pytest.raises(ParameterError):
+            weil_verdicts(P13, [(1, 2)], shifts, windows)
+    # per-tuple exponent rows: one batch per tuple, each in 1..5
+    with pytest.raises(ParameterError):
+        phase_counts(P13, [[(1, 2)], [(1, 2)]], good, 13)
+    with pytest.raises(ParameterError):
+        phase_counts(P13, [[(1, 2)], [(1, 6)], [(1, 2)]], good, 13)
 
 
 def test_phase_counts_shape_mismatch():

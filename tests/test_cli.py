@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cycloseq import bounds, cli, measures, ntheory, seqgen
@@ -235,8 +236,10 @@ def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, caps
 
 
 def test_diffset_verdict_disagreement_is_invariant_violation(monkeypatch, capsys):
-    # p = 31 is a difference set; a forged A(t) = 0 contradicts its constant lambda
-    monkeypatch.setattr(bounds, "periodic_autocorrelation", lambda seq, t: 0)
+    # p = 31 is a difference set; a forged all-shift A(t) = 0 contradicts its
+    # constant lambda
+    monkeypatch.setattr(bounds, "periodic_autocorrelations",
+                        lambda seq: np.zeros(seq.period - 1, dtype=np.int64))
     with pytest.raises(InvariantViolation):
         bounds.difference_set_check(SexticParams.create(31, g_policy="three-in-c1"))
     code, stdout, err = run(

@@ -16,6 +16,7 @@ from cycloseq.measures import (
     max_order_complexity_naive,
     max_order_complexity_profile,
     periodic_autocorrelation,
+    periodic_autocorrelations,
     two_adic_complexity,
 )
 from cycloseq.ntheory import SexticParams
@@ -424,6 +425,34 @@ def test_autocorrelation_symmetry_and_parseval(bits):
         assert ac[t - 1] == ac[T - t - 1]
     imbalance = int(seq.signs().sum())
     assert sum(ac) == imbalance**2 - T
+
+
+@st.composite
+def periodic_words(draw):
+    """A word of period T in 1..200 and length T..2T."""
+    T = draw(st.integers(1, 200))
+    core = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+    length = draw(st.integers(T, 2 * T))
+    return BitSequence.create([core[n % T] for n in range(length)], period=T)
+
+
+@given(periodic_words())
+@settings(max_examples=100, deadline=None)
+def test_all_shift_autocorrelation_matches_per_shift(seq):
+    T = seq.period
+    values = periodic_autocorrelations(seq)
+    assert values.shape == (T - 1,)
+    assert values.tolist() == [periodic_autocorrelation(seq, t) for t in range(1, T)]
+
+
+def test_all_shift_autocorrelation_errors():
+    with pytest.raises(NoPeriod):
+        periodic_autocorrelations(BitSequence.create([0, 1, 1]))
+    short = BitSequence.create(HALL13.bits[:12], period=13)
+    with pytest.raises(ParameterError):
+        periodic_autocorrelations(short)
+    with pytest.raises(ParameterError):
+        periodic_autocorrelation(short, 1)
 
 
 # --- linear complexity -------------------------------------------------------

@@ -3,14 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.errors import BadOrder, BadPrime, BadSubset, ParameterError, ZeroArgument
-from cycloseq.ntheory import PrimeParams, SexticParams, is_prime
+from cycloseq.errors import (
+    BadOrder,
+    BadPrime,
+    BadSubset,
+    InvariantViolation,
+    NoSuchRoot,
+    ParameterError,
+    ZeroArgument,
+)
+from cycloseq.ntheory import PrimeParams, SexticParams, is_prime, reduce_zeta6
 from cycloseq.seqgen import (
+    HALL_CLASSES,
     BitSequence,
     check_index_representation,
     cyclotomic_sequence,
-    delta1,
-    delta2,
     delta_decomposition,
     dhl_sequence,
     hall_sequence,
@@ -25,6 +32,82 @@ P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
 
 SEXTIC_PRIMES_200 = [p for p in range(7, 201) if is_prime(p) and p % 6 == 1]
+
+
+def _sextic_params_below_1000():
+    """SexticParams for every p = 1 (mod 6) below 1000 under both g policies
+    (three-in-c1 only where such a root exists)."""
+    out = []
+    for p in range(7, 1000):
+        if is_prime(p) and p % 6 == 1:
+            for policy in ("smallest", "three-in-c1"):
+                try:
+                    out.append(SexticParams.create(p, g_policy=policy))
+                except NoSuchRoot:
+                    pass
+    return out
+
+
+SEXTIC_PARAMS_1000 = _sextic_params_below_1000()
+
+
+# --- per-n references for the batched character identities -----------------
+
+
+def delta1(params: SexticParams, n: int) -> int:
+    """(1 + eta(n) + eta^2(n))/3 for the cubic character eta, evaluated exactly.
+
+    eta = chi**2, so the cubic phase r is the sixth-root phase 2r; the three
+    terms are accumulated as phase counts and reduced in Z[w].
+    """
+    ind = params.ind(n)
+    counts = [0] * 6
+    for j in range(3):
+        counts[2 * (j * ind % 3)] += 1
+    return _indicator(counts, 3)
+
+
+def delta2(params: SexticParams, n: int) -> int:
+    """(1 + sum_j omega^-j chi^j(n))/6 for the sextic character chi, exactly.
+
+    omega = chi(g); the j-th term has phase j*(ind(n) - 1) mod 6.
+    """
+    ind = params.ind(n)
+    counts = [0] * 6
+    for j in range(6):
+        counts[(j * (ind - 1)) % 6] += 1
+    return _indicator(counts, 6)
+
+
+def _indicator(counts, denominator: int) -> int:
+    """The phase-count sum over `denominator`, which must be the rational integer 0 or 1."""
+    a, b = reduce_zeta6(counts)
+    if b != 0 or a not in (0, denominator):
+        raise InvariantViolation(
+            f"character sum {a} + {b}*w over {denominator} is not an indicator value"
+        )
+    return a // denominator
+
+
+def f_reference(params: SexticParams, n: int) -> int:
+    """The C2 <-> C3 swap at one residue."""
+    n %= params.p
+    l = params.ind(n) % 6
+    if l == 2:
+        return params.g * n % params.p
+    if l == 3:
+        return params.g_inverse() * n % params.p
+    return n
+
+
+def index_representation_reference(params: SexticParams, mapping) -> bool:
+    """The index representation checked one n at a time with a scalar mapping."""
+    p = params.p
+    for n in range(1, p):
+        val = (-params.ind(mapping(params, n))) % (p - 1) % 6
+        if (params.ind(n) % 6 not in HALL_CLASSES) != (1 <= val <= 3):
+            return False
+    return True
 
 
 def test_hall_p13():
@@ -59,6 +142,36 @@ def test_delta_indicator_sets():
     d2_ones = {n for n in range(1, 13) if dec.delta2[n]}
     assert d1_ones == {n for n in range(1, 13) if P13.ind(n) % 3 == 0}
     assert d2_ones == {n for n in range(1, 13) if P13.ind(n) % 6 == 1}
+
+
+@pytest.mark.parametrize("params", SEXTIC_PARAMS_1000, ids=repr)
+def test_batched_identities_match_per_n_references(params):
+    p = params.p
+    dec = delta_decomposition(params)
+    ref1 = [0] + [delta1(params, n) for n in range(1, p)]
+    ref2 = [0] + [delta2(params, n) for n in range(1, p)]
+    assert dec.delta1.tolist() == ref1
+    assert dec.delta2.tolist() == ref2
+    via = hall_sequence_via_characters(params, p).bits
+    assert via.tolist() == [a + b for a, b in zip(ref1, ref2)]
+    assert np.array_equal(via, hall_sequence(params, p).bits)
+    ns = np.arange(1, p)
+    assert permutation_map_f(params, ns).tolist() == [f_reference(params, n) for n in range(1, p)]
+    assert index_representation_reference(params, f_reference)
+    assert check_index_representation(params)
+    identity = lambda prm, n: n
+    assert not index_representation_reference(params, identity)
+    assert not check_index_representation(params, mapping=identity)
+
+
+def test_delta_decomposition_refuses_a_non_indicator():
+    # any integer index table gives indicator values; a half-integer index puts
+    # the character terms of n = 5 between the sixth roots, off the identity
+    table = P13.index_table.astype(float)
+    table[5] = 0.5
+    forged = SexticParams(p=13, g=2, index_table=table, f=2)
+    with pytest.raises(InvariantViolation, match="n=5"):
+        delta_decomposition(forged)
 
 
 @pytest.mark.parametrize("p", SEXTIC_PRIMES_200)
