@@ -3,11 +3,20 @@
 The headline bound on the order-k correlation measure is asymptotic with an
 unspecified absolute constant, so kernels are reported and compared, never
 asserted with a constant.  The IW17 and BW06 inequalities are verified from
-independently recomputed quantities; when the full range k <= M+1 (resp. L+1)
-is out of budget, a one-sided certificate is used: the partial maximum of C_k
-over k <= cap lower-bounds the full maximum, so LHS >= N - 2**(M+1) * partial
-(resp. LHS >= N - partial) already implies the inequality.  A certificate can
-confirm but never refute; inconclusive instances are reported not-applicable.
+independently recomputed quantities.
+
+The exact check raises k through C_1, C_2, ... until the full range
+k <= M+1 (resp. L+1) is covered (mode `exact`) or the partial maximum already
+implies the inequality: it lower-bounds the full maximum, so
+LHS >= N - 2**(M+1) * partial (resp. LHS >= N - partial) is a one-sided
+certificate (mode `certified-partial`).  `k_cap` (`--kmax`) and `budget`
+(`--budget`) bound only this ladder; an IW17 instance it cannot settle is
+reported not-applicable (mode `budget-exceeded` or `not-applicable`).
+
+BW06 needs no ladder to be settled: BM's connection polynomial names shifts
+D, w <= L+1 of them, whose walk reaches N - L, so C_w >= N - L (mode
+`certified-witness`, see `check_bw06`).  The ladder still runs first where
+it can be exact (L + 1 <= k_cap) and its verdict wins when it resolves.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .measures import (
     DEFAULT_BUDGET,
     berlekamp_massey_profile,
+    correlation_for_shifts,
     correlation_measure_exact,
     max_order_complexity_profile,
     periodic_autocorrelations,
@@ -123,23 +133,59 @@ def check_bw06(
     k_cap: int = DEFAULT_K_CAP,
     budget: int = DEFAULT_BUDGET,
 ) -> BoundEvaluation:
-    """L(S,N) >= N - max_{1<=k<=L(S,N)+1} C_k(S)."""
+    """L(S,N) >= N - max_{1<=k<=L(S,N)+1} C_k(S), certified by BM's own witness.
+
+    BM's connection polynomial C(x) for the length-N prefix gives the shifts
+    D = {L - i : c_i = 1}, w <= L + 1 of them, whose sign product is +1 at
+    each of the first N - L steps; so C_w >= v >= N - L, with v the walk value
+    of D from `correlation_for_shifts`.  A walk below N - L means BM or the
+    walk is wrong (InvariantViolation).  When L = N, D reaches past the word
+    and C_1 >= 1 settles the inequality without a walk (v = 0).  The exact
+    ladder runs first when L + 1 <= k_cap and its verdict wins when it
+    resolves; wherever it computed C_w, C_w >= v must hold.  The witness
+    costs O(N * w) and is not charged to the budget.
+    """
     if n < 1:
         raise ParameterError("need N >= 1")
-    lc = berlekamp_massey_profile(seq.prefix(n)).final
-    satisfied, detail = _ascending_ck_check(
-        seq,
-        n,
-        lhs=lc,
-        rhs_from_max=lambda c: n - c,
-        k_needed=lc + 1,
-        k_cap=k_cap,
-        budget=budget,
-    )
+    prefix = seq.prefix(n)
+    profile = berlekamp_massey_profile(prefix)
+    lc, conn = profile.final, profile.connection
+    if conn >> (lc + 1) or not conn & 1:
+        raise InvariantViolation(
+            f"{seq.label}: BM connection {conn:#x} has c_0 = 0 or degree > L = {lc}"
+        )
+    shifts = tuple(lc - i for i in range(lc, -1, -1) if conn >> i & 1)
+    v = 0
+    if lc < n:
+        v = correlation_for_shifts(prefix, shifts)[0]
+        if v < n - lc:
+            raise InvariantViolation(
+                f"{seq.label}: BM witness walks to {v} < N - L = {n - lc} (N={n}, L={lc})"
+            )
+    witness = {"D": shifts, "w": len(shifts), "v": v}
+    satisfied, detail = None, {}
+    if lc + 1 <= k_cap:
+        satisfied, detail = _ascending_ck_check(
+            seq,
+            n,
+            lhs=lc,
+            rhs_from_max=lambda c: n - c,
+            k_needed=lc + 1,
+            k_cap=k_cap,
+            budget=budget,
+        )
+        c_w = detail["c_values"].get(len(shifts))
+        if c_w is not None and c_w < v:
+            raise InvariantViolation(
+                f"{seq.label}: exact C_{len(shifts)} = {c_w} below its BM witness {v} (N={n})"
+            )
+    if satisfied is None:
+        satisfied = True
+        detail = {**detail, "mode": "certified-witness", "rhs": n - v}
     return BoundEvaluation(
         name="bw06",
-        inputs={"N": n, "L": lc, "label": seq.label, **detail},
-        kernel_value=float(detail.get("rhs", float("nan"))),
+        inputs={"N": n, "L": lc, "label": seq.label, **witness, **detail},
+        kernel_value=float(detail["rhs"]),
         measured_value=float(lc),
         satisfied=satisfied,
     )

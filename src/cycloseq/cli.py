@@ -282,10 +282,10 @@ def _weil_suite(args):
         yield (f"weil complete p={p} k<={args.kmax}", _status(bad == 0),
                f"{total - bad}/{total} within (k-1)sqrt(p)+k")
         # the draws keep their order; the queries are then evaluated per k,
-        # each tuple with its own exponent row and window
+        # each tuple with its own exponent row and window; k > p has no tuple
         queries = {}
         for _ in range(args.queries):
-            k = int(rng.integers(1, args.kmax + 1))
+            k = int(rng.integers(1, min(args.kmax, p) + 1))
             shifts = np.sort(rng.choice(p, size=k, replace=False))
             ms = rng.integers(1, 6, size=k)
             window = int(rng.integers(2, p + 1))

@@ -78,10 +78,15 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Per-prefix complexity values; values[i] is the value at prefix length i+1."""
+    """Per-prefix complexity values; values[i] is the value at prefix length i+1.
+
+    A linear profile also carries BM's final connection polynomial
+    C(x) = 1 + c_1 x + ... + c_L x**L as a bitmask (bit i = c_i).
+    """
 
     kind: str  # "linear" | "maxorder"
     values: tuple[int, ...]
+    connection: int | None = None
 
     def at(self, n: int) -> int:
         if not 1 <= n <= len(self.values):
@@ -412,7 +417,8 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
     """N-th linear complexity over GF(2) for every prefix, by Berlekamp-Massey.
 
     Conventions: an all-zero prefix has complexity 0; a prefix 0...01 has
-    complexity equal to its length.
+    complexity equal to its length.  The returned connection polynomial
+    generates the whole word: sum_i c_i s_{n-i} = 0 (mod 2) for n = L..N-1.
     """
     # C and B are bitmasks (bit i = coefficient of x**i); bit i of hist is s_{n-i}.
     C = B = 1
@@ -428,7 +434,7 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
                 L, B, m = n + 1 - L, prev, 0
         m += 1
         values.append(L)
-    return ComplexityProfile(kind="linear", values=tuple(values))
+    return ComplexityProfile(kind="linear", values=tuple(values), connection=C)
 
 
 class _SuffixAutomaton:

@@ -13,6 +13,7 @@ and all modular arithmetic fits comfortably in 64 bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,17 +123,26 @@ def find_primitive_root(p: int, constraint: str | None = None) -> int:
 def build_index_table(p: int, g: int) -> np.ndarray:
     """Dense table t with t[g**e mod p] = e for e = 0..p-2; t[0] = -1.
 
-    Built in one pass of successive multiplication; raises NotPrimitive if the
-    powers of g repeat before exponent p-1.
+    The powers are g**(B*q + r) = g**(B*q) * g**r for B = ceil(sqrt(p - 1)), r < B:
+    two short loops of powers and one int64 outer product mod p (p < 2**31, so
+    a product of two residues fits), scattered into the table.  Raises
+    NotPrimitive if the powers of g repeat before exponent p-1.
     """
+    B = math.isqrt(p - 1)
+    B += B * B < p - 1
+    baby = [1] * B
+    for r in range(1, B):
+        baby[r] = baby[r - 1] * g % p
+    giant = [1] * B
+    step = pow(g, B, p)
+    for q in range(1, B):
+        giant[q] = giant[q - 1] * step % p
+    powers = np.array(giant, dtype=np.int64)[:, None] * np.array(baby, dtype=np.int64) % p
+    powers = powers.ravel()[: p - 1]
     table = np.full(p, -1, dtype=np.int64)
-    v = 1
-    for e in range(p - 1):
-        if table[v] != -1:
-            raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-        table[v] = e
-        v = v * g % p
-    if v != 1:
+    table[powers] = np.arange(p - 1)
+    # p - 1 distinct powers fill slots 1..p-1 exactly when none is 0
+    if table[0] != -1 or (table[1:] == -1).any() or pow(g, p - 1, p) != 1:
         raise NotPrimitive(f"{g} is not a primitive root mod {p}")
     table.setflags(write=False)
     return table

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq.bounds import (
+    DEFAULT_K_CAP,
     check_bw06,
     check_iw17,
     corollary1_kernel,
@@ -11,6 +14,7 @@ from cycloseq.bounds import (
     theorem1_kernel,
 )
 from cycloseq.errors import ParameterError
+from cycloseq.measures import correlation_measure_exact
 from cycloseq.ntheory import SexticParams
 from cycloseq.seqgen import BitSequence, hall_sequence
 
@@ -91,11 +95,71 @@ def test_bw06_hall13():
     assert ev.satisfied is True
 
 
-def test_bw06_not_applicable_beyond_cap():
+def test_bw06_witness_beyond_cap():
+    # the exact ladder does not run (L + 1 = 23 > k_cap); BM's connection
+    # polynomial names 10 shifts whose walk reaches N - L = 232
     params = SexticParams.create(127, g=3)
     seq = hall_sequence(params, 254)
     ev = check_bw06(seq, 254, k_cap=3)
-    assert ev.satisfied is None  # inconclusive, never False
+    assert ev.satisfied is True
+    assert ev.inputs["mode"] == "certified-witness"
+    assert ev.inputs["L"] == 22 and ev.inputs["w"] == 10
+    assert ev.inputs["v"] >= 232 == 254 - 22
+    assert ev.inputs["rhs"] == 254 - ev.inputs["v"] <= 22
+
+
+def _assert_bw06_witness(bits, k_cap=DEFAULT_K_CAP):
+    """The witness against plain Python: each recurrence, then the walk and exact C_w."""
+    n = len(bits)
+    seq = BitSequence.create(bits)
+    ev = check_bw06(seq, n, k_cap=k_cap)
+    lc, D, w, v = (ev.inputs[key] for key in ("L", "D", "w", "v"))
+    assert ev.satisfied is True
+    assert w == len(D) <= lc + 1 and D == tuple(sorted(set(D))) and D[0] >= 0 and D[-1] == lc
+    for m in range(n - lc):
+        assert sum(bits[m + d] for d in D) % 2 == 0, (bits, D, m)
+    if lc < n:
+        assert v >= n - lc
+        assert correlation_measure_exact(seq, w).value >= v
+    else:
+        assert v == 0  # D reaches past the word; C_1 >= 1 settles it
+    assert ev.inputs["rhs"] <= lc
+    if lc + 1 > k_cap:
+        assert ev.inputs["mode"] == "certified-witness" and ev.inputs["rhs"] == n - v
+    return ev
+
+
+@st.composite
+def biased_bits(draw, max_size):
+    """Words whose density of ones is drawn first, so long runs are common."""
+    n = draw(st.integers(1, max_size))
+    ones = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    return [int(d < ones) for d in draws]
+
+
+@settings(max_examples=300, deadline=None)
+@given(biased_bits(16), st.integers(1, 8))
+def test_bw06_witness_oracle(bits, k_cap):
+    _assert_bw06_witness(bits, k_cap)
+
+
+@pytest.mark.parametrize(
+    "bits, lc",
+    [
+        ([0], 0),
+        ([1], 1),  # N = 1, L = N
+        ([0] * 9, 0),
+        ([0] * 3 + [1], 4),  # 0...01: L = N
+        ([0] * 9 + [1], 10),  # L = N beyond the ladder: no walk at all
+        ([1, 0], 1),  # L = N - 1, C(x) = 1: D = {1}
+        ([1] + [0] * 8, 1),
+        ([0, 0, 1, 1], 3),  # L = N - 1
+    ],
+)
+def test_bw06_witness_edge_cases(bits, lc):
+    for k_cap in (1, DEFAULT_K_CAP):
+        assert _assert_bw06_witness(bits, k_cap).inputs["L"] == lc
 
 
 def test_difference_set_hall_primes():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -249,6 +250,22 @@ def test_diffset_verdict_disagreement_is_invariant_violation(monkeypatch, capsys
     assert err.startswith("error:") and "verdicts differ" in err
 
 
+def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, capsys):
+    # one flipped coefficient c_1 breaks a recurrence of the BM witness: its
+    # walk falls below N - L, which only a wrong BM or a wrong walk can cause
+    def forged(seq):
+        profile = measures.berlekamp_massey_profile(seq)
+        return dataclasses.replace(profile, connection=profile.connection ^ 2)
+
+    monkeypatch.setattr(bounds, "berlekamp_massey_profile", forged)
+    seq = seqgen.hall_sequence(SexticParams.create(13, g=2), 13)
+    with pytest.raises(InvariantViolation, match="BM witness"):
+        bounds.check_bw06(seq, 13)
+    code, stdout, err = run(capsys, "verify", "--suite", "bw06", "--primes", "13")
+    assert code == EXIT_VERIFY
+    assert err.startswith("error:") and "BM witness" in err and "N - L" in err
+
+
 def test_verify_cross_construction_upto(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--suite", "cross-construction", "--primes", "upto:60",
@@ -285,6 +302,16 @@ def test_verify_weil_small(capsys):
     )
     assert code == EXIT_OK
     assert "[PASS" in stdout
+
+
+def test_verify_weil_kmax_above_p(capsys):
+    # k > p has no shift tuple: the complete sums stop at k = p and the
+    # random queries draw k from 1..min(--kmax, p)
+    code, stdout, err = run(capsys, "verify", "--suite", "weil", "--primes", "7", "--kmax", "8",
+                            "--queries", "50")
+    assert code == EXIT_OK, err
+    assert "weil complete p=7 k<=8" in stdout and "/50 within" in stdout
+    assert "suite=weil: 1 passed, 0 failed" in stdout
 
 
 def test_verify_weil_refused_over_budget(capsys):

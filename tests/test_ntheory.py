@@ -108,6 +108,36 @@ def test_index_table_rejects_non_primitive():
         build_index_table(13, 1)
 
 
+def _index_table_loop(p, g):
+    """One residue at a time by successive multiplication: the loop the
+    outer-product table replaced."""
+    table = np.full(p, -1, dtype=np.int64)
+    v = 1
+    for e in range(p - 1):
+        if table[v] != -1:
+            raise NotPrimitive(f"{g} is not a primitive root mod {p}")
+        table[v] = e
+        v = v * g % p
+    if v != 1:
+        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
+    return table
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 37, 97, 101, 499])
+def test_index_table_matches_loop(p):
+    # every g in 0..p-1, and a few outside it, including g = 0 and 1 (mod p)
+    for g in range(-2, p + 2):
+        try:
+            expected = _index_table_loop(p, g)
+        except NotPrimitive:
+            with pytest.raises(NotPrimitive):
+                build_index_table(p, g)
+            continue
+        table = build_index_table(p, g)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.array_equal(table, expected), (p, g)
+
+
 def test_cyclotomic_cosets_p13():
     params = SexticParams.create(13, g=2)
     assert [coset(params, 6, l) for l in range(6)] == [
