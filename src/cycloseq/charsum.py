@@ -133,7 +133,11 @@ def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     E = E[0]
     first = (E != 3).argmax(axis=1)  # the first entry the conjugation changes
     flip = E[np.arange(len(E)), first] > 3
-    rows, back = np.unique(np.where(flip[:, None], 6 - E, E), axis=0, return_inverse=True)
+    canon = np.where(flip[:, None], 6 - E, E)
+    # one base-6 code per row, first entry most significant: a 1-d sort in row order
+    codes = canon @ 6 ** np.arange(E.shape[1] - 1, -1, -1)
+    _, first_of, back = np.unique(codes, return_index=True, return_inverse=True)
+    rows = canon[first_of]
     phase = np.where(flip[:, None], -np.arange(6) % 6, np.arange(6))
     return rows[None], 6 * back.reshape(-1, 1) + phase
 

@@ -1,11 +1,11 @@
 """Command-line front end: generate | measure | verify | scan | baseline.
 
-Exit codes: 0 success, 2 parameter error, 3 budget exceeded, 4 verification
-failure (including a broken internal identity).  Records are emitted as JSON
-(default) or CSV; `measure` results are served from a JSONL cache unless
---no-cache, keyed by a sha256 of the word's packed bits with its length and
-period, the measure, its params and the toolkit version (the label is
-provenance only).
+Exit codes: 0 success, 2 parameter error (including a file that cannot be
+read or written), 3 budget exceeded, 4 verification failure (including a
+broken internal identity).  Records are emitted as JSON (default) or CSV;
+`measure` results are served from a JSONL cache unless --no-cache, keyed by
+a sha256 of the word's packed bits with its length and period, the measure,
+its params and the toolkit version (the label is provenance only).
 """
 
 from __future__ import annotations
@@ -35,6 +35,16 @@ EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+
+# Exit code of each error class; an error takes the entry of its nearest class.
+# OSError covers unreadable inputs and unwritable outputs or caches.
+_EXIT_CODES = {
+    BudgetExceeded: EXIT_BUDGET,
+    CapExceeded: EXIT_BUDGET,
+    InvariantViolation: EXIT_VERIFY,
+    CycloseqError: EXIT_PARAM,
+    OSError: EXIT_PARAM,
+}
 
 
 def _parse_int(tok: str, option: str) -> int:
@@ -73,6 +83,8 @@ def _resolve_g(p: int, g_arg: str):
         g = int(g_arg)
     except ValueError:
         raise ParameterError(f"--g must be smallest, three-in-c1, or an integer; got {g_arg!r}")
+    if not 0 < g < p:
+        raise ParameterError(f"--g must be in 1..{p - 1}; got {g}")
     return g
 
 
@@ -246,9 +258,9 @@ def _suite_instances(args):
     return out
 
 
-def _inequality_suite(args, check):
+def _inequality_suite(args, check, **bounds_kw):
     for name, seq in _suite_instances(args):
-        ev = check(seq, seq.length, k_cap=args.kmax, budget=args.budget)
+        ev = check(seq, seq.length, **bounds_kw)
         status = {True: "pass", False: "fail", None: "n/a"}[ev.satisfied]
         yield f"{args.suite} {name}", status, ev.inputs.get("mode", "")
 
@@ -304,7 +316,8 @@ def _weil_suite(args):
 # a tracer) reaches the suites.
 _SUITES = {
     "cross-construction": lambda args: _sextic_suite(args, _cross_construction),
-    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17),
+    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17, k_cap=args.kmax,
+                                           budget=args.budget),
     "bw06": lambda args: _inequality_suite(args, bounds.check_bw06),
     "moc-le-lc": _moc_le_lc_suite,
     "diffset": lambda args: _sextic_suite(args, _diffset),
@@ -450,18 +463,9 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (BudgetExceeded, CapExceeded) as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InvariantViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ParameterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARAM
-    except CycloseqError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARAM
+        return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

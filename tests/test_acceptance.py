@@ -190,10 +190,11 @@ def test_criterion_07_bm_conventions_and_hall_lc():
             seq = hall_sequence(hall_params(p), 2 * p)
             lc = berlekamp_massey_profile(seq).final
             print(f"        (L(Hall {p}, {2 * p}) = {lc}; L >= p/2: {lc >= p / 2})")
-            ev = check_bw06(seq, 2 * p, k_cap=6)
-            # at p = 127 exact C_k beyond k = 3 is out of budget at N = 254;
-            # BM's own witness certifies the inequality there
+            ev = check_bw06(seq, 2 * p)
+            # BM's own witness certifies the inequality, also at p = 127
+            # where exact C_k beyond k = 3 is out of budget at N = 254
             assert ev.satisfied is True, (p, ev)
+            assert ev.inputs["mode"] == "certified-witness", (p, ev)
 
 
 def test_criterion_08_two_adic_maximal():

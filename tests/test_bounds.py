@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq.bounds import (
-    DEFAULT_K_CAP,
     check_bw06,
     check_iw17,
     corollary1_kernel,
@@ -77,30 +76,31 @@ def test_bw06_all_zero_equality():
     assert ev.satisfied is True
     assert ev.inputs["L"] == 0
     assert ev.inputs["rhs"] == 0
-    assert ev.inputs["mode"] == "exact"
+    assert ev.inputs["mode"] == "certified-witness"
 
 
 def test_bw06_alternating():
     seq = BitSequence.create([0, 1] * 5)
-    ev = check_bw06(seq, 10, k_cap=4)
-    # L = 2, max(C_1, C_2, C_3) = 9, RHS = 1 <= 2
+    ev = check_bw06(seq, 10)
+    # L = 2 and C(x) = 1 + x^2: D = {0, 2} walks to 8 = N - L, so RHS = 2 <= 2
     assert ev.satisfied is True
     assert ev.inputs["L"] == 2
-    assert ev.inputs["rhs"] <= 2
+    assert ev.inputs["D"] == (0, 2) and ev.inputs["v"] == 8
+    assert ev.inputs["rhs"] == 2
 
 
 def test_bw06_hall13():
     params = SexticParams.create(13, g=2)
-    ev = check_bw06(hall_sequence(params, 13), 13, k_cap=8)
+    ev = check_bw06(hall_sequence(params, 13), 13)
     assert ev.satisfied is True
 
 
 def test_bw06_witness_beyond_cap():
-    # the exact ladder does not run (L + 1 = 23 > k_cap); BM's connection
+    # L + 1 = 23 is far beyond exact C_k at N = 254; BM's connection
     # polynomial names 10 shifts whose walk reaches N - L = 232
     params = SexticParams.create(127, g=3)
     seq = hall_sequence(params, 254)
-    ev = check_bw06(seq, 254, k_cap=3)
+    ev = check_bw06(seq, 254)
     assert ev.satisfied is True
     assert ev.inputs["mode"] == "certified-witness"
     assert ev.inputs["L"] == 22 and ev.inputs["w"] == 10
@@ -108,11 +108,11 @@ def test_bw06_witness_beyond_cap():
     assert ev.inputs["rhs"] == 254 - ev.inputs["v"] <= 22
 
 
-def _assert_bw06_witness(bits, k_cap=DEFAULT_K_CAP):
+def _assert_bw06_witness(bits):
     """The witness against plain Python: each recurrence, then the walk and exact C_w."""
     n = len(bits)
     seq = BitSequence.create(bits)
-    ev = check_bw06(seq, n, k_cap=k_cap)
+    ev = check_bw06(seq, n)
     lc, D, w, v = (ev.inputs[key] for key in ("L", "D", "w", "v"))
     assert ev.satisfied is True
     assert w == len(D) <= lc + 1 and D == tuple(sorted(set(D))) and D[0] >= 0 and D[-1] == lc
@@ -123,9 +123,8 @@ def _assert_bw06_witness(bits, k_cap=DEFAULT_K_CAP):
         assert correlation_measure_exact(seq, w).value >= v
     else:
         assert v == 0  # D reaches past the word; C_1 >= 1 settles it
-    assert ev.inputs["rhs"] <= lc
-    if lc + 1 > k_cap:
-        assert ev.inputs["mode"] == "certified-witness" and ev.inputs["rhs"] == n - v
+    assert ev.inputs["mode"] == "certified-witness"
+    assert ev.inputs["rhs"] == n - v <= lc
     return ev
 
 
@@ -139,9 +138,9 @@ def biased_bits(draw, max_size):
 
 
 @settings(max_examples=300, deadline=None)
-@given(biased_bits(16), st.integers(1, 8))
-def test_bw06_witness_oracle(bits, k_cap):
-    _assert_bw06_witness(bits, k_cap)
+@given(biased_bits(16))
+def test_bw06_witness_oracle(bits):
+    _assert_bw06_witness(bits)
 
 
 @pytest.mark.parametrize(
@@ -151,15 +150,14 @@ def test_bw06_witness_oracle(bits, k_cap):
         ([1], 1),  # N = 1, L = N
         ([0] * 9, 0),
         ([0] * 3 + [1], 4),  # 0...01: L = N
-        ([0] * 9 + [1], 10),  # L = N beyond the ladder: no walk at all
+        ([0] * 9 + [1], 10),  # L = N = 10: no walk at all
         ([1, 0], 1),  # L = N - 1, C(x) = 1: D = {1}
         ([1] + [0] * 8, 1),
         ([0, 0, 1, 1], 3),  # L = N - 1
     ],
 )
 def test_bw06_witness_edge_cases(bits, lc):
-    for k_cap in (1, DEFAULT_K_CAP):
-        assert _assert_bw06_witness(bits, k_cap).inputs["L"] == lc
+    assert _assert_bw06_witness(bits).inputs["L"] == lc
 
 
 def test_difference_set_hall_primes():

@@ -295,6 +295,18 @@ def test_verify_iw17_small(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_bw06_reads_certified_witness_only(capsys):
+    # BM's witness settles every instance; --kmax and --budget bound IW17 only
+    for extra in ((), ("--kmax", "1", "--budget", "10")):
+        code, stdout, _ = run(capsys, "verify", "--suite", "bw06", "--primes", "upto:7", *extra)
+        assert code == EXIT_OK
+        checks = stdout.splitlines()[:-1]
+        assert len(checks) == 5
+        assert all(line.startswith("[PASS") and line.endswith("  certified-witness")
+                   for line in checks), stdout
+        assert "5 passed, 0 failed, 0 n/a" in stdout
+
+
 def test_verify_weil_small(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--suite", "weil", "--primes", "13", "--kmax", "2",
@@ -351,6 +363,34 @@ def test_bad_input_is_refused(argv, capsys):
     assert code == EXIT_PARAM
     assert stdout == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--input", "{tmp}/nosuch.seq", "--lc-profile", "--no-cache"),
+        ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--cache", "{tmp}"),
+        ("generate", "--construction", "hall", "--p", "13", "--output", "{tmp}/nosuch/x.seq"),
+    ],
+    ids=["measure-missing-input", "measure-cache-is-a-directory", "generate-missing-dir"],
+)
+def test_os_error_is_exit_2(argv, tmp_path, capsys):
+    code, stdout, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("construction", ["hall", "dhl", "cyclotomic"])
+@pytest.mark.parametrize("g", ["15", "-11"])
+def test_g_outside_units_is_refused(construction, g, capsys):
+    # g = 15 would otherwise act as 2 mod 13 and label the word g=15
+    code, stdout, err = run(capsys, "measure", "--construction", construction, "--p", "13",
+                            "--g", g, "--m", "6", "--classes", "0,1,3", "--lc-profile",
+                            "--no-cache")
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert err.startswith("error:") and "--g must be in 1..12" in err
 
 
 def test_verify_nonprime_rejected(capsys):
