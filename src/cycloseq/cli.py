@@ -201,9 +201,13 @@ def cmd_measure(args) -> int:
     value, witness = compute()
     record = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
                            value=value, witness=witness, cache_key=key)
+    line = record.to_json()  # the one serialization, for the cache and for JSON output
     if not args.no_cache:
-        cache.append(record)
-    record.write(fmt=args.format)
+        cache.append(line)
+    if args.format == "json":
+        print(line)
+    else:
+        record.write(fmt=args.format)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,7 +53,8 @@ class MeasureRecord:
             self.timestamp = datetime.now(timezone.utc).isoformat()
 
     def to_json(self) -> str:
-        return _canonical(asdict(self))
+        # every field holds JSON-native values, so no asdict deep copy is needed
+        return _canonical(vars(self))
 
     def write(self, stream=None, fmt: str = "json") -> None:
         stream = stream or sys.stdout
@@ -83,12 +84,17 @@ class MeasureRecord:
             ]
             w.writerow(header)
             if isinstance(self.value, dict):
-                for key, val in self.value.items():
+                # rows in the key order of to_json, so a cache hit prints what its miss printed
+                for key, val in sorted(self.value.items()):
                     w.writerow(base + [key, _json_cell(val)] + tail)
             else:
                 w.writerow(base + ["", _json_cell(self.value)] + tail)
         else:
             raise ValueError(f"unknown format {fmt!r}")
+
+
+_FIELDS = frozenset(f.name for f in fields(MeasureRecord))
+_REQUIRED = frozenset(f.name for f in fields(MeasureRecord) if f.default is MISSING)
 
 
 def _json_cell(v) -> str:
@@ -104,24 +110,33 @@ class RecordCache:
         self.path = Path(path)
 
     def get(self, key: str) -> dict | None:
-        """The last record stored under `key`, or None; corrupt lines are skipped.
+        """The last record stored under `key`, or None.
 
-        Only lines containing `key` as a substring are parsed.
+        The file is searched as bytes for `key`, last occurrence first, and only
+        the line around each occurrence is parsed.  Corrupt lines are skipped:
+        a line that is not JSON, not a JSON object, or holds a field that
+        MeasureRecord does not take, or lacks one it needs.
         """
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             return None
-        for line in reversed(self.path.read_text().splitlines()):
-            if key not in line:
-                continue
+        needle = key.encode()
+        end = len(data)
+        while end > 0 and (hit := data.rfind(needle, 0, end)) >= 0:
+            start = data.rfind(b"\n", 0, hit) + 1
+            stop = data.find(b"\n", hit)
+            end = start - 1
             try:
-                d = json.loads(line)
-            except json.JSONDecodeError:
+                d = json.loads(data[start : stop if stop >= 0 else len(data)].decode())
+            except ValueError:  # JSONDecodeError or UnicodeDecodeError
                 continue
-            if d.get("cache_key") == key:
+            if isinstance(d, dict) and d.get("cache_key") == key and _REQUIRED <= d.keys() <= _FIELDS:
                 return d
         return None
 
-    def append(self, record: MeasureRecord) -> None:
+    def append(self, line: str) -> None:
+        """Append one serialized record, a MeasureRecord.to_json() line."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as f:
             try:
@@ -130,4 +145,4 @@ class RecordCache:
                 fcntl.flock(f, fcntl.LOCK_EX)
             except ImportError:
                 pass
-            f.write(record.to_json() + "\n")
+            f.write(line + "\n")

@@ -69,7 +69,7 @@ class BitSequence:
         return 1 - 2 * self.bits.astype(np.int64)
 
     def to01(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode()
 
     def prefix(self, n: int) -> "BitSequence":
         if not 1 <= n <= self.length:
@@ -255,7 +255,15 @@ def write_sequence(seq: BitSequence, path) -> None:
 
 
 def read_sequence(path) -> BitSequence:
-    lines = Path(path).read_text().splitlines()
+    """Read a file written by write_sequence; headerless files read as unlabelled, aperiodic.
+
+    ParameterError unless the file is UTF-8 text whose non-'#' lines, stripped
+    and joined, form a nonempty word of ASCII '0'/'1'.
+    """
+    try:
+        lines = Path(path).read_bytes().decode().splitlines()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not a UTF-8 text file")
     label = ""
     period = None
     body = []
@@ -269,7 +277,8 @@ def read_sequence(path) -> BitSequence:
                 label = header
         elif line.strip():
             body.append(line.strip())
-    word = "".join(body)
-    if not word or set(word) - {"0", "1"}:
+    # any byte other than ASCII '0'/'1' (a non-ASCII digit is several) lands outside 0..1
+    bits = np.frombuffer("".join(body).encode(), dtype=np.uint8) - ord("0")
+    if not bits.size or (bits > 1).any():
         raise ParameterError(f"{path}: not a 0/1 sequence file")
-    return BitSequence.create([int(c) for c in word], period=period, label=label)
+    return BitSequence.create(bits, period=period, label=label)

@@ -121,6 +121,51 @@ def test_measure_cache_headerless_files(tmp_path, capsys):
     assert records[0]["cache_key"] != records[1]["cache_key"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("measure", [("--ck", "2"), ("--autocorr", "all"), ("--lc-profile",),
+                                     ("--moc-profile",), ("--two-adic",)],
+                         ids=["ck2", "autocorr-all", "lc-profile", "moc-profile", "two-adic"])
+def test_measure_cache_hit_prints_what_the_miss_printed(tmp_path, capsys, measure, fmt):
+    args = ("measure", "--construction", "hall", "--p", "31", *measure, "--format", fmt,
+            "--cache", str(tmp_path / "c.jsonl"))
+    code, miss, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert run(capsys, *args) == (EXIT_OK, miss, "")
+    if fmt == "csv" and measure[0] in ("--autocorr", "--two-adic"):
+        keys = [row.split(",")[3] for row in miss.splitlines()[1:]]
+        assert keys == sorted(keys)  # the key order of the JSON record
+
+
+@pytest.mark.parametrize("corrupt", ['["{key}"]', '{{"cache_key": "{key}", "extra": 1}}',
+                                     "{stored}"],
+                         ids=["list", "extra-field-only", "record-with-extra-field"])
+def test_measure_skips_corrupt_cache_lines(tmp_path, capsys, corrupt):
+    cache = tmp_path / "c.jsonl"
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--cache", str(cache))
+    code, first, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    stored = json.loads(first)
+    forged = json.dumps({**stored, "value": 99, "extra": 1})  # an unknown field
+    with open(cache, "a") as f:
+        f.write(corrupt.format(key=stored["cache_key"], stored=forged) + "\n")
+    assert run(capsys, *args) == (EXIT_OK, first, "")  # the older record is served
+    cache.write_text(corrupt.format(key=stored["cache_key"], stored=forged) + "\n")
+    code, fresh, _ = run(capsys, *args)  # nothing usable: the value is recomputed
+    assert code == EXIT_OK
+    assert json.loads(fresh)["value"] == 4
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe01\n", b"0\xef\xbc\x901\n", b"01x01\n"],
+                         ids=["non-utf8", "full-width-zero", "letter"])
+def test_measure_refuses_a_non_01_input_file(tmp_path, capsys, raw):
+    path = tmp_path / "bin.seq"
+    path.write_bytes(raw)
+    code, stdout, err = run(capsys, "measure", "--input", str(path), "--ck", "1", "--no-cache")
+    assert code == EXIT_PARAM
+    assert stdout == ""
+    assert err.startswith("error:") and "bin.seq" in err
+
+
 def test_measure_autocorr_all(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "measure", "--construction", "hall", "--p", "31", "--g", "three-in-c1",

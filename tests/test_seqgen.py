@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from cycloseq.seqgen import (
     read_sequence,
     write_sequence,
 )
+from cycloseq.seqgen import _PERIOD_RE
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -324,3 +327,79 @@ def test_file_roundtrip_random_words(bits):
         back = read_sequence(path)
     assert np.array_equal(back.bits, seq.bits)
     assert back.label == "random word"
+
+
+def _to01_oracle(seq):
+    return "".join("01"[b] for b in seq.bits)
+
+
+def _read_sequence_oracle(path):
+    """The per-character parse read_sequence replaced: each bit through int(c)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    label = ""
+    period = None
+    body = []
+    for line in lines:
+        if line.startswith("#"):
+            header = line[1:].strip()
+            m = _PERIOD_RE.match(header)
+            if m:
+                label, period = m.group("label"), int(m.group("t"))
+            else:
+                label = header
+        elif line.strip():
+            body.append(line.strip())
+    word = "".join(body)
+    if not word or set(word) - {"0", "1"}:
+        raise ParameterError(f"{path}: not a 0/1 sequence file")
+    return BitSequence.create([int(c) for c in word], period=period, label=label)
+
+
+def _read_or_refusal(read, path):
+    try:
+        seq = read(path)
+    except ParameterError:
+        return "refused"
+    return seq.bits.tolist(), seq.period, seq.label
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=200),
+       st.sampled_from(["", "hall(p=13,g=2)", "w\u00e9"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_file_read_and_to01_match_oracle(tmp_path_factory, bits, label, periodic):
+    period = len(bits) if periodic else None
+    seq = BitSequence.create(bits, period=period, label=label)
+    assert seq.to01() == _to01_oracle(seq)
+    path = tmp_path_factory.mktemp("seq") / "w.seq"
+    write_sequence(seq, path)
+    assert path.read_text().startswith("#") == bool(label or periodic)
+    assert _read_or_refusal(read_sequence, path) == _read_or_refusal(_read_sequence_oracle, path)
+    assert read_sequence(path).to01() == seq.to01()
+
+
+@given(st.lists(st.sampled_from(["0", "1", "01", "# x", "#period=5", "# a period=3", " ", "\t",
+                                 "\n", "\r\n", "\r", "x", "\uff10", "\uff11", "\u00a0"]),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_file_read_matches_oracle_on_text(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("seq") / "t.seq"
+    path.write_bytes("".join(pieces).encode())
+    assert _read_or_refusal(read_sequence, path) == _read_or_refusal(_read_sequence_oracle, path)
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe01\n", b"# label\n01\xe9\n", b"\x80"])
+def test_sequence_file_refuses_non_utf8(tmp_path, raw):
+    path = tmp_path / "bin.seq"
+    path.write_bytes(raw)
+    with pytest.raises(ParameterError, match="not a UTF-8 text file"):
+        read_sequence(path)
+
+
+def test_sequence_file_refuses_non_ascii_digits_and_reads_crlf(tmp_path):
+    path = tmp_path / "w.seq"
+    path.write_text("\uff10\uff11\n", encoding="utf-8")  # full-width 0 and 1
+    with pytest.raises(ParameterError, match="not a 0/1 sequence file"):
+        read_sequence(path)
+    path.write_bytes(b"# hall(p=13,g=2) period=13\r\n0110010\r\n010011\r\n")
+    seq = read_sequence(path)
+    assert (seq.to01(), seq.period, seq.label) == ("0110010010011", 13, "hall(p=13,g=2)")
