@@ -197,6 +197,8 @@ def random_baseline(
     """Exact C_k over uniform random words, normalized by sqrt(N ln N)."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if rng_seed < 0:
+        raise ParameterError(f"seed must be >= 0; got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     values = []

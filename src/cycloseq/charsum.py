@@ -6,10 +6,12 @@ assertion is integer arithmetic; floats appear only in magnitudes and bound
 comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
 
 One kernel, `phase_counts`, computes every sum, and it is the only way in.
-It takes a T x k array of shift tuples with one window each, and exponent
-rows either shared by all tuples (B x k) or given per tuple (T x B x k); a
-single sum is the one-tuple, one-row batch.  Tuples are evaluated in chunks of
-at most about _BLOCK_CELLS array cells, so memory does not grow with T.  The
+It has one batch shape: a T x k array of shift tuples with one window each,
+and a B x k array of exponent rows shared by every tuple; it evaluates all
+T x B sums.  A single sum is the one-tuple, one-row batch, and a caller with
+a different row per tuple batches the distinct rows and reads each tuple's
+sum at its own row.  Tuples are evaluated in chunks of at most about
+_BLOCK_CELLS array cells, so memory does not grow with T.  The
 residues ind(n + d_i) mod 6 of a term form a k-digit base-6 code.  When the
 6**k codes are few next to the window, each tuple's codes are histogrammed
 first and the histogram is multiplied by a table of every code's phase under
@@ -69,16 +71,16 @@ _PIECE = (1 << _LANE) - 1
 def _checked_shifts(params: SexticParams, shifts, window) -> tuple[np.ndarray, np.ndarray]:
     """(shifts as a T x k array, windows as a length-T array), one tuple per row.
 
-    A 1-d `shifts` is one tuple; `window` is one window for every tuple or one
-    per tuple.  Refuses an empty tuple, shifts that are not strictly increasing
+    `window` is one window for every tuple or one per tuple.  Refuses anything
+    but a T x k array with k >= 1, shifts that are not strictly increasing
     residues below p, and a window outside 1..p.
     """
     try:
-        S = np.array(shifts, dtype=np.int64, ndmin=2)
+        S = np.asarray(shifts, dtype=np.int64)
     except (TypeError, ValueError):
         raise ParameterError("shift tuples must be integers, all of one length")
     if S.ndim != 2 or S.shape[1] == 0:
-        raise ParameterError("need at least one shift per tuple")
+        raise ParameterError(f"shifts of shape {S.shape} are not a T x k array of tuples, k >= 1")
     bad = (np.diff(S, axis=1) <= 0).any(axis=1) | (S[:, 0] < 0)
     if bad.any():
         raise ParameterError(f"shifts {tuple(S[bad.argmax()].tolist())} not strictly increasing")
@@ -94,70 +96,63 @@ def _checked_shifts(params: SexticParams, shifts, window) -> tuple[np.ndarray, n
     return S, windows
 
 
-def _checked_exponents(exponents, T: int, k: int) -> np.ndarray:
-    """Exponent rows as a (1 or T) x B x k array: one B x k batch shared by every
-    tuple, or one batch per tuple; entries in 1..5."""
+def _checked_exponents(exponents, k: int) -> np.ndarray:
+    """Exponent rows as a B x k array shared by every tuple; entries in 1..5."""
     try:
         E = np.asarray(exponents, dtype=np.int64)
     except (TypeError, ValueError):
         raise ParameterError("exponent rows must be integers, all of one length")
-    if E.ndim == 2:
-        E = E[None]
-    if E.ndim != 3 or E.shape[0] not in (1, T) or E.shape[2] != k:
-        raise ParameterError(f"exponents of shape {E.shape} do not match {T} tuples of {k} shifts")
+    if E.ndim != 2 or E.shape[1] != k:
+        raise ParameterError(f"exponents of shape {E.shape} are not B rows of {k} exponents")
     if ((E < 1) | (E > 5)).any():
         raise ParameterError("exponents outside 1..5")
     return E
 
 
 def _packed_phases(E: np.ndarray) -> np.ndarray:
-    """For exponent batches E (.. x B x k), the (.. x 6**k x B) table whose entry
-    at residue code c is 1 << (_LANE * phase), phase = sum_i E_i * digit_i(c) mod 6."""
-    k = E.shape[-1]
+    """For exponent rows E (B x k), the 6**k x B table whose entry at residue
+    code c is 1 << (_LANE * phase), phase = sum_i E_i * digit_i(c) mod 6."""
+    k = E.shape[1]
     digits = np.arange(6**k)[:, None] // 6 ** np.arange(k) % 6
-    phase = (E[..., None, :, :] * digits[:, None, :]).sum(axis=-1) % 6
+    phase = digits @ E.T % 6
     return np.left_shift(np.uint64(1), (_LANE * phase).astype(np.uint64))
 
 
-def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rows, gather): the exponent rows to evaluate, and the index that maps
-    their counts, flattened to rows x 6, back to E's B x 6 counts.
+def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, gather): one exponent row per class of equal or conjugate rows of
+    E, and the index that maps their counts, flattened to rows x 6, back to
+    E's B x 6 counts.
 
     The conjugate row 6 - m has the negated phases of row m, so its counts are
-    m's mirrored (phase r -> -r mod 6).  Rows shared by all tuples are reduced
-    to one row per class of equal or conjugate rows; per-tuple rows are kept
-    as they are (gather is None).
+    m's mirrored (phase r -> -r mod 6).
     """
-    if len(E) > 1:
-        return E, None
-    E = E[0]
     first = (E != 3).argmax(axis=1)  # the first entry the conjugation changes
     flip = E[np.arange(len(E)), first] > 3
     canon = np.where(flip[:, None], 6 - E, E)
     # one base-6 code per row, first entry most significant: a 1-d sort in row order
     codes = canon @ 6 ** np.arange(E.shape[1] - 1, -1, -1)
     _, first_of, back = np.unique(codes, return_index=True, return_inverse=True)
-    rows = canon[first_of]
     phase = np.where(flip[:, None], -np.arange(6) % 6, np.arange(6))
-    return rows[None], 6 * back.reshape(-1, 1) + phase
+    return canon[first_of], 6 * back.reshape(-1, 1) + phase
 
 
 def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
     """Yield (lo, hi, counts) for consecutive chunks of the tuples S[lo:hi]:
     counts[t, b, r] is the number of terms n in 1..window-1 of tuple lo + t
-    whose exponent row b has phase r.
+    whose exponent row E[b] has phase r.
 
     The residues ind(n + d_i) mod 6 of a term are its k base-6 digits; a term
     outside its window (first digit) or with a vanishing argument (that
-    argument's digit) gets an out-of-range digit and counts nowhere.  Phase counts are summed as packed words, one
-    10-bit lane per phase, over pieces of at most _PIECE terms.  When the
-    window is long next to the 6**k digit codes, each tuple's codes are
-    histogrammed and the histogram is multiplied by a table of packed phases;
-    otherwise each term's phase is formed from its digits and packed.
+    argument's digit) gets an out-of-range digit and counts nowhere.  Phase
+    counts are summed as packed words, one 10-bit lane per phase, over pieces
+    of at most _PIECE terms.  When the window is long next to the 6**k digit
+    codes, each tuple's codes are histogrammed and the histogram is multiplied
+    by a table of packed phases; otherwise each term's phase is formed from its
+    digits and packed.
     """
     p = params.p
     T, k = S.shape
-    B = E.shape[1]
+    B = len(E)
     K = 6**k
     # terms n = 1..W, masked per window, summed in pieces of L <= _PIECE terms
     W = max(1, int(windows.max(initial=1)) - 1)
@@ -178,11 +173,11 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
     ind6[p] = out
     per_tuple = W * k + pieces * B * 7
     if by_code:
-        per_tuple += pieces * K + (K * B * k if len(E) > 1 else 0)
-        shared = _packed_phases(E[0]) if len(E) == 1 else None
+        per_tuple += pieces * K
+        table = _packed_phases(E)
     else:
         per_tuple += W * B
-        Et = np.ascontiguousarray(E.transpose(0, 2, 1), dtype=dtype)  # rows along the last axis
+        Et = np.ascontiguousarray(E.T, dtype=dtype)  # rows along the last axis
         lane = np.zeros(11 * out, dtype=np.uint64)
         lane[:out] = np.left_shift(np.uint64(1), (_LANE * (np.arange(out) % 6)).astype(np.uint64))
     step = max(1, _BLOCK_CELLS // per_tuple)
@@ -195,12 +190,11 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
             slot = (n - 1) // L + pieces * np.arange(hi - lo)[:, None]
             hist = np.bincount((codes + (K + 1) * slot).ravel(), minlength=(K + 1) * slot.size // L)
             hist = hist.reshape(hi - lo, pieces, K + 1)[..., :K].astype(np.uint64)
-            packed = np.matmul(hist, shared if shared is not None else _packed_phases(E[lo:hi]))
+            packed = np.matmul(hist, table)
         else:
-            Ec = Et if len(Et) == 1 else Et[lo:hi]
-            phase = Ec[:, 0, :, None] * digits[:, None, 0, :]
+            phase = Et[0, :, None] * digits[:, None, 0, :]
             for i in range(1, k):
-                phase += Ec[:, i, :, None] * digits[:, None, i, :]
+                phase += Et[i, :, None] * digits[:, None, i, :]
             packed = lane[phase].reshape(hi - lo, -1, pieces, L).sum(axis=3).transpose(0, 2, 1)
         lanes = packed[..., None] >> np.arange(0, 6 * _LANE, _LANE, dtype=np.uint64)
         yield lo, hi, (lanes & np.uint64(_PIECE)).sum(axis=1).astype(np.int64)
@@ -216,29 +210,25 @@ def phase_counts(params: SexticParams, exponents, shifts, window):
     """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).
 
     `shifts` is a T x k array of shift tuples, each strictly increasing residues
-    below p, and `window` one window in 1..p per tuple (or one for all); window
-    = p gives the complete sum.  `exponents` is a B x k array of exponent rows
-    in 1..5 shared by every tuple, or a T x B x k array of rows per tuple.
+    below p (one tuple is the 1 x k batch), and `window` one window in 1..p per
+    tuple (or one for all); window = p gives the complete sum.  `exponents` is
+    a B x k array of exponent rows in 1..5, every row summed over every tuple.
     Terms where some n + d_i vanishes mod p contribute 0 (chi(0) = 0).  Returns
     (counts, skipped): counts[t, b, r] is the number of terms of tuple t, row
     b with phase r, and skipped[t] the number of n with a vanishing argument.
-    A 1-d `shifts` is the one-tuple batch, returned as (B x 6 counts, int).
     """
     S, windows = _checked_shifts(params, shifts, window)
-    E = _checked_exponents(exponents, *S.shape)
+    E = _checked_exponents(exponents, S.shape[1])
     rows, gather = _conjugate_classes(E)
-    counts = np.empty((len(S), E.shape[1], 6), dtype=np.int64)
+    counts = np.empty((len(S), len(E), 6), dtype=np.int64)
     for lo, hi, c in _count_chunks(params, rows, S, windows):
-        counts[lo:hi] = c if gather is None else c.reshape(hi - lo, -1)[:, gather]
-    skipped = _skipped(params.p, S, windows)
-    if np.ndim(shifts) == 1:
-        return counts[0], int(skipped[0])
-    return counts, skipped
+        counts[lo:hi] = c.reshape(hi - lo, -1)[:, gather]
+    return counts, _skipped(params.p, S, windows)
 
 
 def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
     """|sum| <= its Weil-type bound, for each (tuple, exponent row) of a
-    `phase_counts` batch: a T x B array, or B for a 1-d `shifts`.
+    `phase_counts` batch: a T x B array.
 
     Complete sums (window = p) are held to the exact bound (k-1)*sqrt(p) + k;
     incomplete sums to the desk-scale explicit form k*sqrt(p)*(1 + ln p)
@@ -247,18 +237,18 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
     the whole batch.
     """
     S, windows = _checked_shifts(params, shifts, window)
-    E = _checked_exponents(exponents, *S.shape)
+    E = _checked_exponents(exponents, S.shape[1])
     p, k = params.p, S.shape[1]
     bound = np.where(windows == p, (k - 1) * math.sqrt(p) + k,
                      k * math.sqrt(p) * (1.0 + math.log(p)))
     rows, gather = _conjugate_classes(E)
-    ok = np.empty((len(S), E.shape[1]), dtype=bool)
+    ok = np.empty((len(S), len(E)), dtype=bool)
     for lo, hi, counts in _count_chunks(params, rows, S, windows):
         mag = np.sqrt(zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0))))
         within = mag <= bound[lo:hi, None] + 1e-9
         # a row and its conjugate have sums of equal modulus
-        ok[lo:hi] = within if gather is None else within[:, gather[:, 0] // 6]
-    return ok[0] if np.ndim(shifts) == 1 else ok
+        ok[lo:hi] = within[:, gather[:, 0] // 6]
+    return ok
 
 
 @dataclass(frozen=True)
@@ -288,8 +278,8 @@ class CorrelationExpansion:
 
     def evaluate_exact(self) -> tuple[int, int]:
         """Numerator of the expansion value as a + b*w (denominator 3**k)."""
-        counts, _ = phase_counts(self.params, self.exponents, self.shifts, self.window)
-        a, b = zeta6_mul(np.array(self.coeffs).T, reduce_zeta6(counts.T))
+        counts, _ = phase_counts(self.params, self.exponents, [self.shifts], self.window)
+        a, b = zeta6_mul(np.array(self.coeffs).T, reduce_zeta6(counts[0].T))
         return int(a.sum()), int(b.sum())
 
 
@@ -297,9 +287,7 @@ def expand_correlation_to_charsums(
     params: SexticParams, shifts, window: int
 ) -> CorrelationExpansion:
     """Expansion of the order-k correlation sum of the Hall sequence."""
-    if np.ndim(shifts) != 1:
-        raise ParameterError("an expansion holds one shift tuple")
-    S, _ = _checked_shifts(params, shifts, window)
+    S, _ = _checked_shifts(params, [shifts], window)
     shifts = tuple(S[0].tolist())
     rows = tuple(product(range(1, 6), repeat=len(shifts)))
     coeffs = tuple(reduce(zeta6_mul, (FACTOR_COEFFS[m] for m in ms), (1, 0)) for ms in rows)

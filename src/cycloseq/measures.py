@@ -367,6 +367,8 @@ def correlation_measure_sampled(
         raise ParameterError(f"order k={k} outside 1..{N}")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if rng_seed < 0:
+        raise ParameterError(f"seed must be >= 0; got {rng_seed}")
 
     total = math.comb(N, k)
     if samples >= total:

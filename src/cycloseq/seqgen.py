@@ -181,10 +181,7 @@ def dhl_sequence(p: int, g: int, length: int) -> BitSequence:
         raise ParameterError(f"g={g} is not a primitive root mod {p}")
     if length < 1:
         raise ParameterError("length must be >= 1")
-    fourth = {pow(x, 4, p) for x in range(1, p)}
-    ones = fourth | {g * x % p for x in fourth}
-    core = np.zeros(p, dtype=np.uint8)
-    core[sorted(ones)] = 1
+    core = _core_from_classes(PrimeParams.create(p, g), 4, frozenset({0, 1}))
     return BitSequence.create(_extend(core, length), period=p, label=f"dhl(p={p},g={g})")
 
 

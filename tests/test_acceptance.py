@@ -229,11 +229,12 @@ def test_criterion_09_charsum_reconstruction_and_weil():
             for k in (1, 2):
                 bound_sq = ((k - 1) * math.sqrt(p) + k) ** 2
                 batch = list(product(range(1, 6), repeat=k))
-                for shifts in combinations(range(p), k):
-                    counts, skipped = phase_counts(params, batch, shifts, p)
-                    assert counts.shape == (len(batch), 6)
-                    assert (counts.sum(axis=1) + skipped == p - 1).all()
-                    for row, ms in zip(counts, batch):
+                tuples = list(combinations(range(p), k))
+                counts, skipped = phase_counts(params, batch, tuples, p)
+                assert counts.shape == (len(tuples), len(batch), 6)
+                assert (counts.sum(axis=2) + skipped[:, None] == p - 1).all()
+                for shifts, rows in zip(tuples, counts):
+                    for row, ms in zip(rows, batch):
                         norm_sq = zeta6_norm_sq(reduce_zeta6(row))
                         assert norm_sq <= bound_sq + 1e-9, (p, shifts, ms)
 

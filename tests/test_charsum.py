@@ -39,9 +39,9 @@ def zeta6_conj(x):
 
 def one_sum(params, exponents, shifts, window):
     """(counts, exact a + b*w, skipped) of one sum, as a one-row kernel batch."""
-    counts, skipped = phase_counts(params, [exponents], shifts, window)
-    counts = tuple(int(c) for c in counts[0])
-    return counts, reduce_zeta6(counts), skipped
+    counts, skipped = phase_counts(params, [exponents], [shifts], window)
+    counts = tuple(int(c) for c in counts[0, 0])
+    return counts, reduce_zeta6(counts), int(skipped[0])
 
 
 def _character_sum_reference(params, exponents, shifts, window):
@@ -83,18 +83,18 @@ def kernel_batches(draw):
 @settings(max_examples=200, deadline=None)
 def test_phase_counts_match_reference(case):
     params, batch, shifts, window = case
-    counts, skipped = phase_counts(params, batch, shifts, window)
-    assert counts.shape == (len(batch), 6)
-    for row, ms in zip(counts, batch):
+    counts, skipped = phase_counts(params, batch, [shifts], window)
+    assert counts.shape == (1, len(batch), 6) and skipped.shape == (1,)
+    for row, ms in zip(counts[0], batch):
         ref_counts, ref_skipped = _character_sum_reference(params, ms, shifts, window)
         assert row.tolist() == ref_counts
-        assert skipped == ref_skipped
+        assert skipped[0] == ref_skipped
 
 
 @st.composite
 def tuple_batches(draw):
     """Several shift tuples of one k with their windows (1 and p among them
-    often), and exponent rows shared by all tuples or drawn per tuple."""
+    often), and exponent rows shared by all tuples."""
     p = draw(st.sampled_from(sorted(SEXTIC)))
     k = draw(st.integers(1, 3))
     T = draw(st.integers(1, 6))
@@ -103,30 +103,24 @@ def tuple_batches(draw):
     windows = draw(st.lists(st.one_of(st.just(1), st.just(p), st.integers(1, p)),
                             min_size=T, max_size=T))
     row = st.tuples(*[st.integers(1, 5)] * k)
-    B = draw(st.integers(1, 6))
-    rows = [draw(st.lists(row, min_size=B, max_size=B)) for _ in range(T)]
-    if draw(st.booleans()):
-        rows = [rows[0]] * T
-        exponents = rows[0]
-    else:
-        exponents = rows
+    exponents = draw(st.lists(row, min_size=1, max_size=6))
     block = draw(st.sampled_from([1, 50, charsum._BLOCK_CELLS]))
-    return SEXTIC[p], exponents, rows, shifts, windows, block
+    return SEXTIC[p], exponents, shifts, windows, block
 
 
 @given(tuple_batches())
 @settings(max_examples=200, deadline=None)
 def test_batched_tuples_match_reference(case):
-    params, exponents, rows, shifts, windows, block = case
+    params, exponents, shifts, windows, block = case
     # a small chunk constant puts chunk edges between (at 1, inside) the tuples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_BLOCK_CELLS", block)
         counts, skipped = phase_counts(params, exponents, shifts, windows)
         ok = weil_verdicts(params, exponents, shifts, windows)
-    T, B = len(shifts), len(rows[0])
+    T, B = len(shifts), len(exponents)
     assert counts.shape == (T, B, 6) and skipped.shape == (T,) and ok.shape == (T, B)
     for t, (ds, window) in enumerate(zip(shifts, windows)):
-        for b, ms in enumerate(rows[t]):
+        for b, ms in enumerate(exponents):
             ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
             assert counts[t, b].tolist() == ref_counts
             assert skipped[t] == ref_skipped
@@ -151,15 +145,18 @@ def test_long_windows_are_summed_in_pieces():
             assert skipped[t] == ref_skipped
 
 
-def test_single_tuple_is_the_one_row_batch():
+def test_single_tuple_must_be_a_one_tuple_batch():
     batch = list(product(range(1, 6), repeat=2))
-    counts, skipped = phase_counts(P31, batch, (3, 17), 20)
-    assert counts.shape == (25, 6) and counts.dtype == np.int64
-    assert type(skipped) is int
-    many, many_skipped = phase_counts(P31, batch, [(3, 17)], [20])
-    assert np.array_equal(counts, many[0]) and skipped == many_skipped[0]
-    ok = weil_verdicts(P31, batch, (3, 17), 20)
-    assert ok.shape == (25,) and np.array_equal(ok, weil_verdicts(P31, batch, [(3, 17)], 20)[0])
+    counts, skipped = phase_counts(P31, batch, [(3, 17)], 20)
+    assert counts.shape == (1, 25, 6) and counts.dtype == np.int64 and skipped.shape == (1,)
+    assert weil_verdicts(P31, batch, [(3, 17)], 20).shape == (1, 25)
+    # a bare tuple, and exponent rows given per tuple, are refused
+    for exponents, shifts in ((batch, (3, 17)), ([batch], [(3, 17)]),
+                              ([batch, batch], [(3, 17), (4, 5)])):
+        with pytest.raises(ParameterError):
+            phase_counts(P31, exponents, shifts, 20)
+        with pytest.raises(ParameterError):
+            weil_verdicts(P31, exponents, shifts, 20)
 
 
 def test_one_bad_tuple_among_good_ones_is_refused():
@@ -177,16 +174,11 @@ def test_one_bad_tuple_among_good_ones_is_refused():
             phase_counts(P13, [(1, 2)], shifts, windows)
         with pytest.raises(ParameterError):
             weil_verdicts(P13, [(1, 2)], shifts, windows)
-    # per-tuple exponent rows: one batch per tuple, each in 1..5
-    with pytest.raises(ParameterError):
-        phase_counts(P13, [[(1, 2)], [(1, 2)]], good, 13)
-    with pytest.raises(ParameterError):
-        phase_counts(P13, [[(1, 2)], [(1, 6)], [(1, 2)]], good, 13)
 
 
 def test_phase_counts_shape_mismatch():
     with pytest.raises(ParameterError):
-        phase_counts(P13, [(1, 2)], (0,), 13)
+        phase_counts(P13, [(1, 2)], [(0,)], 13)
 
 
 def _reference_bound_ok(params, ms, shifts, window):
@@ -205,12 +197,12 @@ def test_weil_verdicts_match_reference():
         batch = list(product(range(1, 6), repeat=k))
         for shifts in ((0, 5)[:k], (3, 12)[:k]):
             for window in (2, 7, 13):
-                ok = weil_verdicts(P13, batch, shifts, window)
+                ok = weil_verdicts(P13, batch, [shifts], window)
                 ref = [_reference_bound_ok(P13, ms, shifts, window) for ms in batch]
-                assert ok.tolist() == ref
+                assert ok.tolist() == [ref]
     # a principal row (exponent 6) is refused as an exponent outside 1..5
     with pytest.raises(ParameterError):
-        weil_verdicts(P13, [(1,), (6,)], (0,), 13)
+        weil_verdicts(P13, [(1,), (6,)], [(0,)], 13)
 
 
 def test_zeta6_arithmetic():
@@ -240,7 +232,7 @@ def test_query_validation():
         ((), (), 13),
     ):
         with pytest.raises(ParameterError):
-            phase_counts(P13, [exponents], shifts, window)
+            phase_counts(P13, [exponents], [shifts], window)
 
 
 def test_complete_single_character_sums_vanish():
@@ -281,10 +273,10 @@ def test_conjugate_symmetry():
 def test_weil_complete_exhaustive_p13():
     for k in (1, 2):
         batch = list(product(range(1, 6), repeat=k))
-        for shifts in combinations(range(13), k):
-            ok = weil_verdicts(P13, batch, shifts, 13)
-            assert ok.shape == (len(batch),)
-            assert ok.all(), shifts
+        tuples = list(combinations(range(13), k))
+        ok = weil_verdicts(P13, batch, tuples, 13)
+        assert ok.shape == (len(tuples), len(batch))
+        assert ok.all(), [tuples[t] for t in np.flatnonzero(~ok.all(axis=1))]
 
 
 def test_weil_example_bound():
@@ -299,7 +291,7 @@ def test_weil_incomplete_random_p31():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(2, 32))
-        assert weil_verdicts(P31, [ms], shifts, window).tolist() == [True]
+        assert weil_verdicts(P31, [ms], [shifts], window).tolist() == [[True]]
 
 
 def test_factor_coefficients_reproduce_sign():

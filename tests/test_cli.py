@@ -250,6 +250,49 @@ def test_measure_autocorr_not_an_integer(tmp_path, capsys):
     assert err.strip().startswith("error:") and "--autocorr" in err
 
 
+def test_generate_length_zero_is_refused(tmp_path, capsys):
+    out = tmp_path / "x.seq"
+    code, stdout, err = run(capsys, "generate", "--construction", "hall", "--p", "13",
+                            "--length", "0", "--output", str(out))
+    assert code == EXIT_PARAM
+    assert stdout == "" and err.startswith("error:") and not out.exists()
+
+
+def test_measure_period_zero_is_refused(tmp_path, capsys):
+    seqfile = tmp_path / "s.seq"
+    run(capsys, "generate", "--construction", "legendre", "--p", "7", "--output", str(seqfile))
+    code, stdout, err = run(capsys, "measure", "--input", str(seqfile), "--period", "0",
+                            "--lc-profile", "--no-cache")
+    assert code == EXIT_PARAM
+    assert stdout == "" and "period must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--construction", "hall", "--p", "13", "--format", "csv"),
+    ("generate", "--construction", "hall", "--p", "13", "--seed", "1"),
+    ("generate", "--construction", "hall", "--p", "13", "--budget", "5"),
+    ("generate", "--construction", "hall", "--p", "13", "--cache", "c.jsonl"),
+    ("generate", "--construction", "hall", "--p", "13", "--no-cache"),
+    ("verify", "--suite", "diffset", "--primes", "13", "--format", "csv"),
+    ("verify", "--suite", "diffset", "--primes", "13", "--cache", "c.jsonl"),
+    ("verify", "--suite", "diffset", "--primes", "13", "--no-cache"),
+    ("scan", "--ck", "1", "--primes", "13", "--seed", "1"),
+    ("scan", "--ck", "1", "--primes", "13", "--cache", "c.jsonl"),
+    ("baseline", "--n", "8", "--k", "1", "--cache", "c.jsonl"),
+    ("baseline", "--n", "8", "--k", "1", "--no-cache"),
+])
+def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_PARAM
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_scan_accepts_no_cache(capsys):
+    args = ("scan", "--ck", "1", "--primes", "13")
+    assert run(capsys, *args, "--no-cache") == run(capsys, *args)
+
+
 def test_measure_sampled_zero_is_refused(capsys):
     code, stdout, err = run(
         capsys, "measure", "--construction", "hall", "--p", "13", "--ck", "1",
@@ -371,6 +414,39 @@ def test_verify_weil_kmax_above_p(capsys):
     assert "suite=weil: 1 passed, 0 failed" in stdout
 
 
+def test_weil_random_queries_read_their_own_row(monkeypatch, capsys):
+    # The queries of one k share a batch of distinct exponent rows.  A stub
+    # passes a query only at its own row (and only for some rows), so a query
+    # that read another row's verdict would lower the reported count.
+    p, kmax, queries, seed = 31, 3, 300, 11
+    def passes(ms):
+        return sum(m * 7**i for i, m in enumerate(ms)) % 3 != 0
+
+    rng = np.random.default_rng(seed)
+    own = {}
+    expected = 0
+    for _ in range(queries):
+        k = int(rng.integers(1, kmax + 1))
+        shifts = tuple(np.sort(rng.choice(p, size=k, replace=False)).tolist())
+        ms = tuple(rng.integers(1, 6, size=k).tolist())
+        window = int(rng.integers(2, p + 1))
+        own.setdefault((shifts, window), set()).add(ms)
+        expected += passes(ms)
+
+    def stub(params, exponents, shifts, window):
+        windows = np.broadcast_to(window, len(shifts))
+        return np.array([[tuple(ms) in own.get((tuple(ds), int(w)), ()) and passes(tuple(ms))
+                          for ms in exponents.tolist()]
+                         for ds, w in zip(np.asarray(shifts).tolist(), windows)], dtype=bool)
+
+    monkeypatch.setattr(cli.charsum, "weil_verdicts", stub)
+    _, stdout, _ = run(capsys, "verify", "--suite", "weil", "--primes", str(p), "--kmax",
+                       str(kmax), "--queries", str(queries), "--seed", str(seed))
+    line = next(l for l in stdout.splitlines() if "weil incomplete" in l)
+    assert 0 < expected < queries
+    assert line.endswith(f"  {expected}/{queries} within k*sqrt(p)*(1+ln p)"), line
+
+
 def test_verify_weil_refused_over_budget(capsys):
     # p = 31 at the default --kmax 6: about 3.7e11 window evaluations
     code, stdout, err = run(capsys, "verify", "--suite", "weil", "--primes", "31")
@@ -399,9 +475,14 @@ def test_verify_weil_budget_counts_every_prime(capsys):
         ("verify", "--suite", "diffset", "--primes", "13,x"),
         ("measure", "--construction", "cyclotomic", "--p", "13", "--m", "6",
          "--classes", "0,x", "--lc-profile", "--no-cache"),
+        ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--sampled", "5",
+         "--seed", "-1", "--no-cache"),
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--seed", "-1"),
+        ("baseline", "--n", "16", "--k", "1", "--trials", "2", "--seed", "-1"),
     ],
     ids=["weil-kmax-0", "queries-negative", "bw06-kmax-0", "primes-upto-abc", "primes-13-x",
-         "classes-0-x"],
+         "classes-0-x", "measure-sampled-seed-negative", "weil-seed-negative",
+         "baseline-seed-negative"],
 )
 def test_bad_input_is_refused(argv, capsys):
     code, stdout, err = run(capsys, *argv)

@@ -30,8 +30,8 @@ def chi_phase(params, order, j, n):
     The character is chi**(j*6/order) with chi(g) = w, evaluated as the
     one-term character sum at argument n.
     """
-    counts, _ = phase_counts(params, [(j * 6 // order,)], (n - 1,), 2)
-    return counts[0].tolist().index(1)
+    counts, _ = phase_counts(params, [(j * 6 // order,)], [(n - 1,)], 2)
+    return counts[0, 0].tolist().index(1)
 
 
 def test_is_prime_small():
@@ -163,8 +163,8 @@ def test_character_phase_zero_argument():
     with pytest.raises(ZeroArgument):
         p13.ind(13)
     # chi(0) = 0: the term at a vanishing argument has no phase
-    counts, skipped = phase_counts(p13, [(1,)], (12,), 2)
-    assert counts.tolist() == [[0] * 6] and skipped == 1
+    counts, skipped = phase_counts(p13, [(1,)], [(12,)], 2)
+    assert counts.tolist() == [[[0] * 6]] and skipped.tolist() == [1]
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 61, 97])

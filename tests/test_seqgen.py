@@ -14,7 +14,7 @@ from cycloseq.errors import (
     ParameterError,
     ZeroArgument,
 )
-from cycloseq.ntheory import PrimeParams, SexticParams, is_prime, reduce_zeta6
+from cycloseq.ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root, reduce_zeta6
 from cycloseq.seqgen import (
     HALL_CLASSES,
     BitSequence,
@@ -217,8 +217,22 @@ def test_dhl_examples():
 def test_dhl_rejects_bad_prime():
     with pytest.raises(BadPrime):
         dhl_sequence(7, 3, 7)  # 7 % 4 == 3
-    with pytest.raises(ParameterError):
-        dhl_sequence(13, 3, 13)  # 3 is not a primitive root mod 13
+    for g in (3, 0, 13, -2):  # not a primitive root, or outside 1..12
+        with pytest.raises(ParameterError):
+            dhl_sequence(13, g, 13)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
+def test_dhl_matches_fourth_power_cosets(p):
+    # C0 = the nonzero fourth powers, C1 = g * C0, for every primitive root g
+    fourth = {pow(x, 4, p) for x in range(1, p)}
+    for g in range(1, p):
+        if not is_primitive_root(g, p):
+            continue
+        ones = fourth | {g * x % p for x in fourth}
+        seq = dhl_sequence(p, g, 2 * p)
+        assert [n for n in range(p) if seq.bits[n]] == sorted(ones), g
+        assert seq.to01() == seq.to01()[:p] * 2 and seq.label == f"dhl(p={p},g={g})"
 
 
 def test_cyclotomic_specializations():
