@@ -111,12 +111,13 @@ def _build_sequence(args) -> seqgen.BitSequence:
 def _load_sequence(args) -> seqgen.BitSequence:
     if args.input:
         seq = seqgen.read_sequence(args.input)
-        if args.period is not None:
-            seq = seqgen.BitSequence.create(seq.bits, period=args.period, label=seq.label)
-        return seq
-    if not args.construction or not args.p:
+    elif args.construction and args.p:
+        seq = _build_sequence(args)
+    else:
         raise ParameterError("need --input FILE or --construction/--p")
-    return _build_sequence(args)
+    if args.period is not None:
+        seq = seqgen.BitSequence.create(seq.bits, period=args.period, label=seq.label)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def _weil_suite(args):
         params = ntheory.SexticParams.create(p, g_policy="smallest")
         bad = 0
         total = 0
-        for k in range(1, args.kmax + 1):
+        for k in range(1, min(args.kmax, p) + 1):  # k > p has no shift tuple
             exponents = np.array(list(product(range(1, 6), repeat=k)))
             tuples = np.fromiter(chain.from_iterable(combinations(range(p), k)), dtype=np.int64,
                                  count=math.comb(p, k) * k).reshape(-1, k)
@@ -472,6 +473,9 @@ def main(argv=None) -> int:
     # at call time, so rebinding one (a monkeypatch, a tracer) still reaches it.
     args = _make_parser().parse_args(argv)
     try:
+        # measure, verify, scan and baseline take --budget
+        if getattr(args, "budget", 1) < 1:
+            raise ParameterError(f"--budget must be >= 1; got {args.budget}")
         return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,8 +31,9 @@ the branch.
 
 The (d_{k-1}, d_k) rows of consecutive heads are evaluated together, in
 blocks of at most _BLOCK_CELLS row bytes; a head's rows are split across
-blocks where they do not fit, so besides the packed rows (N^2 / 4 bytes) the
-memory a call needs does not grow with N.  The running best rises only when
+blocks where they do not fit.  Each block gathers its rows from one packed
+copy of the word (the 8-bit window at each of about 2N positions), so a call
+needs O(N + _BLOCK_CELLS) memory.  The running best rises only when
 a block is evaluated, and the cuts are re-read after each block.  A cut made
 against an older, lower best evaluates more patterns but never drops one
 that attains the final maximum.  While best is still the trivial 1, each head
@@ -44,8 +45,7 @@ steps evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,8 +183,8 @@ def _prefix_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _PREFIX_SUM, _PREFIX_MAX, _PREFIX_MIN = _prefix_tables()
-# Cells (row bytes) per evaluated block: bounds the block's memory and how long
-# the cuts go stale between updates of the running best.
+# Cells (row bytes) per evaluated block: bounds the memory a block adds to the
+# packed word and how long the cuts go stale between updates of the best.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -194,28 +194,25 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:
-    """Row s, s < N: bits s..s+N-1 packed little-endian, zero past the word.
+    """Row s, s < N: bits s..s+N-1 packed little-endian, zero past the word, as
+    an (N, ceil(N / 8)) view over one packed copy of the word.
 
     Each uint16 cell holds one byte of the row in its low half and, in its high
     half, how many of that byte's steps a pattern whose last shift is s has
     (N - s - 8j for byte j, clipped to 0..8), so a cell is its own index into
-    the flattened prefix tables.
+    the flattened prefix tables.  Both halves depend on s + 8j alone, so cell
+    [s, j] is entry s + 8j of one array: the byte of bits i..i+7 at entry i.
     """
     N = bits.size
     nb = -(-N // 8)
-    ext = np.zeros(8 * (2 * nb + 1), dtype=np.uint8)
+    ext = np.zeros(N + 8 * nb + 7, dtype=np.uint8)
     ext[:N] = bits
-    # packed[r, g] is byte g of the bits shifted by r, so row 8g + r is
-    # packed[r, g : g + nb]; no (N, N) array of single bits is built.  The
-    # strided views are ndarrays over the buffers, which checks their bounds.
-    packed = np.packbits(np.ndarray((8, 16 * nb), np.uint8, ext, 0, (1, 1)), axis=1,
-                         bitorder="little")
-    rows = np.ndarray((nb, 8, nb), np.uint8, packed, 0, (1, 2 * nb, 1))
-    rows = rows.reshape(8 * nb, nb)[:N].astype(np.uint16)
-    valid = np.zeros(N + 8 * nb, dtype=np.uint16)
-    valid[:N] = np.minimum(np.arange(N, 0, -1), 8) << 8
-    rows |= np.ndarray((N, nb), np.uint16, valid, 0, (2, 16))  # [s, j] = valid[s + 8j]
-    return rows
+    # No (N, N) array of single bits and no (N, nb) table is built.  The strided
+    # views are ndarrays over the buffers, which checks their bounds.
+    windows = np.packbits(np.ndarray((N + 8 * nb, 8), np.uint8, ext, 0, (1, 1)), axis=1,
+                          bitorder="little").ravel().astype(np.uint16)
+    windows[:N] |= np.minimum(np.arange(N, 0, -1), 8).astype(np.uint16) << 8
+    return np.ndarray((N, nb), np.uint16, windows, 0, (2, 16))  # [s, j] = windows[s + 8j]
 
 
 def _spreads(cells: np.ndarray) -> np.ndarray:
@@ -358,9 +355,10 @@ def correlation_measure_sampled(
 ) -> CorrelationReport:
     """Lower bound on C_k from randomly sampled shift tuples (exact inner pass).
 
-    Deterministic for a fixed seed; when `samples` covers the whole tuple
-    space the tuples are enumerated instead of drawn, so the value matches the
-    exhaustive measure (the report still carries exhaustive=False).
+    Deterministic for a fixed seed.  When `samples` covers the whole tuple
+    space (samples >= binom(N, k)) nothing is drawn: the exact measure runs
+    under a budget of its own nominal count, so it never refuses, and its value
+    and witness are returned with exhaustive=False.
     """
     N = seq.length
     if not 1 <= k <= N:
@@ -372,16 +370,12 @@ def correlation_measure_sampled(
 
     total = math.comb(N, k)
     if samples >= total:
-        tuples = combinations(range(N), k)
-    else:
-        rng = np.random.default_rng(rng_seed)
-        tuples = (
-            tuple(sorted(int(d) for d in rng.choice(N, size=k, replace=False)))
-            for _ in range(samples)
-        )
+        return replace(correlation_measure_exact(seq, k, budget=total * N), exhaustive=False)
 
+    rng = np.random.default_rng(rng_seed)
     best = None
-    for D in tuples:
+    for _ in range(samples):
+        D = tuple(sorted(int(d) for d in rng.choice(N, size=k, replace=False)))
         value, m = correlation_for_shifts(seq, D)
         cand = (-value, D, m)
         if best is None or cand < best:

@@ -43,7 +43,6 @@ class MeasureRecord:
     params: dict
     value: object
     witness: dict | None = None
-    kernel_values: dict | None = None
     timestamp: str = ""
     toolkit_version: str = TOOLKIT_VERSION
     cache_key: str | None = None  # see cache_key(); None for records never cached
@@ -67,7 +66,6 @@ class MeasureRecord:
             base = [self.sequence_label, self.measure, _canonical(self.params)]
             tail = [
                 _canonical(self.witness) if self.witness else "",
-                _canonical(self.kernel_values) if self.kernel_values else "",
                 self.timestamp,
                 self.toolkit_version,
             ]
@@ -78,7 +76,6 @@ class MeasureRecord:
                 "key",
                 "value",
                 "witness",
-                "kernel_values",
                 "timestamp",
                 "toolkit_version",
             ]

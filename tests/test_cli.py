@@ -414,6 +414,22 @@ def test_verify_weil_kmax_above_p(capsys):
     assert "suite=weil: 1 passed, 0 failed" in stdout
 
 
+def test_verify_weil_complete_sums_stop_at_p(monkeypatch, capsys):
+    # 5**k exponent rows for k > p would check no sum: the loop must not build them
+    orders = []
+    verdicts = cli.charsum.weil_verdicts
+
+    def recording(params, exponents, shifts, window):
+        orders.append(exponents.shape[1])
+        return verdicts(params, exponents, shifts, window)
+
+    monkeypatch.setattr(cli.charsum, "weil_verdicts", recording)
+    code, stdout, _ = run(capsys, "verify", "--suite", "weil", "--primes", "7", "--kmax", "8",
+                          "--queries", "0")
+    assert code == EXIT_OK and "weil complete p=7 k<=8" in stdout
+    assert orders == list(range(1, 8))
+
+
 def test_weil_random_queries_read_their_own_row(monkeypatch, capsys):
     # The queries of one k share a batch of distinct exponent rows.  A stub
     # passes a query only at its own row (and only for some rows), so a query
@@ -479,16 +495,38 @@ def test_verify_weil_budget_counts_every_prime(capsys):
          "--seed", "-1", "--no-cache"),
         ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--seed", "-1"),
         ("baseline", "--n", "16", "--k", "1", "--trials", "2", "--seed", "-1"),
+        ("scan", "--ck", "2", "--primes", "upto:20", "--budget", "-1"),
+        ("scan", "--ck", "2", "--primes", "upto:20", "--budget", "0"),
+        ("measure", "--construction", "hall", "--p", "13", "--ck", "2", "--budget", "-1",
+         "--no-cache"),
+        ("measure", "--construction", "hall", "--p", "13", "--ck", "2", "--budget", "0",
+         "--no-cache"),
+        ("measure", "--construction", "cyclotomic", "--p", "13", "--m", "6", "--classes",
+         "0,1,3", "--length", "20", "--period", "5", "--lc-profile", "--no-cache"),
     ],
     ids=["weil-kmax-0", "queries-negative", "bw06-kmax-0", "primes-upto-abc", "primes-13-x",
          "classes-0-x", "measure-sampled-seed-negative", "weil-seed-negative",
-         "baseline-seed-negative"],
+         "baseline-seed-negative", "scan-budget-negative", "scan-budget-zero",
+         "measure-budget-negative", "measure-budget-zero", "construction-period-not-wrapping"],
 )
 def test_bad_input_is_refused(argv, capsys):
     code, stdout, err = run(capsys, *argv)
     assert code == EXIT_PARAM
     assert stdout == ""
     assert err.startswith("error:")
+
+
+def test_measure_consistent_period_on_construction(capsys):
+    # the cyclotomic word has period 13: declaring it changes nothing
+    args = ("measure", "--construction", "cyclotomic", "--p", "13", "--m", "6", "--classes",
+            "0,1,3", "--length", "30", "--lc-profile", "--no-cache")
+    records = []
+    for extra in ((), ("--period", "13")):
+        code, stdout, _ = run(capsys, *args, *extra)
+        assert code == EXIT_OK
+        records.append(json.loads(stdout))
+        del records[-1]["timestamp"]
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -357,6 +358,19 @@ def test_exact_order_near_length(k):
     assert (rep.value, (rep.witness_D, rep.witness_M)) == _ck_reference(seq, k)
 
 
+def test_exact_memory_does_not_grow_with_word_squared():
+    # an (N, N / 8) table of uint16 rows alone would be 16 MB at N = 8000
+    seq = BitSequence.create(np.random.default_rng(8000).integers(0, 2, size=8000, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        rep = correlation_measure_exact(seq, 2, budget=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert correlation_for_shifts(seq, rep.witness_D) == (rep.value, rep.witness_M)
+
+
 @given(words, st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_complement_invariance(seq, k):
@@ -387,6 +401,18 @@ def test_sampled_determinism_and_bound():
 def test_sampled_saturation_matches_exact():
     rep = correlation_measure_sampled(HALL13, 1, samples=13, rng_seed=0)
     assert rep.value == 4
+
+
+@given(st.data(), biased_words(14), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_saturated_sampled_is_exact(data, seq, extra):
+    # samples covering every tuple return the exact value and witness
+    k = data.draw(st.integers(1, seq.length))
+    sampled = correlation_measure_sampled(seq, k, math.comb(seq.length, k) + extra, rng_seed=0)
+    exact = correlation_measure_exact(seq, k)
+    assert not sampled.exhaustive
+    assert ((sampled.value, sampled.witness_D, sampled.witness_M)
+            == (exact.value, exact.witness_D, exact.witness_M))
 
 
 @given(words, st.integers(1, 2), st.integers(0, 2**32 - 1))

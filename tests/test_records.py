@@ -81,6 +81,8 @@ def test_cache_get_skips_records_with_unknown_or_missing_fields(tmp_path):
     missing = dict(good, value=4)
     del missing["params"]
     cache.append(_canonical(missing))
+    # a record written while MeasureRecord still had a kernel_values field
+    cache.append(_canonical({**good, "value": 5, "kernel_values": None}))
     assert cache.get("a" * 64)["value"] == 1  # the next older record under the key
 
 
