@@ -417,6 +417,7 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
     generates the whole word: sum_i c_i s_{n-i} = 0 (mod 2) for n = L..N-1.
     """
     # C and B are bitmasks (bit i = coefficient of x**i); bit i of hist is s_{n-i}.
+    # deg C <= L at every step, so C & hist reads no bit past s_{n-L}.
     C = B = 1
     L = 0
     m = 1
@@ -424,50 +425,13 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
     values = []
     for n, bit in enumerate(seq.bits.tolist()):
         hist = (hist << 1) | bit
-        if (C & hist & ((1 << (L + 1)) - 1)).bit_count() & 1:
+        if (C & hist).bit_count() & 1:
             prev, C = C, C ^ (B << m)
             if 2 * L <= n:
                 L, B, m = n + 1 - L, prev, 0
         m += 1
         values.append(L)
     return ComplexityProfile(kind="linear", values=tuple(values), connection=C)
-
-
-class _SuffixAutomaton:
-    """Online suffix automaton over the alphabet {0, 1}."""
-
-    def __init__(self):
-        self.next: list[dict[int, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.last: int = 0
-
-    def extend(self, c: int) -> None:
-        cur = len(self.next)
-        self.next.append({})
-        self.length.append(self.length[self.last] + 1)
-        self.link.append(0)
-
-        p = self.last
-        while p >= 0 and c not in self.next[p]:
-            self.next[p][c] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-        else:
-            q = self.next[p][c]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                clone = len(self.next)
-                self.next.append(self.next[q].copy())
-                self.length.append(self.length[p] + 1)
-                self.link.append(self.link[q])
-                while p >= 0 and self.next[p].get(c) == q:
-                    self.next[p][c] = clone
-                    p = self.link[p]
-                self.link[q] = self.link[cur] = clone
-        self.last = cur
 
 
 def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
@@ -477,29 +441,61 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
     the prefix always share their successor bit (any window map is realizable
     as a polynomial over GF(2), so this matches the polynomial definition).
     Equivalently M = 1 + length of the longest factor w such that both w0 and
-    w1 occur.  Appending bit c can only create conflicts between the suffix w
-    of the old prefix and an old occurrence of w followed by 1-c; the deepest
-    suffix-chain state with a (1-c)-transition gives the longest such w.
-    M(S, N') = 0 for N' <= 1 (no constraint pairs exist).
+    w1 occur.  M(S, N') = 0 for N' <= 1 (no constraint pairs exist).
+
+    An online suffix automaton lives in four flat int lists of 2N + 1 entries:
+    the 0- and 1-transitions (0 = none: no transition enters the root), the
+    suffix links and the state lengths.  Appending bit c, the extend walk down
+    the old prefix's suffix chain is also the conflict search: the first state
+    on it with a (1-c)-transition and no c-transition holds the longest new w.
+    Past the walk's stop every state has a c-transition, so a (1-c)-transition
+    there marks a w already followed by both bits, counted before.
     """
     N = seq.length
     if N < 2:
         raise ParameterError("need N >= 2")
-    bits = [int(b) for b in seq.bits]
-    sa = _SuffixAutomaton()
-    sa.extend(bits[0])
-    conflict = -1  # length of the longest conflicting factor seen; -1 = none
-    values = [0]
-    for n in range(1, N):
-        c = bits[n]
-        d = 1 - c
-        q = sa.last
-        while q != -1 and d not in sa.next[q]:
-            q = sa.link[q]
-        if q != -1:
-            conflict = max(conflict, sa.length[q])
-        sa.extend(c)
-        values.append(max(1, conflict + 1))
+    size = 2 * N + 1
+    trans = ([0] * size, [0] * size)
+    link = [-1] * size
+    length = [0] * size
+    last = 0
+    states = 1
+    # length of the longest factor followed by both bits, 0 while there is
+    # none: M = 1 for a prefix of two or more bits without a conflict
+    conflict = 0
+    values = []
+    for c in seq.bits.tolist():
+        tc = trans[c]
+        td = trans[1 - c]
+        cur = states
+        states += 1
+        length[cur] = length[last] + 1
+        p = last
+        while p >= 0 and not tc[p]:
+            if td[p] and length[p] > conflict:
+                conflict = length[p]
+            tc[p] = cur
+            p = link[p]
+        if p < 0:
+            link[cur] = 0
+        else:
+            q = tc[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = states
+                states += 1
+                trans[0][clone] = trans[0][q]
+                trans[1][clone] = trans[1][q]
+                length[clone] = length[p] + 1
+                link[clone] = link[q]
+                while p >= 0 and tc[p] == q:
+                    tc[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        values.append(conflict + 1)
+    values[0] = 0
     return ComplexityProfile(kind="maxorder", values=tuple(values))
 
 

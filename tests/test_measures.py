@@ -126,7 +126,8 @@ def naive_linear_complexity(bits):
 
 
 def _bm_reference(bits):
-    """Berlekamp-Massey over lists of bits: the loop the bit-packed kernel replaced."""
+    """Berlekamp-Massey over lists of bits, the loop the bit-packed kernel
+    replaced: the profile and the final connection polynomial as a bitmask."""
     s = [int(b) for b in bits]
     C = [1]
     B = [1]
@@ -155,6 +156,50 @@ def _bm_reference(bits):
         else:
             m += 1
         values.append(L)
+    return tuple(values), sum(c << i for i, c in enumerate(C))
+
+
+def _moc_reference(bits):
+    """MOC profile by the dict-per-state suffix automaton the flat-list kernel
+    replaced, with its conflict search as a separate walk before each extend."""
+    nxt, link, length = [{}], [-1], [0]
+
+    def extend(last, c):
+        cur = len(nxt)
+        nxt.append({})
+        length.append(length[last] + 1)
+        link.append(0)
+        p = last
+        while p >= 0 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p >= 0:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(nxt)
+                nxt.append(nxt[q].copy())
+                length.append(length[p] + 1)
+                link.append(link[q])
+                while p >= 0 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        return cur
+
+    s = [int(b) for b in bits]
+    last = extend(0, s[0])
+    conflict = -1
+    values = [0]
+    for c in s[1:]:
+        q = last
+        while q != -1 and 1 - c not in nxt[q]:
+            q = link[q]
+        if q != -1:
+            conflict = max(conflict, length[q])
+        last = extend(last, c)
+        values.append(max(1, conflict + 1))
     return tuple(values)
 
 
@@ -501,7 +546,8 @@ def test_bm_matches_naive_recurrence_search(bits):
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=512))
 @settings(max_examples=150, deadline=None)
 def test_bm_matches_list_reference(bits):
-    assert berlekamp_massey_profile(BitSequence.create(bits)).values == _bm_reference(bits)
+    profile = berlekamp_massey_profile(BitSequence.create(bits))
+    assert (profile.values, profile.connection) == _bm_reference(bits)
 
 
 @pytest.mark.parametrize(
@@ -510,7 +556,8 @@ def test_bm_matches_list_reference(bits):
     ids=["hall", "legendre"],
 )
 def test_bm_matches_list_reference_at_2p(seq):
-    assert berlekamp_massey_profile(seq).values == _bm_reference(seq.bits)
+    profile = berlekamp_massey_profile(seq)
+    assert (profile.values, profile.connection) == _bm_reference(seq.bits)
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
@@ -552,6 +599,40 @@ def test_moc_naive_cap():
 def test_moc_automaton_equals_naive(bits):
     seq = BitSequence.create(bits)
     assert max_order_complexity_profile(seq).values == max_order_complexity_naive(seq).values
+
+
+@st.composite
+def moc_words(draw):
+    """Words up to 512 bits: uniformly random, periodic with period 1..8 (long
+    repeated factors, deep suffix chains) or sparse (long runs of zeros)."""
+    n = draw(st.integers(2, 512))
+    kind = draw(st.sampled_from(["random", "periodic", "sparse"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if kind == "periodic":
+        period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+        return [period[i % len(period)] for i in range(n)]
+    ones = draw(st.sets(st.integers(0, n - 1), max_size=8))
+    return [int(i in ones) for i in range(n)]
+
+
+@given(moc_words())
+@settings(max_examples=150, deadline=None)
+def test_moc_matches_dict_automaton_reference(bits):
+    assert max_order_complexity_profile(BitSequence.create(bits)).values == _moc_reference(bits)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        hall_sequence(SexticParams.create(1033), 2066),
+        legendre_sequence(1033, 2066),
+        dhl_sequence(1033, SexticParams.create(1033).g, 2066),
+    ],
+    ids=["hall", "legendre", "dhl"],
+)
+def test_moc_matches_dict_automaton_reference_at_2p(seq):
+    assert max_order_complexity_profile(seq).values == _moc_reference(seq.bits)
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=64))
