@@ -133,15 +133,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.sampled is not None and args.ck is None:
+        raise ParameterError("--sampled needs --ck")
     seq = _load_sequence(args)
     # One pass picks the measure, its params and compute() -> (value, witness).
+    # A value does not depend on the budget, so the budget is no part of a key.
     if args.ck is not None:
         measure = "Ck"
         if args.sampled is not None:
             params = {"k": args.ck, "samples": args.sampled, "seed": args.seed}
-            run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed)
+            run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed,
+                                                               budget=args.budget)
         else:
-            # an exact value does not depend on the budget, so it is no part of the key
             params = {"k": args.ck}
             run = lambda: measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
 
@@ -440,12 +443,13 @@ def _make_parser() -> argparse.ArgumentParser:
     m.add_argument("--m", type=int)
     m.add_argument("--classes")
     m.add_argument("--length", type=int)
-    m.add_argument("--ck", type=int)
     m.add_argument("--sampled", type=int)
-    m.add_argument("--autocorr")
-    m.add_argument("--lc-profile", action="store_true")
-    m.add_argument("--moc-profile", action="store_true")
-    m.add_argument("--two-adic", action="store_true")
+    one = m.add_mutually_exclusive_group()  # one measure per call
+    one.add_argument("--ck", type=int)
+    one.add_argument("--autocorr")
+    one.add_argument("--lc-profile", action="store_true")
+    one.add_argument("--moc-profile", action="store_true")
+    one.add_argument("--two-adic", action="store_true")
 
     v = sub.add_parser("verify", parents=[seed, budget], help="run a verification suite")
     v.add_argument("--suite", required=True, choices=SUITES)

@@ -37,9 +37,16 @@ needs O(N + _BLOCK_CELLS) memory.  The running best rises only when
 a block is evaluated, and the cuts are re-read after each block.  A cut made
 against an older, lower best evaluates more patterns but never drops one
 that attains the final maximum.  While best is still the trivial 1, each head
-is evaluated at once, so the cuts start from a real maximum.  The budget is an
-upfront refusal on the nominal count binom(N, k) * N, not a count of the walk
-steps evaluated.
+is evaluated at once, so the cuts start from a real maximum.
+
+Given shift tuples, not patterns, are walked by a second kernel,
+`_walk_maxima`, on int8 signs: the sampled measure's draws in blocks of at
+most 8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple as a
+block of one.  Either way memory is O(N) plus the block.
+
+The budget is an upfront refusal in one unit, window evaluations: the exact
+search is charged its nominal count binom(N, k) * N, not the walk steps it
+evaluates, and the sampled measure min(samples, binom(N, k)) * N.
 """
 
 from __future__ import annotations
@@ -126,17 +133,11 @@ def correlation_for_shifts(seq: BitSequence, D) -> tuple[int, int]:
     """Inner maximization over M for a fixed shift tuple D.
 
     Returns (max_M |P_M|, smallest maximizing M) where P_M is the signed
-    prefix sum of the k-fold products.  P_M = W[d_1+M] - W[d_1] on the walk W
-    of the pattern D - d_1.
+    prefix sum of the k-fold products: one row of `_walk_maxima`.
     """
-    N = seq.length
-    D = _validate_shifts(D, N)
-    d1 = D[0]
-    W = _pattern_walk(seq.signs(), tuple(d - d1 for d in D[1:]))
-    P = np.abs(W[d1 + 1 : N - D[-1] + d1 + 1] - W[d1])
-    value = int(P.max())
-    best_m = int(np.argmax(P)) + 1
-    return value, best_m
+    D = _validate_shifts(D, seq.length)
+    values, ms = _walk_maxima(_step_rows(seq.bits), np.array([D]))
+    return int(values[0]), int(ms[0])
 
 
 def _pattern_walk(x: np.ndarray, rest: tuple[int, ...]) -> np.ndarray:
@@ -151,6 +152,34 @@ def _pattern_walk(x: np.ndarray, rest: tuple[int, ...]) -> np.ndarray:
     out[0] = 0
     np.cumsum(T, out=out[1:])
     return out
+
+
+def _step_rows(bits: np.ndarray) -> np.ndarray:
+    """(N, N) int8 view whose row d holds the signs (-1)**s_{d+n}, zero past the
+    word, over one padded copy of it: row d is x[d : d + N]."""
+    N = bits.size
+    x = np.zeros(2 * N - 1, dtype=np.int8)
+    x[:N] = 1 - 2 * bits.astype(np.int8)
+    return np.ndarray((N, N), np.int8, x, 0, (1, 1))
+
+
+def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row D of the (r, k) shift array: max_M |P_M| and the smallest
+    M attaining it, P_M the prefix sum of prod_i (-1)**s_{n+d_i} over n < M.
+
+    A tuple's step product is the product of its shifts' step rows; past
+    N - d_k the d_k row is zero, so P stays at P_{N-d_k}.  The rows are
+    gathered a group of shifts at a time, at most 8 * _BLOCK_CELLS steps per
+    gather (a cell of the exact search packs 8 steps).
+    """
+    r, k = shifts.shape
+    per = max(1, 8 * _BLOCK_CELLS // (r * rows.shape[1]))
+    steps = rows[shifts[:, :per]].prod(axis=1, dtype=np.int8)
+    for j in range(per, k, per):
+        steps *= rows[shifts[:, j : j + per]].prod(axis=1, dtype=np.int8)
+    walk = np.cumsum(steps, axis=1, dtype=np.int32)
+    np.abs(walk, out=walk)
+    return walk.max(axis=1), walk.argmax(axis=1) + 1
 
 
 def _lex_smallest_window(P: np.ndarray, v: int) -> tuple[int, int] | None:
@@ -351,14 +380,17 @@ def correlation_measure_exact(
 
 
 def correlation_measure_sampled(
-    seq: BitSequence, k: int, samples: int, rng_seed: int
+    seq: BitSequence, k: int, samples: int, rng_seed: int, budget: int = DEFAULT_BUDGET
 ) -> CorrelationReport:
     """Lower bound on C_k from randomly sampled shift tuples (exact inner pass).
 
-    Deterministic for a fixed seed.  When `samples` covers the whole tuple
-    space (samples >= binom(N, k)) nothing is drawn: the exact measure runs
-    under a budget of its own nominal count, so it never refuses, and its value
-    and witness are returned with exhaustive=False.
+    Deterministic for a fixed seed: each sample is one rng.choice(N, k) drawn
+    in order, and the best (value, lexicographically smallest D, M) wins.  The
+    draws are walked a block of rows at a time through `_walk_maxima`.  The
+    budget charges min(samples, binom(N, k)) * N, in the exact search's unit,
+    before any draw.  When `samples` covers the whole tuple space (samples >=
+    binom(N, k)) nothing is drawn: the exact measure runs and its value and
+    witness are returned with exhaustive=False.
     """
     N = seq.length
     if not 1 <= k <= N:
@@ -369,15 +401,23 @@ def correlation_measure_sampled(
         raise ParameterError(f"seed must be >= 0; got {rng_seed}")
 
     total = math.comb(N, k)
+    estimate = min(samples, total) * N
+    if estimate > budget:
+        raise BudgetExceeded(estimate, budget, hint="lower --sampled or raise --budget")
     if samples >= total:
-        return replace(correlation_measure_exact(seq, k, budget=total * N), exhaustive=False)
+        return replace(correlation_measure_exact(seq, k, budget=budget), exhaustive=False)
 
     rng = np.random.default_rng(rng_seed)
+    rows = _step_rows(seq.bits)
+    per_block = max(1, 8 * _BLOCK_CELLS // N)
     best = None
-    for _ in range(samples):
-        D = tuple(sorted(int(d) for d in rng.choice(N, size=k, replace=False)))
-        value, m = correlation_for_shifts(seq, D)
-        cand = (-value, D, m)
+    for start in range(0, samples, per_block):
+        D = np.sort([rng.choice(N, size=k, replace=False)
+                     for _ in range(min(per_block, samples - start))], axis=1)
+        values, ms = _walk_maxima(rows, D)
+        tied = np.flatnonzero(values == values.max())
+        i = tied[np.lexsort(D[tied].T[::-1])[0]]
+        cand = (-int(values[i]), tuple(D[i].tolist()), int(ms[i]))
         if best is None or cand < best:
             best = cand
     value, D, m = -best[0], best[1], best[2]

@@ -303,6 +303,42 @@ def test_measure_sampled_zero_is_refused(capsys):
     assert "samples must be >= 1" in err
 
 
+@pytest.mark.parametrize("extra", [("--ck", "2", "--lc-profile"), ("--autocorr", "1", "--two-adic"),
+                                   ("--moc-profile", "--ck", "1", "--sampled", "3")])
+def test_measure_refuses_two_measures(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--construction", "hall", "--p", "13", *extra, "--no-cache"])
+    assert exc.value.code == EXIT_PARAM
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_measure_sampled_without_ck_is_refused(capsys):
+    code, stdout, err = run(capsys, "measure", "--construction", "hall", "--p", "13",
+                            "--sampled", "5", "--lc-profile", "--no-cache")
+    assert (code, stdout) == (EXIT_PARAM, "")
+    assert "--sampled needs --ck" in err
+
+
+def test_measure_sampled_over_budget_is_refused(capsys, monkeypatch):
+    # 10**6 samples of 10009 steps each: refused before the first draw
+    monkeypatch.setattr(measures, "_walk_maxima", None)
+    code, stdout, err = run(capsys, "measure", "--construction", "hall", "--p", "10009",
+                            "--ck", "2", "--sampled", "1000000", "--budget", "1000", "--no-cache")
+    assert (code, stdout) == (EXIT_BUDGET, "")
+    assert "estimated 10009000000 window evaluations exceed budget 1000" in err
+
+
+def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
+    # 40 samples of 31 steps charge 1240; a stored record is served under any budget
+    cache = tmp_path / "cache.jsonl"
+    args = ("measure", "--construction", "hall", "--p", "31", "--ck", "3", "--sampled", "40")
+    assert run(capsys, *args, "--no-cache", "--budget", "1239")[0] == EXIT_BUDGET
+    code, first, _ = run(capsys, *args, "--cache", str(cache), "--budget", "1240")
+    assert code == EXIT_OK
+    assert run(capsys, *args, "--cache", str(cache), "--budget", "1239") == (EXIT_OK, first, "")
+    assert json.loads(first)["params"] == {"k": 3, "samples": 40, "seed": 0}
+
+
 def test_verify_diffset(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--suite", "diffset", "--primes", "31,43",

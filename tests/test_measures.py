@@ -93,6 +93,34 @@ def _ck_reference(seq, k):
     return best, witness
 
 
+def _for_shifts_reference(seq, D):
+    """(max_M |P_M|, smallest maximizing M) by the per-tuple route the batched
+    walk replaced: the walk of the pattern D - d_1, read from d_1."""
+    N = seq.length
+    d1 = D[0]
+    W = measures._pattern_walk(seq.signs(), tuple(d - d1 for d in D[1:]))
+    P = np.abs(W[d1 + 1 : N - D[-1] + d1 + 1] - W[d1])
+    return int(P.max()), int(np.argmax(P)) + 1
+
+
+def _sampled_reference(seq, k, samples, rng_seed):
+    """Sampled C_k by the per-tuple loop the batched walk replaced: one draw and
+    one walk per sample, the exact measure once the samples cover every tuple."""
+    N = seq.length
+    if samples >= math.comb(N, k):
+        rep = correlation_measure_exact(seq, k)
+        return rep.value, rep.witness_D, rep.witness_M, False
+    rng = np.random.default_rng(rng_seed)
+    best = None
+    for _ in range(samples):
+        D = tuple(sorted(int(d) for d in rng.choice(N, size=k, replace=False)))
+        value, m = _for_shifts_reference(seq, D)
+        cand = (-value, D, m)
+        if best is None or cand < best:
+            best = cand
+    return -best[0], best[1], best[2], False
+
+
 @st.composite
 def biased_words(draw, max_size):
     """Words whose density of ones is drawn first, so long runs and ties are common."""
@@ -458,6 +486,60 @@ def test_saturated_sampled_is_exact(data, seq, extra):
     assert not sampled.exhaustive
     assert ((sampled.value, sampled.witness_D, sampled.witness_M)
             == (exact.value, exact.witness_D, exact.witness_M))
+
+
+@given(st.data(), biased_words(28), st.integers(1, 60), st.sampled_from([1, 50]))
+@settings(max_examples=150, deadline=None)
+def test_sampled_matches_per_tuple_reference(data, seq, samples, bound):
+    # one cell puts one tuple in each block past N = 8; fifty cells hold 14 to
+    # 200 tuples, so 1..60 samples end inside, at and past block boundaries,
+    # and ties between blocks are broken by the running best
+    k = data.draw(st.integers(1, seq.length))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        rep = correlation_measure_sampled(seq, k, samples, seed)
+    assert ((rep.value, rep.witness_D, rep.witness_M, rep.exhaustive)
+            == _sampled_reference(seq, k, samples, seed))
+
+
+@given(st.data(), biased_words(40), st.sampled_from([1, 50, measures._BLOCK_CELLS]))
+@settings(max_examples=150, deadline=None)
+def test_for_shifts_matches_pattern_walk_route(data, seq, bound):
+    # w from 1 to N shifts, and BM's witness tuple, whose product is +1 over
+    # its first N - L steps; small blocks split the shifts into several gathers
+    N = seq.length
+    w = data.draw(st.integers(1, N))
+    tuples = [tuple(sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=w, max_size=w))))]
+    profile = berlekamp_massey_profile(seq)
+    L = profile.final
+    if L < N:
+        tuples.append(tuple(L - i for i in range(L, -1, -1) if profile.connection >> i & 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        for D in tuples:
+            assert correlation_for_shifts(seq, D) == _for_shifts_reference(seq, D)
+
+
+def test_sampled_budget_refuses_before_any_draw(monkeypatch):
+    # min(samples, binom(N, k)) * N is charged, in the exact search's unit
+    seq = BitSequence.create([0, 1] * 50)
+
+    def no_draw(seed):
+        raise AssertionError("drew past the budget")
+
+    monkeypatch.setattr(measures.np.random, "default_rng", no_draw)
+    with pytest.raises(BudgetExceeded) as err:
+        correlation_measure_sampled(seq, 2, 11, rng_seed=0, budget=1000)
+    assert err.value.estimate == 11 * 100
+    # saturated: refused exactly where the exact search it runs is
+    total = math.comb(100, 2) * 100
+    for samples in (math.comb(100, 2), 10**9):
+        with pytest.raises(BudgetExceeded) as err:
+            correlation_measure_sampled(seq, 2, samples, rng_seed=0, budget=total - 1)
+        assert err.value.estimate == total
+    rep = correlation_measure_sampled(seq, 2, 10**9, rng_seed=0, budget=total)
+    assert rep.value == correlation_measure_exact(seq, 2, budget=total).value
 
 
 @given(words, st.integers(1, 2), st.integers(0, 2**32 - 1))
