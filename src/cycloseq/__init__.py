@@ -18,7 +18,6 @@ from .measures import (
     correlation_for_shifts,
     correlation_measure_exact,
     correlation_measure_sampled,
-    max_order_complexity_naive,
     max_order_complexity_profile,
     periodic_autocorrelation,
     periodic_autocorrelations,

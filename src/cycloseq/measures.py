@@ -39,10 +39,11 @@ against an older, lower best evaluates more patterns but never drops one
 that attains the final maximum.  While best is still the trivial 1, each head
 is evaluated at once, so the cuts start from a real maximum.
 
-Given shift tuples, not patterns, are walked by a second kernel,
-`_walk_maxima`, on int8 signs: the sampled measure's draws in blocks of at
-most 8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple as a
-block of one.  Either way memory is O(N) plus the block.
+Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
+the word's signs: the sampled measure's draws, in blocks of at most
+8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple, through
+`_walk_maxima`; exact k = 1; and the witness walk of each attaining pattern,
+over its N - d_k steps.  Memory is O(N) plus the block.
 
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
@@ -67,7 +68,6 @@ from .errors import (
 from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
-MOC_NAIVE_CAP = 4096
 # Not a cost cap: the gcd takes 16 ms at T = 100003.  It keeps the record
 # printable: past T = 14 284 bits, S2 and 2**T - 1 exceed Python's 4300-digit
 # int-to-str limit, and writing the record ends in a ValueError.
@@ -94,11 +94,6 @@ class ComplexityProfile:
     kind: str  # "linear" | "maxorder"
     values: tuple[int, ...]
     connection: int | None = None
-
-    def at(self, n: int) -> int:
-        if not 1 <= n <= len(self.values):
-            raise ParameterError(f"prefix length {n} outside 1..{len(self.values)}")
-        return self.values[n - 1]
 
     @property
     def final(self) -> int:
@@ -140,20 +135,6 @@ def correlation_for_shifts(seq: BitSequence, D) -> tuple[int, int]:
     return int(values[0]), int(ms[0])
 
 
-def _pattern_walk(x: np.ndarray, rest: tuple[int, ...]) -> np.ndarray:
-    """Prefix-sum walk P_0..P_L of products over the pattern (0, *rest)."""
-    N = x.size
-    dk = rest[-1] if rest else 0
-    L = N - dk
-    T = x[:L].copy()
-    for d in rest:
-        T *= x[d : d + L]
-    out = np.empty(L + 1, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(T, out=out[1:])
-    return out
-
-
 def _step_rows(bits: np.ndarray) -> np.ndarray:
     """(N, N) int8 view whose row d holds the signs (-1)**s_{d+n}, zero past the
     word, over one padded copy of it: row d is x[d : d + N]."""
@@ -163,9 +144,9 @@ def _step_rows(bits: np.ndarray) -> np.ndarray:
     return np.ndarray((N, N), np.int8, x, 0, (1, 1))
 
 
-def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row D of the (r, k) shift array: max_M |P_M| and the smallest
-    M attaining it, P_M the prefix sum of prod_i (-1)**s_{n+d_i} over n < M.
+def _walks(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Int32 walk P_0 = 0, ..., P_L of prod_i (-1)**s_{n+d_i} for each row D of
+    the (r, k) shift array, over the L columns of the `_step_rows` view `rows`.
 
     A tuple's step product is the product of its shifts' step rows; past
     N - d_k the d_k row is zero, so P stays at P_{N-d_k}.  The rows are
@@ -177,9 +158,17 @@ def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.n
     steps = rows[shifts[:, :per]].prod(axis=1, dtype=np.int8)
     for j in range(per, k, per):
         steps *= rows[shifts[:, j : j + per]].prod(axis=1, dtype=np.int8)
-    walk = np.cumsum(steps, axis=1, dtype=np.int32)
+    walk = np.zeros((r, rows.shape[1] + 1), dtype=np.int32)
+    np.add.accumulate(steps, axis=1, dtype=np.int32, out=walk[:, 1:])
+    return walk
+
+
+def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row D of the (r, k) shift array: max_M |P_M| and the smallest
+    M attaining it, over the walks of `_walks` (|P_1| = 1, so M >= 1)."""
+    walk = _walks(rows, shifts)
     np.abs(walk, out=walk)
-    return walk.max(axis=1), walk.argmax(axis=1) + 1
+    return walk.max(axis=1), walk.argmax(axis=1)
 
 
 def _lex_smallest_window(P: np.ndarray, v: int) -> tuple[int, int] | None:
@@ -351,12 +340,14 @@ def correlation_measure_exact(
     estimate = math.comb(N, k) * N
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
-    x = seq.signs()
+    rows = _step_rows(seq.bits)
+
+    def walk(pattern: tuple[int, ...]) -> np.ndarray:
+        # P_0..P_{N-d_k}: only the first N - d_k step columns are gathered
+        return _walks(rows[:, : N - pattern[-1]], np.array([pattern]))[0]
 
     if k == 1:
-        P = _pattern_walk(x, ())
-        best = int(P.max() - P.min())
-        attaining = [()]
+        best, attaining = int(np.ptp(walk((0,)))), [()]
     else:
         best, attaining = _search_patterns(seq.bits, k)
 
@@ -365,7 +356,7 @@ def correlation_measure_exact(
         pattern = (0, *rest)
         if witness is not None and pattern > witness[0]:
             continue  # its every D is pattern + a >= pattern > witness D
-        ab = _lex_smallest_window(_pattern_walk(x, rest), best)
+        ab = _lex_smallest_window(walk(pattern), best)
         if ab is None:
             continue
         a, b = ab
@@ -536,33 +527,6 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
         last = cur
         values.append(conflict + 1)
     values[0] = 0
-    return ComplexityProfile(kind="maxorder", values=tuple(values))
-
-
-def max_order_complexity_naive(seq: BitSequence, cap: int = MOC_NAIVE_CAP) -> ComplexityProfile:
-    """Independent oracle: per prefix, test each window length M ascending."""
-    N = seq.length
-    if N < 2:
-        raise ParameterError("need N >= 2")
-    if N > cap:
-        raise CapExceeded(N, cap)
-    b = bytes(int(x) for x in seq.bits)
-    values = [0]
-    for np_ in range(2, N + 1):
-        for M in range(1, np_):
-            succ: dict[bytes, int] = {}
-            ok = True
-            for i in range(np_ - M):
-                w = b[i : i + M]
-                prev = succ.get(w)
-                if prev is None:
-                    succ[w] = b[i + M]
-                elif prev != b[i + M]:
-                    ok = False
-                    break
-            if ok:
-                values.append(M)
-                break
     return ComplexityProfile(kind="maxorder", values=tuple(values))
 
 

@@ -27,7 +27,14 @@ from .errors import (
     ParameterError,
     ZeroArgument,
 )
-from .ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root, reduce_zeta6
+from .ntheory import (
+    P_LIMIT,
+    PrimeParams,
+    SexticParams,
+    is_prime,
+    is_primitive_root,
+    reduce_zeta6,
+)
 
 # Hall ones live on C0 u C1 u C3 of the order-6 cosets.
 HALL_CLASSES = frozenset({0, 1, 3})
@@ -165,6 +172,8 @@ def legendre_sequence(p: int, length: int) -> BitSequence:
     """Characteristic sequence of the nonzero quadratic residues mod p."""
     if not is_prime(p) or p < 3:
         raise BadPrime(f"p={p} is not an odd prime")
+    if p >= P_LIMIT:
+        raise ParameterError(f"p={p} exceeds the 2**31 limit")
     if length < 1:
         raise ParameterError("length must be >= 1")
     core = np.zeros(p, dtype=np.uint8)

@@ -28,7 +28,6 @@ from cycloseq.errors import NoSuchRoot
 from cycloseq.measures import (
     berlekamp_massey_profile,
     correlation_measure_exact,
-    max_order_complexity_naive,
     max_order_complexity_profile,
     periodic_autocorrelation,
     two_adic_complexity,
@@ -42,6 +41,7 @@ from cycloseq.seqgen import (
     hall_sequence_via_characters,
     legendre_sequence,
 )
+from test_measures import max_order_complexity_naive
 
 SEXTIC_PRIMES_499 = [p for p in range(7, 500) if is_prime(p) and p % 6 == 1]
 PRIMES_101 = [p for p in range(3, 102) if is_prime(p)]
@@ -185,7 +185,7 @@ def test_criterion_06_moc_oracle_equivalence():
 def test_criterion_07_bm_conventions_and_hall_lc():
     with criterion(7, "BM conventions; L(Hall p, 2p) recorded + BW06-consistent"):
         assert berlekamp_massey_profile(BitSequence.create([0, 0, 0, 0])).values == (0, 0, 0, 0)
-        assert berlekamp_massey_profile(BitSequence.create([0, 0, 0, 1])).at(4) == 4
+        assert berlekamp_massey_profile(BitSequence.create([0, 0, 0, 1])).values[3] == 4
         for p in HEADLINE_PRIMES:
             seq = hall_sequence(hall_params(p), 2 * p)
             lc = berlekamp_massey_profile(seq).final

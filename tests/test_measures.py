@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from cycloseq import measures
 from cycloseq.errors import BadShifts, BudgetExceeded, CapExceeded, NoPeriod, ParameterError
 from cycloseq.measures import (
+    ComplexityProfile,
     berlekamp_massey_profile,
     correlation_for_shifts,
     correlation_measure_exact,
     correlation_measure_sampled,
-    max_order_complexity_naive,
     max_order_complexity_profile,
     periodic_autocorrelation,
     periodic_autocorrelations,
@@ -94,12 +94,14 @@ def _ck_reference(seq, k):
 
 
 def _for_shifts_reference(seq, D):
-    """(max_M |P_M|, smallest maximizing M) by the per-tuple route the batched
-    walk replaced: the walk of the pattern D - d_1, read from d_1."""
-    N = seq.length
-    d1 = D[0]
-    W = measures._pattern_walk(seq.signs(), tuple(d - d1 for d in D[1:]))
-    P = np.abs(W[d1 + 1 : N - D[-1] + d1 + 1] - W[d1])
+    """(max_M |P_M|, smallest maximizing M) by one int64 walk of D's own: the
+    product of the word's shifted sign slices over N - d_k steps, summed."""
+    x = seq.signs()
+    L = seq.length - D[-1]
+    T = x[D[0] : D[0] + L].copy()
+    for d in D[1:]:
+        T *= x[d : d + L]
+    P = np.abs(np.cumsum(T))
     return int(P.max()), int(np.argmax(P)) + 1
 
 
@@ -229,6 +231,37 @@ def _moc_reference(bits):
         last = extend(last, c)
         values.append(max(1, conflict + 1))
     return tuple(values)
+
+
+MOC_NAIVE_CAP = 4096
+
+
+def max_order_complexity_naive(seq, cap=MOC_NAIVE_CAP):
+    """Independent MOC oracle: per prefix, test each window length M ascending.
+    Cubic and more in N, so refused (CapExceeded) past `cap` bits."""
+    N = seq.length
+    if N < 2:
+        raise ParameterError("need N >= 2")
+    if N > cap:
+        raise CapExceeded(N, cap)
+    b = bytes(int(x) for x in seq.bits)
+    values = [0]
+    for np_ in range(2, N + 1):
+        for M in range(1, np_):
+            succ: dict[bytes, int] = {}
+            ok = True
+            for i in range(np_ - M):
+                w = b[i : i + M]
+                prev = succ.get(w)
+                if prev is None:
+                    succ[w] = b[i + M]
+                elif prev != b[i + M]:
+                    ok = False
+                    break
+            if ok:
+                values.append(M)
+                break
+    return ComplexityProfile(kind="maxorder", values=tuple(values))
 
 
 # --- correlation -------------------------------------------------------------
@@ -614,7 +647,7 @@ def test_all_shift_autocorrelation_errors():
 def test_bm_conventions():
     assert berlekamp_massey_profile(BitSequence.create([0, 0, 0, 0])).values == (0, 0, 0, 0)
     assert berlekamp_massey_profile(BitSequence.create([0, 0, 0, 1])).values == (0, 0, 0, 4)
-    assert berlekamp_massey_profile(BitSequence.create([0, 0, 1])).at(3) == 3
+    assert berlekamp_massey_profile(BitSequence.create([0, 0, 1])).values[2] == 3
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=14))
@@ -622,7 +655,7 @@ def test_bm_conventions():
 def test_bm_matches_naive_recurrence_search(bits):
     profile = berlekamp_massey_profile(BitSequence.create(bits))
     for n in range(1, len(bits) + 1):
-        assert profile.at(n) == naive_linear_complexity(bits[:n])
+        assert profile.values[n - 1] == naive_linear_complexity(bits[:n])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=512))
@@ -657,9 +690,9 @@ def test_bm_profile_monotone_and_jump_rule(bits):
 
 
 def test_moc_examples():
-    assert max_order_complexity_naive(BitSequence.create([0, 0, 0, 0])).at(4) == 1
-    assert max_order_complexity_naive(BitSequence.create([0, 0, 0, 1])).at(4) == 3
-    assert max_order_complexity_naive(BitSequence.create([0, 1, 1, 0])).at(4) == 2
+    assert max_order_complexity_naive(BitSequence.create([0, 0, 0, 0])).values[3] == 1
+    assert max_order_complexity_naive(BitSequence.create([0, 0, 0, 1])).values[3] == 3
+    assert max_order_complexity_naive(BitSequence.create([0, 1, 1, 0])).values[3] == 2
     alt = BitSequence.create([0, 1] * 10)
     assert max_order_complexity_profile(alt).final == 1
     tail = BitSequence.create([0] * 9 + [1])
@@ -668,7 +701,7 @@ def test_moc_examples():
 
 def test_moc_profile_starts_at_zero():
     prof = max_order_complexity_profile(BitSequence.create([1, 0, 1]))
-    assert prof.at(1) == 0
+    assert prof.values[0] == 0
 
 
 def test_moc_naive_cap():

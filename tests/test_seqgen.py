@@ -207,6 +207,12 @@ def test_legendre_rejects_composite():
         legendre_sequence(9, 9)
 
 
+def test_legendre_refuses_primes_past_the_limit():
+    # refused before the p-byte core and the int64 squares are allocated
+    with pytest.raises(ParameterError, match="2\\*\\*31"):
+        legendre_sequence(2147483659, 1)
+
+
 def test_dhl_examples():
     assert dhl_sequence(5, 2, 5).to01() == "01100"
     d13 = dhl_sequence(13, 2, 13)
