@@ -347,7 +347,8 @@ def correlation_measure_exact(
         return _walks(rows[:, : N - pattern[-1]], np.array([pattern]))[0]
 
     if k == 1:
-        best, attaining = int(np.ptp(walk((0,)))), [()]
+        only = walk((0,))  # the one pattern: the witness loop reads it too
+        best, attaining = int(np.ptp(only)), [()]
     else:
         best, attaining = _search_patterns(seq.bits, k)
 
@@ -356,7 +357,7 @@ def correlation_measure_exact(
         pattern = (0, *rest)
         if witness is not None and pattern > witness[0]:
             continue  # its every D is pattern + a >= pattern > witness D
-        ab = _lex_smallest_window(walk(pattern), best)
+        ab = _lex_smallest_window(only if k == 1 else walk(pattern), best)
         if ab is None:
             continue
         a, b = ab

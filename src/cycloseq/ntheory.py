@@ -30,12 +30,18 @@ THREE_IN_C1 = "3 in C1"
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid far beyond 2**31)."""
+    """Deterministic Miller-Rabin primality test (valid far beyond 2**31).
+
+    Trial division by the bases comes first: they are every prime <= 37, so an
+    n < 41**2 that none of them divides is prime without a Miller-Rabin round.
+    """
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -77,21 +83,15 @@ def is_primitive_root(g: int, p: int, factors: list[int] | None = None) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q in factors)
 
 
-def _index_of(target: int, g: int, p: int) -> int:
-    # walk powers of g; caller guarantees g primitive
-    v = 1
-    for e in range(p - 1):
-        if v == target:
-            return e
-        v = v * g % p
-    raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-
-
 def find_primitive_root(p: int, constraint: str | None = None) -> int:
     """Smallest primitive root mod p, optionally filtered to ind_g(3) = 1 (mod 6).
 
     The constrained variant reports NoSuchRoot when no primitive root puts 3
-    into coset C1 (possible: satisfiability requires gcd(ind(3), 6) = 1).
+    into coset C1 (possible: satisfiability requires gcd(ind(3), 6) = 1).  It
+    reads every candidate off the index table t of the smallest root s, built
+    once: g = s**t[g] is primitive exactly when gcd(t[g], p - 1) = 1, and then
+    ind_g(3) = t[3] * t[g]**-1 mod p - 1.  As 6 | p - 1 and t[g] = +-1 (mod 6)
+    is its own inverse mod 6, that is 1 (mod 6) exactly when t[g] = t[3] (mod 6).
     """
     if not is_prime(p) or p < 3:
         raise ParameterError(f"p={p} is not an odd prime")
@@ -109,13 +109,15 @@ def find_primitive_root(p: int, constraint: str | None = None) -> int:
 
     # Satisfiable iff ind(3) w.r.t. any primitive root is coprime to 6; check
     # once against the smallest root before scanning candidates in order.
-    e = _index_of(3 % p, smallest, p)
+    table = build_index_table(p, smallest)
+    e = int(table[3 % p])
     if e % 6 not in (1, 5):
         raise NoSuchRoot(
             f"no primitive root mod {p} has 3 in C1 (ind(3) = {e} mod 6 = {e % 6})"
         )
     for g in range(smallest, p):
-        if is_primitive_root(g, p, factors) and _index_of(3 % p, g, p) % 6 == 1:
+        t = int(table[g])
+        if t % 6 == e % 6 and math.gcd(t, p - 1) == 1:
             return g
     raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1")
 

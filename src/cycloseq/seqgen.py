@@ -5,10 +5,11 @@ the exact character-sum identity for its indicator deltas.  Bit-for-bit
 agreement of the two routes is the mechanical check of the identity
 (-1)**h_n = 1 - 2*delta(n), performed in exact integer arithmetic.  The deltas
 are evaluated for every n in 1..p-1 at once: the index table gives each
-character term's sixth-root phase, the terms are counted per phase and each
-row of counts is reduced in Z[w].  The index representation is checked the
-same way, with the map f applied once to the array 1..p-1.  The per-n
-evaluations these replaced stay in tests/test_seqgen.py as the oracles.
+character term's sixth-root phase, one bincount per identity counts the terms
+of every n per phase, and each row of counts is reduced in Z[w].  Coset
+membership (Hall, DHL, cyclotomic, and the index representation, which applies
+the map f once to the array 1..p-1) is one table gather at ind(n) mod m.  The
+per-n evaluations these replaced stay in tests/test_seqgen.py as the oracles.
 """
 
 from __future__ import annotations
@@ -95,9 +96,13 @@ def _extend(core: np.ndarray, length: int) -> np.ndarray:
 
 
 def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
-    ind_mod = np.asarray(params.index_table) % m
-    core = np.zeros(params.p, dtype=np.uint8)
-    core[1:] = np.isin(ind_mod[1:], sorted(subset)).astype(np.uint8)
+    """The 0/1 word on 0..p-1 of the order-m cosets C_l, l in subset: one table
+    gather of the length-m membership table at ind(n) mod m.  Slot 0 is zeroed
+    after, since index_table[0] = -1 wraps to class m - 1."""
+    member = np.zeros(m, dtype=np.uint8)
+    member[list(subset)] = 1
+    core = member[params.index_table % m]
+    core[0] = 0
     return core
 
 
@@ -122,17 +127,25 @@ class DeltaDecomposition:
 def _indicators(phases: np.ndarray) -> np.ndarray:
     """sum_j w**phases[n, j] / J for each row n, which must be the rational integer 0 or 1.
 
-    The J terms of a row are counted per phase and reduced in Z[w].
+    One bincount counts the J terms of every row per phase, into bin
+    phase + 7n; a phase that is not an integer in 0..5 is no sixth root and
+    goes to bin 6 of its row, which no root reads.  Each row's six counts are
+    then reduced in Z[w].
     """
-    J = phases.shape[1]
-    a, b = reduce_zeta6((phases[:, :, None] == np.arange(6)).sum(axis=1).T)
-    bad = (b != 0) | ((a != 0) & (a != J))
+    n, J = phases.shape
+    bins = phases.astype(np.intp)
+    # a non-integer phase changes under the cast; a negative one reads as unsigned > 5
+    bins[(bins != phases) | (bins.view(np.uintp) > 5)] = 6
+    bins += np.arange(0, 7 * n, 7)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=7 * n).reshape(n, 7)
+    a, b = reduce_zeta6(counts.T[:6])
+    bad = a * (a - J) | b  # zero exactly where b = 0 and a is 0 or J
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(
             f"character sum {a[i]} + {b[i]}*w over {J} at n={i + 1} is not an indicator value"
         )
-    return (a // J).astype(np.uint8)
+    return (a == J).view(np.uint8)
 
 
 def delta_decomposition(params: SexticParams) -> DeltaDecomposition:

@@ -12,6 +12,7 @@ from cycloseq.ntheory import (
     build_index_table,
     find_primitive_root,
     is_prime,
+    is_primitive_root,
 )
 from cycloseq.seqgen import cyclotomic_sequence
 
@@ -42,6 +43,18 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_5000():
+    # spans the n < 41**2 shortcut and the Miller-Rabin rounds past it
+    for n in range(-2, 5000):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+    for n in (41 * 41, 41 * 43, 43 * 43, 37 * 41, 37 * 43):
+        assert not is_prime(n), n
 
 
 def test_find_primitive_root_examples():
@@ -79,6 +92,47 @@ def test_constrained_root_puts_3_in_c1():
         g = find_primitive_root(p, THREE_IN_C1)
         params = SexticParams.create(p, g=g)
         assert params.ind(3) % 6 == 1
+
+
+def _three_in_c1_root_loop(p):
+    """The constrained search one candidate at a time, each primitive root's
+    ind_g(3) found by walking its powers: the loop the table-based search
+    replaced."""
+
+    def index_of(target, g):
+        v = 1
+        for e in range(p - 1):
+            if v == target:
+                return e
+            v = v * g % p
+        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
+
+    smallest = next(g for g in range(2, p) if is_primitive_root(g, p))
+    e = index_of(3, smallest)
+    if e % 6 not in (1, 5):
+        raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1")
+    for g in range(smallest, p):
+        if is_primitive_root(g, p) and index_of(3, g) % 6 == 1:
+            return g
+    raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1")
+
+
+SEXTIC_PRIMES_10000 = [p for p in range(7, 10000, 6) if _is_prime_by_trial_division(p)]
+
+
+def test_constrained_root_matches_power_walk_below_10000():
+    assert len(SEXTIC_PRIMES_10000) == 611
+    found = 0
+    for p in SEXTIC_PRIMES_10000:
+        try:
+            expected = _three_in_c1_root_loop(p)
+        except NoSuchRoot:
+            with pytest.raises(NoSuchRoot):
+                find_primitive_root(p, THREE_IN_C1)
+            continue
+        assert find_primitive_root(p, THREE_IN_C1) == expected, p
+        found += 1
+    assert 0 < found < 611  # both outcomes occur
 
 
 def test_constraint_needs_sextic_prime():

@@ -29,7 +29,7 @@ from cycloseq.seqgen import (
     read_sequence,
     write_sequence,
 )
-from cycloseq.seqgen import _PERIOD_RE
+from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _indicators
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -175,6 +175,84 @@ def test_delta_decomposition_refuses_a_non_indicator():
     forged = SexticParams(p=13, g=2, index_table=table, f=2)
     with pytest.raises(InvariantViolation, match="n=5"):
         delta_decomposition(forged)
+
+
+def _indicators_reference(phases):
+    """Each row's terms counted by comparing every phase with each of 0..5 and
+    summing: the (n, J, 6) count the bincount replaced."""
+    J = phases.shape[1]
+    a, b = reduce_zeta6((phases[:, :, None] == np.arange(6)).sum(axis=1).T)
+    bad = (b != 0) | ((a != 0) & (a != J))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(
+            f"character sum {a[i]} + {b[i]}*w over {J} at n={i + 1} is not an indicator value"
+        )
+    return (a // J).astype(np.uint8)
+
+
+# J sixth-root phases whose terms sum to 0: the J-th roots of unity
+_VANISHING_ROWS = {2: [0, 3], 3: [0, 2, 4], 6: [0, 1, 2, 3, 4, 5]}
+
+
+@st.composite
+def _phase_tables(draw):
+    """(n, J) phase tables: indicator rows, permuted, with some rows replaced
+    by arbitrary integer phases (some outside 0..5) or non-integer ones."""
+    J = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["one", "zero", "ints", "halves"]))
+        if kind == "one" or (kind == "zero" and J == 1):
+            row = [0] * J
+        elif kind == "zero":
+            row = draw(st.permutations(_VANISHING_ROWS[J]))
+        elif kind == "ints":
+            row = draw(st.lists(st.integers(-7, 13), min_size=J, max_size=J))
+        else:
+            row = draw(st.lists(st.integers(-14, 26), min_size=J, max_size=J))
+            row = [x / 2 for x in row]
+        rows.append(row)
+    dtype = float if draw(st.booleans()) else np.int64
+    return np.array(rows, dtype=float).astype(dtype)
+
+
+def _outcome(fn, phases):
+    try:
+        return fn(phases).tolist()
+    except InvariantViolation as err:
+        return str(err)
+
+
+@given(_phase_tables())
+@settings(max_examples=300, deadline=None)
+def test_indicators_match_comparison_count(phases):
+    assert _outcome(_indicators, phases) == _outcome(_indicators_reference, phases)
+
+
+PRIMES_300 = [p for p in range(3, 300) if is_prime(p)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_coset_words_match_per_n_membership(data):
+    p = data.draw(st.sampled_from(PRIMES_300))
+    g = data.draw(st.sampled_from([g for g in range(2, p) if is_primitive_root(g, p)]))
+    params = PrimeParams.create(p, g)
+    m = data.draw(st.sampled_from([m for m in range(1, p) if (p - 1) % m == 0]))
+    subset = data.draw(st.frozensets(st.integers(0, m - 1)))
+
+    def reference(m, classes):
+        # slot 0 is no coset's
+        return [0] + [int(params.ind(n) % m in classes) for n in range(1, p)]
+
+    assert _core_from_classes(params, m, subset).tolist() == reference(m, subset)
+    assert cyclotomic_sequence(params, m, subset, p).bits.tolist() == reference(m, subset)
+    if p % 6 == 1:
+        hall = hall_sequence(SexticParams.create(p, g=g), p).bits
+        assert hall.tolist() == reference(6, HALL_CLASSES)
+    if p % 4 == 1:
+        assert dhl_sequence(p, g, p).bits.tolist() == reference(4, {0, 1})
 
 
 @pytest.mark.parametrize("p", SEXTIC_PRIMES_200)
