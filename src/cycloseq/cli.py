@@ -74,18 +74,14 @@ def _parse_primes(spec: str, need=None) -> list[int]:
     return ps
 
 
-def _resolve_g(p: int, g_arg: str):
-    if g_arg == "smallest":
-        return ntheory.find_primitive_root(p)
-    if g_arg == "three-in-c1":
-        return ntheory.find_primitive_root(p, ntheory.THREE_IN_C1)
+def _parse_g(g_arg: str) -> dict:
+    """--g as the keyword an arena's create takes: g_policy for a policy name, else g."""
+    if g_arg in ntheory.G_POLICIES:
+        return {"g_policy": g_arg}
     try:
-        g = int(g_arg)
+        return {"g": int(g_arg)}
     except ValueError:
         raise ParameterError(f"--g must be smallest, three-in-c1, or an integer; got {g_arg!r}")
-    if not 0 < g < p:
-        raise ParameterError(f"--g must be in 1..{p - 1}; got {g}")
-    return g
 
 
 def _parse_classes(spec: str) -> list[int]:
@@ -94,17 +90,18 @@ def _parse_classes(spec: str) -> list[int]:
 
 def _build_sequence(args) -> seqgen.BitSequence:
     length = args.p if args.length is None else args.length
-    if args.construction == "hall":
-        params = ntheory.SexticParams.create(args.p, g=_resolve_g(args.p, args.g))
-        return seqgen.hall_sequence(params, length)
     if args.construction == "legendre":
         return seqgen.legendre_sequence(args.p, length)
+    root = _parse_g(args.g)
+    if args.construction == "hall":
+        return seqgen.hall_sequence(ntheory.SexticParams.create(args.p, **root), length)
     if args.construction == "dhl":
-        return seqgen.dhl_sequence(args.p, _resolve_g(args.p, args.g), length)
+        g = root["g"] if "g" in root else ntheory.find_primitive_root(args.p, root["g_policy"])
+        return seqgen.dhl_sequence(args.p, g, length)
     # cyclotomic: argparse's choices admit no other construction
     if args.m is None or args.classes is None:
         raise ParameterError("cyclotomic needs --m and --classes")
-    params = ntheory.PrimeParams.create(args.p, g=_resolve_g(args.p, args.g))
+    params = ntheory.PrimeParams.create(args.p, **root)
     return seqgen.cyclotomic_sequence(params, args.m, _parse_classes(args.classes), length)
 
 
@@ -125,6 +122,8 @@ def _load_sequence(args) -> seqgen.BitSequence:
 
 
 def cmd_generate(args) -> int:
+    if args.construction is None or args.p is None:
+        raise ParameterError("generate needs --construction and --p")
     seq = _build_sequence(args)
     out = args.output or f"{args.construction}-p{args.p}.seq"
     seqgen.write_sequence(seq, out)
@@ -221,7 +220,7 @@ def _status(ok) -> str:
 
 def _sextic_suite(args, check):
     """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
-    policies = ["smallest", "three-in-c1"] if args.g_policy == "both" else [args.g_policy]
+    policies = ntheory.G_POLICIES if args.g_policy == "both" else [args.g_policy]
     for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
         for policy in policies:
             name = f"{args.suite} p={p} policy={policy}"
@@ -257,7 +256,7 @@ def _suite_instances(args):
     for p in _parse_primes(args.primes):
         n = 2 * p if args.N == "2p" else p
         if p % 6 == 1:
-            params = ntheory.SexticParams.create(p, g_policy="smallest")
+            params = ntheory.SexticParams.create(p)
             out.append((f"hall p={p}", seqgen.hall_sequence(params, n)))
         out.append((f"legendre p={p}", seqgen.legendre_sequence(p, n)))
         if p % 4 == 1:
@@ -289,7 +288,7 @@ def _weil_suite(args):
         raise BudgetExceeded(estimate, args.budget, hint="lower --kmax or raise --budget")
     rng = np.random.default_rng(args.seed)
     for p in primes:
-        params = ntheory.SexticParams.create(p, g_policy="smallest")
+        params = ntheory.SexticParams.create(p)
         bad = 0
         total = 0
         for k in range(1, min(args.kmax, p) + 1):  # k > p has no shift tuple
@@ -414,35 +413,29 @@ def cmd_baseline(args) -> int:
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     # options several subcommands read; each subcommand takes only those it reads
-    fmt, seed, budget, cache = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    fmt, seed, budget, cache, arena = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
     seed.add_argument("--seed", type=int, default=0)
     budget.add_argument("--budget", type=int, default=measures.DEFAULT_BUDGET)
     cache.add_argument("--cache", default="cycloseq-cache.jsonl")
     cache.add_argument("--no-cache", action="store_true")
+    arena.add_argument("--construction", choices=("hall", "legendre", "dhl", "cyclotomic"))
+    arena.add_argument("--p", type=int)
+    arena.add_argument("--g", default="smallest")
+    arena.add_argument("--m", type=int)
+    arena.add_argument("--classes")
+    arena.add_argument("--length", type=int)
 
     ap = argparse.ArgumentParser(prog="cycloseq", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="construct a sequence file")
-    g.add_argument("--construction", required=True,
-                   choices=("hall", "legendre", "dhl", "cyclotomic"))
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--g", default="smallest")
-    g.add_argument("--m", type=int)
-    g.add_argument("--classes")
-    g.add_argument("--length", type=int)
+    g = sub.add_parser("generate", parents=[arena], help="construct a sequence file")
     g.add_argument("--output")
 
-    m = sub.add_parser("measure", parents=[fmt, seed, budget, cache], help="compute one measure")
+    m = sub.add_parser("measure", parents=[fmt, seed, budget, cache, arena],
+                       help="compute one measure")
     m.add_argument("--input")
     m.add_argument("--period", type=int)
-    m.add_argument("--construction", choices=("hall", "legendre", "dhl", "cyclotomic"))
-    m.add_argument("--p", type=int)
-    m.add_argument("--g", default="smallest")
-    m.add_argument("--m", type=int)
-    m.add_argument("--classes")
-    m.add_argument("--length", type=int)
     m.add_argument("--sampled", type=int)
     one = m.add_mutually_exclusive_group()  # one measure per call
     one.add_argument("--ck", type=int)
@@ -454,7 +447,7 @@ def _make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[seed, budget], help="run a verification suite")
     v.add_argument("--suite", required=True, choices=SUITES)
     v.add_argument("--primes", required=True)
-    v.add_argument("--g-policy", default="both", choices=("smallest", "three-in-c1", "both"))
+    v.add_argument("--g-policy", default="both", choices=(*ntheory.G_POLICIES, "both"))
     v.add_argument("--kmax", type=int, default=bounds.DEFAULT_K_CAP)
     v.add_argument("--queries", type=int, default=200)
     v.add_argument("--N", default="p", choices=("p", "2p"))
@@ -463,7 +456,7 @@ def _make_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-cache", action="store_true")  # a no-op kept for the benchmark's scan op
     s.add_argument("--ck", type=int, required=True)
     s.add_argument("--primes", required=True)
-    s.add_argument("--g-policy", default="smallest", choices=("smallest", "three-in-c1"))
+    s.add_argument("--g-policy", default="smallest", choices=ntheory.G_POLICIES)
 
     b = sub.add_parser("baseline", parents=[fmt, seed, budget],
                        help="C_k statistics over random words")

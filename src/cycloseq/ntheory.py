@@ -7,18 +7,24 @@ phase j*ind_g(n) mod 6 at n), never as floating complex values; sums of
 sixth roots of unity are reduced exactly by `reduce_zeta6`, and only the
 charsum module materializes floats.
 
-Primes are limited to p < 2**31 so the index table stays a dense int64 array
-and all modular arithmetic fits comfortably in 64 bits.
+The arena is decided here and nowhere else.  p is checked once, by
+`check_prime`: an odd prime below 2**31 (so the index table stays a dense
+int64 array and a product of two residues fits in 64 bits) with m | p - 1.
+g is either a root policy, "smallest" (or None) or "three-in-c1", or an
+explicit root, which `PrimeParams.create` checks once: in 1..p-1 and
+primitive.  Each arena builds one index table; a three-in-c1 arena derives
+its table from the smallest root's, which the root search built anyway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
+from .errors import BadPrime, NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
 
 P_LIMIT = 2**31
 
@@ -26,7 +32,8 @@ P_LIMIT = 2**31
 # also tries these primes as divisors first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-THREE_IN_C1 = "3 in C1"
+THREE_IN_C1 = "three-in-c1"
+G_POLICIES = ("smallest", THREE_IN_C1)
 
 
 def is_prime(n: int) -> bool:
@@ -83,34 +90,38 @@ def is_primitive_root(g: int, p: int, factors: list[int] | None = None) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q in factors)
 
 
-def find_primitive_root(p: int, constraint: str | None = None) -> int:
-    """Smallest primitive root mod p, optionally filtered to ind_g(3) = 1 (mod 6).
+def check_prime(p: int, m: int = 2) -> None:
+    """BadPrime unless p is an odd prime below 2**31 with m | p - 1."""
+    if p >= P_LIMIT:
+        raise BadPrime(f"p={p} exceeds the 2**31 limit")
+    if not is_prime(p) or (p - 1) % m:
+        raise BadPrime(f"p={p} is not " + ("an odd prime" if m == 2 else f"a prime = 1 (mod {m})"))
 
-    The constrained variant reports NoSuchRoot when no primitive root puts 3
-    into coset C1 (possible: satisfiability requires gcd(ind(3), 6) = 1).  It
-    reads every candidate off the index table t of the smallest root s, built
-    once: g = s**t[g] is primitive exactly when gcd(t[g], p - 1) = 1, and then
+
+def _is_three_in_c1(policy: str | None) -> bool:
+    """True for "three-in-c1", False for "smallest" or None; ParameterError otherwise."""
+    if policy not in (None, *G_POLICIES):
+        raise ParameterError(f"unknown g policy {policy!r}")
+    return policy == THREE_IN_C1
+
+
+def _smallest_root(p: int) -> int:
+    factors = _prime_factors(p - 1)
+    return next(g for g in range(2, p) if is_primitive_root(g, p, factors))
+
+
+def _three_in_c1_root(p: int) -> tuple[int, np.ndarray]:
+    """The smallest primitive root g with ind_g(3) = 1 (mod 6), and the index
+    table t of the smallest root s, which the search reads every candidate off.
+
+    g = s**t[g] is primitive exactly when gcd(t[g], p - 1) = 1, and then
     ind_g(3) = t[3] * t[g]**-1 mod p - 1.  As 6 | p - 1 and t[g] = +-1 (mod 6)
     is its own inverse mod 6, that is 1 (mod 6) exactly when t[g] = t[3] (mod 6).
+    NoSuchRoot when no primitive root puts 3 into C1: that needs gcd(t[3], 6) = 1.
     """
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p={p} is not an odd prime")
-    if p >= P_LIMIT:
-        raise ParameterError(f"p={p} exceeds the 2**31 limit")
-    if constraint not in (None, THREE_IN_C1):
-        raise ParameterError(f"unknown constraint {constraint!r}")
-    if constraint == THREE_IN_C1 and p % 6 != 1:
-        raise ParameterError(f"constraint {THREE_IN_C1!r} needs p = 1 (mod 6), got p={p}")
-
-    factors = _prime_factors(p - 1)
-    smallest = next(g for g in range(2, p) if is_primitive_root(g, p, factors))
-    if constraint is None:
-        return smallest
-
-    # Satisfiable iff ind(3) w.r.t. any primitive root is coprime to 6; check
-    # once against the smallest root before scanning candidates in order.
+    smallest = _smallest_root(p)
     table = build_index_table(p, smallest)
-    e = int(table[3 % p])
+    e = int(table[3])
     if e % 6 not in (1, 5):
         raise NoSuchRoot(
             f"no primitive root mod {p} has 3 in C1 (ind(3) = {e} mod 6 = {e % 6})"
@@ -118,8 +129,17 @@ def find_primitive_root(p: int, constraint: str | None = None) -> int:
     for g in range(smallest, p):
         t = int(table[g])
         if t % 6 == e % 6 and math.gcd(t, p - 1) == 1:
-            return g
+            return g, table
     raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1")
+
+
+def find_primitive_root(p: int, policy: str | None = None) -> int:
+    """The primitive root mod p that policy picks: the smallest, or under
+    "three-in-c1" the smallest with ind_g(3) = 1 (mod 6), which needs
+    p = 1 (mod 6) and may not exist (NoSuchRoot)."""
+    three_in_c1 = _is_three_in_c1(policy)
+    check_prime(p, 6 if three_in_c1 else 2)
+    return _three_in_c1_root(p)[0] if three_in_c1 else _smallest_root(p)
 
 
 def build_index_table(p: int, g: int) -> np.ndarray:
@@ -158,15 +178,29 @@ class PrimeParams:
     g: int
     index_table: np.ndarray = field(repr=False)
 
+    _order: ClassVar[int] = 2  # create refuses p unless _order | p - 1
+
     @classmethod
-    def create(cls, p: int, g: int | None = None) -> "PrimeParams":
-        if not is_prime(p) or p < 3:
-            raise ParameterError(f"p={p} is not an odd prime")
-        if p >= P_LIMIT:
-            raise ParameterError(f"p={p} exceeds the 2**31 limit")
-        if g is None:
-            g = find_primitive_root(p)
-        return cls(p=p, g=g, index_table=build_index_table(p, g))
+    def create(cls, p: int, g: int | None = None,
+               g_policy: str | None = "smallest") -> "PrimeParams":
+        """The arena of p with root g, or with g_policy's root when g is None
+        (the policy is checked either way); a g outside 1..p-1 is refused, and
+        build_index_table refuses one that is not a primitive root."""
+        three_in_c1 = _is_three_in_c1(g_policy) and g is None
+        check_prime(p, 6 if three_in_c1 else cls._order)
+        if three_in_c1:
+            g, t = _three_in_c1_root(p)
+            # the smallest root's table rebased to g: ind_g(n) = t[n] * t[g]**-1
+            table = t * pow(int(t[g]), -1, p - 1) % (p - 1)
+            table[0] = -1
+            table.setflags(write=False)
+        else:
+            if g is None:
+                g = _smallest_root(p)
+            elif not 1 <= g <= p - 1:
+                raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
+            table = build_index_table(p, g)
+        return cls(p=p, g=g, index_table=table)
 
     def ind(self, n: int) -> int:
         """ind_g(n) for n not divisible by p."""
@@ -187,21 +221,12 @@ class SexticParams(PrimeParams):
     """PrimeParams for p = 6f+1, the arena of the sextic residue sequence."""
 
     f: int = 0
+    _order = 6
 
     @classmethod
-    def create(cls, p: int, g: int | None = None, g_policy: str = "smallest") -> "SexticParams":
-        if not is_prime(p) or p % 6 != 1:
-            raise ParameterError(f"p={p} is not a prime of the form 6f+1")
-        if p >= P_LIMIT:
-            raise ParameterError(f"p={p} exceeds the 2**31 limit")
-        if g is None:
-            if g_policy == "smallest":
-                g = find_primitive_root(p)
-            elif g_policy == "three-in-c1":
-                g = find_primitive_root(p, THREE_IN_C1)
-            else:
-                raise ParameterError(f"unknown g policy {g_policy!r}")
-        return cls(p=p, g=g, index_table=build_index_table(p, g), f=(p - 1) // 6)
+    def create(cls, p: int, g: int | None = None,
+               g_policy: str | None = "smallest") -> "SexticParams":
+        return replace(super().create(p, g, g_policy), f=(p - 1) // 6)
 
 
 def reduce_zeta6(counts) -> tuple[int, int]:

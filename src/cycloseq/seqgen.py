@@ -20,22 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadOrder,
-    BadPrime,
-    BadSubset,
-    InvariantViolation,
-    ParameterError,
-    ZeroArgument,
-)
-from .ntheory import (
-    P_LIMIT,
-    PrimeParams,
-    SexticParams,
-    is_prime,
-    is_primitive_root,
-    reduce_zeta6,
-)
+from .errors import BadOrder, BadSubset, InvariantViolation, ParameterError, ZeroArgument
+from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6
 
 # Hall ones live on C0 u C1 u C3 of the order-6 cosets.
 HALL_CLASSES = frozenset({0, 1, 3})
@@ -90,6 +76,9 @@ class BitSequence:
 
 
 def _extend(core: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` terms of core repeated; ParameterError unless length >= 1."""
+    if length < 1:
+        raise ParameterError("length must be >= 1")
     if length <= core.size:
         return core[:length]
     return core[np.arange(length) % core.size]
@@ -108,8 +97,6 @@ def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> n
 
 def hall_sequence(params: SexticParams, length: int) -> BitSequence:
     """Hall's sextic residue sequence: h_n = 1 iff n mod p in C0 u C1 u C3."""
-    if length < 1:
-        raise ParameterError("length must be >= 1")
     core = _core_from_classes(params, 6, HALL_CLASSES)
     return BitSequence.create(
         _extend(core, length), period=params.p, label=f"hall(p={params.p},g={params.g})"
@@ -171,8 +158,6 @@ def delta_decomposition(params: SexticParams) -> DeltaDecomposition:
 
 def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequence:
     """Hall sequence rebuilt from h_n = delta1(n) + delta2(n); h_0 = 0."""
-    if length < 1:
-        raise ParameterError("length must be >= 1")
     dec = delta_decomposition(params)
     return BitSequence.create(
         _extend(dec.delta1 + dec.delta2, length),
@@ -183,12 +168,7 @@ def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequen
 
 def legendre_sequence(p: int, length: int) -> BitSequence:
     """Characteristic sequence of the nonzero quadratic residues mod p."""
-    if not is_prime(p) or p < 3:
-        raise BadPrime(f"p={p} is not an odd prime")
-    if p >= P_LIMIT:
-        raise ParameterError(f"p={p} exceeds the 2**31 limit")
-    if length < 1:
-        raise ParameterError("length must be >= 1")
+    check_prime(p)
     core = np.zeros(p, dtype=np.uint8)
     squares = (np.arange(1, p, dtype=np.int64) ** 2) % p
     core[squares] = 1
@@ -197,12 +177,7 @@ def legendre_sequence(p: int, length: int) -> BitSequence:
 
 def dhl_sequence(p: int, g: int, length: int) -> BitSequence:
     """Ding-Helleseth-Lam sequence: ones on C0 u C1, C0 the fourth powers, C1 = g*C0."""
-    if not is_prime(p) or p % 4 != 1:
-        raise BadPrime(f"p={p} is not a prime = 1 (mod 4)")
-    if not is_primitive_root(g, p):
-        raise ParameterError(f"g={g} is not a primitive root mod {p}")
-    if length < 1:
-        raise ParameterError("length must be >= 1")
+    check_prime(p, 4)
     core = _core_from_classes(PrimeParams.create(p, g), 4, frozenset({0, 1}))
     return BitSequence.create(_extend(core, length), period=p, label=f"dhl(p={p},g={g})")
 
@@ -217,8 +192,6 @@ def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> Bit
     subset = frozenset(int(s) for s in subset)
     if not subset <= frozenset(range(m)):
         raise BadSubset(f"classes {sorted(subset)} not within 0..{m - 1}")
-    if length < 1:
-        raise ParameterError("length must be >= 1")
     core = _core_from_classes(params, m, subset)
     s_str = ",".join(map(str, sorted(subset)))
     return BitSequence.create(

@@ -59,6 +59,16 @@ def test_generate_parameter_error(tmp_path, capsys):
     assert err.strip().startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("--construction", "hall"), ("--p", "13"), ()],
+                         ids=["no-p", "no-construction", "neither"])
+def test_generate_needs_construction_and_p(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "generate", *argv)
+    assert code == EXIT_PARAM
+    assert stdout == "" and err.startswith("error:") and "--construction and --p" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_measure_ck_with_witness(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     code, stdout, _ = run(
@@ -590,7 +600,7 @@ def test_g_outside_units_is_refused(construction, g, capsys):
                             "--no-cache")
     assert code == EXIT_PARAM
     assert stdout == ""
-    assert err.startswith("error:") and "--g must be in 1..12" in err
+    assert err.startswith("error:") and "g must be in 1..12" in err
 
 
 def test_verify_nonprime_rejected(capsys):

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq.charsum import phase_counts
-from cycloseq.errors import NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
+from cycloseq.errors import BadPrime, NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
 from cycloseq.ntheory import (
     THREE_IN_C1,
     PrimeParams,
     SexticParams,
     build_index_table,
+    check_prime,
     find_primitive_root,
     is_prime,
     is_primitive_root,
@@ -261,3 +262,89 @@ def test_sextic_params_validation():
     params = SexticParams.create(31)
     assert params.f == 5 and params.p == 6 * params.f + 1
     assert params.g * params.g_inverse() % params.p == 1
+
+
+@pytest.mark.parametrize("create", [PrimeParams.create, SexticParams.create])
+@pytest.mark.parametrize("g", [0, 13, 15, -11])  # 0, p, p + 2, -11 at p = 13
+def test_g_outside_units_is_refused_by_create(create, g):
+    # g = 15 would act as 2 mod 13 and label the arena g=15
+    with pytest.raises(ParameterError, match="1\\.\\.12"):
+        create(13, g=g)
+
+
+def test_g_policy_vocabulary():
+    assert THREE_IN_C1 == "three-in-c1"
+    for policy in (None, "smallest"):
+        assert find_primitive_root(31, policy) == 3 == PrimeParams.create(31, g_policy=policy).g
+        assert SexticParams.create(31, g_policy=policy).g == 3
+    assert SexticParams.create(31, g_policy=THREE_IN_C1).g == 3
+    assert PrimeParams.create(43, g_policy=THREE_IN_C1).g == find_primitive_root(43, THREE_IN_C1)
+    # an unknown policy is refused, even beside an explicit root
+    for create in (PrimeParams.create, SexticParams.create):
+        with pytest.raises(ParameterError, match="unknown g policy"):
+            create(31, g_policy="3 in C1")
+        with pytest.raises(ParameterError, match="unknown g policy"):
+            create(31, g=3, g_policy="largest")
+    with pytest.raises(ParameterError, match="unknown g policy"):
+        find_primitive_root(31, "3 in C1")
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (9, 2), (1, 2), (-7, 2), (11, 6), (7, 4), (25, 4)])
+def test_check_prime_refuses(p, m):
+    with pytest.raises(BadPrime):
+        check_prime(p, m)
+
+
+def test_check_prime_accepts_and_limits():
+    for p, m in ((3, 2), (13, 4), (13, 6), (31, 6), (2**31 - 1, 2)):
+        check_prime(p, m)
+    with pytest.raises(BadPrime, match="2\\*\\*31"):
+        check_prime(2147483659)  # prime, past the limit
+    # every arena refuses the same p the same way
+    for make in (PrimeParams.create, SexticParams.create, find_primitive_root):
+        with pytest.raises(BadPrime, match="2\\*\\*31"):
+            make(2147483659)
+        with pytest.raises(BadPrime):
+            make(15)
+    for make in (SexticParams.create, lambda p: find_primitive_root(p, THREE_IN_C1),
+                 lambda p: PrimeParams.create(p, g_policy=THREE_IN_C1)):
+        with pytest.raises(BadPrime, match="mod 6"):
+            make(11)
+
+
+SEXTIC_PRIMES_2000 = [p for p in SEXTIC_PRIMES_10000 if p < 2000]
+
+
+def test_three_in_c1_table_matches_its_own_build():
+    # the smallest root's table rebased to g against g's table built from scratch
+    found = 0
+    for p in SEXTIC_PRIMES_2000:
+        try:
+            params = SexticParams.create(p, g_policy=THREE_IN_C1)
+        except NoSuchRoot:
+            continue
+        table = params.index_table
+        assert table.dtype == np.int64 and not table.flags.writeable, p
+        assert np.array_equal(table, build_index_table(p, params.g)), p
+        assert params.ind(3) % 6 == 1 and params.f == (p - 1) // 6
+        found += 1
+    assert found > 50
+
+
+def test_an_arena_builds_one_index_table(monkeypatch):
+    import cycloseq.ntheory as ntheory
+
+    calls = []
+
+    def counted(p, g):
+        calls.append((p, g))
+        return build_index_table(p, g)
+
+    monkeypatch.setattr(ntheory, "build_index_table", counted)
+    for policy, p in ((THREE_IN_C1, 31), (THREE_IN_C1, 1987), ("smallest", 1987)):
+        calls.clear()
+        SexticParams.create(p, g_policy=policy)
+        assert len(calls) == 1, (policy, p, calls)
+    calls.clear()
+    PrimeParams.create(13, g=6)
+    assert calls == [(13, 6)]

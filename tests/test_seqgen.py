@@ -11,6 +11,7 @@ from cycloseq.errors import (
     BadSubset,
     InvariantViolation,
     NoSuchRoot,
+    NotPrimitive,
     ParameterError,
     ZeroArgument,
 )
@@ -301,9 +302,30 @@ def test_dhl_examples():
 def test_dhl_rejects_bad_prime():
     with pytest.raises(BadPrime):
         dhl_sequence(7, 3, 7)  # 7 % 4 == 3
-    for g in (3, 0, 13, -2):  # not a primitive root, or outside 1..12
-        with pytest.raises(ParameterError):
+    with pytest.raises(NotPrimitive):
+        dhl_sequence(13, 3, 13)
+    for g in (0, 13, 15, -11, -2):  # outside 1..12; 15 and -11 would act as 2 mod 13
+        with pytest.raises(ParameterError, match="1\\.\\.12"):
             dhl_sequence(13, g, 13)
+
+
+CONSTRUCTORS = {
+    "hall": lambda n: hall_sequence(P13, n),
+    "hall_via_characters": lambda n: hall_sequence_via_characters(P13, n),
+    "legendre": lambda n: legendre_sequence(13, n),
+    "dhl": lambda n: dhl_sequence(13, 2, n),
+    "cyclotomic": lambda n: cyclotomic_sequence(P13, 6, {0, 1, 3}, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_every_constructor_refuses_nonpositive_lengths(name):
+    for length in (0, -1):
+        with pytest.raises(ParameterError, match="length must be >= 1"):
+            CONSTRUCTORS[name](length)
+    # a length past the period wraps; one inside it truncates
+    assert CONSTRUCTORS[name](27).to01() == CONSTRUCTORS[name](13).to01() * 2 + "0"
+    assert CONSTRUCTORS[name](3).to01() == CONSTRUCTORS[name](13).to01()[:3]
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
