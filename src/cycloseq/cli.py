@@ -140,7 +140,8 @@ def cmd_measure(args) -> int:
     if args.ck is not None:
         measure = "Ck"
         if args.sampled is not None:
-            params = {"k": args.ck, "samples": args.sampled, "seed": args.seed}
+            params = {"k": args.ck, "samples": args.sampled, "seed": args.seed,
+                      "draw": measures.SAMPLED_DRAW}
             run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed,
                                                                budget=args.budget)
         else:
@@ -289,9 +290,10 @@ def _weil_suite(args):
     rng = np.random.default_rng(args.seed)
     for p in primes:
         params = ntheory.SexticParams.create(p)
+        kmax = min(args.kmax, p)  # k > p has no shift tuple
         bad = 0
         total = 0
-        for k in range(1, min(args.kmax, p) + 1):  # k > p has no shift tuple
+        for k in range(1, kmax + 1):
             exponents = np.array(list(product(range(1, 6), repeat=k)))
             tuples = combinations(range(p), k)
             # 2**14 tuples per call: 2 MB of verdicts at k = 3, not 42 MB for p = 127
@@ -302,21 +304,21 @@ def _weil_suite(args):
                 bad += ok.size - int(ok.sum())
         yield (f"weil complete p={p} k<={args.kmax}", _status(bad == 0),
                f"{total - bad}/{total} within (k-1)sqrt(p)+k")
-        # the draws keep their order; then each k's queries are one batch over their
-        # distinct exponent rows, each read at its own row; k > p has no tuple
-        queries = {}
-        for _ in range(args.queries):
-            k = int(rng.integers(1, min(args.kmax, p) + 1))
-            shifts = np.sort(rng.choice(p, size=k, replace=False))
-            ms = rng.integers(1, 6, size=k)
-            window = int(rng.integers(2, p + 1))
-            queries.setdefault(k, []).append((shifts, ms, window))
+        # every query's k, then every window; then for each k in turn its queries'
+        # shifts and exponents, one batch over their distinct exponent rows, each
+        # query read at its own row
+        ks = rng.integers(1, kmax + 1, size=args.queries)
+        windows = rng.integers(2, p + 1, size=args.queries)
         sat = 0
-        for k, drawn in queries.items():
-            shifts, ms, windows = zip(*drawn)
-            rows, row = np.unique(np.array(ms), axis=0, return_inverse=True)
-            ok = charsum.weil_verdicts(params, rows, np.array(shifts), windows)
-            sat += int(ok[np.arange(len(row)), row].sum())
+        for k in range(1, kmax + 1):
+            mine = ks == k
+            n = int(mine.sum())
+            if not n:
+                continue
+            shifts = measures._draw_subsets(rng, p, k, n)
+            rows, row = np.unique(rng.integers(1, 6, size=(n, k)), axis=0, return_inverse=True)
+            ok = charsum.weil_verdicts(params, rows, shifts, windows[mine])
+            sat += int(ok[np.arange(n), row].sum())
         yield (f"weil incomplete p={p} ({args.queries} random)", "report",
                f"{sat}/{args.queries} within k*sqrt(p)*(1+ln p)")
 

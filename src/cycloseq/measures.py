@@ -43,7 +43,9 @@ Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
 8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple, through
 `_walk_maxima`; exact k = 1; and the witness walk of each attaining pattern,
-over its N - d_k steps.  Memory is O(N) plus the block.
+over its N - d_k steps.  Memory is O(N) plus the block.  The sampled measure
+draws a block's shift tuples together, by Floyd's algorithm over every row at
+once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
@@ -171,6 +173,36 @@ def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.n
     return walk.max(axis=1), walk.argmax(axis=1)
 
 
+def _block_rows(N: int) -> int:
+    """Rows of N steps in one sampled block, at most 8 * _BLOCK_CELLS steps."""
+    return max(1, 8 * _BLOCK_CELLS // N)
+
+
+def _draw_subsets(rng: np.random.Generator, N: int, k: int, n: int) -> np.ndarray:
+    """(n, k) int64 array of n uniform k-subsets of 0..N-1, each row sorted.
+
+    Floyd's algorithm (Bentley and Floyd, CACM 30(9), 1987) on a chunk of rows
+    at once: for j = N-k..N-1, one rng.integers(0, j + 1) call picks t for every
+    row, and a row that already holds t takes j instead.  A rows x N bool mask
+    answers the membership test.  A chunk holds at most a sampled block's rows,
+    so the mask is never bigger than a block's walk, whatever n.
+    """
+    out = np.empty((n, k), dtype=np.int64)
+    per = _block_rows(N)
+    for lo in range(0, n, per):
+        chunk = out[lo : lo + per]
+        m = len(chunk)
+        base = np.arange(m) * N  # row i's mask starts at i * N of the flat mask
+        taken = np.zeros(m * N, dtype=bool)
+        for c, j in enumerate(range(N - k, N)):
+            t = rng.integers(0, j + 1, size=m)
+            t[taken[base + t]] = j
+            taken[base + t] = True
+            chunk[:, c] = t
+    out.sort(axis=1)
+    return out
+
+
 def _lex_smallest_window(P: np.ndarray, v: int) -> tuple[int, int] | None:
     """Smallest (a, b), a < b, with |P_b - P_a| = v, given v = max spread of P."""
     pmin = int(P.min())
@@ -202,8 +234,13 @@ def _prefix_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _PREFIX_SUM, _PREFIX_MAX, _PREFIX_MIN = _prefix_tables()
 # Cells (row bytes) per evaluated block: bounds the memory a block adds to the
-# packed word and how long the cuts go stale between updates of the best.
+# packed word and how long the cuts go stale between updates of the best.  The
+# sampled measure draws each block's rows together, so changing this changes
+# its seeded values: SAMPLED_DRAW, part of their cache identity, must change too.
 _BLOCK_CELLS = 1 << 14
+# The sampled measure's draw scheme, a param of its cached records: a record
+# drawn under another scheme is never served.
+SAMPLED_DRAW = "floyd"
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -376,13 +413,14 @@ def correlation_measure_sampled(
 ) -> CorrelationReport:
     """Lower bound on C_k from randomly sampled shift tuples (exact inner pass).
 
-    Deterministic for a fixed seed: each sample is one rng.choice(N, k) drawn
-    in order, and the best (value, lexicographically smallest D, M) wins.  The
-    draws are walked a block of rows at a time through `_walk_maxima`.  The
-    budget charges min(samples, binom(N, k)) * N, in the exact search's unit,
-    before any draw.  When `samples` covers the whole tuple space (samples >=
-    binom(N, k)) nothing is drawn: the exact measure runs and its value and
-    witness are returned with exhaustive=False.
+    Deterministic for a fixed seed: the samples are drawn and walked a block
+    of rows at a time, each block's rows by one `_draw_subsets` call (the
+    SAMPLED_DRAW scheme) and its walks by one `_walk_maxima` call, and the best
+    (value, lexicographically smallest D, M) wins.  The budget charges
+    min(samples, binom(N, k)) * N, in the exact search's unit, before any draw.
+    When `samples` covers the whole tuple space (samples >= binom(N, k))
+    nothing is drawn: the exact measure runs and its value and witness are
+    returned with exhaustive=False.
     """
     N = seq.length
     if not 1 <= k <= N:
@@ -401,11 +439,10 @@ def correlation_measure_sampled(
 
     rng = np.random.default_rng(rng_seed)
     rows = _step_rows(seq.bits)
-    per_block = max(1, 8 * _BLOCK_CELLS // N)
+    per_block = _block_rows(N)
     best = None
     for start in range(0, samples, per_block):
-        D = np.sort([rng.choice(N, size=k, replace=False)
-                     for _ in range(min(per_block, samples - start))], axis=1)
+        D = _draw_subsets(rng, N, k, min(per_block, samples - start))
         values, ms = _walk_maxima(rows, D)
         tied = np.flatnonzero(values == values.max())
         i = tied[np.lexsort(D[tied].T[::-1])[0]]

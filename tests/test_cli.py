@@ -9,7 +9,9 @@ from cycloseq import bounds, cli, measures, ntheory, seqgen
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from cycloseq.errors import InvariantViolation
 from cycloseq.ntheory import SexticParams
+from cycloseq.records import MeasureRecord, cache_key
 from cycloseq.seqgen import read_sequence
+from test_measures import _floyd_reference
 
 
 def run(capsys, *argv):
@@ -346,7 +348,44 @@ def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
     code, first, _ = run(capsys, *args, "--cache", str(cache), "--budget", "1240")
     assert code == EXIT_OK
     assert run(capsys, *args, "--cache", str(cache), "--budget", "1239") == (EXIT_OK, first, "")
-    assert json.loads(first)["params"] == {"k": 3, "samples": 40, "seed": 0}
+    assert json.loads(first)["params"] == {"k": 3, "samples": 40, "seed": 0, "draw": "floyd"}
+
+
+def _stored(seq, params, value):
+    """A cache line under the key `params` give, as a toolkit that took those
+    params for a C_k measure of `seq` would have written it."""
+    return MeasureRecord(sequence_label=seq.label, measure="Ck", params=params, value=value,
+                         witness={"D": [0], "M": 1, "exhaustive": False},
+                         cache_key=cache_key(seq, "Ck", params)).to_json()
+
+
+def test_measure_sampled_record_without_draw_is_a_miss(tmp_path, capsys):
+    # a record stored under the params before the draw scheme joined them was
+    # drawn by another scheme: it is recomputed, appended and printed, never served
+    seq = seqgen.hall_sequence(SexticParams.create(31), 31)
+    cache = tmp_path / "cache.jsonl"
+    old = _stored(seq, {"k": 3, "samples": 40, "seed": 0}, 99)
+    cache.write_text(old + "\n")
+    code, out, _ = run(capsys, "measure", "--construction", "hall", "--p", "31", "--ck", "3",
+                       "--sampled", "40", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert cache.read_text().splitlines() == [old, out.rstrip("\n")]
+    rec = json.loads(out)
+    assert rec["params"]["draw"] == "floyd" and rec["value"] != 99
+    assert rec["value"] == measures.correlation_measure_sampled(seq, 3, 40, 0).value
+
+
+def test_measure_exact_record_keeps_its_key(tmp_path, capsys, monkeypatch):
+    # exact C_k's params did not change, so a stored exact record is still served
+    seq = seqgen.hall_sequence(SexticParams.create(31), 31)
+    cache = tmp_path / "cache.jsonl"
+    old = _stored(seq, {"k": 2}, 99)
+    cache.write_text(old + "\n")
+    monkeypatch.setattr(measures, "correlation_measure_exact", None)
+    code, out, _ = run(capsys, "measure", "--construction", "hall", "--p", "31", "--ck", "2",
+                       "--cache", str(cache))
+    assert (code, out) == (EXIT_OK, old + "\n")
+    assert cache.read_text() == old + "\n"
 
 
 def test_verify_diffset(capsys):
@@ -479,21 +518,26 @@ def test_verify_weil_complete_sums_stop_at_p(monkeypatch, capsys):
 def test_weil_random_queries_read_their_own_row(monkeypatch, capsys):
     # The queries of one k share a batch of distinct exponent rows.  A stub
     # passes a query only at its own row (and only for some rows), so a query
-    # that read another row's verdict would lower the reported count.
+    # that read another row's verdict would lower the reported count.  The draws
+    # are mirrored in the suite's order: every k, every window, then per k its
+    # shifts (by the plain Floyd oracle) and its exponents.
     p, kmax, queries, seed = 31, 3, 300, 11
     def passes(ms):
         return sum(m * 7**i for i, m in enumerate(ms)) % 3 != 0
 
     rng = np.random.default_rng(seed)
+    ks = rng.integers(1, kmax + 1, size=queries)
+    windows = rng.integers(2, p + 1, size=queries)
     own = {}
     expected = 0
-    for _ in range(queries):
-        k = int(rng.integers(1, kmax + 1))
-        shifts = tuple(np.sort(rng.choice(p, size=k, replace=False)).tolist())
-        ms = tuple(rng.integers(1, 6, size=k).tolist())
-        window = int(rng.integers(2, p + 1))
-        own.setdefault((shifts, window), set()).add(ms)
-        expected += passes(ms)
+    for k in range(1, kmax + 1):
+        ws = windows[ks == k].tolist()
+        if not ws:
+            continue
+        shifts = _floyd_reference(rng, p, k, len(ws))
+        for D, ms, w in zip(shifts, rng.integers(1, 6, size=(len(ws), k)).tolist(), ws):
+            own.setdefault((D, w), set()).add(tuple(ms))
+            expected += passes(ms)
 
     def stub(params, exponents, shifts, window):
         windows = np.broadcast_to(window, len(shifts))
@@ -507,6 +551,18 @@ def test_weil_random_queries_read_their_own_row(monkeypatch, capsys):
     line = next(l for l in stdout.splitlines() if "weil incomplete" in l)
     assert 0 < expected < queries
     assert line.endswith(f"  {expected}/{queries} within k*sqrt(p)*(1+ln p)"), line
+
+
+def test_weil_stdout_does_not_depend_on_the_seed(capsys):
+    # the benchmark's reference outputs are recorded at one seed and hold for all
+    outs = set()
+    for seed in range(10):
+        code, stdout, _ = run(capsys, "verify", "--suite", "weil", "--primes", "13,31", "--kmax",
+                              "2", "--queries", "200", "--seed", str(seed))
+        assert code == EXIT_OK
+        outs.add(stdout)
+    assert len(outs) == 1
+    assert outs.pop().count("  200/200 within k*sqrt(p)*(1+ln p)") == 2
 
 
 def test_verify_weil_refused_over_budget(capsys):

@@ -105,21 +105,42 @@ def _for_shifts_reference(seq, D):
     return int(P.max()), int(np.argmax(P)) + 1
 
 
+def _floyd_reference(rng, N, k, n):
+    """n k-subsets of range(N) by Floyd's algorithm, one row at a time in plain
+    Python, fed the same rng.integers(0, j + 1, size=m) arrays the batched
+    drawer consumes: for each chunk of m rows (a sampled block's, read off
+    measures._BLOCK_CELLS), column j - (N - k) of the draws is every row's pick."""
+    per = max(1, 8 * measures._BLOCK_CELLS // N)
+    rows = []
+    for lo in range(0, n, per):
+        m = min(per, n - lo)
+        columns = [rng.integers(0, j + 1, size=m).tolist() for j in range(N - k, N)]
+        for i in range(m):
+            chosen = set()
+            for j, column in zip(range(N - k, N), columns):
+                t = column[i]
+                chosen.add(j if t in chosen else t)
+            rows.append(tuple(sorted(chosen)))
+    return rows
+
+
 def _sampled_reference(seq, k, samples, rng_seed):
-    """Sampled C_k by the per-tuple loop the batched walk replaced: one draw and
-    one walk per sample, the exact measure once the samples cover every tuple."""
+    """Sampled C_k by the per-tuple loop the batched walk replaced: one walk per
+    sample, drawn by the plain Floyd oracle in the kernel's blocks of rows, and
+    the exact measure once the samples cover every tuple."""
     N = seq.length
     if samples >= math.comb(N, k):
         rep = correlation_measure_exact(seq, k)
         return rep.value, rep.witness_D, rep.witness_M, False
     rng = np.random.default_rng(rng_seed)
+    per_block = max(1, 8 * measures._BLOCK_CELLS // N)
     best = None
-    for _ in range(samples):
-        D = tuple(sorted(int(d) for d in rng.choice(N, size=k, replace=False)))
-        value, m = _for_shifts_reference(seq, D)
-        cand = (-value, D, m)
-        if best is None or cand < best:
-            best = cand
+    for start in range(0, samples, per_block):
+        for D in _floyd_reference(rng, N, k, min(per_block, samples - start)):
+            value, m = _for_shifts_reference(seq, D)
+            cand = (-value, D, m)
+            if best is None or cand < best:
+                best = cand
     return -best[0], best[1], best[2], False
 
 
@@ -530,10 +551,10 @@ def test_sampled_matches_per_tuple_reference(data, seq, samples, bound):
     k = data.draw(st.integers(1, seq.length))
     seed = data.draw(st.integers(0, 2**32 - 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        mp.setattr(measures, "_BLOCK_CELLS", bound)  # the reference draws in these blocks too
         rep = correlation_measure_sampled(seq, k, samples, seed)
-    assert ((rep.value, rep.witness_D, rep.witness_M, rep.exhaustive)
-            == _sampled_reference(seq, k, samples, seed))
+        assert ((rep.value, rep.witness_D, rep.witness_M, rep.exhaustive)
+                == _sampled_reference(seq, k, samples, seed))
 
 
 @given(st.data(), biased_words(40), st.sampled_from([1, 50, measures._BLOCK_CELLS]))
@@ -552,6 +573,45 @@ def test_for_shifts_matches_pattern_walk_route(data, seq, bound):
         mp.setattr(measures, "_BLOCK_CELLS", bound)
         for D in tuples:
             assert correlation_for_shifts(seq, D) == _for_shifts_reference(seq, D)
+
+
+def _check_draw_subsets(N, k, n, seed):
+    drawn = measures._draw_subsets(np.random.default_rng(seed), N, k, n)
+    assert drawn.shape == (n, k) and drawn.dtype == np.int64
+    rows = [tuple(r) for r in drawn.tolist()]
+    assert rows == _floyd_reference(np.random.default_rng(seed), N, k, n)
+    for r in rows:
+        assert list(r) == sorted(set(r)) and 0 <= r[0] and r[-1] < N
+
+
+@given(st.data(), st.integers(1, 40), st.integers(0, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 50, measures._BLOCK_CELLS]))
+@settings(max_examples=150, deadline=None)
+def test_draw_subsets_matches_floyd_reference(data, N, n, seed, bound):
+    # n = 0 draws nothing; one cell holds 8 // N rows (at least one) a chunk,
+    # fifty cells 10 to 400, so n rows end inside, at and past chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_BLOCK_CELLS", bound)
+        _check_draw_subsets(N, data.draw(st.integers(1, N)), n, seed)
+
+
+@pytest.mark.parametrize("N, k", [(1, 1), (2, 2), (7, 7), (40, 40)])
+def test_draw_subsets_whole_range(N, k):
+    # N = 1, k = 1 and k = N: every row is the whole range
+    _check_draw_subsets(N, k, 5, seed=3)
+    assert measures._draw_subsets(np.random.default_rng(3), N, k, 5).tolist() == [list(range(N))] * 5
+
+
+def test_draw_subsets_uniform_over_all_subsets():
+    # 60 000 draws over the 20 subsets of C(6, 3): chi-square below 43.8, its
+    # p = 0.001 point at 19 degrees of freedom
+    drawn = measures._draw_subsets(np.random.default_rng(2024), 6, 3, 60_000)
+    counts = {D: 0 for D in combinations(range(6), 3)}
+    for r in drawn.tolist():
+        counts[tuple(r)] += 1
+    assert len(counts) == 20
+    expected = 60_000 / 20
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 43.8
 
 
 def test_sampled_budget_refuses_before_any_draw(monkeypatch):
