@@ -352,8 +352,8 @@ def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
 
 
 def _stored(seq, params, value):
-    """A cache line under the key `params` give, as a toolkit that took those
-    params for a C_k measure of `seq` would have written it."""
+    """A C_k cache line for `seq` keyed on `params`, as a toolkit that took
+    those params would have written it."""
     return MeasureRecord(sequence_label=seq.label, measure="Ck", params=params, value=value,
                          witness={"D": [0], "M": 1, "exhaustive": False},
                          cache_key=cache_key(seq, "Ck", params)).to_json()

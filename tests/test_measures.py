@@ -126,21 +126,18 @@ def _floyd_reference(rng, N, k, n):
 
 def _sampled_reference(seq, k, samples, rng_seed):
     """Sampled C_k by the per-tuple loop the batched walk replaced: one walk per
-    sample, drawn by the plain Floyd oracle in the kernel's blocks of rows, and
-    the exact measure once the samples cover every tuple."""
+    sample, drawn by the plain Floyd oracle (whose chunks are the kernel's
+    blocks), and the exact measure once the samples cover every tuple."""
     N = seq.length
     if samples >= math.comb(N, k):
         rep = correlation_measure_exact(seq, k)
         return rep.value, rep.witness_D, rep.witness_M, False
-    rng = np.random.default_rng(rng_seed)
-    per_block = max(1, 8 * measures._BLOCK_CELLS // N)
     best = None
-    for start in range(0, samples, per_block):
-        for D in _floyd_reference(rng, N, k, min(per_block, samples - start)):
-            value, m = _for_shifts_reference(seq, D)
-            cand = (-value, D, m)
-            if best is None or cand < best:
-                best = cand
+    for D in _floyd_reference(np.random.default_rng(rng_seed), N, k, samples):
+        value, m = _for_shifts_reference(seq, D)
+        cand = (-value, D, m)
+        if best is None or cand < best:
+            best = cand
     return -best[0], best[1], best[2], False
 
 
@@ -597,9 +594,8 @@ def test_draw_subsets_matches_floyd_reference(data, N, n, seed, bound):
 
 @pytest.mark.parametrize("N, k", [(1, 1), (2, 2), (7, 7), (40, 40)])
 def test_draw_subsets_whole_range(N, k):
-    # N = 1, k = 1 and k = N: every row is the whole range
+    # N = 1, k = 1 and k = N: sorted, distinct and in range, every row is range(N)
     _check_draw_subsets(N, k, 5, seed=3)
-    assert measures._draw_subsets(np.random.default_rng(3), N, k, 5).tolist() == [list(range(N))] * 5
 
 
 def test_draw_subsets_uniform_over_all_subsets():
@@ -609,7 +605,6 @@ def test_draw_subsets_uniform_over_all_subsets():
     counts = {D: 0 for D in combinations(range(6), 3)}
     for r in drawn.tolist():
         counts[tuple(r)] += 1
-    assert len(counts) == 20
     expected = 60_000 / 20
     assert sum((c - expected) ** 2 / expected for c in counts.values()) < 43.8
 
