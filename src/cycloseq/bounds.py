@@ -41,9 +41,8 @@ DEFAULT_K_CAP = 6
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    """Outcome of one named bound check; satisfied=None means not-applicable."""
+    """Outcome of one bound check (IW17 or BW06); satisfied=None means not-applicable."""
 
-    name: str  # iw17 | bw06
     inputs: dict = field(default_factory=dict)
     satisfied: bool | None = None
 
@@ -88,9 +87,8 @@ def check_iw17(
             detail["mode"] = "exact" if k == m + 1 else "certified-partial"
             satisfied = m >= rhs
             break
-    return BoundEvaluation(
-        name="iw17", inputs={"N": n, "M": m, "label": seq.label, **detail}, satisfied=satisfied
-    )
+    inputs = {"N": n, "M": m, "label": seq.label, **detail}
+    return BoundEvaluation(inputs=inputs, satisfied=satisfied)
 
 
 def check_bw06(seq: BitSequence, n: int) -> BoundEvaluation:
@@ -123,17 +121,12 @@ def check_bw06(seq: BitSequence, n: int) -> BoundEvaluation:
             )
     inputs = {"N": n, "L": lc, "label": seq.label, "D": shifts, "w": len(shifts), "v": v,
               "mode": "certified-witness", "rhs": n - v}
-    return BoundEvaluation(name="bw06", inputs=inputs, satisfied=True)
+    return BoundEvaluation(inputs=inputs, satisfied=True)
 
 
 @dataclass(frozen=True)
 class DifferenceSetReport:
-    p: int
-    g: int
-    lambda_values: tuple[int, ...]
-    lambda_constant: bool
-    lambda_value: int | None
-    autocorr_values: tuple[int, ...]
+    lambda_value: int | None  # the constant lambda(t), None unless a difference set
     two_level_ideal: bool
     hall_form_u: int | None  # u with p = 4u**2 + 27, if any
     three_in_c1: bool
@@ -152,11 +145,9 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
     seq = hall_sequence(params, p)
     h = seq.bits.astype(np.int64)
     # lambda(t) = sum_n h_n h_{n+t}: the 0/1 indicator correlated with itself doubled
-    lambdas = tuple(np.correlate(np.concatenate([h, h[:-1]]), h, "valid")[1:].tolist())
-    autocorr = tuple(periodic_autocorrelations(seq).tolist())
-
-    lambda_constant = len(set(lambdas)) == 1
-    two_level = all(a == -1 for a in autocorr)
+    lambdas = np.correlate(np.concatenate([h, h[:-1]]), h, "valid")[1:]
+    lambda_constant = bool((lambdas == lambdas[0]).all())
+    two_level = bool((periodic_autocorrelations(seq) == -1).all())
     if lambda_constant != two_level:
         raise InvariantViolation(f"p={p}: difference-set and autocorrelation verdicts differ")
 
@@ -166,12 +157,7 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
         if 4 * r * r + 27 == p:
             u = r
     return DifferenceSetReport(
-        p=p,
-        g=params.g,
-        lambda_values=lambdas,
-        lambda_constant=lambda_constant,
-        lambda_value=lambdas[0] if lambda_constant else None,
-        autocorr_values=autocorr,
+        lambda_value=int(lambdas[0]) if lambda_constant else None,
         two_level_ideal=two_level,
         hall_form_u=u,
         three_in_c1=params.ind(3) % 6 == 1,
@@ -180,15 +166,12 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
 
 @dataclass(frozen=True)
 class BaselineStatistics:
-    n: int
-    k: int
-    trials: int
-    rng_seed: int
+    """C_k of each random word; mean, max and quartiles of C_k / sqrt(N ln N)."""
+
     values: tuple[int, ...]
-    ratios: tuple[float, ...]  # C_k / sqrt(N ln N)
     mean_ratio: float
     max_ratio: float
-    quartiles: tuple[float, float, float]  # of the ratios, like mean and max
+    quartiles: tuple[float, float, float]
 
 
 def random_baseline(
@@ -208,12 +191,7 @@ def random_baseline(
     ratios = tuple(v / norm for v in values)
     q25, q50, q75 = (float(q) for q in np.quantile(ratios, [0.25, 0.5, 0.75]))
     return BaselineStatistics(
-        n=n,
-        k=k,
-        trials=trials,
-        rng_seed=rng_seed,
         values=tuple(values),
-        ratios=ratios,
         mean_ratio=float(np.mean(ratios)),
         max_ratio=float(max(ratios)),
         quartiles=(q25, q50, q75),

@@ -5,7 +5,7 @@ and reduced exactly in Z[w] (w = exp(pi*i/3), w^2 = w - 1), so every equality
 assertion is integer arithmetic; floats appear only in magnitudes and bound
 comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
 
-One kernel, `phase_counts`, computes every sum, and it is the only way in.
+One kernel computes every sum, for `phase_counts` and `weil_verdicts`.
 It has one batch shape: a T x k array of shift tuples with one window each,
 and a B x k array of exponent rows shared by every tuple; it evaluates all
 T x B sums.  A single sum is the one-tuple, one-row batch, and a caller with
@@ -200,12 +200,6 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
         yield lo, hi, (lanes & np.uint64(_PIECE)).sum(axis=1).astype(np.int64)
 
 
-def _skipped(p: int, S: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Terms n in 1..window-1 with a vanishing argument: n = p - d_i for each
-    d_i >= p - window + 1 (distinct shifts give distinct n)."""
-    return (S >= (p - windows + 1)[:, None]).sum(axis=1)
-
-
 def phase_counts(params: SexticParams, exponents, shifts, window):
     """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).
 
@@ -214,8 +208,8 @@ def phase_counts(params: SexticParams, exponents, shifts, window):
     tuple (or one for all); window = p gives the complete sum.  `exponents` is
     a B x k array of exponent rows in 1..5, every row summed over every tuple.
     Terms where some n + d_i vanishes mod p contribute 0 (chi(0) = 0).  Returns
-    (counts, skipped): counts[t, b, r] is the number of terms of tuple t, row
-    b with phase r, and skipped[t] the number of n with a vanishing argument.
+    counts: counts[t, b, r] is the number of terms of tuple t, row b with
+    phase r, so window - 1 - counts[t, b].sum() terms of tuple t vanish.
     """
     S, windows = _checked_shifts(params, shifts, window)
     E = _checked_exponents(exponents, S.shape[1])
@@ -223,7 +217,7 @@ def phase_counts(params: SexticParams, exponents, shifts, window):
     counts = np.empty((len(S), len(E), 6), dtype=np.int64)
     for lo, hi, c in _count_chunks(params, rows, S, windows):
         counts[lo:hi] = c.reshape(hi - lo, -1)[:, gather]
-    return counts, _skipped(params.p, S, windows)
+    return counts
 
 
 def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
@@ -278,7 +272,7 @@ class CorrelationExpansion:
 
     def evaluate_exact(self) -> tuple[int, int]:
         """Numerator of the expansion value as a + b*w (denominator 3**k)."""
-        counts, _ = phase_counts(self.params, self.exponents, [self.shifts], self.window)
+        counts = phase_counts(self.params, self.exponents, [self.shifts], self.window)
         a, b = zeta6_mul(np.array(self.coeffs).T, reduce_zeta6(counts[0].T))
         return int(a.sum()), int(b.sum())
 

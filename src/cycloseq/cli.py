@@ -1,11 +1,12 @@
 """Command-line front end: generate | measure | verify | scan | baseline.
 
 Exit codes: 0 success, 2 parameter error (including a file that cannot be
-read or written), 3 budget exceeded, 4 verification failure (including a
-broken internal identity).  Records are emitted as JSON (default) or CSV;
-`measure` results are served from a JSONL cache unless --no-cache, keyed by
-a sha256 of the word's packed bits with its length and period, the measure,
-its params and the toolkit version (the label is provenance only).
+read or written, and running out of memory), 3 budget exceeded, 4
+verification failure (including a broken internal identity).  Records are
+emitted as JSON (default) or CSV; `measure` results are served from a JSONL
+cache unless --no-cache, keyed by a sha256 of the word's packed bits with its
+length and period, the measure, its params and the toolkit version (the label
+is provenance only).
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 # Exit code of each error class; an error takes the entry of its nearest class.
-# OSError covers unreadable inputs and unwritable outputs or caches.
+# OSError covers unreadable inputs and unwritable outputs or caches, MemoryError
+# an input too large to hold (such as a --length past the memory).
 _EXIT_CODES = {
     BudgetExceeded: EXIT_BUDGET,
     CapExceeded: EXIT_BUDGET,
     InvariantViolation: EXIT_VERIFY,
     CycloseqError: EXIT_PARAM,
     OSError: EXIT_PARAM,
+    MemoryError: EXIT_PARAM,
 }
 
 
@@ -479,7 +482,10 @@ def main(argv=None) -> int:
             raise ParameterError(f"--budget must be >= 1; got {args.budget}")
         return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = str(e)
+        if isinstance(e, MemoryError):  # np.resize raises one with no message
+            msg = f"out of memory: {msg}" if msg else "out of memory"
+        print(f"error: {msg}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
 
 

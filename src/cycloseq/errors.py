@@ -1,8 +1,11 @@
 """Exception types shared across the toolkit.
 
-ParameterError subclasses signal bad inputs (CLI exit code 2);
-BudgetExceeded / CapExceeded signal refused work (exit code 3);
-InvariantViolation signals a broken internal identity (exit code 4).
+CycloseqError is the base of the five others:
+- ParameterError: a bad input (CLI exit code 2);
+- NoSuchRoot: a ParameterError for a root policy that no primitive root
+  satisfies, which `verify` and `scan` report per prime instead of exiting;
+- BudgetExceeded and CapExceeded: refused work (exit code 3);
+- InvariantViolation: a broken internal identity (exit code 4).
 """
 
 
@@ -16,34 +19,6 @@ class ParameterError(CycloseqError, ValueError):
 
 class NoSuchRoot(ParameterError):
     """No primitive root satisfies the requested constraint for this prime."""
-
-
-class NotPrimitive(ParameterError):
-    """Powers of g repeat before exponent p-1."""
-
-
-class BadOrder(ParameterError):
-    """Coset/character order does not divide p-1."""
-
-
-class ZeroArgument(ParameterError):
-    """Operation requires a nonzero residue."""
-
-
-class BadPrime(ParameterError):
-    pass
-
-
-class BadSubset(ParameterError):
-    pass
-
-
-class BadShifts(ParameterError):
-    """Shift tuple not strictly increasing or out of range."""
-
-
-class NoPeriod(ParameterError):
-    """Sequence has no declared period."""
 
 
 class InvariantViolation(CycloseqError):

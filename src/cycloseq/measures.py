@@ -59,14 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BadShifts,
-    BudgetExceeded,
-    CapExceeded,
-    InvariantViolation,
-    NoPeriod,
-    ParameterError,
-)
+from .errors import BudgetExceeded, CapExceeded, InvariantViolation, ParameterError
 from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
@@ -78,7 +71,6 @@ TWO_ADIC_CAP = 10000
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    k: int
     value: int
     witness_D: tuple[int, ...]
     witness_M: int
@@ -93,7 +85,6 @@ class ComplexityProfile:
     C(x) = 1 + c_1 x + ... + c_L x**L as a bitmask (bit i = c_i).
     """
 
-    kind: str  # "linear" | "maxorder"
     values: tuple[int, ...]
     connection: int | None = None
 
@@ -104,7 +95,6 @@ class ComplexityProfile:
 
 @dataclass(frozen=True)
 class TwoAdicReport:
-    period: int
     numerator: int  # S(2) = sum s_n 2**n over one period
     modulus: int  # 2**T - 1
     gcd_value: int
@@ -118,11 +108,11 @@ class TwoAdicReport:
 def _validate_shifts(D, N: int) -> tuple[int, ...]:
     D = tuple(int(d) for d in D)
     if not D:
-        raise BadShifts("empty shift tuple")
+        raise ParameterError("empty shift tuple")
     if D[0] < 0 or any(a >= b for a, b in zip(D, D[1:])):
-        raise BadShifts(f"shifts {D} not strictly increasing and nonnegative")
+        raise ParameterError(f"shifts {D} not strictly increasing and nonnegative")
     if D[-1] >= N:
-        raise BadShifts(f"largest shift {D[-1]} leaves no window in length {N}")
+        raise ParameterError(f"largest shift {D[-1]} leaves no window in length {N}")
     return D
 
 
@@ -403,9 +393,7 @@ def correlation_measure_exact(
             witness = cand
     if witness is None:
         raise InvariantViolation(f"no (D, M) attains the computed C_{k} = {best}")
-    return CorrelationReport(
-        k=k, value=best, witness_D=witness[0], witness_M=witness[1], exhaustive=True
-    )
+    return CorrelationReport(value=best, witness_D=witness[0], witness_M=witness[1], exhaustive=True)
 
 
 def correlation_measure_sampled(
@@ -450,14 +438,14 @@ def correlation_measure_sampled(
         if best is None or cand < best:
             best = cand
     value, D, m = -best[0], best[1], best[2]
-    return CorrelationReport(k=k, value=value, witness_D=D, witness_M=m, exhaustive=False)
+    return CorrelationReport(value=value, witness_D=D, witness_M=m, exhaustive=False)
 
 
 def _period_signs(seq: BitSequence) -> np.ndarray:
-    """(-1)**s_n over one declared period; NoPeriod without one."""
+    """(-1)**s_n over one declared period; ParameterError without one."""
     T = seq.period
     if T is None:
-        raise NoPeriod("periodic autocorrelation needs a declared period")
+        raise ParameterError("periodic autocorrelation needs a declared period")
     if seq.length < T:
         raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
     return seq.signs()[:T]
@@ -500,7 +488,7 @@ def berlekamp_massey_profile(seq: BitSequence) -> ComplexityProfile:
                 L, B, m = n + 1 - L, prev, 0
         m += 1
         values.append(L)
-    return ComplexityProfile(kind="linear", values=tuple(values), connection=C)
+    return ComplexityProfile(values=tuple(values), connection=C)
 
 
 def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
@@ -565,14 +553,14 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
         last = cur
         values.append(conflict + 1)
     values[0] = 0
-    return ComplexityProfile(kind="maxorder", values=tuple(values))
+    return ComplexityProfile(values=tuple(values))
 
 
 def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:
     """Full-period 2-adic complexity via gcd(S(2), 2**T - 1)."""
     T = seq.period
     if T is None:
-        raise NoPeriod("2-adic complexity needs a declared period")
+        raise ParameterError("2-adic complexity needs a declared period")
     if T > TWO_ADIC_CAP:
         raise CapExceeded(T, TWO_ADIC_CAP)
     if seq.length < T:
@@ -581,7 +569,6 @@ def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:
     modulus = (1 << T) - 1
     g = math.gcd(s2, modulus)
     return TwoAdicReport(
-        period=T,
         numerator=s2,
         modulus=modulus,
         gcd_value=g,

@@ -19,12 +19,12 @@ its table from the smallest root's, which the root search built anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadPrime, NoSuchRoot, NotPrimitive, ParameterError, ZeroArgument
+from .errors import NoSuchRoot, ParameterError
 
 P_LIMIT = 2**31
 
@@ -91,11 +91,12 @@ def is_primitive_root(g: int, p: int, factors: list[int] | None = None) -> bool:
 
 
 def check_prime(p: int, m: int = 2) -> None:
-    """BadPrime unless p is an odd prime below 2**31 with m | p - 1."""
+    """ParameterError unless p is an odd prime below 2**31 with m | p - 1."""
     if p >= P_LIMIT:
-        raise BadPrime(f"p={p} exceeds the 2**31 limit")
+        raise ParameterError(f"p={p} exceeds the 2**31 limit")
     if not is_prime(p) or (p - 1) % m:
-        raise BadPrime(f"p={p} is not " + ("an odd prime" if m == 2 else f"a prime = 1 (mod {m})"))
+        why = "an odd prime" if m == 2 else f"a prime = 1 (mod {m})"
+        raise ParameterError(f"p={p} is not {why}")
 
 
 def _is_three_in_c1(policy: str | None) -> bool:
@@ -148,7 +149,7 @@ def build_index_table(p: int, g: int) -> np.ndarray:
     The powers are g**(B*q + r) = g**(B*q) * g**r for B = ceil(sqrt(p - 1)), r < B:
     two short loops of powers and one int64 outer product mod p (p < 2**31, so
     a product of two residues fits), scattered into the table.  Raises
-    NotPrimitive if the powers of g repeat before exponent p-1.
+    ParameterError if the powers of g repeat before exponent p-1.
     """
     B = math.isqrt(p - 1)
     B += B * B < p - 1
@@ -165,7 +166,7 @@ def build_index_table(p: int, g: int) -> np.ndarray:
     table[powers] = np.arange(p - 1)
     # p - 1 distinct powers fill slots 1..p-1 exactly when none is 0
     if table[0] != -1 or (table[1:] == -1).any() or pow(g, p - 1, p) != 1:
-        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
+        raise ParameterError(f"{g} is not a primitive root mod {p}")
     table.setflags(write=False)
     return table
 
@@ -206,27 +207,18 @@ class PrimeParams:
         """ind_g(n) for n not divisible by p."""
         n %= self.p
         if n == 0:
-            raise ZeroArgument("ind is undefined at 0")
+            raise ParameterError("ind is undefined at 0")
         return int(self.index_table[n])
 
     def g_inverse(self) -> int:
         return pow(self.g, self.p - 2, self.p)
 
-    def __repr__(self) -> str:  # index table elided
-        return f"{type(self).__name__}(p={self.p}, g={self.g})"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class SexticParams(PrimeParams):
-    """PrimeParams for p = 6f+1, the arena of the sextic residue sequence."""
+    """PrimeParams for p = 1 (mod 6), the arena of the sextic residue sequence."""
 
-    f: int = 0
     _order = 6
-
-    @classmethod
-    def create(cls, p: int, g: int | None = None,
-               g_policy: str | None = "smallest") -> "SexticParams":
-        return replace(super().create(p, g, g_policy), f=(p - 1) // 6)
 
 
 def reduce_zeta6(counts) -> tuple[int, int]:

@@ -55,14 +55,14 @@ class MeasureRecord:
         # every field holds JSON-native values, so no asdict deep copy is needed
         return _canonical(vars(self))
 
-    def write(self, stream=None, fmt: str = "json") -> None:
-        stream = stream or sys.stdout
+    def write(self, fmt: str = "json") -> None:
+        """Print the record to stdout as one JSON line, or as CSV rows."""
         if fmt == "json":
-            stream.write(self.to_json() + "\n")
+            print(self.to_json())
         elif fmt == "csv":
             import csv
 
-            w = csv.writer(stream)
+            w = csv.writer(sys.stdout)
             base = [self.sequence_label, self.measure, _canonical(self.params)]
             tail = [
                 _canonical(self.witness) if self.witness else "",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadOrder, BadSubset, InvariantViolation, ParameterError, ZeroArgument
+from .errors import InvariantViolation, ParameterError
 from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6
 
 # Hall ones live on C0 u C1 u C3 of the order-6 cosets.
@@ -79,9 +79,7 @@ def _extend(core: np.ndarray, length: int) -> np.ndarray:
     """The first `length` terms of core repeated; ParameterError unless length >= 1."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    if length <= core.size:
-        return core[:length]
-    return core[np.arange(length) % core.size]
+    return np.resize(core, length)
 
 
 def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
@@ -188,10 +186,10 @@ def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> Bit
     Hall = (m=6, S={0,1,3}); Legendre = (m=2, S={0}); DHL = (m=4, S={0,1}).
     """
     if m < 1 or (params.p - 1) % m != 0:
-        raise BadOrder(f"m={m} does not divide p-1={params.p - 1}")
+        raise ParameterError(f"m={m} does not divide p-1={params.p - 1}")
     subset = frozenset(int(s) for s in subset)
     if not subset <= frozenset(range(m)):
-        raise BadSubset(f"classes {sorted(subset)} not within 0..{m - 1}")
+        raise ParameterError(f"classes {sorted(subset)} not within 0..{m - 1}")
     core = _core_from_classes(params, m, subset)
     s_str = ",".join(map(str, sorted(subset)))
     return BitSequence.create(
@@ -204,32 +202,26 @@ def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> Bit
 def permutation_map_f(params: SexticParams, n):
     """The bijection of {1..p-1} interchanging cosets C2 and C3 (identity elsewhere).
 
-    Elementwise on an array of residues (an int gives an int); ZeroArgument if
-    any argument is 0 mod p.
+    Elementwise on an array of residues (an int gives an int); ParameterError
+    if any argument is 0 mod p.
     """
     p = params.p
     n = np.asarray(np.asarray(n) % p, dtype=np.int64)
     if (n == 0).any():
-        raise ZeroArgument("f is undefined at 0")
+        raise ParameterError("f is undefined at 0")
     l = params.index_table[n] % 6
     out = np.where(l == 2, params.g * n % p, np.where(l == 3, params.g_inverse() * n % p, n))
     return int(out) if out.ndim == 0 else out
 
 
-def check_index_representation(params: SexticParams, mapping=None) -> bool:
+def check_index_representation(params: SexticParams) -> bool:
     """Verify h_n = 0 exactly when ind_{g^-1}(f(n)) mod 6 lies in {1, 2, 3}.
 
-    ind with respect to g^-1 is (-ind_g) mod (p-1).  `mapping(params, ns)` is
-    evaluated once on the array ns = 1..p-1; passing a different mapping (e.g.
-    the identity) shows the role f plays.
+    ind with respect to g^-1 is (-ind_g) mod (p-1).  f is evaluated once on
+    the array 1..p-1, which it permutes, so no f(n) is 0.
     """
-    if mapping is None:
-        mapping = permutation_map_f
-    p = params.p
-    fn = np.asarray(mapping(params, np.arange(1, p))) % p
-    if (fn == 0).any():
-        raise ZeroArgument("ind is undefined at 0")
-    val = (-params.index_table[fn]) % (p - 1) % 6
+    fn = permutation_map_f(params, np.arange(1, params.p))
+    val = (-params.index_table[fn]) % (params.p - 1) % 6
     core = _core_from_classes(params, 6, HALL_CLASSES)
     return bool(np.array_equal(core[1:] == 0, (1 <= val) & (val <= 3)))
 

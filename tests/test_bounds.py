@@ -13,7 +13,7 @@ from cycloseq.bounds import (
     theorem1_kernel,
 )
 from cycloseq.errors import ParameterError
-from cycloseq.measures import correlation_measure_exact
+from cycloseq.measures import correlation_measure_exact, periodic_autocorrelations
 from cycloseq.ntheory import SexticParams
 from cycloseq.seqgen import BitSequence, hall_sequence
 
@@ -164,7 +164,7 @@ def test_difference_set_hall_primes():
     for p, lam in ((31, 7), (43, 10), (127, 31)):
         params = SexticParams.create(p, g_policy="three-in-c1")
         rep = difference_set_check(params)
-        assert rep.lambda_constant and rep.lambda_value == lam == (p - 3) // 4
+        assert rep.lambda_value == lam == (p - 3) // 4
         assert rep.two_level_ideal
         assert rep.hall_form_u is not None and 4 * rep.hall_form_u**2 + 27 == p
         assert rep.three_in_c1
@@ -172,18 +172,25 @@ def test_difference_set_hall_primes():
 
 def test_difference_set_p13_negative():
     rep = difference_set_check(SexticParams.create(13, g=2))
-    assert not rep.lambda_constant
+    assert rep.lambda_value is None
     assert not rep.two_level_ideal
     assert rep.hall_form_u is None  # 13 != 4u^2 + 27
 
 
 def test_lambda_autocorr_relation():
-    # A(t) = p - 4*(|H| - lambda(t)) ties the two reports together
+    # A(t) = p - 4*(|H| - lambda(t)) ties the two verdicts together; lambda(t)
+    # is counted pair by pair, A(t) is the library's
     for p in (13, 31):
         params = SexticParams.create(p, g_policy="smallest")
-        rep = difference_set_check(params)
-        for lam, ac in zip(rep.lambda_values, rep.autocorr_values):
+        seq = hall_sequence(params, p)
+        h = seq.bits.tolist()
+        lams = [sum(h[n] * h[(n + t) % p] for n in range(p)) for t in range(1, p)]
+        acs = periodic_autocorrelations(seq).tolist()
+        for lam, ac in zip(lams, acs):
             assert ac == p - 4 * ((p - 1) // 2 - lam)
+        rep = difference_set_check(params)
+        assert rep.lambda_value == (lams[0] if len(set(lams)) == 1 else None)
+        assert rep.two_level_ideal == (set(acs) == {-1})
 
 
 def test_baseline_trivial():
@@ -199,8 +206,10 @@ def test_baseline_deterministic():
 
 def test_baseline_band_n256():
     st = random_baseline(256, 2, trials=20, rng_seed=3)
+    ratios = [v / math.sqrt(256 * math.log(256)) for v in st.values]
     assert 0.5 <= st.mean_ratio <= 3.0
-    assert min(st.ratios) <= st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2] <= max(st.ratios)
+    assert st.mean_ratio == pytest.approx(sum(ratios) / 20) and st.max_ratio == max(ratios)
+    assert min(ratios) <= st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2] <= max(ratios)
 
 
 def test_corollary1_positive_implies_moc_at_least_one():

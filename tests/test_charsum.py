@@ -38,10 +38,9 @@ def zeta6_conj(x):
 
 
 def one_sum(params, exponents, shifts, window):
-    """(counts, exact a + b*w, skipped) of one sum, as a one-row kernel batch."""
-    counts, skipped = phase_counts(params, [exponents], [shifts], window)
-    counts = tuple(int(c) for c in counts[0, 0])
-    return counts, reduce_zeta6(counts), int(skipped[0])
+    """(counts, exact a + b*w) of one sum, as a one-row kernel batch."""
+    counts = tuple(int(c) for c in phase_counts(params, [exponents], [shifts], window)[0, 0])
+    return counts, reduce_zeta6(counts)
 
 
 def _character_sum_reference(params, exponents, shifts, window):
@@ -83,12 +82,12 @@ def kernel_batches(draw):
 @settings(max_examples=200, deadline=None)
 def test_phase_counts_match_reference(case):
     params, batch, shifts, window = case
-    counts, skipped = phase_counts(params, batch, [shifts], window)
-    assert counts.shape == (1, len(batch), 6) and skipped.shape == (1,)
+    counts = phase_counts(params, batch, [shifts], window)
+    assert counts.shape == (1, len(batch), 6)
     for row, ms in zip(counts[0], batch):
         ref_counts, ref_skipped = _character_sum_reference(params, ms, shifts, window)
         assert row.tolist() == ref_counts
-        assert skipped[0] == ref_skipped
+        assert window - 1 - row.sum() == ref_skipped
 
 
 @st.composite
@@ -115,15 +114,15 @@ def test_batched_tuples_match_reference(case):
     # a small chunk constant puts chunk edges between (at 1, inside) the tuples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_BLOCK_CELLS", block)
-        counts, skipped = phase_counts(params, exponents, shifts, windows)
+        counts = phase_counts(params, exponents, shifts, windows)
         ok = weil_verdicts(params, exponents, shifts, windows)
     T, B = len(shifts), len(exponents)
-    assert counts.shape == (T, B, 6) and skipped.shape == (T,) and ok.shape == (T, B)
+    assert counts.shape == (T, B, 6) and ok.shape == (T, B)
     for t, (ds, window) in enumerate(zip(shifts, windows)):
         for b, ms in enumerate(exponents):
             ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
             assert counts[t, b].tolist() == ref_counts
-            assert skipped[t] == ref_skipped
+            assert window - 1 - counts[t, b].sum() == ref_skipped
             assert ok[t, b] == _reference_bound_ok(params, ms, ds, window)
 
 
@@ -138,17 +137,17 @@ def test_long_windows_are_summed_in_pieces():
              ((1, 2, 3, 4), [(5, 9, 700, 2052)], [200]),
              ((1, 2, 3, 4, 5, 1), [(0, 1, 2, 3, 4, 5), (9, 99, 999, 1999, 2000, 2052)], [1100, 2053])]
     for ms, shifts, windows in cases:
-        counts, skipped = phase_counts(params, [ms], shifts, windows)
+        counts = phase_counts(params, [ms], shifts, windows)
         for t, (ds, window) in enumerate(zip(shifts, windows)):
             ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
             assert counts[t, 0].tolist() == ref_counts
-            assert skipped[t] == ref_skipped
+            assert window - 1 - counts[t, 0].sum() == ref_skipped
 
 
 def test_single_tuple_must_be_a_one_tuple_batch():
     batch = list(product(range(1, 6), repeat=2))
-    counts, skipped = phase_counts(P31, batch, [(3, 17)], 20)
-    assert counts.shape == (1, 25, 6) and counts.dtype == np.int64 and skipped.shape == (1,)
+    counts = phase_counts(P31, batch, [(3, 17)], 20)
+    assert counts.shape == (1, 25, 6) and counts.dtype == np.int64
     assert weil_verdicts(P31, batch, [(3, 17)], 20).shape == (1, 25)
     # a bare tuple, and exponent rows given per tuple, are refused
     for exponents, shifts in ((batch, (3, 17)), ([batch], [(3, 17)]),
@@ -239,7 +238,7 @@ def test_complete_single_character_sums_vanish():
     # orthogonality: sum over 1..p-1 of chi^m is exactly zero
     for params in (P13, P31):
         for m in range(1, 6):
-            counts, reduced, _ = one_sum(params, (m,), (0,), params.p)
+            counts, reduced = one_sum(params, (m,), (0,), params.p)
             assert reduced == (0, 0)
             assert abs(sum(c * ROOT6[r] for r, c in enumerate(counts))) < 1e-6 * params.p
 
@@ -251,9 +250,11 @@ def test_float_matches_exact_representation():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(1, 32))
-        counts, (a, b), skipped = one_sum(P31, ms, shifts, window)
+        counts, (a, b) = one_sum(P31, ms, shifts, window)
         value = sum(c * ROOT6[r] for r, c in enumerate(counts))
         assert abs(value - (a + b * ROOT6[1])) < 1e-9
+        # one vanishing argument, n = 31 - d, for each shift d past 31 - window
+        skipped = sum(d > 31 - window for d in shifts)
         assert sum(counts) + skipped == max(window - 1, 0)
 
 
@@ -264,8 +265,8 @@ def test_conjugate_symmetry():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(2, 32))
-        _, a, _ = one_sum(P31, ms, shifts, window)
-        _, b, _ = one_sum(P31, tuple(6 - m for m in ms), shifts, window)
+        _, a = one_sum(P31, ms, shifts, window)
+        _, b = one_sum(P31, tuple(6 - m for m in ms), shifts, window)
         assert b == zeta6_conj(a)
         assert zeta6_norm_sq(a) == zeta6_norm_sq(b)
 
@@ -280,7 +281,7 @@ def test_weil_complete_exhaustive_p13():
 
 
 def test_weil_example_bound():
-    _, reduced, _ = one_sum(P13, (1, 1), (0, 1), 13)
+    _, reduced = one_sum(P13, (1, 1), (0, 1), 13)
     assert math.sqrt(zeta6_norm_sq(reduced)) <= math.sqrt(13) + 2
 
 

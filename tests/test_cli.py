@@ -647,6 +647,26 @@ def test_os_error_is_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error:") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--construction", "hall", "--p", "31", "--length", str(10**15), "--ck", "1",
+         "--no-cache"),
+        ("generate", "--construction", "hall", "--p", "31", "--length", str(10**15),
+         "--output", "{tmp}/x.seq"),
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", str(10**15)),
+    ],
+    ids=["measure-length", "generate-length", "weil-queries"],
+)
+def test_out_of_memory_is_exit_2(argv, tmp_path, capsys):
+    # 10**15 elements: every allocator refuses at once, nothing is touched
+    code, stdout, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_PARAM
+    assert stdout == "" and not (tmp_path / "x.seq").exists()
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("construction", ["hall", "dhl", "cyclotomic"])
 @pytest.mark.parametrize("g", ["15", "-11"])
 def test_g_outside_units_is_refused(construction, g, capsys):

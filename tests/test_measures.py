@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq import measures
-from cycloseq.errors import BadShifts, BudgetExceeded, CapExceeded, NoPeriod, ParameterError
+from cycloseq.errors import BudgetExceeded, CapExceeded, ParameterError
 from cycloseq.measures import (
     ComplexityProfile,
     berlekamp_massey_profile,
@@ -279,7 +279,7 @@ def max_order_complexity_naive(seq, cap=MOC_NAIVE_CAP):
             if ok:
                 values.append(M)
                 break
-    return ComplexityProfile(kind="maxorder", values=tuple(values))
+    return ComplexityProfile(values=tuple(values))
 
 
 # --- correlation -------------------------------------------------------------
@@ -310,11 +310,11 @@ def test_for_shifts_matches_direct_sums(data):
 
 def test_for_shifts_validation():
     seq = BitSequence.create([0, 1, 1, 0])
-    with pytest.raises(BadShifts):
+    with pytest.raises(ParameterError, match="shifts \\(1, 1\\) not strictly increasing"):
         correlation_for_shifts(seq, (1, 1))
-    with pytest.raises(BadShifts):
+    with pytest.raises(ParameterError, match="largest shift 4 leaves no window in length 4"):
         correlation_for_shifts(seq, (0, 4))
-    with pytest.raises(BadShifts):
+    with pytest.raises(ParameterError, match="empty shift tuple"):
         correlation_for_shifts(seq, ())
 
 
@@ -650,7 +650,7 @@ def test_autocorrelation_examples():
 
 
 def test_autocorrelation_needs_period():
-    with pytest.raises(NoPeriod):
+    with pytest.raises(ParameterError, match="periodic autocorrelation needs a declared period"):
         periodic_autocorrelation(BitSequence.create([0, 1, 1]), 1)
     with pytest.raises(ParameterError):
         periodic_autocorrelation(HALL13, 13)
@@ -687,7 +687,7 @@ def test_all_shift_autocorrelation_matches_per_shift(seq):
 
 
 def test_all_shift_autocorrelation_errors():
-    with pytest.raises(NoPeriod):
+    with pytest.raises(ParameterError, match="periodic autocorrelation needs a declared period"):
         periodic_autocorrelations(BitSequence.create([0, 1, 1]))
     short = BitSequence.create(HALL13.bits[:12], period=13)
     with pytest.raises(ParameterError):
@@ -855,7 +855,7 @@ def test_two_adic_hall31():
 
 
 def test_two_adic_needs_period():
-    with pytest.raises(NoPeriod):
+    with pytest.raises(ParameterError, match="2-adic complexity needs a declared period"):
         two_adic_complexity(BitSequence.create([0, 1, 1]))
 
 

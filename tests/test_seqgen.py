@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.errors import (
-    BadOrder,
-    BadPrime,
-    BadSubset,
-    InvariantViolation,
-    NoSuchRoot,
-    NotPrimitive,
-    ParameterError,
-    ZeroArgument,
-)
+from cycloseq.errors import InvariantViolation, NoSuchRoot, ParameterError
 from cycloseq.ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root, reduce_zeta6
 from cycloseq.seqgen import (
     HALL_CLASSES,
@@ -30,7 +21,7 @@ from cycloseq.seqgen import (
     read_sequence,
     write_sequence,
 )
-from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _indicators
+from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _extend, _indicators
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -163,9 +154,7 @@ def test_batched_identities_match_per_n_references(params):
     assert permutation_map_f(params, ns).tolist() == [f_reference(params, n) for n in range(1, p)]
     assert index_representation_reference(params, f_reference)
     assert check_index_representation(params)
-    identity = lambda prm, n: n
-    assert not index_representation_reference(params, identity)
-    assert not check_index_representation(params, mapping=identity)
+    assert not index_representation_reference(params, lambda prm, n: n)
 
 
 def test_delta_decomposition_refuses_a_non_indicator():
@@ -173,7 +162,7 @@ def test_delta_decomposition_refuses_a_non_indicator():
     # the character terms of n = 5 between the sixth roots, off the identity
     table = P13.index_table.astype(float)
     table[5] = 0.5
-    forged = SexticParams(p=13, g=2, index_table=table, f=2)
+    forged = SexticParams(p=13, g=2, index_table=table)
     with pytest.raises(InvariantViolation, match="n=5"):
         delta_decomposition(forged)
 
@@ -282,7 +271,7 @@ def test_legendre_examples():
 
 
 def test_legendre_rejects_composite():
-    with pytest.raises(BadPrime):
+    with pytest.raises(ParameterError, match="p=9 is not an odd prime"):
         legendre_sequence(9, 9)
 
 
@@ -300,9 +289,9 @@ def test_dhl_examples():
 
 
 def test_dhl_rejects_bad_prime():
-    with pytest.raises(BadPrime):
+    with pytest.raises(ParameterError, match="p=7 is not a prime = 1 \\(mod 4\\)"):
         dhl_sequence(7, 3, 7)  # 7 % 4 == 3
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(ParameterError, match="3 is not a primitive root mod 13"):
         dhl_sequence(13, 3, 13)
     for g in (0, 13, 15, -11, -2):  # outside 1..12; 15 and -11 would act as 2 mod 13
         with pytest.raises(ParameterError, match="1\\.\\.12"):
@@ -326,6 +315,13 @@ def test_every_constructor_refuses_nonpositive_lengths(name):
     # a length past the period wraps; one inside it truncates
     assert CONSTRUCTORS[name](27).to01() == CONSTRUCTORS[name](13).to01() * 2 + "0"
     assert CONSTRUCTORS[name](3).to01() == CONSTRUCTORS[name](13).to01()[:3]
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_extend_repeats_the_core(core, n):
+    core = np.array(core, dtype=np.uint8)
+    assert np.array_equal(_extend(core, n), core[np.arange(n) % core.size])
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
@@ -357,9 +353,9 @@ def test_cyclotomic_empty_subset():
 
 
 def test_cyclotomic_errors():
-    with pytest.raises(BadSubset):
+    with pytest.raises(ParameterError, match="classes \\[0, 6\\] not within 0..5"):
         cyclotomic_sequence(P13, 6, {0, 6}, 13)
-    with pytest.raises(BadOrder):
+    with pytest.raises(ParameterError, match="m=5 does not divide p-1=12"):
         cyclotomic_sequence(P13, 5, {0}, 13)
 
 
@@ -375,7 +371,7 @@ def test_permutation_map_examples():
     assert permutation_map_f(P13, 4) == 8  # C2 -> C3
     assert permutation_map_f(P13, 8) == 4  # C3 -> C2
     assert permutation_map_f(P13, 1) == 1  # fixed outside C2 u C3
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ParameterError, match="f is undefined at 0"):
         permutation_map_f(P13, 13)
 
 
@@ -393,7 +389,7 @@ def test_permutation_map_is_bijection_swapping_c2_c3():
 def test_index_representation():
     assert check_index_representation(P13)
     assert check_index_representation(P31)
-    assert not check_index_representation(P13, mapping=lambda prm, n: n)
+    assert not index_representation_reference(P13, lambda prm, n: n)
 
 
 def test_bitsequence_validation():

@@ -1,0 +1,102 @@
+"""Every public name of the library has a reader outside the tests.
+
+A public top-level function or class must be read (called, named or imported)
+outside its own definition, in `src/cycloseq`, `scripts/` or `bench/`; the
+package's re-exports in `__init__.py` are not reads.  Every public field of a
+dataclass must be read as `.field` somewhere in those trees.  The check is
+conservative: a generic field name such as `.k` is also matched by unrelated
+reads.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "cycloseq").glob("*.py"))
+READERS = [*SRC, *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]
+
+# CorrelationExpansion, the return type of expand_correlation_to_charsums, is
+# read in its own module and needs no skip
+AWAITING_A_CALLER = {"corollary1_kernel", "expand_correlation_to_charsums", "direct_signed_sum"}
+AWAITING = "Theorem 1 with an explicit constant and Corollary 1 as a scan (ROADMAP) give it a caller"
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _reads(nodes) -> set[str]:
+    """Names read, attributes read and names imported anywhere under `nodes`."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.update(a.name for a in n.names)
+    return out
+
+
+@functools.cache
+def _file_reads(path: Path) -> set[str]:
+    return _reads([_tree(path)])
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _public_definitions():
+    """(module, definition) for every public top-level function or class."""
+    for path in SRC:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, node
+
+
+DEFINITIONS = [
+    pytest.param(path, node, id=f"{path.stem}.{node.name}",
+                 marks=[pytest.mark.skip(reason=AWAITING)] * (node.name in AWAITING_A_CALLER))
+    for path, node in _public_definitions()
+    if not node.name.startswith("cmd_")  # main dispatches cmd_* by name
+]
+# MeasureRecord is serialized whole through vars()
+DATACLASSES = [node for _, node in _public_definitions()
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+               and node.name != "MeasureRecord"]
+
+
+def test_the_exemptions_name_existing_definitions():
+    names = {node.name for _, node in _public_definitions()}
+    assert AWAITING_A_CALLER <= names
+    assert "MeasureRecord" in names and any(n.startswith("cmd_") for n in names)
+
+
+@pytest.mark.parametrize("path,node", DEFINITIONS)
+def test_public_definition_has_a_reader(path, node):
+    outside = set().union(*(_file_reads(q) for q in READERS if q != path and q.name != "__init__.py"))
+    inside = _reads(n for n in _tree(path).body if getattr(n, "name", None) != node.name)
+    assert node.name in outside | inside, f"{path.name}: {node.name} is read only by tests"
+
+
+ATTRIBUTE_READS = {n.attr for q in READERS for n in ast.walk(_tree(q))
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("cls", DATACLASSES, ids=[c.name for c in DATACLASSES])
+def test_dataclass_fields_are_read(cls):
+    fields = [s.target.id for s in cls.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+              and not s.target.id.startswith("_")]
+    unread = [f for f in fields if f not in ATTRIBUTE_READS]
+    assert not unread, f"{cls.name} fields read only by tests: {unread}"
