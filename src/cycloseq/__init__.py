@@ -27,6 +27,7 @@ from .ntheory import (
     PrimeParams,
     SexticParams,
     build_index_table,
+    cyclotomic_numbers,
     find_primitive_root,
     is_prime,
 )

@@ -15,6 +15,12 @@ not-applicable (mode `budget-exceeded` or `not-applicable`).
 BW06 needs no ladder: BM's connection polynomial names shifts D, w <= L+1 of
 them, whose walk reaches N - L, so C_w >= N - L settles every instance (mode
 `certified-witness`, see `check_bw06`).
+
+The difference-set check reads Hall's difference multiplicities lambda(t) and
+autocorrelations A(t) off the order-6 cyclotomic numbers (Storer, Cyclotomy
+and Difference Sets, 1967): both depend only on the class of t, so six values
+decide them in O(p), and their exact pair count sum_t lambda(t) = w(w-1) is
+checked at run time.  The O(p^2) correlations they replace are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -31,10 +37,9 @@ from .measures import (
     correlation_for_shifts,
     correlation_measure_exact,
     max_order_complexity_profile,
-    periodic_autocorrelations,
 )
-from .ntheory import SexticParams
-from .seqgen import BitSequence, hall_sequence
+from .ntheory import SexticParams, cyclotomic_numbers
+from .seqgen import HALL_CLASSES, BitSequence
 
 DEFAULT_K_CAP = 6
 
@@ -132,24 +137,44 @@ class DifferenceSetReport:
     three_in_c1: bool
 
 
-def difference_set_check(params: SexticParams) -> DifferenceSetReport:
-    """Count difference multiplicities of C0 u C1 u C3 and compare with A(t).
+def _class_differences(p: int, cyc: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
+    """lambda(h) and A(h), h = 0..m-1, of the p-periodic word with s_0 = 0 and
+    ones on the union of the order-m classes C_i, i in classes; cyc is the
+    m x m table of `cyclotomic_numbers`.
 
-    lambda(t) counts ordered pairs (a, b) of ones-set elements with a - b = t,
-    for all t at once from the 0/1 indicator; A(t) comes from the sign
-    sequence's all-shift autocorrelation.  Constant lambda (difference set)
-    must coincide with ideal two-level autocorrelation A(t) = -1;
-    InvariantViolation if the two independently computed verdicts differ.
+    For t in C_h, x = t*u is a one with x + t a one exactly when u is in
+    C_{i-h} and u + 1 in C_{j-h} for some i, j in classes, so the difference
+    multiplicity is lambda(h) = sum_{i,j} (i-h, j-h), and A(h) = p - 4(w - lambda(h))
+    with w = |classes| (p-1)/m ones.  Every class holds (p-1)/m shifts t, so
+    sum_h lambda(h) (p-1)/m counts the w(w-1) ordered pairs of distinct ones;
+    InvariantViolation if it does not.
+    """
+    m = cyc.shape[0]
+    f = (p - 1) // m
+    ones = np.array(sorted(classes), dtype=np.intp)
+    h = np.arange(m)[:, None, None]
+    lam = cyc[(ones[:, None] - h) % m, (ones - h) % m].sum(axis=(1, 2))
+    w = len(ones) * f
+    pairs = int(lam.sum()) * f
+    if pairs != w * (w - 1):
+        raise InvariantViolation(
+            f"p={p}, m={m}: difference multiplicities count {pairs} "
+            f"pairs of ones, not w(w-1) = {w * (w - 1)}"
+        )
+    return lam, p - 4 * (w - lam)
+
+
+def difference_set_check(params: SexticParams) -> DifferenceSetReport:
+    """Is Hall's ones-set C0 u C1 u C3 a difference set, with A(t) = -1 for all t?
+
+    Both are read off the order-6 cyclotomic numbers: lambda(t) and A(t)
+    depend only on the class h of t, and every class is nonempty, so the
+    six values of `_class_differences` decide both verdicts in O(p).
     """
     p = params.p
-    seq = hall_sequence(params, p)
-    h = seq.bits.astype(np.int64)
-    # lambda(t) = sum_n h_n h_{n+t}: the 0/1 indicator correlated with itself doubled
-    lambdas = np.correlate(np.concatenate([h, h[:-1]]), h, "valid")[1:]
-    lambda_constant = bool((lambdas == lambdas[0]).all())
-    two_level = bool((periodic_autocorrelations(seq) == -1).all())
-    if lambda_constant != two_level:
-        raise InvariantViolation(f"p={p}: difference-set and autocorrelation verdicts differ")
+    lam, autocorr = _class_differences(p, cyclotomic_numbers(params, 6), HALL_CLASSES)
+    lambda_constant = bool((lam == lam[0]).all())
+    two_level = bool((autocorr == -1).all())
 
     u = None
     if p > 27 and (p - 27) % 4 == 0:
@@ -157,7 +182,7 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
         if 4 * r * r + 27 == p:
             u = r
     return DifferenceSetReport(
-        lambda_value=int(lambdas[0]) if lambda_constant else None,
+        lambda_value=int(lam[0]) if lambda_constant else None,
         two_level_ideal=two_level,
         hall_form_u=u,
         three_in_c1=params.ind(3) % 6 == 1,

@@ -286,10 +286,19 @@ def _moc_le_lc_suite(args):
 
 def _weil_suite(args):
     primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
-    # window evaluations of the complete sums, the unit of C_k's comb(N, k) * N
-    estimate = sum(math.comb(p, k) * 5**k * p for p in primes for k in range(1, args.kmax + 1))
+
+    def windows(p):
+        """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
+        complete sum, and every random query read against at most
+        min(queries, 5**kmax) distinct exponent rows, each window at most p."""
+        kmax = min(args.kmax, p)  # k > p has no shift tuple
+        complete = sum(math.comb(p, k) * 5**k for k in range(1, kmax + 1))
+        return (complete + args.queries * min(args.queries, 5**kmax)) * p
+
+    estimate = sum(map(windows, primes))
     if estimate > args.budget:
-        raise BudgetExceeded(estimate, args.budget, hint="lower --kmax or raise --budget")
+        raise BudgetExceeded(estimate, args.budget,
+                             hint="lower --kmax or --queries, or raise --budget")
     rng = np.random.default_rng(args.seed)
     for p in primes:
         params = ntheory.SexticParams.create(p)

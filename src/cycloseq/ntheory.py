@@ -1,11 +1,14 @@
-"""Prime parameters, primitive roots, index tables, and exact Z[w] reduction.
+"""Prime parameters, primitive roots, index tables, cyclotomic numbers, and
+exact Z[w] reduction.
 
 Everything downstream lives in the arena set up here: a prime p, a primitive
 root g, and the dense discrete-log table ind_g(n) for n = 1..p-1.  Characters
 are handled as integer phases (the character chi**j of order dividing 6 has
 phase j*ind_g(n) mod 6 at n), never as floating complex values; sums of
 sixth roots of unity are reduced exactly by `reduce_zeta6`, and only the
-charsum module materializes floats.
+charsum module materializes floats.  The cyclotomic numbers of order m,
+(a, b) = #{u in C_a : u + 1 in C_b}, are one bincount over the index table
+(`cyclotomic_numbers`); the difference-set check reads them.
 
 The arena is decided here and nowhere else.  p is checked once, by
 `check_prime`: an odd prime below 2**31 (so the index table stays a dense
@@ -212,6 +215,21 @@ class PrimeParams:
 
     def g_inverse(self) -> int:
         return pow(self.g, self.p - 2, self.p)
+
+
+def cyclotomic_numbers(params: PrimeParams, m: int) -> np.ndarray:
+    """The m x m table of cyclotomic numbers (a, b) = #{u in C_a : u + 1 in C_b}.
+
+    C_a is the order-m class {n : ind_g(n) = a (mod m)}.  Every u = 1..p-2 is
+    one pair (u, u + 1), so the table is one bincount of
+    m * (ind(u) mod m) + ind(u + 1) mod m, and its entries sum to p - 2.
+    ParameterError unless m | p - 1.
+    """
+    p = params.p
+    if m < 1 or (p - 1) % m:
+        raise ParameterError(f"m={m} does not divide p-1={p - 1}")
+    cls = params.index_table[1:] % m  # the class of u, entry u - 1
+    return np.bincount(m * cls[:-1] + cls[1:], minlength=m * m).reshape(m, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,20 +37,25 @@ class BitSequence:
 
     @classmethod
     def create(cls, bits, period: int | None = None, label: str = "") -> "BitSequence":
-        arr = np.asarray(bits, dtype=np.uint8)
+        """The word as a read-only uint8 copy.  The values are checked on the
+        input's own dtype before the cast, so 256 or 0.5 is refused rather than
+        wrapped or truncated; booleans and exact 0.0/1.0 are accepted."""
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("bits must be a nonempty 1-d 0/1 word")
-        if not np.all((arr == 0) | (arr == 1)):
+        if arr.dtype.kind in "biu":  # an integer word is 0/1 when its range is
+            ok = arr.min() >= 0 and arr.max() <= 1
+        else:  # floats and objects must equal 0 or 1; complex or text never passes
+            ok = arr.dtype.kind in "fO" and np.all((arr == 0) | (arr == 1))
+        if not ok:
             raise ParameterError("bits must be 0/1")
+        arr = arr.astype(np.uint8)
         if period is not None:
             if period < 1:
                 raise ParameterError(f"period must be positive, got {period}")
-            if arr.size > period:
-                # wraparound check: bits[n] == bits[n mod period]
-                idx = np.arange(arr.size) % period
-                if not np.array_equal(arr, arr[idx]):
-                    raise ParameterError("bits do not wrap with the declared period")
-        arr = arr.copy()
+            # wraparound check: bits[n] == bits[n - period] for n >= period
+            if arr.size > period and not np.array_equal(arr[period:], arr[:-period]):
+                raise ParameterError("bits do not wrap with the declared period")
         arr.setflags(write=False)
         return cls(bits=arr, period=period, label=label)
 

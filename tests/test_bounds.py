@@ -1,10 +1,13 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq.bounds import (
+    _class_differences,
     check_bw06,
     check_iw17,
     corollary1_kernel,
@@ -12,10 +15,10 @@ from cycloseq.bounds import (
     random_baseline,
     theorem1_kernel,
 )
-from cycloseq.errors import ParameterError
+from cycloseq.errors import NoSuchRoot, ParameterError
 from cycloseq.measures import correlation_measure_exact, periodic_autocorrelations
-from cycloseq.ntheory import SexticParams
-from cycloseq.seqgen import BitSequence, hall_sequence
+from cycloseq.ntheory import G_POLICIES, PrimeParams, SexticParams, cyclotomic_numbers, is_prime
+from cycloseq.seqgen import BitSequence, cyclotomic_sequence, hall_sequence
 
 
 def test_theorem1_kernel_values():
@@ -191,6 +194,58 @@ def test_lambda_autocorr_relation():
         rep = difference_set_check(params)
         assert rep.lambda_value == (lams[0] if len(set(lams)) == 1 else None)
         assert rep.two_level_ideal == (set(acs) == {-1})
+
+
+def correlate_pair(seq):
+    """lambda(t) and A(t) for t = 1..p-1 (entry t - 1) by two O(p^2) correlations:
+    the 0/1 indicator against itself doubled, and `periodic_autocorrelations`."""
+    h = seq.bits.astype(np.int64)
+    lambdas = np.correlate(np.concatenate([h, h[:-1]]), h, "valid")[1:]
+    return lambdas, periodic_autocorrelations(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([p for p in range(5, 400) if is_prime(p)]), st.booleans())
+def test_class_differences_match_the_correlations(p, largest_root):
+    # every t, every nonempty proper class set of each order m in {2, 4, 6}
+    # dividing p - 1, under the smallest or the largest primitive root
+    params = PrimeParams.create(p)
+    if largest_root:
+        g = next(g for g in range(p - 1, 1, -1)
+                 if math.gcd(int(params.index_table[g]), p - 1) == 1)
+        params = PrimeParams.create(p, g=g)
+    for m in (m for m in (2, 4, 6) if (p - 1) % m == 0):
+        cyc = cyclotomic_numbers(params, m)
+        h = params.index_table[1:] % m  # the class of t, entry t - 1
+        for size in range(1, m):
+            for classes in combinations(range(m), size):
+                lam, autocorr = _class_differences(p, cyc, classes)
+                lambdas, autocorrs = correlate_pair(cyclotomic_sequence(params, m, classes, p))
+                assert np.array_equal(lam[h], lambdas), (p, m, classes)
+                assert np.array_equal(autocorr[h], autocorrs), (p, m, classes)
+
+
+SEXTIC_PRIMES_1500 = [p for p in range(7, 1500, 6) if is_prime(p)]
+
+
+def test_difference_set_check_matches_the_correlations():
+    # Hall's report at every p = 1 (mod 6) below 1500 under both policies,
+    # against the correlate pair: constant lambda, A(t) = -1 for every t
+    checked = 0
+    for p in SEXTIC_PRIMES_1500:
+        for policy in G_POLICIES:
+            try:
+                params = SexticParams.create(p, g_policy=policy)
+            except NoSuchRoot:
+                continue
+            lambdas, autocorrs = correlate_pair(hall_sequence(params, p))
+            rep = difference_set_check(params)
+            constant = bool((lambdas == lambdas[0]).all())
+            assert rep.lambda_value == (int(lambdas[0]) if constant else None), (p, policy)
+            assert rep.two_level_ideal == bool((autocorrs == -1).all()), (p, policy)
+            assert rep.three_in_c1 == (params.ind(3) % 6 == 1)
+            checked += 1
+    assert checked > len(SEXTIC_PRIMES_1500)
 
 
 def test_baseline_trivial():

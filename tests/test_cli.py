@@ -409,18 +409,22 @@ def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, caps
     assert seen == [1]
 
 
-def test_diffset_verdict_disagreement_is_invariant_violation(monkeypatch, capsys):
-    # p = 31 is a difference set; a forged all-shift A(t) = 0 contradicts its
-    # constant lambda
-    monkeypatch.setattr(bounds, "periodic_autocorrelations",
-                        lambda seq: np.zeros(seq.period - 1, dtype=np.int64))
-    with pytest.raises(InvariantViolation):
+def test_diffset_forged_cyclotomic_numbers_is_invariant_violation(monkeypatch, capsys):
+    # one cyclotomic number off by one breaks the pair count: the six
+    # lambda(h) no longer sum to w(w - 1) ordered pairs of ones
+    def forged(params, m):
+        cyc = ntheory.cyclotomic_numbers(params, m)
+        cyc[0, 0] += 1
+        return cyc
+
+    monkeypatch.setattr(bounds, "cyclotomic_numbers", forged)
+    with pytest.raises(InvariantViolation, match="w\\(w-1\\)"):
         bounds.difference_set_check(SexticParams.create(31, g_policy="three-in-c1"))
     code, stdout, err = run(
         capsys, "verify", "--suite", "diffset", "--primes", "31", "--g-policy", "three-in-c1",
     )
-    assert code == EXIT_VERIFY
-    assert err.startswith("error:") and "verdicts differ" in err
+    assert code == EXIT_VERIFY and stdout == ""
+    assert err.startswith("error:") and "pairs of ones" in err and err.count("\n") == 1
 
 
 def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, capsys):
@@ -574,13 +578,25 @@ def test_verify_weil_refused_over_budget(capsys):
 
 
 def test_verify_weil_budget_counts_every_prime(capsys):
-    # the estimate sums C(p, k) * 5**k * p over both primes and every k <= --kmax
+    # the estimate sums C(p, k) * 5**k * p over both primes and every k <= --kmax,
+    # and charges each prime's queries * min(queries, 5**kmax) * p
     estimate = sum(math.comb(p, k) * 5**k * p for p in (13, 31) for k in (1, 2))
+    estimate += sum(5 * min(5, 5**2) * p for p in (13, 31))
     args = ("verify", "--suite", "weil", "--primes", "13,31", "--kmax", "2", "--queries", "5")
     code, stdout, _ = run(capsys, *args, "--budget", str(estimate))
     assert code == EXIT_OK and "[PASS" in stdout
     code, stdout, _ = run(capsys, *args, "--budget", str(estimate - 1))
     assert code == EXIT_BUDGET and stdout == ""
+
+
+def test_verify_weil_queries_over_budget_are_refused(monkeypatch, capsys):
+    # 10**15 queries charge 6.5e16 windows: refused before any draw, where
+    # the allocation of their k's would run out of memory
+    monkeypatch.setattr(cli.np.random, "default_rng", None)
+    code, stdout, err = run(capsys, "verify", "--suite", "weil", "--primes", "13", "--kmax", "1",
+                            "--queries", str(10**15))
+    assert code == EXIT_BUDGET and stdout == ""
+    assert err.startswith("error:") and "budget" in err and "--queries" in err
 
 
 @pytest.mark.parametrize(
@@ -654,7 +670,9 @@ def test_os_error_is_exit_2(argv, tmp_path, capsys):
          "--no-cache"),
         ("generate", "--construction", "hall", "--p", "31", "--length", str(10**15),
          "--output", "{tmp}/x.seq"),
-        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", str(10**15)),
+        # a budget past the 10**15 queries' charge, so that the allocator is reached
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", str(10**15),
+         "--budget", str(10**20)),
     ],
     ids=["measure-length", "generate-length", "weil-queries"],
 )

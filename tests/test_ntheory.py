@@ -11,6 +11,7 @@ from cycloseq.ntheory import (
     SexticParams,
     build_index_table,
     check_prime,
+    cyclotomic_numbers,
     find_primitive_root,
     is_prime,
     is_primitive_root,
@@ -348,3 +349,33 @@ def test_an_arena_builds_one_index_table(monkeypatch):
     calls.clear()
     PrimeParams.create(13, g=6)
     assert calls == [(13, 6)]
+
+
+def cyclotomic_numbers_reference(p, g, m):
+    """(a, b) = #{u in C_a : u + 1 in C_b}, counted pair by pair from the powers of g."""
+    ind = {pow(g, e, p): e for e in range(p - 1)}
+    table = [[0] * m for _ in range(m)]
+    for u in range(1, p - 1):
+        table[ind[u] % m][ind[u + 1] % m] += 1
+    return table
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
+def test_cyclotomic_numbers_match_pair_count(p):
+    roots = [g for g in range(1, p) if is_primitive_root(g, p)]
+    for g in (roots[0], roots[-1]):
+        params = PrimeParams.create(p, g=g)
+        for m in (1, 2, 3, 4, 6):
+            if (p - 1) % m:
+                with pytest.raises(ParameterError, match="does not divide"):
+                    cyclotomic_numbers(params, m)
+                continue
+            cyc = cyclotomic_numbers(params, m)
+            assert cyc.tolist() == cyclotomic_numbers_reference(p, g, m), (p, g, m)
+            assert cyc.sum() == p - 2
+
+
+@pytest.mark.parametrize("m", [0, -6])
+def test_cyclotomic_numbers_refuse_nonpositive_order(m):
+    with pytest.raises(ParameterError):
+        cyclotomic_numbers(PrimeParams.create(13), m)

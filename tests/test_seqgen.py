@@ -403,6 +403,42 @@ def test_bitsequence_validation():
     assert seq.period == 2
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [np.array([0, 256, 1]), np.array([0.5, 1.0]), [0, 256], [0, -1], [0, 2**70],
+     np.array([np.nan, 1.0]), ["0", "1"], [1 + 0j, 0], [None, 1]],
+    ids=["uint-256", "float-half", "list-256", "list-negative", "list-huge", "nan", "text",
+         "complex", "none"],
+)
+def test_bitsequence_refuses_before_the_cast(bits):
+    # checked on the input's own dtype: the uint8 cast would wrap 256 to 0 and
+    # truncate 0.5 to 0
+    with pytest.raises(ParameterError, match="0/1"):
+        BitSequence.create(bits)
+
+
+@pytest.mark.parametrize(
+    "bits", [[True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int8),
+             np.array([1, 0, 1], dtype=np.uint64), np.array([1, 0, 1], dtype=object)],
+    ids=["bool", "float", "int8", "uint64", "object"])
+def test_bitsequence_accepts_exact_zero_one(bits):
+    seq = BitSequence.create(bits)
+    assert seq.bits.dtype == np.uint8 and seq.bits.tolist() == [1, 0, 1]
+    assert not seq.bits.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(1, 45))
+def test_bitsequence_period_check_matches_wraparound(bits, period):
+    # the declared period holds exactly when bits[n] == bits[n mod period]
+    wraps = all(b == bits[n % period] for n, b in enumerate(bits))
+    if wraps:
+        assert BitSequence.create(bits, period=period).period == period
+    else:
+        with pytest.raises(ParameterError, match="wrap"):
+            BitSequence.create(bits, period=period)
+
+
 def test_sequence_file_roundtrip(tmp_path):
     seq = hall_sequence(P13, 13)
     path = tmp_path / "hall13.seq"
