@@ -39,7 +39,7 @@ from .measures import (
     max_order_complexity_profile,
 )
 from .ntheory import SexticParams, cyclotomic_numbers
-from .seqgen import HALL_CLASSES, BitSequence
+from .seqgen import CLASS_SETS, BitSequence
 
 DEFAULT_K_CAP = 6
 
@@ -165,14 +165,15 @@ def _class_differences(p: int, cyc: np.ndarray, classes) -> tuple[np.ndarray, np
 
 
 def difference_set_check(params: SexticParams) -> DifferenceSetReport:
-    """Is Hall's ones-set C0 u C1 u C3 a difference set, with A(t) = -1 for all t?
+    """Is Hall's ones-set a difference set, with A(t) = -1 for all t?
 
     Both are read off the order-6 cyclotomic numbers: lambda(t) and A(t)
     depend only on the class h of t, and every class is nonempty, so the
     six values of `_class_differences` decide both verdicts in O(p).
     """
     p = params.p
-    lam, autocorr = _class_differences(p, cyclotomic_numbers(params, 6), HALL_CLASSES)
+    m, ones = CLASS_SETS["hall"]
+    lam, autocorr = _class_differences(p, cyclotomic_numbers(params, m), ones)
     lambda_constant = bool((lam == lam[0]).all())
     two_level = bool((autocorr == -1).all())
 

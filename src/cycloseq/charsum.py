@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .ntheory import SexticParams, reduce_zeta6
-from .seqgen import HALL_CLASSES
+from .seqgen import CLASS_SETS
 
 # Per-factor expansion coefficients of (-1)**h as sum_m coeff_m * chi**m,
 # merged over chi-powers m = 1..5; each pair (a, b) encodes (a + b*w)/3.
@@ -299,6 +299,7 @@ def direct_signed_sum(params: SexticParams, shifts, window: int) -> int:
     shifts = tuple(int(d) for d in shifts)
     p = params.p
     table = params.index_table
+    m, ones = CLASS_SETS["hall"]
     total = 0
     for n in range(1, window):
         sign = 1
@@ -307,7 +308,7 @@ def direct_signed_sum(params: SexticParams, shifts, window: int) -> int:
             if arg == 0:
                 sign = 0
                 break
-            if int(table[arg]) % 6 in HALL_CLASSES:
+            if int(table[arg]) % m in ones:
                 sign = -sign
         total += sign
     return total

@@ -93,14 +93,12 @@ def _parse_classes(spec: str) -> list[int]:
 
 def _build_sequence(args) -> seqgen.BitSequence:
     length = args.p if args.length is None else args.length
-    if args.construction == "legendre":
-        return seqgen.legendre_sequence(args.p, length)
+    name = args.construction
+    if name in seqgen.CLASS_SETS:  # p is checked for the set's order before the root
+        root = {} if seqgen.ignores_root(name) else _parse_g(args.g)
+        ntheory.check_prime(args.p, seqgen.CLASS_SETS[name][0])
+        return seqgen.named_sequence(ntheory.PrimeParams.create(args.p, **root), name, length)
     root = _parse_g(args.g)
-    if args.construction == "hall":
-        return seqgen.hall_sequence(ntheory.SexticParams.create(args.p, **root), length)
-    if args.construction == "dhl":
-        g = root["g"] if "g" in root else ntheory.find_primitive_root(args.p, root["g_policy"])
-        return seqgen.dhl_sequence(args.p, g, length)
     # cyclotomic: argparse's choices admit no other construction
     if args.m is None or args.classes is None:
         raise ParameterError("cyclotomic needs --m and --classes")
@@ -226,10 +224,11 @@ def _sextic_suite(args, check):
     """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
     policies = ntheory.G_POLICIES if args.g_policy == "both" else [args.g_policy]
     for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
+        smallest = ntheory.SexticParams.create(p)
         for policy in policies:
             name = f"{args.suite} p={p} policy={policy}"
             try:
-                params = ntheory.SexticParams.create(p, g_policy=policy)
+                params = smallest if policy == "smallest" else smallest.rebased_three_in_c1()
             except NoSuchRoot:
                 yield name, "n/a", "NoSuchRoot"
                 continue
@@ -255,17 +254,14 @@ def _diffset(params):
 
 
 def _suite_instances(args):
-    """Per-construction sequences at the suite's prefix length."""
+    """Each named construction whose order divides p - 1, on one arena a prime."""
     out = []
     for p in _parse_primes(args.primes):
         n = 2 * p if args.N == "2p" else p
-        if p % 6 == 1:
-            params = ntheory.SexticParams.create(p)
-            out.append((f"hall p={p}", seqgen.hall_sequence(params, n)))
-        out.append((f"legendre p={p}", seqgen.legendre_sequence(p, n)))
-        if p % 4 == 1:
-            g = ntheory.find_primitive_root(p)
-            out.append((f"dhl p={p}", seqgen.dhl_sequence(p, g, n)))
+        params = ntheory.PrimeParams.create(p)
+        for name, (m, _) in seqgen.CLASS_SETS.items():
+            if (p - 1) % m == 0:
+                out.append((f"{name} p={p}", seqgen.named_sequence(params, name, n)))
     return out
 
 
@@ -433,7 +429,7 @@ def _make_parser() -> argparse.ArgumentParser:
     budget.add_argument("--budget", type=int, default=measures.DEFAULT_BUDGET)
     cache.add_argument("--cache", default="cycloseq-cache.jsonl")
     cache.add_argument("--no-cache", action="store_true")
-    arena.add_argument("--construction", choices=("hall", "legendre", "dhl", "cyclotomic"))
+    arena.add_argument("--construction", choices=(*seqgen.CLASS_SETS, "cyclotomic"))
     arena.add_argument("--p", type=int)
     arena.add_argument("--g", default="smallest")
     arena.add_argument("--m", type=int)

@@ -10,7 +10,7 @@ charsum module materializes floats.  The cyclotomic numbers of order m,
 (a, b) = #{u in C_a : u + 1 in C_b}, are one bincount over the index table
 (`cyclotomic_numbers`); the difference-set check reads them.
 
-The arena is decided here and nowhere else.  p is checked once, by
+The arena is decided here and nowhere else.  p is checked by
 `check_prime`: an odd prime below 2**31 (so the index table stays a dense
 int64 array and a product of two residues fits in 64 bits) with m | p - 1.
 g is either a root policy, "smallest" (or None) or "three-in-c1", or an
@@ -22,7 +22,7 @@ its table from the smallest root's, which the root search built anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -114,36 +114,13 @@ def _smallest_root(p: int) -> int:
     return next(g for g in range(2, p) if is_primitive_root(g, p, factors))
 
 
-def _three_in_c1_root(p: int) -> tuple[int, np.ndarray]:
-    """The smallest primitive root g with ind_g(3) = 1 (mod 6), and the index
-    table t of the smallest root s, which the search reads every candidate off.
-
-    g = s**t[g] is primitive exactly when gcd(t[g], p - 1) = 1, and then
-    ind_g(3) = t[3] * t[g]**-1 mod p - 1.  As 6 | p - 1 and t[g] = +-1 (mod 6)
-    is its own inverse mod 6, that is 1 (mod 6) exactly when t[g] = t[3] (mod 6).
-    NoSuchRoot when no primitive root puts 3 into C1: that needs gcd(t[3], 6) = 1.
-    """
-    smallest = _smallest_root(p)
-    table = build_index_table(p, smallest)
-    e = int(table[3])
-    if e % 6 not in (1, 5):
-        raise NoSuchRoot(
-            f"no primitive root mod {p} has 3 in C1 (ind(3) = {e} mod 6 = {e % 6})"
-        )
-    for g in range(smallest, p):
-        t = int(table[g])
-        if t % 6 == e % 6 and math.gcd(t, p - 1) == 1:
-            return g, table
-    raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1")
-
-
 def find_primitive_root(p: int, policy: str | None = None) -> int:
     """The primitive root mod p that policy picks: the smallest, or under
     "three-in-c1" the smallest with ind_g(3) = 1 (mod 6), which needs
     p = 1 (mod 6) and may not exist (NoSuchRoot)."""
     three_in_c1 = _is_three_in_c1(policy)
     check_prime(p, 6 if three_in_c1 else 2)
-    return _three_in_c1_root(p)[0] if three_in_c1 else _smallest_root(p)
+    return PrimeParams.create(p).rebased_three_in_c1().g if three_in_c1 else _smallest_root(p)
 
 
 def build_index_table(p: int, g: int) -> np.ndarray:
@@ -192,19 +169,39 @@ class PrimeParams:
         build_index_table refuses one that is not a primitive root."""
         three_in_c1 = _is_three_in_c1(g_policy) and g is None
         check_prime(p, 6 if three_in_c1 else cls._order)
-        if three_in_c1:
-            g, t = _three_in_c1_root(p)
-            # the smallest root's table rebased to g: ind_g(n) = t[n] * t[g]**-1
-            table = t * pow(int(t[g]), -1, p - 1) % (p - 1)
-            table[0] = -1
-            table.setflags(write=False)
-        else:
-            if g is None:
-                g = _smallest_root(p)
-            elif not 1 <= g <= p - 1:
-                raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
-            table = build_index_table(p, g)
-        return cls(p=p, g=g, index_table=table)
+        if g is None:
+            g = _smallest_root(p)
+        elif not 1 <= g <= p - 1:
+            raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
+        arena = cls(p=p, g=g, index_table=build_index_table(p, g))
+        return arena.rebased_three_in_c1() if three_in_c1 else arena
+
+    def rebased_three_in_c1(self) -> "PrimeParams":
+        """This arena under the "three-in-c1" policy, with no second index table.
+
+        g = s**t[g] for this root s and table t is primitive exactly when
+        gcd(t[g], p - 1) = 1, and then ind_g(n) = t[n] * t[g]**-1 mod p - 1.  As
+        6 | p - 1 and t[g] = +-1 (mod 6) is its own inverse mod 6, ind_g(3) = 1
+        (mod 6) exactly when t[g] = t[3] (mod 6); NoSuchRoot unless gcd(t[3], 6) = 1.
+        """
+        p, t = self.p, self.index_table
+        if (p - 1) % 6:  # an arena's p is a checked prime
+            raise ParameterError(f"p={p} is not a prime = 1 (mod 6)")
+        e = int(t[3]) % 6
+        if e not in (1, 5):
+            raise NoSuchRoot(f"no primitive root mod {p} has 3 in C1 "
+                             f"(ind(3) = {t[3]} mod 6 = {e})")
+        g = next(g for g in range(2, p) if t[g] % 6 == e and math.gcd(int(t[g]), p - 1) == 1)
+        table = t * pow(int(t[g]), -1, p - 1) % (p - 1)
+        table[0] = -1
+        table.setflags(write=False)
+        return replace(self, g=g, index_table=table)
+
+    def cosets(self, m: int) -> np.ndarray:
+        """ind_g(n) mod m for n = 0..p-1; ParameterError unless m | p - 1."""
+        if m < 1 or (self.p - 1) % m:
+            raise ParameterError(f"m={m} does not divide p-1={self.p - 1}")
+        return self.index_table % m
 
     def ind(self, n: int) -> int:
         """ind_g(n) for n not divisible by p."""
@@ -225,10 +222,7 @@ def cyclotomic_numbers(params: PrimeParams, m: int) -> np.ndarray:
     m * (ind(u) mod m) + ind(u + 1) mod m, and its entries sum to p - 2.
     ParameterError unless m | p - 1.
     """
-    p = params.p
-    if m < 1 or (p - 1) % m:
-        raise ParameterError(f"m={m} does not divide p-1={p - 1}")
-    cls = params.index_table[1:] % m  # the class of u, entry u - 1
+    cls = params.cosets(m)[1:]  # the class of u, entry u - 1
     return np.bincount(m * cls[:-1] + cls[1:], minlength=m * m).reshape(m, m)
 
 

@@ -7,9 +7,10 @@ agreement of the two routes is the mechanical check of the identity
 are evaluated for every n in 1..p-1 at once: the index table gives each
 character term's sixth-root phase, one bincount per identity counts the terms
 of every n per phase, and each row of counts is reduced in Z[w].  Coset
-membership (Hall, DHL, cyclotomic, and the index representation, which applies
-the map f once to the array 1..p-1) is one table gather at ind(n) mod m.  The
-per-n evaluations these replaced stay in tests/test_seqgen.py as the oracles.
+membership is one table gather at ind(n) mod m: every construction is a class
+set (m, I), its ones the cosets C_i, i in I, and the named ones are the
+entries of CLASS_SETS.  The per-n evaluations these replaced, and Legendre's
+squares, stay in tests/test_seqgen.py as the oracles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ import numpy as np
 from .errors import InvariantViolation, ParameterError
 from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6
 
-# Hall ones live on C0 u C1 u C3 of the order-6 cosets.
-HALL_CLASSES = frozenset({0, 1, 3})
+# Each named construction's class set (m, I), in the command line's order.
+CLASS_SETS = {
+    "hall": (6, frozenset({0, 1, 3})),
+    "legendre": (2, frozenset({0})),
+    "dhl": (4, frozenset({0, 1})),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +96,34 @@ def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> n
     """The 0/1 word on 0..p-1 of the order-m cosets C_l, l in subset: one table
     gather of the length-m membership table at ind(n) mod m.  Slot 0 is zeroed
     after, since index_table[0] = -1 wraps to class m - 1."""
+    cosets = params.cosets(m)
+    if not subset <= frozenset(range(m)):
+        raise ParameterError(f"classes {sorted(subset)} not within 0..{m - 1}")
     member = np.zeros(m, dtype=np.uint8)
     member[list(subset)] = 1
-    core = member[params.index_table % m]
+    core = member[cosets]
     core[0] = 0
     return core
 
 
+def ignores_root(name: str) -> bool:
+    """Whether every primitive root gives the named construction one word: a
+    change of root multiplies each class by a unit mod m, and mod 2 that is 1."""
+    return CLASS_SETS[name][0] <= 2
+
+
+def named_sequence(params: PrimeParams, name: str, length: int) -> BitSequence:
+    """The word of CLASS_SETS[name] on the arena params, labelled name(p=..,g=..),
+    without g when the word ignores the root."""
+    m, subset = CLASS_SETS[name]
+    g = "" if ignores_root(name) else f",g={params.g}"
+    return BitSequence.create(_extend(_core_from_classes(params, m, subset), length),
+                              period=params.p, label=f"{name}(p={params.p}{g})")
+
+
 def hall_sequence(params: SexticParams, length: int) -> BitSequence:
-    """Hall's sextic residue sequence: h_n = 1 iff n mod p in C0 u C1 u C3."""
-    core = _core_from_classes(params, 6, HALL_CLASSES)
-    return BitSequence.create(
-        _extend(core, length), period=params.p, label=f"hall(p={params.p},g={params.g})"
-    )
+    """Hall's sextic residue sequence, CLASS_SETS["hall"]."""
+    return named_sequence(params, "hall", length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,34 +191,21 @@ def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequen
 
 def legendre_sequence(p: int, length: int) -> BitSequence:
     """Characteristic sequence of the nonzero quadratic residues mod p."""
-    check_prime(p)
-    core = np.zeros(p, dtype=np.uint8)
-    squares = (np.arange(1, p, dtype=np.int64) ** 2) % p
-    core[squares] = 1
-    return BitSequence.create(_extend(core, length), period=p, label=f"legendre(p={p})")
+    return named_sequence(PrimeParams.create(p), "legendre", length)
 
 
 def dhl_sequence(p: int, g: int, length: int) -> BitSequence:
-    """Ding-Helleseth-Lam sequence: ones on C0 u C1, C0 the fourth powers, C1 = g*C0."""
-    check_prime(p, 4)
-    core = _core_from_classes(PrimeParams.create(p, g), 4, frozenset({0, 1}))
-    return BitSequence.create(_extend(core, length), period=p, label=f"dhl(p={p},g={g})")
+    """Ding-Helleseth-Lam sequence: the nonzero fourth powers and g times them."""
+    check_prime(p, CLASS_SETS["dhl"][0])
+    return named_sequence(PrimeParams.create(p, g), "dhl", length)
 
 
 def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> BitSequence:
-    """Characteristic sequence of a union of order-m cyclotomic cosets.
-
-    Hall = (m=6, S={0,1,3}); Legendre = (m=2, S={0}); DHL = (m=4, S={0,1}).
-    """
-    if m < 1 or (params.p - 1) % m != 0:
-        raise ParameterError(f"m={m} does not divide p-1={params.p - 1}")
+    """Characteristic sequence of a union of order-m cyclotomic cosets."""
     subset = frozenset(int(s) for s in subset)
-    if not subset <= frozenset(range(m)):
-        raise ParameterError(f"classes {sorted(subset)} not within 0..{m - 1}")
-    core = _core_from_classes(params, m, subset)
     s_str = ",".join(map(str, sorted(subset)))
     return BitSequence.create(
-        _extend(core, length),
+        _extend(_core_from_classes(params, m, subset), length),
         period=params.p,
         label=f"cyclotomic(p={params.p},g={params.g},m={m},S={{{s_str}}})",
     )
@@ -227,7 +234,7 @@ def check_index_representation(params: SexticParams) -> bool:
     """
     fn = permutation_map_f(params, np.arange(1, params.p))
     val = (-params.index_table[fn]) % (params.p - 1) % 6
-    core = _core_from_classes(params, 6, HALL_CLASSES)
+    core = _core_from_classes(params, *CLASS_SETS["hall"])
     return bool(np.array_equal(core[1:] == 0, (1 <= val) & (val <= 3)))
 
 

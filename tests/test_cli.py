@@ -52,6 +52,66 @@ def test_generate_cyclotomic_matches_hall(tmp_path, capsys):
     assert read_sequence(a).to01() == read_sequence(b).to01()
 
 
+@pytest.mark.parametrize("argv, label", [
+    (("hall", "--p", "13"), "hall(p=13,g=2)"),
+    (("hall", "--p", "31", "--g", "three-in-c1"), "hall(p=31,g=3)"),
+    (("legendre", "--p", "13"), "legendre(p=13)"),
+    (("dhl", "--p", "13"), "dhl(p=13,g=2)"),
+    (("dhl", "--p", "13", "--g", "6"), "dhl(p=13,g=6)"),
+    (("cyclotomic", "--p", "13", "--m", "4", "--classes", "1,0"),
+     "cyclotomic(p=13,g=2,m=4,S={0,1})"),
+], ids=["hall", "hall-three-in-c1", "legendre", "dhl", "dhl-g6", "cyclotomic"])
+def test_generate_label_per_construction(argv, label, tmp_path, capsys):
+    out = tmp_path / "w.seq"
+    code, stdout, _ = run(capsys, "generate", "--construction", *argv, "--output", str(out))
+    assert code == EXIT_OK and stdout == label + "\n"
+    p = argv[2]
+    assert out.read_text().splitlines()[0] == f"# {label} period={p}"
+
+
+@pytest.mark.parametrize("g", ["three-in-c1", "smallest", "5", "4", "0", "foo"])
+def test_legendre_ignores_g(g, tmp_path, capsys):
+    # the squares are C0 of order 2 for every root, so --g is never read
+    out = tmp_path / "w.seq"
+    code, stdout, _ = run(capsys, "generate", "--construction", "legendre", "--p", "7",
+                          "--g", g, "--output", str(out))
+    assert code == EXIT_OK and stdout == "legendre(p=7)\n"
+    assert read_sequence(out).to01() == "0110100"
+
+
+@pytest.mark.parametrize("p, g, message", [
+    ("7", "smallest", "p=7 is not a prime = 1 (mod 4)"),
+    ("7", "three-in-c1", "p=7 is not a prime = 1 (mod 4)"),
+    ("7", "3", "p=7 is not a prime = 1 (mod 4)"),
+    ("7", "4", "p=7 is not a prime = 1 (mod 4)"),  # 4 is no root mod 7 either
+    ("13", "3", "3 is not a primitive root mod 13"),
+    ("13", "0", "g must be in 1..12; got 0"),
+    ("13", "13", "g must be in 1..12; got 13"),
+    ("13", "three-in-c1", "no primitive root mod 13 has 3 in C1 (ind(3) = 4 mod 6 = 4)"),
+])
+def test_dhl_refusals(p, g, message, tmp_path, capsys):
+    out = tmp_path / "w.seq"
+    code, stdout, err = run(capsys, "generate", "--construction", "dhl", "--p", p, "--g", g,
+                            "--output", str(out))
+    assert code == EXIT_PARAM and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, primes", [
+    (("--suite", "moc-le-lc", "--primes", "1033", "--N", "2p"), [1033]),
+    (("--suite", "diffset", "--primes", "1033,1459", "--g-policy", "both"), [1033, 1459]),
+], ids=["moc-le-lc", "diffset-both"])
+def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys):
+    # moc-le-lc's Hall, Legendre and DHL words share one arena, and diffset
+    # derives the three-in-c1 arena from the smallest root's
+    built = []
+    build = ntheory.build_index_table
+    monkeypatch.setattr(ntheory, "build_index_table", lambda p, g: built.append(p) or build(p, g))
+    code, stdout, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_OK and " 0 failed," in stdout
+    assert sorted(built) == primes
+
+
 def test_generate_parameter_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "generate", "--construction", "hall", "--p", "12",

@@ -140,6 +140,8 @@ def test_constrained_root_matches_power_walk_below_10000():
 def test_constraint_needs_sextic_prime():
     with pytest.raises(ParameterError):
         find_primitive_root(11, THREE_IN_C1)
+    with pytest.raises(ParameterError, match="mod 6"):
+        PrimeParams.create(11).rebased_three_in_c1()
 
 
 def test_index_table_examples():
@@ -328,6 +330,10 @@ def test_three_in_c1_table_matches_its_own_build():
         assert table.dtype == np.int64 and not table.flags.writeable, p
         assert np.array_equal(table, build_index_table(p, params.g)), p
         assert params.ind(3) % 6 == 1
+        # derived from any root's arena, not only the smallest root's
+        largest = next(g for g in range(p - 1, 1, -1) if is_primitive_root(g, p))
+        other = SexticParams.create(p, g=largest).rebased_three_in_c1()
+        assert other.g == params.g and np.array_equal(other.index_table, table), p
         found += 1
     assert found > 50
 

@@ -2,13 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycloseq.errors import InvariantViolation, NoSuchRoot, ParameterError
 from cycloseq.ntheory import PrimeParams, SexticParams, is_prime, is_primitive_root, reduce_zeta6
 from cycloseq.seqgen import (
-    HALL_CLASSES,
+    CLASS_SETS,
     BitSequence,
     check_index_representation,
     cyclotomic_sequence,
@@ -16,6 +16,7 @@ from cycloseq.seqgen import (
     dhl_sequence,
     hall_sequence,
     hall_sequence_via_characters,
+    ignores_root,
     legendre_sequence,
     permutation_map_f,
     read_sequence,
@@ -100,7 +101,7 @@ def index_representation_reference(params: SexticParams, mapping) -> bool:
     p = params.p
     for n in range(1, p):
         val = (-params.ind(mapping(params, n))) % (p - 1) % 6
-        if (params.ind(n) % 6 not in HALL_CLASSES) != (1 <= val <= 3):
+        if (params.ind(n) % 6 not in {0, 1, 3}) != (1 <= val <= 3):
             return False
     return True
 
@@ -240,7 +241,7 @@ def test_coset_words_match_per_n_membership(data):
     assert cyclotomic_sequence(params, m, subset, p).bits.tolist() == reference(m, subset)
     if p % 6 == 1:
         hall = hall_sequence(SexticParams.create(p, g=g), p).bits
-        assert hall.tolist() == reference(6, HALL_CLASSES)
+        assert hall.tolist() == reference(6, {0, 1, 3})
     if p % 4 == 1:
         assert dhl_sequence(p, g, p).bits.tolist() == reference(4, {0, 1})
 
@@ -268,6 +269,35 @@ def test_legendre_examples():
     assert legendre_sequence(3, 3).to01() == "010"
     for p in (7, 11, 31):
         assert int(legendre_sequence(p, p).bits.sum()) == (p - 1) // 2
+
+
+def legendre_reference(p: int, length: int) -> np.ndarray:
+    """Legendre's word marked from the squares 1**2 .. (p-1)**2 mod p: the loop
+    the arena's coset gather replaced."""
+    core = np.zeros(p, dtype=np.uint8)
+    core[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
+    return np.resize(core, length)
+
+
+PRIMES_2000 = [p for p in range(3, 2000) if is_prime(p)]
+
+
+@given(st.sampled_from(PRIMES_2000), st.sampled_from([1, 2]))
+@example(3, 1)
+@example(3, 2)
+@settings(max_examples=150, deadline=None)
+def test_legendre_matches_the_squares(p, periods):
+    seq = legendre_sequence(p, periods * p)
+    assert seq.bits.tolist() == legendre_reference(p, periods * p).tolist()
+    assert (seq.period, seq.label) == (p, f"legendre(p={p})")
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SETS))
+def test_ignores_root_exactly_when_every_root_gives_one_word(name):
+    m, classes = CLASS_SETS[name]
+    words = {cyclotomic_sequence(PrimeParams.create(13, g=g), m, classes, 13).to01()
+             for g in range(2, 13) if is_primitive_root(g, 13)}
+    assert (len(words) == 1) == ignores_root(name)
 
 
 def test_legendre_rejects_composite():
