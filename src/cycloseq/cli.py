@@ -57,8 +57,8 @@ def _parse_int(tok: str, option: str) -> int:
         raise ParameterError(f"{option} takes integers; got {tok!r}")
 
 
-def _parse_primes(spec: str, need=None) -> list[int]:
-    """'13,31,43' or 'upto:B'; `need` filters eligibility (e.g. p = 1 mod 6)."""
+def _parse_primes(spec: str) -> list[int]:
+    """'13,31,43' or 'upto:B'."""
     if spec.startswith("upto:"):
         bound = _parse_int(spec[len("upto:") :], "--primes upto:")
         ps = [p for p in range(3, bound + 1) if ntheory.is_prime(p)]
@@ -72,17 +72,34 @@ def _parse_primes(spec: str, need=None) -> list[int]:
             if not ntheory.is_prime(p):
                 raise ParameterError(f"{p} is not prime")
             ps.append(p)
-    if need is not None:
-        ps = [p for p in ps if need(p)]
     return ps
 
 
-def _parse_g(g_arg: str) -> dict:
-    """--g as the keyword an arena's create takes: g_policy for a policy name, else g."""
+def _admitted(spec: str, cls) -> list[int]:
+    """The primes of spec whose arena cls admits: those with cls._order | p - 1."""
+    return [p for p in _parse_primes(spec) if (p - 1) % cls._order == 0]
+
+
+def _arenas(spec: str, cls=ntheory.PrimeParams, policies=("smallest",)):
+    """(p, policy, arena) for each prime of spec that cls admits and each root
+    policy.  A prime builds the smallest root's arena once and rebases it for
+    three-in-c1; arena is None where no root fits the policy."""
+    for p in _admitted(spec, cls):
+        smallest = cls.create(p)
+        for policy in policies:
+            try:
+                arena = smallest if policy == "smallest" else smallest.rebased_three_in_c1()
+            except NoSuchRoot:
+                arena = None
+            yield p, policy, arena
+
+
+def _parse_g(g_arg: str) -> int | str:
+    """--g as the root an arena's create takes: a policy name, or an integer."""
     if g_arg in ntheory.G_POLICIES:
-        return {"g_policy": g_arg}
+        return g_arg
     try:
-        return {"g": int(g_arg)}
+        return int(g_arg)
     except ValueError:
         raise ParameterError(f"--g must be smallest, three-in-c1, or an integer; got {g_arg!r}")
 
@@ -95,14 +112,14 @@ def _build_sequence(args) -> seqgen.BitSequence:
     length = args.p if args.length is None else args.length
     name = args.construction
     if name in seqgen.CLASS_SETS:  # p is checked for the set's order before the root
-        root = {} if seqgen.ignores_root(name) else _parse_g(args.g)
+        root = None if seqgen.ignores_root(name) else _parse_g(args.g)
         ntheory.check_prime(args.p, seqgen.CLASS_SETS[name][0])
-        return seqgen.named_sequence(ntheory.PrimeParams.create(args.p, **root), name, length)
+        return seqgen.named_sequence(ntheory.PrimeParams.create(args.p, root), name, length)
     root = _parse_g(args.g)
     # cyclotomic: argparse's choices admit no other construction
     if args.m is None or args.classes is None:
         raise ParameterError("cyclotomic needs --m and --classes")
-    params = ntheory.PrimeParams.create(args.p, **root)
+    params = ntheory.PrimeParams.create(args.p, root)
     return seqgen.cyclotomic_sequence(params, args.m, _parse_classes(args.classes), length)
 
 
@@ -222,17 +239,10 @@ def _status(ok) -> str:
 
 def _sextic_suite(args, check):
     """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
-    policies = ntheory.G_POLICIES if args.g_policy == "both" else [args.g_policy]
-    for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
-        smallest = ntheory.SexticParams.create(p)
-        for policy in policies:
-            name = f"{args.suite} p={p} policy={policy}"
-            try:
-                params = smallest if policy == "smallest" else smallest.rebased_three_in_c1()
-            except NoSuchRoot:
-                yield name, "n/a", "NoSuchRoot"
-                continue
-            yield name, *check(params)
+    policies = ntheory.G_POLICIES if args.policy == "both" else (args.policy,)
+    for p, policy, params in _arenas(args.primes, ntheory.SexticParams, policies):
+        name = f"{args.suite} p={p} policy={policy}"
+        yield (name, "n/a", "NoSuchRoot") if params is None else (name, *check(params))
 
 
 def _cross_construction(params):
@@ -256,9 +266,8 @@ def _diffset(params):
 def _suite_instances(args):
     """Each named construction whose order divides p - 1, on one arena a prime."""
     out = []
-    for p in _parse_primes(args.primes):
+    for p, _, params in _arenas(args.primes):
         n = 2 * p if args.N == "2p" else p
-        params = ntheory.PrimeParams.create(p)
         for name, (m, _) in seqgen.CLASS_SETS.items():
             if (p - 1) % m == 0:
                 out.append((f"{name} p={p}", seqgen.named_sequence(params, name, n)))
@@ -281,24 +290,23 @@ def _moc_le_lc_suite(args):
 
 
 def _weil_suite(args):
-    primes = _parse_primes(args.primes, need=lambda p: p % 6 == 1)
+    # each prime's largest k: k > p has no shift tuple
+    kmaxes = {p: min(args.kmax, p) for p in _admitted(args.primes, ntheory.SexticParams)}
 
-    def windows(p):
+    def windows(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
         complete sum, and every random query read against at most
         min(queries, 5**kmax) distinct exponent rows, each window at most p."""
-        kmax = min(args.kmax, p)  # k > p has no shift tuple
         complete = sum(math.comb(p, k) * 5**k for k in range(1, kmax + 1))
         return (complete + args.queries * min(args.queries, 5**kmax)) * p
 
-    estimate = sum(map(windows, primes))
+    estimate = sum(windows(p, kmax) for p, kmax in kmaxes.items())
     if estimate > args.budget:
         raise BudgetExceeded(estimate, args.budget,
                              hint="lower --kmax or --queries, or raise --budget")
     rng = np.random.default_rng(args.seed)
-    for p in primes:
-        params = ntheory.SexticParams.create(p)
-        kmax = min(args.kmax, p)  # k > p has no shift tuple
+    for p, _, params in _arenas(args.primes, ntheory.SexticParams):
+        kmax = kmaxes[p]
         bad = 0
         total = 0
         for k in range(1, kmax + 1):
@@ -366,13 +374,11 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
     rows = []
-    for p in _parse_primes(args.primes, need=lambda p: p % 6 == 1):
+    for p, _, params in _arenas(args.primes, ntheory.SexticParams, (args.policy,)):
         row = dict.fromkeys(header, "")
         row["p"] = p
         rows.append(row)
-        try:
-            params = ntheory.SexticParams.create(p, g_policy=args.g_policy)
-        except NoSuchRoot:
+        if params is None:
             row["status"] = "no-such-root"
             continue
         seq = seqgen.hall_sequence(params, p)
@@ -457,7 +463,8 @@ def _make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[seed, budget], help="run a verification suite")
     v.add_argument("--suite", required=True, choices=SUITES)
     v.add_argument("--primes", required=True)
-    v.add_argument("--g-policy", default="both", choices=(*ntheory.G_POLICIES, "both"))
+    v.add_argument("--g-policy", dest="policy", default="both",
+                   choices=(*ntheory.G_POLICIES, "both"))
     v.add_argument("--kmax", type=int, default=bounds.DEFAULT_K_CAP)
     v.add_argument("--queries", type=int, default=200)
     v.add_argument("--N", default="p", choices=("p", "2p"))
@@ -466,7 +473,7 @@ def _make_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-cache", action="store_true")  # a no-op kept for the benchmark's scan op
     s.add_argument("--ck", type=int, required=True)
     s.add_argument("--primes", required=True)
-    s.add_argument("--g-policy", default="smallest", choices=ntheory.G_POLICIES)
+    s.add_argument("--g-policy", dest="policy", default="smallest", choices=ntheory.G_POLICIES)
 
     b = sub.add_parser("baseline", parents=[fmt, seed, budget],
                        help="C_k statistics over random words")

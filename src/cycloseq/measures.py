@@ -43,7 +43,10 @@ Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
 8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple, through
 `_walk_maxima`; exact k = 1; and the witness walk of each attaining pattern,
-over its N - d_k steps.  Memory is O(N) plus the block.  The sampled measure
+over its N - d_k steps.  A window attains a pattern's spread only between a
+minimum and a maximum of its walk, so the smallest such window (a, b) is the
+first minimum and the first maximum in order, which `argmin` and `argmax`
+return.  Memory is O(N) plus the block.  The sampled measure
 draws a block's shift tuples together, by Floyd's algorithm over every row at
 once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 
@@ -191,23 +194,6 @@ def _draw_subsets(rng: np.random.Generator, N: int, k: int, n: int) -> np.ndarra
             chunk[:, c] = t
     out.sort(axis=1)
     return out
-
-
-def _lex_smallest_window(P: np.ndarray, v: int) -> tuple[int, int] | None:
-    """Smallest (a, b), a < b, with |P_b - P_a| = v, given v = max spread of P."""
-    pmin = int(P.min())
-    pmax = int(P.max())
-    if pmax - pmin != v:
-        return None
-    lows = np.flatnonzero(P == pmin)
-    highs = np.flatnonzero(P == pmax)
-    cands = []
-    for starts, ends in ((lows, highs), (highs, lows)):
-        pos = np.searchsorted(ends, starts[0], side="right")
-        if pos < ends.size:
-            cands.append((int(starts[0]), int(ends[pos])))
-        # a later start can only beat the first on b, never on a
-    return min(cands) if cands else None
 
 
 def _prefix_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,10 +370,10 @@ def correlation_measure_exact(
         pattern = (0, *rest)
         if witness is not None and pattern > witness[0]:
             continue  # its every D is pattern + a >= pattern > witness D
-        ab = _lex_smallest_window(only if k == 1 else walk(pattern), best)
-        if ab is None:
+        P = only if k == 1 else walk(pattern)
+        if np.ptp(P) != best:
             continue
-        a, b = ab
+        a, b = sorted((int(P.argmin()), int(P.argmax())))
         cand = (tuple(a + d for d in pattern), b - a)
         if witness is None or cand < witness:
             witness = cand

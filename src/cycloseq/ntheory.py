@@ -13,10 +13,12 @@ charsum module materializes floats.  The cyclotomic numbers of order m,
 The arena is decided here and nowhere else.  p is checked by
 `check_prime`: an odd prime below 2**31 (so the index table stays a dense
 int64 array and a product of two residues fits in 64 bits) with m | p - 1.
-g is either a root policy, "smallest" (or None) or "three-in-c1", or an
-explicit root, which `PrimeParams.create` checks once: in 1..p-1 and
-primitive.  Each arena builds one index table; a three-in-c1 arena derives
-its table from the smallest root's, which the root search built anyway.
+`PrimeParams.create(p, g)` takes the root as one argument: an explicit root,
+checked once (in 1..p-1 and primitive), or a policy of G_POLICIES, "smallest"
+(None means it too) or "three-in-c1".  `find_primitive_root(p, policy)` is
+that arena's g, found without an index table for the smallest root.  Each
+arena builds one index table; a three-in-c1 arena derives its table from the
+smallest root's, which the root search built anyway.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ from .errors import NoSuchRoot, ParameterError
 P_LIMIT = 2**31
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3*10**24; is_prime
-# also tries these primes as divisors first.
+# also tries these primes as divisors first.  Below 3 215 031 751, the least
+# strong pseudoprime to bases 2, 3, 5 and 7 (Pomerance, Selfridge and Wagstaff,
+# Math. Comp. 35, 1980), and so for every p below P_LIMIT, those four decide.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_FOUR_BASES_BELOW = 3_215_031_751
 
 THREE_IN_C1 = "three-in-c1"
 G_POLICIES = ("smallest", THREE_IN_C1)
@@ -57,7 +62,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_FOUR_BASES_BELOW else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -102,25 +107,20 @@ def check_prime(p: int, m: int = 2) -> None:
         raise ParameterError(f"p={p} is not {why}")
 
 
-def _is_three_in_c1(policy: str | None) -> bool:
-    """True for "three-in-c1", False for "smallest" or None; ParameterError otherwise."""
-    if policy not in (None, *G_POLICIES):
-        raise ParameterError(f"unknown g policy {policy!r}")
-    return policy == THREE_IN_C1
-
-
 def _smallest_root(p: int) -> int:
     factors = _prime_factors(p - 1)
     return next(g for g in range(2, p) if is_primitive_root(g, p, factors))
 
 
 def find_primitive_root(p: int, policy: str | None = None) -> int:
-    """The primitive root mod p that policy picks: the smallest, or under
+    """PrimeParams.create(p, policy).g: the smallest primitive root, or under
     "three-in-c1" the smallest with ind_g(3) = 1 (mod 6), which needs
-    p = 1 (mod 6) and may not exist (NoSuchRoot)."""
-    three_in_c1 = _is_three_in_c1(policy)
-    check_prime(p, 6 if three_in_c1 else 2)
-    return PrimeParams.create(p).rebased_three_in_c1().g if three_in_c1 else _smallest_root(p)
+    p = 1 (mod 6) and may not exist (NoSuchRoot).  The smallest root needs no
+    index table, so none is built for it."""
+    if policy in (None, "smallest"):
+        check_prime(p)
+        return _smallest_root(p)
+    return PrimeParams.create(p, policy).g
 
 
 def build_index_table(p: int, g: int) -> np.ndarray:
@@ -162,14 +162,15 @@ class PrimeParams:
     _order: ClassVar[int] = 2  # create refuses p unless _order | p - 1
 
     @classmethod
-    def create(cls, p: int, g: int | None = None,
-               g_policy: str | None = "smallest") -> "PrimeParams":
-        """The arena of p with root g, or with g_policy's root when g is None
-        (the policy is checked either way); a g outside 1..p-1 is refused, and
-        build_index_table refuses one that is not a primitive root."""
-        three_in_c1 = _is_three_in_c1(g_policy) and g is None
+    def create(cls, p: int, g: int | str | None = None) -> "PrimeParams":
+        """The arena of p with root g: an integer root, or a policy of G_POLICIES
+        (None is "smallest").  An unknown policy and an integer outside 1..p-1
+        are refused, and build_index_table refuses one that is not primitive."""
+        if isinstance(g, str) and g not in G_POLICIES:
+            raise ParameterError(f"unknown g policy {g!r}")
+        three_in_c1 = g == THREE_IN_C1
         check_prime(p, 6 if three_in_c1 else cls._order)
-        if g is None:
+        if g is None or isinstance(g, str):
             g = _smallest_root(p)
         elif not 1 <= g <= p - 1:
             raise ParameterError(f"g must be in 1..{p - 1}; got {g}")

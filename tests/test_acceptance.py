@@ -61,15 +61,15 @@ def criterion(num, title):
 def hall_params(p):
     """three-in-c1 where satisfiable (the ideal-autocorrelation choice), else smallest."""
     try:
-        return SexticParams.create(p, g_policy="three-in-c1")
+        return SexticParams.create(p, "three-in-c1")
     except NoSuchRoot:
-        return SexticParams.create(p, g_policy="smallest")
+        return SexticParams.create(p, "smallest")
 
 
 def both_policy_params(p):
-    out = [SexticParams.create(p, g_policy="smallest")]
+    out = [SexticParams.create(p, "smallest")]
     try:
-        constrained = SexticParams.create(p, g_policy="three-in-c1")
+        constrained = SexticParams.create(p, "three-in-c1")
         if constrained.g != out[0].g:
             out.append(constrained)
     except NoSuchRoot:
@@ -81,7 +81,7 @@ def test_criterion_01_ideal_two_level_autocorrelation():
     with criterion(1, "ideal two-level autocorrelation for p in {31, 43, 127}"):
         for p, lam in ((31, 7), (43, 10), (127, 31)):
             t0 = time.monotonic()
-            params = SexticParams.create(p, g_policy="three-in-c1")
+            params = SexticParams.create(p, "three-in-c1")
             seq = hall_sequence(params, p)
             assert all(periodic_autocorrelation(seq, t) == -1 for t in range(1, p))
             rep = difference_set_check(params)
@@ -95,7 +95,7 @@ def test_criterion_02_cross_construction_identity():
         for p in SEXTIC_PRIMES_499:
             for policy in ("smallest", "three-in-c1"):
                 try:
-                    params = SexticParams.create(p, g_policy=policy)
+                    params = SexticParams.create(p, policy)
                 except NoSuchRoot:
                     skipped += 1  # constraint unsatisfiable for this p
                     continue
@@ -123,7 +123,7 @@ def test_criterion_04_theorem1_trend_k2():
         for p in SEXTIC_PRIMES_499:
             if p < 13:
                 continue
-            params = SexticParams.create(p, g_policy="smallest")
+            params = SexticParams.create(p, "smallest")
             value = correlation_measure_exact(hall_sequence(params, p), 2).value
             assert value <= theorem1_kernel(2, p), (p, value)
             ratio = value / (math.sqrt(p) * math.log(p))
@@ -139,7 +139,7 @@ def test_criterion_05_inequality_suites_p101():
         for p in PRIMES_101:
             seqs = []
             if p % 6 == 1:
-                seqs.append(hall_sequence(SexticParams.create(p, g_policy="smallest"), p))
+                seqs.append(hall_sequence(SexticParams.create(p, "smallest"), p))
             seqs.append(legendre_sequence(p, p))
             if p % 4 == 1:
                 seqs.append(dhl_sequence(p, find_primitive_root(p), p))
@@ -175,7 +175,7 @@ def test_criterion_06_moc_oracle_equivalence():
         for p in PRIMES_101:
             if p % 6 != 1:
                 continue
-            seq = hall_sequence(SexticParams.create(p, g_policy="smallest"), 2 * p)
+            seq = hall_sequence(SexticParams.create(p, "smallest"), 2 * p)
             assert (
                 max_order_complexity_profile(seq).values
                 == max_order_complexity_naive(seq).values

@@ -165,7 +165,7 @@ def test_bw06_witness_edge_cases(bits, lc):
 
 def test_difference_set_hall_primes():
     for p, lam in ((31, 7), (43, 10), (127, 31)):
-        params = SexticParams.create(p, g_policy="three-in-c1")
+        params = SexticParams.create(p, "three-in-c1")
         rep = difference_set_check(params)
         assert rep.lambda_value == lam == (p - 3) // 4
         assert rep.two_level_ideal
@@ -184,7 +184,7 @@ def test_lambda_autocorr_relation():
     # A(t) = p - 4*(|H| - lambda(t)) ties the two verdicts together; lambda(t)
     # is counted pair by pair, A(t) is the library's
     for p in (13, 31):
-        params = SexticParams.create(p, g_policy="smallest")
+        params = SexticParams.create(p, "smallest")
         seq = hall_sequence(params, p)
         h = seq.bits.tolist()
         lams = [sum(h[n] * h[(n + t) % p] for n in range(p)) for t in range(1, p)]
@@ -235,7 +235,7 @@ def test_difference_set_check_matches_the_correlations():
     for p in SEXTIC_PRIMES_1500:
         for policy in G_POLICIES:
             try:
-                params = SexticParams.create(p, g_policy=policy)
+                params = SexticParams.create(p, policy)
             except NoSuchRoot:
                 continue
             lambdas, autocorrs = correlate_pair(hall_sequence(params, p))

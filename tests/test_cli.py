@@ -98,17 +98,30 @@ def test_dhl_refusals(p, g, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, primes", [
-    (("--suite", "moc-le-lc", "--primes", "1033", "--N", "2p"), [1033]),
-    (("--suite", "diffset", "--primes", "1033,1459", "--g-policy", "both"), [1033, 1459]),
-], ids=["moc-le-lc", "diffset-both"])
+    (("verify", "--suite", "moc-le-lc", "--primes", "1033", "--N", "2p"), [1033]),
+    (("verify", "--suite", "diffset", "--primes", "1033,1459", "--g-policy", "both"), [1033, 1459]),
+    (("verify", "--suite", "cross-construction", "--primes", "upto:50", "--g-policy", "both"),
+     [7, 13, 19, 31, 37, 43]),
+    (("verify", "--suite", "index-representation", "--primes", "13,31", "--g-policy", "both"),
+     [13, 31]),
+    (("verify", "--suite", "bw06", "--primes", "11,13"), [11, 13]),
+    (("verify", "--suite", "weil", "--primes", "11,13,31", "--kmax", "1", "--queries", "20"),
+     [13, 31]),
+    (("scan", "--ck", "2", "--primes", "13,31,43", "--g-policy", "three-in-c1"), [13, 31, 43]),
+    (("scan", "--ck", "2", "--primes", "upto:50"), [7, 13, 19, 31, 37, 43]),
+], ids=["moc-le-lc", "diffset-both", "cross-construction-both", "index-representation-both",
+        "bw06", "weil", "scan-three-in-c1", "scan"])
 def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys):
-    # moc-le-lc's Hall, Legendre and DHL words share one arena, and diffset
-    # derives the three-in-c1 arena from the smallest root's
+    # every prime-walking command builds one arena a prime: moc-le-lc's Hall,
+    # Legendre and DHL words share it, and under three-in-c1 (alone or beside
+    # smallest) the arena is rebased from the smallest root's, also where no
+    # root puts 3 in C1 (13 and 37)
     built = []
     build = ntheory.build_index_table
     monkeypatch.setattr(ntheory, "build_index_table", lambda p, g: built.append(p) or build(p, g))
-    code, stdout, _ = run(capsys, "verify", *argv)
-    assert code == EXIT_OK and " 0 failed," in stdout
+    code, stdout, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert argv[0] != "verify" or " 0 failed," in stdout
     assert sorted(built) == primes
 
 
@@ -479,7 +492,7 @@ def test_diffset_forged_cyclotomic_numbers_is_invariant_violation(monkeypatch, c
 
     monkeypatch.setattr(bounds, "cyclotomic_numbers", forged)
     with pytest.raises(InvariantViolation, match="w\\(w-1\\)"):
-        bounds.difference_set_check(SexticParams.create(31, g_policy="three-in-c1"))
+        bounds.difference_set_check(SexticParams.create(31, "three-in-c1"))
     code, stdout, err = run(
         capsys, "verify", "--suite", "diffset", "--primes", "31", "--g-policy", "three-in-c1",
     )

@@ -93,6 +93,38 @@ def _ck_reference(seq, k):
     return best, witness
 
 
+def _lex_smallest_window(P, v):
+    """Smallest (a, b), a < b, with |P_b - P_a| = v, given v = max spread of P,
+    by the first minimum and maximum and the next opposite extreme after each:
+    the search that the first-extremes rule replaced."""
+    pmin = int(P.min())
+    pmax = int(P.max())
+    if pmax - pmin != v:
+        return None
+    lows = np.flatnonzero(P == pmin)
+    highs = np.flatnonzero(P == pmax)
+    cands = []
+    for starts, ends in ((lows, highs), (highs, lows)):
+        pos = np.searchsorted(ends, starts[0], side="right")
+        if pos < ends.size:
+            cands.append((int(starts[0]), int(ends[pos])))
+    return min(cands) if cands else None
+
+
+@given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=60), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_witness_window_is_the_first_extremes(steps, excess):
+    # the exact measure's witness rule: where a walk's spread is the best, its
+    # smallest window runs between its first minimum and first maximum, in order
+    P = np.concatenate([[0], np.cumsum(steps)]).astype(np.int8)
+    v = int(np.ptp(P)) + excess  # excess > 0: a best this walk does not attain
+    expected = _lex_smallest_window(P, v)
+    if excess:
+        assert expected is None
+    else:
+        assert expected == tuple(sorted((int(P.argmin()), int(P.argmax()))))
+
+
 def _for_shifts_reference(seq, D):
     """(max_M |P_M|, smallest maximizing M) by one int64 walk of D's own: the
     product of the word's shifted sign slices over N - d_k steps, summed."""

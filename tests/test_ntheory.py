@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cycloseq.charsum import phase_counts
 from cycloseq.errors import NoSuchRoot, ParameterError
 from cycloseq.ntheory import (
+    G_POLICIES,
     THREE_IN_C1,
     PrimeParams,
     SexticParams,
@@ -57,6 +58,46 @@ def test_is_prime_matches_trial_division_below_5000():
         assert is_prime(n) == _is_prime_by_trial_division(n), n
     for n in (41 * 41, 41 * 43, 43 * 43, 37 * 41, 37 * 43):
         assert not is_prime(n), n
+
+
+def _strong_probable_prime(n, bases):
+    """Miller-Rabin rounds to each base, for odd n > max(bases)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_is_prime_four_bases_agree_with_twelve_below_200000():
+    for n in range(-2, 200_000):
+        if n < 41:
+            expected = n in TWELVE_BASES
+        else:
+            expected = all(n % q for q in TWELVE_BASES) and _strong_probable_prime(n, TWELVE_BASES)
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_refuses_the_four_base_pseudoprime():
+    # 3 215 031 751 = 151 * 751 * 28351 passes bases 2, 3, 5 and 7: the four
+    # decide only below it, so it must take all twelve
+    n = 3_215_031_751
+    assert n == 151 * 751 * 28351
+    assert _strong_probable_prime(n, (2, 3, 5, 7))
+    assert not is_prime(n)
+    assert is_prime(3_215_031_767)  # prime, by trial division
 
 
 def test_find_primitive_root_examples():
@@ -276,18 +317,34 @@ def test_g_outside_units_is_refused_by_create(create, g):
 def test_g_policy_vocabulary():
     assert THREE_IN_C1 == "three-in-c1"
     for policy in (None, "smallest"):
-        assert find_primitive_root(31, policy) == 3 == PrimeParams.create(31, g_policy=policy).g
-        assert SexticParams.create(31, g_policy=policy).g == 3
-    assert SexticParams.create(31, g_policy=THREE_IN_C1).g == 3
-    assert PrimeParams.create(43, g_policy=THREE_IN_C1).g == find_primitive_root(43, THREE_IN_C1)
-    # an unknown policy is refused, even beside an explicit root
+        assert find_primitive_root(31, policy) == 3 == PrimeParams.create(31, policy).g
+        assert SexticParams.create(31, policy).g == 3
+    assert SexticParams.create(31, THREE_IN_C1).g == 3
+    assert PrimeParams.create(43, THREE_IN_C1).g == find_primitive_root(43, THREE_IN_C1)
+    # an unknown policy is refused
     for create in (PrimeParams.create, SexticParams.create):
-        with pytest.raises(ParameterError, match="unknown g policy"):
-            create(31, g_policy="3 in C1")
-        with pytest.raises(ParameterError, match="unknown g policy"):
-            create(31, g=3, g_policy="largest")
+        for bogus in ("3 in C1", "bogus", "largest"):
+            with pytest.raises(ParameterError, match="unknown g policy"):
+                create(31, bogus)
     with pytest.raises(ParameterError, match="unknown g policy"):
         find_primitive_root(31, "3 in C1")
+
+
+def test_a_policy_and_its_root_give_one_arena():
+    # create's one root argument: a policy name builds the same arena as the
+    # integer root that policy picks
+    for p in (7, 13, 19, 31, 37, 43, 61, 127, 1987):
+        for cls in (PrimeParams, SexticParams):
+            for policy in G_POLICIES:
+                try:
+                    by_policy = cls.create(p, policy)
+                except NoSuchRoot:
+                    assert policy == THREE_IN_C1
+                    continue
+                by_root = cls.create(p, by_policy.g)
+                assert type(by_policy) is type(by_root) is cls
+                assert by_root.g == by_policy.g == find_primitive_root(p, policy)
+                assert np.array_equal(by_policy.index_table, by_root.index_table), (p, policy)
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (9, 2), (1, 2), (-7, 2), (11, 6), (7, 4), (25, 4)])
@@ -310,7 +367,7 @@ def test_check_prime_accepts_and_limits():
         with pytest.raises(ParameterError, match="p=15 is not a"):
             make(15)
     for make in (SexticParams.create, lambda p: find_primitive_root(p, THREE_IN_C1),
-                 lambda p: PrimeParams.create(p, g_policy=THREE_IN_C1)):
+                 lambda p: PrimeParams.create(p, THREE_IN_C1)):
         with pytest.raises(ParameterError, match="p=11 is not a prime = 1 \\(mod 6\\)"):
             make(11)
 
@@ -323,7 +380,7 @@ def test_three_in_c1_table_matches_its_own_build():
     found = 0
     for p in SEXTIC_PRIMES_2000:
         try:
-            params = SexticParams.create(p, g_policy=THREE_IN_C1)
+            params = SexticParams.create(p, THREE_IN_C1)
         except NoSuchRoot:
             continue
         table = params.index_table
@@ -350,7 +407,7 @@ def test_an_arena_builds_one_index_table(monkeypatch):
     monkeypatch.setattr(ntheory, "build_index_table", counted)
     for policy, p in ((THREE_IN_C1, 31), (THREE_IN_C1, 1987), ("smallest", 1987)):
         calls.clear()
-        SexticParams.create(p, g_policy=policy)
+        SexticParams.create(p, policy)
         assert len(calls) == 1, (policy, p, calls)
     calls.clear()
     PrimeParams.create(13, g=6)

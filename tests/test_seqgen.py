@@ -38,7 +38,7 @@ def _sextic_params_below_1000():
         if is_prime(p) and p % 6 == 1:
             for policy in ("smallest", "three-in-c1"):
                 try:
-                    out.append(SexticParams.create(p, g_policy=policy))
+                    out.append(SexticParams.create(p, policy))
                 except NoSuchRoot:
                     pass
     return out
