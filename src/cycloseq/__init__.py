@@ -35,7 +35,6 @@ from .seqgen import (
     BitSequence,
     check_index_representation,
     cyclotomic_sequence,
-    delta_decomposition,
     dhl_sequence,
     hall_sequence,
     hall_sequence_via_characters,

@@ -186,7 +186,7 @@ def difference_set_check(params: SexticParams) -> DifferenceSetReport:
         lambda_value=int(lam[0]) if lambda_constant else None,
         two_level_ideal=two_level,
         hall_form_u=u,
-        three_in_c1=params.ind(3) % 6 == 1,
+        three_in_c1=bool(params.cosets(6)[3] == 1),
     )
 
 

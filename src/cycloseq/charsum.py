@@ -37,25 +37,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ParameterError
-from .ntheory import SexticParams, reduce_zeta6
-from .seqgen import CLASS_SETS
-
-# Per-factor expansion coefficients of (-1)**h as sum_m coeff_m * chi**m,
-# merged over chi-powers m = 1..5; each pair (a, b) encodes (a + b*w)/3.
-FACTOR_COEFFS = {1: (-1, 1), 2: (-2, 1), 3: (1, 0), 4: (-1, -1), 5: (0, -1)}
-
-
-def zeta6_mul(x, y):
-    """(a + bw)(c + dw) with w^2 = w - 1, for ints or elementwise for arrays."""
-    a, b = x
-    c, d = y
-    return a * c - b * d, a * d + b * c + b * d
-
-
-def zeta6_norm_sq(x):
-    a, b = x
-    return a * a + a * b + b * b
-
+from .ntheory import SexticParams, reduce_zeta6, zeta6_mul, zeta6_norm_sq
+from .seqgen import CLASS_SETS, sign_coefficients
 
 # Tuples are evaluated in chunks of at most about this many array cells, so the
 # memory of a call does not grow with the number of tuples.
@@ -169,7 +152,7 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
     out = K if by_code else 25 * k + 1
     dtype = np.int64 if by_code else np.min_scalar_type(-11 * out)
     # ind(x) mod 6 for the arguments x = n + d_i < 3p; x = p vanishes mod p
-    ind6 = np.tile(params.index_table % 6, 3).astype(dtype)
+    ind6 = np.tile(params.cosets(6), 3).astype(dtype)
     ind6[p] = out
     per_tuple = W * k + pieces * B * 7
     if by_code:
@@ -224,22 +207,24 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
     """|sum| <= its Weil-type bound, for each (tuple, exponent row) of a
     `phase_counts` batch: a T x B array.
 
-    Complete sums (window = p) are held to the exact bound (k-1)*sqrt(p) + k;
-    incomplete sums to the desk-scale explicit form k*sqrt(p)*(1 + ln p)
-    standing in for the cited O(k sqrt(p) log p).  |sum| is the square root of
-    the exact Z[w] norm.  Counts are reduced chunk by chunk and never held for
-    the whole batch.
+    Complete sums (window = p) are held to (k-1)*sqrt(p) + k exactly: with n
+    the Z[w] norm and a = n - (k-1)**2 p - k**2, iff a <= 0 or a**2 <=
+    4 k**2 (k-1)**2 p, that is a <= isqrt(4 k**2 (k-1)**2 p).  Incomplete sums
+    are held on floats to the desk-scale explicit form k*sqrt(p)*(1 + ln p),
+    standing in for the cited O(k sqrt(p) log p).  Counts are reduced chunk by
+    chunk and never held for the whole batch.
     """
     S, windows = _checked_shifts(params, shifts, window)
     E = _checked_exponents(exponents, S.shape[1])
     p, k = params.p, S.shape[1]
-    bound = np.where(windows == p, (k - 1) * math.sqrt(p) + k,
-                     k * math.sqrt(p) * (1.0 + math.log(p)))
+    complete = windows == p
+    limit = (k - 1) ** 2 * p + k * k + math.isqrt(4 * k * k * (k - 1) ** 2 * p)
+    bound = k * math.sqrt(p) * (1.0 + math.log(p)) + 1e-9
     rows, gather = _conjugate_classes(E)
     ok = np.empty((len(S), len(E)), dtype=bool)
     for lo, hi, counts in _count_chunks(params, rows, S, windows):
-        mag = np.sqrt(zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0))))
-        within = mag <= bound[lo:hi, None] + 1e-9
+        norm = zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0)))
+        within = np.where(complete[lo:hi, None], norm <= limit, np.sqrt(norm) <= bound)
         # a row and its conjugate have sums of equal modulus
         ok[lo:hi] = within[:, gather[:, 0] // 6]
     return ok
@@ -249,10 +234,10 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
 class CorrelationExpansion:
     """(-1)**(h_{n+d_1}+...+h_{n+d_k}) expanded into character sums.
 
-    Per factor, (-1)**h_n = sum_{m=1}^{5} coeff_m chi^m(n) after merging the
-    cubic character eta in {chi^2, chi^4} into chi-powers: 5 terms per factor
-    (7 before merging).  Products of k factors give 5**k exponent rows with
-    exact Z[w] coefficients over denominator 3**k, all summed over the
+    Per factor, (-1)**h_n = sum_{j=1}^{5} c_j chi^j(n) with Hall's coefficients
+    from `sign_coefficients`, exact over the denominator 3 (c_0 = 0, as Hall's
+    class set is balanced).  Products of k factors give 5**k exponent rows
+    with exact Z[w] coefficients over denominator 3**k, all summed over the
     expansion's one shift tuple and window.
     """
 
@@ -268,10 +253,10 @@ class CorrelationExpansion:
 
     @property
     def denominator(self) -> int:
-        return 3**self.k
+        return sign_coefficients(*CLASS_SETS["hall"])[1] ** self.k
 
     def evaluate_exact(self) -> tuple[int, int]:
-        """Numerator of the expansion value as a + b*w (denominator 3**k)."""
+        """Numerator of the expansion value as a + b*w, over `denominator`."""
         counts = phase_counts(self.params, self.exponents, [self.shifts], self.window)
         a, b = zeta6_mul(np.array(self.coeffs).T, reduce_zeta6(counts[0].T))
         return int(a.sum()), int(b.sum())
@@ -284,7 +269,8 @@ def expand_correlation_to_charsums(
     S, _ = _checked_shifts(params, [shifts], window)
     shifts = tuple(S[0].tolist())
     rows = tuple(product(range(1, 6), repeat=len(shifts)))
-    coeffs = tuple(reduce(zeta6_mul, (FACTOR_COEFFS[m] for m in ms), (1, 0)) for ms in rows)
+    c = sign_coefficients(*CLASS_SETS["hall"])[0]
+    coeffs = tuple(reduce(zeta6_mul, (c[j] for j in ms), (1, 0)) for ms in rows)
     return CorrelationExpansion(
         params=params, shifts=shifts, window=window, exponents=rows, coeffs=coeffs
     )
@@ -298,8 +284,8 @@ def direct_signed_sum(params: SexticParams, shifts, window: int) -> int:
     """
     shifts = tuple(int(d) for d in shifts)
     p = params.p
-    table = params.index_table
     m, ones = CLASS_SETS["hall"]
+    cls = params.cosets(m).tolist()
     total = 0
     for n in range(1, window):
         sign = 1
@@ -308,7 +294,7 @@ def direct_signed_sum(params: SexticParams, shifts, window: int) -> int:
             if arg == 0:
                 sign = 0
                 break
-            if int(table[arg]) % m in ones:
+            if cls[arg] in ones:
                 sign = -sign
         total += sign
     return total

@@ -5,8 +5,9 @@ Everything downstream lives in the arena set up here: a prime p, a primitive
 root g, and the dense discrete-log table ind_g(n) for n = 1..p-1.  Characters
 are handled as integer phases (the character chi**j of order dividing 6 has
 phase j*ind_g(n) mod 6 at n), never as floating complex values; sums of
-sixth roots of unity are reduced exactly by `reduce_zeta6`, and only the
-charsum module materializes floats.  The cyclotomic numbers of order m,
+sixth roots of unity are reduced exactly by `reduce_zeta6` (`zeta6_mul`,
+`zeta6_norm_sq`: Z[w] products and norms), and only the charsum module
+materializes floats.  The cyclotomic numbers of order m,
 (a, b) = #{u in C_a : u + 1 in C_b}, are one bincount over the index table
 (`cyclotomic_numbers`); the difference-set check reads them.
 
@@ -204,13 +205,6 @@ class PrimeParams:
             raise ParameterError(f"m={m} does not divide p-1={self.p - 1}")
         return self.index_table % m
 
-    def ind(self, n: int) -> int:
-        """ind_g(n) for n not divisible by p."""
-        n %= self.p
-        if n == 0:
-            raise ParameterError("ind is undefined at 0")
-        return int(self.index_table[n])
-
     def g_inverse(self) -> int:
         return pow(self.g, self.p - 2, self.p)
 
@@ -238,3 +232,16 @@ def reduce_zeta6(counts) -> tuple[int, int]:
     """sum_r c_r * w**r as a + b*w in Z[w], w a primitive 6th root (w^2 = w - 1, w^3 = -1)."""
     c0, c1, c2, c3, c4, c5 = counts
     return c0 - c2 - c3 + c5, c1 + c2 - c4 - c5
+
+
+def zeta6_mul(x, y):
+    """(a + bw)(c + dw) with w^2 = w - 1, for ints or elementwise for arrays."""
+    a, b = x
+    c, d = y
+    return a * c - b * d, a * d + b * c + b * d
+
+
+def zeta6_norm_sq(x):
+    """|a + bw|^2 = a^2 + ab + b^2, exact."""
+    a, b = x
+    return a * a + a * b + b * b

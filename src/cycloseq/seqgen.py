@@ -1,20 +1,19 @@
 """Binary sequence constructions: Hall sextic residue, Legendre, DHL, generic cyclotomic.
 
-The Hall sequence is built two independent ways: by coset membership and by
-the exact character-sum identity for its indicator deltas.  Bit-for-bit
-agreement of the two routes is the mechanical check of the identity
-(-1)**h_n = 1 - 2*delta(n), performed in exact integer arithmetic.  The deltas
-are evaluated for every n in 1..p-1 at once: the index table gives each
-character term's sixth-root phase, one bincount per identity counts the terms
-of every n per phase, and each row of counts is reduced in Z[w].  Coset
-membership is one table gather at ind(n) mod m: every construction is a class
-set (m, I), its ones the cosets C_i, i in I, and the named ones are the
-entries of CLASS_SETS.  The per-n evaluations these replaced, and Legendre's
-squares, stay in tests/test_seqgen.py as the oracles.
+Every construction is a class set (m, I), its ones the order-m cosets C_i,
+i in I; the named ones are the entries of CLASS_SETS, the one place that names
+a construction's classes.  Coset membership is one table gather at ind(n) mod
+m.  For m | 6 a second, independent route evaluates (-1)**s_n =
+sum_j c_j chi_m**j(n), with the c_j of `sign_coefficients` exact in Z[w], at
+every n at once and requires +-1 at each; the two Hall routes agreeing bit for
+bit is the mechanical check of the identity.  The per-n indicator deltas and
+Legendre's squares stay in tests/test_seqgen.py as the oracles.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6
+from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6, zeta6_mul
 
 # Each named construction's class set (m, I), in the command line's order.
 CLASS_SETS = {
@@ -30,6 +29,39 @@ CLASS_SETS = {
     "legendre": (2, frozenset({0})),
     "dhl": (4, frozenset({0, 1})),
 }
+
+
+def sign_coefficients(m: int, classes) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(numerators, d) with c_j = (a + b*w)/d, j = 0..m-1, exactly, where
+    (-1)**s_n = sum_j c_j chi_m**j(n) on the class set (m, classes).
+
+    c_j = (1/m) sum_r eps_r omega_m**(-jr), eps_r = -1 on the classes and +1 off
+    them, omega_m = w**(6/m): each numerator is reduced in Z[w] from its signed
+    root counts, then all and m are divided by their gcd.  ParameterError
+    unless m | 6 (Z[w] holds only sixth roots) and the classes lie in 0..m-1.
+    """
+    if m < 1 or 6 % m:
+        raise ParameterError(f"m={m} does not divide 6")
+    if not set(classes) <= set(range(m)):
+        raise ParameterError(f"classes {sorted(classes)} not within 0..{m - 1}")
+    nums = []
+    for j in range(m):
+        counts = [0] * 6
+        for r in range(m):
+            counts[-(6 // m) * j * r % 6] += -1 if r in classes else 1
+        nums.append(reduce_zeta6(counts))
+    d = math.gcd(m, *(x for ab in nums for x in ab))
+    return tuple((a // d, b // d) for a, b in nums), m // d
+
+
+@functools.cache
+def _character_table(m: int, classes: frozenset[int]) -> tuple[np.ndarray, int]:
+    """(table, d): table[:, j, r] is c_j * w**r = (a + b*w)/d as (a, b), r = 0..5."""
+    nums, d = sign_coefficients(m, classes)
+    c = np.array(nums, dtype=np.int64).T[:, :, None]
+    table = np.stack(zeta6_mul(c, reduce_zeta6(np.eye(6, dtype=np.int64))))  # times w**r
+    table.setflags(write=False)
+    return table, d
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,64 +158,31 @@ def hall_sequence(params: SexticParams, length: int) -> BitSequence:
     return named_sequence(params, "hall", length)
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaDecomposition:
-    """Indicator maps delta1 (C0 u C3) and delta2 (C1) on 1..p-1; slot 0 unused."""
-
-    delta1: np.ndarray
-    delta2: np.ndarray
-
-
-def _indicators(phases: np.ndarray) -> np.ndarray:
-    """sum_j w**phases[n, j] / J for each row n, which must be the rational integer 0 or 1.
-
-    One bincount counts the J terms of every row per phase, into bin
-    phase + 7n; a phase that is not an integer in 0..5 is no sixth root and
-    goes to bin 6 of its row, which no root reads.  Each row's six counts are
-    then reduced in Z[w].
+def _core_via_characters(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
+    """The 0/1 word on 0..p-1 of (m, subset) from sum_j c_j chi_m**j(n) at
+    every n = 1..p-1 at once.  chi_m**j(n) = w**((6/m) j ind(n) mod 6), so each
+    term c_j chi_m**j(n) is read off row j of `_character_table` at that phase.
+    InvariantViolation unless every value is +-1 over the denominator; bit n
+    is 1 where it is -1.
     """
-    n, J = phases.shape
-    bins = phases.astype(np.intp)
-    # a non-integer phase changes under the cast; a negative one reads as unsigned > 5
-    bins[(bins != phases) | (bins.view(np.uintp) > 5)] = 6
-    bins += np.arange(0, 7 * n, 7)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=7 * n).reshape(n, 7)
-    a, b = reduce_zeta6(counts.T[:6])
-    bad = a * (a - J) | b  # zero exactly where b = 0 and a is 0 or J
+    table, den = _character_table(m, subset)
+    rows = np.arange(m)[:, None]
+    phase = (6 // m) * rows * params.cosets(m)[1:] % 6
+    col = phase.astype(np.intp) + 6 * rows  # into the flattened table: row j, column phase
+    a, b = (t.ravel()[col].sum(axis=0) for t in table)
+    bad = (b != 0) | (np.abs(a) != den)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise InvariantViolation(
-            f"character sum {a[i]} + {b[i]}*w over {J} at n={i + 1} is not an indicator value"
-        )
-    return (a == J).view(np.uint8)
-
-
-def delta_decomposition(params: SexticParams) -> DeltaDecomposition:
-    """delta1 = (1 + eta + eta^2)/3 and delta2 = (1 + sum_j omega^-j chi^j)/6, exactly.
-
-    Both are evaluated at every n in 1..p-1 at once from the index table.  eta =
-    chi**2 is the cubic character, so eta**j has the sixth-root phase 2*(j*ind(n)
-    mod 3); omega = chi(g), so the j-th term of delta2 has phase j*(ind(n) - 1)
-    mod 6.  InvariantViolation if some value is not 0 or 1, or if delta1 and
-    delta2 overlap (C0 u C3 and C1 are disjoint).
-    """
-    ind = params.index_table[1:, None]
-    d1 = np.zeros(params.p, dtype=np.uint8)
-    d2 = np.zeros(params.p, dtype=np.uint8)
-    d1[1:] = _indicators(2 * (np.arange(3) * ind % 3))
-    d2[1:] = _indicators(np.arange(6) * (ind - 1) % 6)
-    if (d1 & d2).any():
-        raise InvariantViolation("delta1 and delta2 overlap: C0 u C3 and C1 must be disjoint")
-    d1.setflags(write=False)
-    d2.setflags(write=False)
-    return DeltaDecomposition(delta1=d1, delta2=d2)
+        raise InvariantViolation(f"n={i + 1}: character sum {a[i]} + {b[i]}*w over {den}, not +-1")
+    core = np.zeros(params.p, dtype=np.uint8)
+    core[1:] = a < 0
+    return core
 
 
 def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequence:
-    """Hall sequence rebuilt from h_n = delta1(n) + delta2(n); h_0 = 0."""
-    dec = delta_decomposition(params)
+    """Hall's word from its character expansion sum_j c_j chi**j(n); h_0 = 0."""
     return BitSequence.create(
-        _extend(dec.delta1 + dec.delta2, length),
+        _extend(_core_via_characters(params, *CLASS_SETS["hall"]), length),
         period=params.p,
         label=f"hall_via_characters(p={params.p},g={params.g})",
     )
@@ -221,7 +220,7 @@ def permutation_map_f(params: SexticParams, n):
     n = np.asarray(np.asarray(n) % p, dtype=np.int64)
     if (n == 0).any():
         raise ParameterError("f is undefined at 0")
-    l = params.index_table[n] % 6
+    l = params.cosets(6)[n]
     out = np.where(l == 2, params.g * n % p, np.where(l == 3, params.g_inverse() * n % p, n))
     return int(out) if out.ndim == 0 else out
 
@@ -229,11 +228,11 @@ def permutation_map_f(params: SexticParams, n):
 def check_index_representation(params: SexticParams) -> bool:
     """Verify h_n = 0 exactly when ind_{g^-1}(f(n)) mod 6 lies in {1, 2, 3}.
 
-    ind with respect to g^-1 is (-ind_g) mod (p-1).  f is evaluated once on
-    the array 1..p-1, which it permutes, so no f(n) is 0.
+    ind with respect to g^-1 is (-ind_g) mod (p-1), so -ind_g mod 6 as 6 | p-1.
+    f is evaluated once on the array 1..p-1, which it permutes, so no f(n) is 0.
     """
     fn = permutation_map_f(params, np.arange(1, params.p))
-    val = (-params.index_table[fn]) % (params.p - 1) % 6
+    val = -params.cosets(6)[fn] % 6
     core = _core_from_classes(params, *CLASS_SETS["hall"])
     return bool(np.array_equal(core[1:] == 0, (1 <= val) & (val <= 3)))
 

@@ -22,7 +22,6 @@ from cycloseq.charsum import (
     direct_signed_sum,
     expand_correlation_to_charsums,
     phase_counts,
-    zeta6_norm_sq,
 )
 from cycloseq.errors import NoSuchRoot
 from cycloseq.measures import (
@@ -32,7 +31,13 @@ from cycloseq.measures import (
     periodic_autocorrelation,
     two_adic_complexity,
 )
-from cycloseq.ntheory import SexticParams, find_primitive_root, is_prime, reduce_zeta6
+from cycloseq.ntheory import (
+    SexticParams,
+    find_primitive_root,
+    is_prime,
+    reduce_zeta6,
+    zeta6_norm_sq,
+)
 from cycloseq.seqgen import (
     BitSequence,
     check_index_representation,

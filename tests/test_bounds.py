@@ -243,7 +243,7 @@ def test_difference_set_check_matches_the_correlations():
             constant = bool((lambdas == lambdas[0]).all())
             assert rep.lambda_value == (int(lambdas[0]) if constant else None), (p, policy)
             assert rep.two_level_ideal == bool((autocorrs == -1).all()), (p, policy)
-            assert rep.three_in_c1 == (params.ind(3) % 6 == 1)
+            assert rep.three_in_c1 == (params.index_table[3] % 6 == 1)
             checked += 1
     assert checked > len(SEXTIC_PRIMES_1500)
 

@@ -8,18 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq import charsum
+from cycloseq.bounds import difference_set_check
 from cycloseq.charsum import (
-    FACTOR_COEFFS,
     direct_signed_sum,
     expand_correlation_to_charsums,
     phase_counts,
     weil_verdicts,
+)
+from cycloseq.errors import ParameterError
+from cycloseq.ntheory import (
+    PrimeParams,
+    SexticParams,
+    reduce_zeta6,
     zeta6_mul,
     zeta6_norm_sq,
 )
-from cycloseq.errors import ParameterError
-from cycloseq.ntheory import SexticParams, reduce_zeta6
-from cycloseq.seqgen import hall_sequence
+from cycloseq.seqgen import (
+    CLASS_SETS,
+    check_index_representation,
+    hall_sequence,
+    hall_sequence_via_characters,
+    permutation_map_f,
+    sign_coefficients,
+)
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -204,6 +215,52 @@ def test_weil_verdicts_match_reference():
         weil_verdicts(P13, [(1,), (6,)], [(0,)], 13)
 
 
+def _exact_complete_ok(counts, p, k):
+    """A complete sum's verdict by the integer rule: with n the exact norm and
+    a = n - (k-1)**2 p - k**2, |sum| <= (k-1) sqrt(p) + k iff a <= 0 or
+    a**2 <= 4 k**2 (k-1)**2 p."""
+    a = int(zeta6_norm_sq(reduce_zeta6(counts))) - (k - 1) ** 2 * p - k * k
+    return a <= 0 or a * a <= 4 * k * k * (k - 1) ** 2 * p
+
+
+@pytest.mark.parametrize("p,kmax", [(7, 4), (13, 3), (19, 3)])
+def test_complete_verdicts_are_exact_and_agree_with_floats(p, kmax):
+    # every complete sum at p and k <= kmax: the exact verdicts equal both the
+    # integer rule and the float comparison they replaced
+    params = SEXTIC[p]
+    for k in range(1, kmax + 1):
+        batch = list(product(range(1, 6), repeat=k))
+        tuples = list(combinations(range(p), k))
+        ok = weil_verdicts(params, batch, tuples, p)
+        counts = phase_counts(params, batch, tuples, p)
+        exact = [[_exact_complete_ok(c, p, k) for c in rows] for rows in counts.tolist()]
+        floats = np.sqrt(zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0))))
+        assert ok.tolist() == exact
+        assert (ok == (floats <= (k - 1) * math.sqrt(p) + k + 1e-9)).all()
+
+
+P11 = PrimeParams.create(11)  # 6 does not divide p - 1 = 10
+
+SEXTIC_READERS = {
+    "phase_counts": lambda: phase_counts(P11, [(1,)], [(0,)], 11),
+    "weil_verdicts": lambda: weil_verdicts(P11, [(1,)], [(0,)], 11),
+    "expansion": lambda: expand_correlation_to_charsums(P11, (0, 1), 11).evaluate_exact(),
+    "direct_signed_sum": lambda: direct_signed_sum(P11, (0, 1), 11),
+    "hall_sequence_via_characters": lambda: hall_sequence_via_characters(P11, 11),
+    "permutation_map_f": lambda: permutation_map_f(P11, [1, 2, 3, 4]),
+    "check_index_representation": lambda: check_index_representation(P11),
+    "difference_set_check": lambda: difference_set_check(P11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEXTIC_READERS))
+def test_sextic_readers_refuse_an_arena_without_order_6(name):
+    # each reads ind mod 6 through the arena's cosets, which refuse 6 not dividing p - 1
+    # instead of returning a word or a sum of classes that do not exist
+    with pytest.raises(ParameterError, match="m=6 does not divide p-1=10"):
+        SEXTIC_READERS[name]()
+
+
 def test_zeta6_arithmetic():
     w = ROOT6[1]
     for a, b in ((1, 0), (0, 1), (2, -3), (-1, 5)):
@@ -295,15 +352,24 @@ def test_weil_incomplete_random_p31():
         assert weil_verdicts(P31, [ms], [shifts], window).tolist() == [[True]]
 
 
+# Hall's coefficients c_1..c_5 of (-1)**h_n = sum_j c_j chi**j(n), once a
+# hand-entered table of the expansion: (a, b) is (a + b*w)/3
+HALL_COEFFS = {1: (-1, 1), 2: (-2, 1), 3: (1, 0), 4: (-1, -1), 5: (0, -1)}
+
+
 def test_factor_coefficients_reproduce_sign():
-    # per-factor identity: sum_m coeff_m * chi^m(n) == (-1)**h_n, n != 0
+    # the derived coefficients are the hand table, with c_0 = 0 (Hall's set is
+    # balanced), and sum_j c_j chi^j(n) == (-1)**h_n at every n != 0
+    nums, d = sign_coefficients(*CLASS_SETS["hall"])
+    assert (nums[0], d) == ((0, 0), 3)
+    assert dict(zip(range(1, 6), nums[1:])) == HALL_COEFFS
     w = ROOT6[1]
     h = hall_sequence(P13, 13).bits
     for n in range(1, 13):
-        ind = P13.ind(n)
+        ind = int(P13.index_table[n])
         total = 0j
-        for m, (a, b) in FACTOR_COEFFS.items():
-            total += (a + b * w) / 3 * ROOT6[(m * ind) % 6]
+        for j, (a, b) in HALL_COEFFS.items():
+            total += (a + b * w) / 3 * ROOT6[(j * ind) % 6]
         assert abs(total - (-1) ** int(h[n])) < 1e-9
 
 

@@ -12,7 +12,6 @@ from cycloseq.seqgen import (
     BitSequence,
     check_index_representation,
     cyclotomic_sequence,
-    delta_decomposition,
     dhl_sequence,
     hall_sequence,
     hall_sequence_via_characters,
@@ -20,9 +19,10 @@ from cycloseq.seqgen import (
     legendre_sequence,
     permutation_map_f,
     read_sequence,
+    sign_coefficients,
     write_sequence,
 )
-from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _extend, _indicators
+from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _core_via_characters, _extend
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -56,7 +56,7 @@ def delta1(params: SexticParams, n: int) -> int:
     eta = chi**2, so the cubic phase r is the sixth-root phase 2r; the three
     terms are accumulated as phase counts and reduced in Z[w].
     """
-    ind = params.ind(n)
+    ind = int(params.index_table[n])
     counts = [0] * 6
     for j in range(3):
         counts[2 * (j * ind % 3)] += 1
@@ -68,7 +68,7 @@ def delta2(params: SexticParams, n: int) -> int:
 
     omega = chi(g); the j-th term has phase j*(ind(n) - 1) mod 6.
     """
-    ind = params.ind(n)
+    ind = int(params.index_table[n])
     counts = [0] * 6
     for j in range(6):
         counts[(j * (ind - 1)) % 6] += 1
@@ -88,7 +88,7 @@ def _indicator(counts, denominator: int) -> int:
 def f_reference(params: SexticParams, n: int) -> int:
     """The C2 <-> C3 swap at one residue."""
     n %= params.p
-    l = params.ind(n) % 6
+    l = params.index_table[n] % 6
     if l == 2:
         return params.g * n % params.p
     if l == 3:
@@ -100,8 +100,8 @@ def index_representation_reference(params: SexticParams, mapping) -> bool:
     """The index representation checked one n at a time with a scalar mapping."""
     p = params.p
     for n in range(1, p):
-        val = (-params.ind(mapping(params, n))) % (p - 1) % 6
-        if (params.ind(n) % 6 not in {0, 1, 3}) != (1 <= val <= 3):
+        val = (-int(params.index_table[mapping(params, n)])) % (p - 1) % 6
+        if (params.index_table[n] % 6 not in {0, 1, 3}) != (1 <= val <= 3):
             return False
     return True
 
@@ -133,21 +133,20 @@ def test_delta_examples():
 
 
 def test_delta_indicator_sets():
-    dec = delta_decomposition(P13)
-    d1_ones = {n for n in range(1, 13) if dec.delta1[n]}
-    d2_ones = {n for n in range(1, 13) if dec.delta2[n]}
-    assert d1_ones == {n for n in range(1, 13) if P13.ind(n) % 3 == 0}
-    assert d2_ones == {n for n in range(1, 13) if P13.ind(n) % 6 == 1}
+    # delta1 marks C0 u C3 and delta2 marks C1: the two parts of Hall's C0 u C1 u C3
+    for params in (P13, P31):
+        ns = range(1, params.p)
+        ind = params.index_table
+        assert {n for n in ns if delta1(params, n)} == {n for n in ns if ind[n] % 3 == 0}
+        assert {n for n in ns if delta2(params, n)} == {n for n in ns if ind[n] % 6 == 1}
 
 
 @pytest.mark.parametrize("params", SEXTIC_PARAMS_1000, ids=repr)
 def test_batched_identities_match_per_n_references(params):
+    # the per-n indicator deltas are the oracle of the character route
     p = params.p
-    dec = delta_decomposition(params)
     ref1 = [0] + [delta1(params, n) for n in range(1, p)]
     ref2 = [0] + [delta2(params, n) for n in range(1, p)]
-    assert dec.delta1.tolist() == ref1
-    assert dec.delta2.tolist() == ref2
     via = hall_sequence_via_characters(params, p).bits
     assert via.tolist() == [a + b for a, b in zip(ref1, ref2)]
     assert np.array_equal(via, hall_sequence(params, p).bits)
@@ -158,67 +157,48 @@ def test_batched_identities_match_per_n_references(params):
     assert not index_representation_reference(params, lambda prm, n: n)
 
 
-def test_delta_decomposition_refuses_a_non_indicator():
-    # any integer index table gives indicator values; a half-integer index puts
-    # the character terms of n = 5 between the sixth roots, off the identity
+def test_via_characters_refuses_a_value_off_the_signs():
+    # any integer index table gives +-1 at every n; a half-integer index puts
+    # the odd characters' phases at n = 5 between the sixth roots, and their
+    # truncation to 0..5 leaves the sum there off the identity
     table = P13.index_table.astype(float)
     table[5] = 0.5
     forged = SexticParams(p=13, g=2, index_table=table)
     with pytest.raises(InvariantViolation, match="n=5"):
-        delta_decomposition(forged)
+        hall_sequence_via_characters(forged, 13)
 
 
-def _indicators_reference(phases):
-    """Each row's terms counted by comparing every phase with each of 0..5 and
-    summing: the (n, J, 6) count the bincount replaced."""
-    J = phases.shape[1]
-    a, b = reduce_zeta6((phases[:, :, None] == np.arange(6)).sum(axis=1).T)
-    bad = (b != 0) | ((a != 0) & (a != J))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvariantViolation(
-            f"character sum {a[i]} + {b[i]}*w over {J} at n={i + 1} is not an indicator value"
-        )
-    return (a // J).astype(np.uint8)
+def test_sign_coefficients_of_the_named_sets():
+    # Legendre: (-1)**s_n = -chi_2(n); Hall's (over 3) are checked in test_charsum
+    assert sign_coefficients(*CLASS_SETS["legendre"]) == (((0, 0), (-1, 0)), 1)
+    assert sign_coefficients(1, {0}) == (((-1, 0),), 1)
+    assert sign_coefficients(3, set()) == (((1, 0), (0, 0), (0, 0)), 1)
+    # DHL's m = 4 needs fourth roots, which Z[w] does not hold
+    for m, classes in ((4, {0, 1}), (5, {0}), (0, set()), (-6, {0})):
+        with pytest.raises(ParameterError, match=f"m={m} does not divide 6"):
+            sign_coefficients(m, classes)
+    with pytest.raises(ParameterError, match="classes \\[0, 6\\] not within 0..5"):
+        sign_coefficients(6, {0, 6})
 
 
-# J sixth-root phases whose terms sum to 0: the J-th roots of unity
-_VANISHING_ROWS = {2: [0, 3], 3: [0, 2, 4], 6: [0, 1, 2, 3, 4, 5]}
+PRIMES_500 = [p for p in range(3, 500) if is_prime(p)]
 
 
-@st.composite
-def _phase_tables(draw):
-    """(n, J) phase tables: indicator rows, permuted, with some rows replaced
-    by arbitrary integer phases (some outside 0..5) or non-integer ones."""
-    J = draw(st.sampled_from([1, 2, 3, 6]))
-    rows = []
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["one", "zero", "ints", "halves"]))
-        if kind == "one" or (kind == "zero" and J == 1):
-            row = [0] * J
-        elif kind == "zero":
-            row = draw(st.permutations(_VANISHING_ROWS[J]))
-        elif kind == "ints":
-            row = draw(st.lists(st.integers(-7, 13), min_size=J, max_size=J))
-        else:
-            row = draw(st.lists(st.integers(-14, 26), min_size=J, max_size=J))
-            row = [x / 2 for x in row]
-        rows.append(row)
-    dtype = float if draw(st.booleans()) else np.int64
-    return np.array(rows, dtype=float).astype(dtype)
-
-
-def _outcome(fn, phases):
-    try:
-        return fn(phases).tolist()
-    except InvariantViolation as err:
-        return str(err)
-
-
-@given(_phase_tables())
+@given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_indicators_match_comparison_count(phases):
-    assert _outcome(_indicators, phases) == _outcome(_indicators_reference, phases)
+def test_character_route_matches_coset_words(data):
+    # every class set of order m | 6 at every prime below 500, either policy:
+    # sum_j c_j chi_m**j(n) is the coset word, bit for bit
+    p = data.draw(st.sampled_from(PRIMES_500))
+    m = data.draw(st.sampled_from([m for m in (1, 2, 3, 6) if (p - 1) % m == 0]))
+    policy = data.draw(st.sampled_from(["smallest", "three-in-c1"][: 1 + (p % 6 == 1)]))
+    try:
+        params = PrimeParams.create(p, policy)
+    except NoSuchRoot:
+        return
+    subset = data.draw(st.frozensets(st.integers(0, m - 1)))
+    core = _core_via_characters(params, m, subset)
+    assert core.tolist() == cyclotomic_sequence(params, m, subset, p).bits.tolist()
 
 
 PRIMES_300 = [p for p in range(3, 300) if is_prime(p)]
@@ -235,7 +215,7 @@ def test_coset_words_match_per_n_membership(data):
 
     def reference(m, classes):
         # slot 0 is no coset's
-        return [0] + [int(params.ind(n) % m in classes) for n in range(1, p)]
+        return [0] + [int(params.index_table[n] % m in classes) for n in range(1, p)]
 
     assert _core_from_classes(params, m, subset).tolist() == reference(m, subset)
     assert cyclotomic_sequence(params, m, subset, p).bits.tolist() == reference(m, subset)
@@ -410,8 +390,8 @@ def test_permutation_map_is_bijection_swapping_c2_c3():
         p = params.p
         image = {permutation_map_f(params, n) for n in range(1, p)}
         assert image == set(range(1, p))
-        c2 = {n for n in range(1, p) if params.ind(n) % 6 == 2}
-        c3 = {n for n in range(1, p) if params.ind(n) % 6 == 3}
+        c2 = {n for n in range(1, p) if params.index_table[n] % 6 == 2}
+        c3 = {n for n in range(1, p) if params.index_table[n] % 6 == 3}
         assert {permutation_map_f(params, n) for n in c2} == c3
         assert {permutation_map_f(params, n) for n in c3} == c2
 
