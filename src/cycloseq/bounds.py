@@ -1,9 +1,11 @@
 """Bound kernels and cross-measure inequality checks.
 
-The headline bound on the order-k correlation measure is asymptotic with an
-unspecified absolute constant, so kernels are reported and compared, never
-asserted with a constant.  The IW17 and BW06 inequalities are verified from
-independently recomputed quantities.
+Theorem 1's bound on the order-k correlation measure is asymptotic with an
+unspecified absolute constant, so its kernel is reported and compared, never
+asserted with a constant.  Corollary 1's kernel ln(min(N, p)/(sqrt(p) ln^2 p))
+is negative (vacuous) at every desk-scale prime and has no report here yet.
+The IW17 and BW06 inequalities are verified from independently recomputed
+quantities.
 
 IW17 raises k through C_1, C_2, ... until the full range k <= M+1 is covered
 (mode `exact`) or the partial maximum already implies the inequality: it
@@ -57,13 +59,6 @@ def theorem1_kernel(k: int, p: int) -> float:
     if k < 1 or p < 2:
         raise ParameterError(f"need k >= 1 and prime p, got k={k}, p={p}")
     return (14.0 / 3.0) ** k * k * math.sqrt(p) * math.log(p)
-
-
-def corollary1_kernel(n: int, p: int) -> float:
-    """ln(min(N, p) / (sqrt(p) * ln(p)**2)); negative means the bound is vacuous."""
-    if n < 1 or p < 2:
-        raise ParameterError(f"need N >= 1 and prime p, got N={n}, p={p}")
-    return math.log(min(n, p) / (math.sqrt(p) * math.log(p) ** 2))
 
 
 def check_iw17(

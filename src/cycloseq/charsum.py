@@ -1,16 +1,16 @@
-"""Order-6 character sums, their Weil bounds, and the correlation expansion.
+"""Order-6 character sums and their Weil bounds.
 
 Sums are accumulated as integer counts over the six 6th-root-of-unity phases
 and reduced exactly in Z[w] (w = exp(pi*i/3), w^2 = w - 1), so every equality
 assertion is integer arithmetic; floats appear only in magnitudes and bound
 comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
 
-One kernel computes every sum, for `phase_counts` and `weil_verdicts`.
-It has one batch shape: a T x k array of shift tuples with one window each,
-and a B x k array of exponent rows shared by every tuple; it evaluates all
-T x B sums.  A single sum is the one-tuple, one-row batch, and a caller with
-a different row per tuple batches the distinct rows and reads each tuple's
-sum at its own row.  Tuples are evaluated in chunks of at most about
+One kernel computes every sum, and `weil_verdicts` is its one entry.  It has
+one batch shape: a T x k array of shift tuples with one window each, and a
+B x k array of exponent rows shared by every tuple; it evaluates all T x B
+sums.  A single sum is the one-tuple, one-row batch, and a caller with a
+different row per tuple batches the distinct rows and reads each tuple's
+verdict at its own row.  Tuples are evaluated in chunks of at most about
 _BLOCK_CELLS array cells, so memory does not grow with T.  The
 residues ind(n + d_i) mod 6 of a term form a k-digit base-6 code.  When the
 6**k codes are few next to the window, each tuple's codes are histogrammed
@@ -20,25 +20,25 @@ Either way the six phase counts are summed as one integer word with a 10-bit
 lane per phase, in pieces of at most 1023 terms so that no lane overflows.
 The kernel is integer numpy throughout (no float product, so no BLAS
 threads).  `weil_verdicts` holds a batch to its Weil-type bound chunk by
-chunk, and a correlation expansion evaluates its 5**k exponent rows in one
-call.  Exponents range over 1..5, so no row is the principal character and
-Weil applies to every sum.  The per-term loop the kernel replaced stays in
-tests/test_charsum.py as `_character_sum_reference`, the oracle the kernel is
-tested against.
+chunk.  Exponents range over 1..5, so no row is the principal character and
+Weil applies to every sum.
+
+The paper's route to Theorem 1, expanding (-1)**(h_{n+d_1}+...+h_{n+d_k})
+into 5**k character sums with Hall's coefficients, is checked in
+tests/test_charsum.py: a helper there gathers the kernel's phase counts, and
+the expansion's value is asserted equal to a direct coset count.  The per-term
+loop the kernel replaced stays there as `_character_sum_reference`, the
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
-from itertools import product
 
 import numpy as np
 
 from .errors import ParameterError
-from .ntheory import SexticParams, reduce_zeta6, zeta6_mul, zeta6_norm_sq
-from .seqgen import CLASS_SETS, sign_coefficients
+from .ntheory import SexticParams, reduce_zeta6, zeta6_norm_sq
 
 # Tuples are evaluated in chunks of at most about this many array cells, so the
 # memory of a call does not grow with the number of tuples.
@@ -183,29 +183,16 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
         yield lo, hi, (lanes & np.uint64(_PIECE)).sum(axis=1).astype(np.int64)
 
 
-def phase_counts(params: SexticParams, exponents, shifts, window):
-    """Phase histograms of sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).
-
-    `shifts` is a T x k array of shift tuples, each strictly increasing residues
-    below p (one tuple is the 1 x k batch), and `window` one window in 1..p per
-    tuple (or one for all); window = p gives the complete sum.  `exponents` is
-    a B x k array of exponent rows in 1..5, every row summed over every tuple.
-    Terms where some n + d_i vanishes mod p contribute 0 (chi(0) = 0).  Returns
-    counts: counts[t, b, r] is the number of terms of tuple t, row b with
-    phase r, so window - 1 - counts[t, b].sum() terms of tuple t vanish.
-    """
-    S, windows = _checked_shifts(params, shifts, window)
-    E = _checked_exponents(exponents, S.shape[1])
-    rows, gather = _conjugate_classes(E)
-    counts = np.empty((len(S), len(E), 6), dtype=np.int64)
-    for lo, hi, c in _count_chunks(params, rows, S, windows):
-        counts[lo:hi] = c.reshape(hi - lo, -1)[:, gather]
-    return counts
-
-
 def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
-    """|sum| <= its Weil-type bound, for each (tuple, exponent row) of a
-    `phase_counts` batch: a T x B array.
+    """|sum| <= its Weil-type bound for each tuple and exponent row: a T x B array.
+
+    The sums are sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).
+    `shifts` is a T x k array of shift tuples, each strictly increasing
+    residues below p (one tuple is the 1 x k batch), and `window` one window
+    in 1..p per tuple (or one for all); window = p gives the complete sum.
+    `exponents` is a B x k array of exponent rows in 1..5, every row summed
+    over every tuple.  Terms where some n + d_i vanishes mod p contribute 0
+    (chi(0) = 0).
 
     Complete sums (window = p) are held to (k-1)*sqrt(p) + k exactly: with n
     the Z[w] norm and a = n - (k-1)**2 p - k**2, iff a <= 0 or a**2 <=
@@ -228,73 +215,3 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
         # a row and its conjugate have sums of equal modulus
         ok[lo:hi] = within[:, gather[:, 0] // 6]
     return ok
-
-
-@dataclass(frozen=True)
-class CorrelationExpansion:
-    """(-1)**(h_{n+d_1}+...+h_{n+d_k}) expanded into character sums.
-
-    Per factor, (-1)**h_n = sum_{j=1}^{5} c_j chi^j(n) with Hall's coefficients
-    from `sign_coefficients`, exact over the denominator 3 (c_0 = 0, as Hall's
-    class set is balanced).  Products of k factors give 5**k exponent rows
-    with exact Z[w] coefficients over denominator 3**k, all summed over the
-    expansion's one shift tuple and window.
-    """
-
-    params: SexticParams
-    shifts: tuple[int, ...]
-    window: int
-    exponents: tuple[tuple[int, ...], ...]  # the 5**k rows over 1..5
-    coeffs: tuple[tuple[int, int], ...]  # a + b*w per row, over the denominator
-
-    @property
-    def k(self) -> int:
-        return len(self.shifts)
-
-    @property
-    def denominator(self) -> int:
-        return sign_coefficients(*CLASS_SETS["hall"])[1] ** self.k
-
-    def evaluate_exact(self) -> tuple[int, int]:
-        """Numerator of the expansion value as a + b*w, over `denominator`."""
-        counts = phase_counts(self.params, self.exponents, [self.shifts], self.window)
-        a, b = zeta6_mul(np.array(self.coeffs).T, reduce_zeta6(counts[0].T))
-        return int(a.sum()), int(b.sum())
-
-
-def expand_correlation_to_charsums(
-    params: SexticParams, shifts, window: int
-) -> CorrelationExpansion:
-    """Expansion of the order-k correlation sum of the Hall sequence."""
-    S, _ = _checked_shifts(params, [shifts], window)
-    shifts = tuple(S[0].tolist())
-    rows = tuple(product(range(1, 6), repeat=len(shifts)))
-    c = sign_coefficients(*CLASS_SETS["hall"])[0]
-    coeffs = tuple(reduce(zeta6_mul, (c[j] for j in ms), (1, 0)) for ms in rows)
-    return CorrelationExpansion(
-        params=params, shifts=shifts, window=window, exponents=rows, coeffs=coeffs
-    )
-
-
-def direct_signed_sum(params: SexticParams, shifts, window: int) -> int:
-    """sum_{n=1}^{M-1} prod_i (-1)**h_{n+d_i}, skipping n with a vanishing argument.
-
-    The independent side of the reconstruction check: computed from coset
-    membership alone, no characters involved.
-    """
-    shifts = tuple(int(d) for d in shifts)
-    p = params.p
-    m, ones = CLASS_SETS["hall"]
-    cls = params.cosets(m).tolist()
-    total = 0
-    for n in range(1, window):
-        sign = 1
-        for d in shifts:
-            arg = (n + d) % p
-            if arg == 0:
-                sign = 0
-                break
-            if cls[arg] in ones:
-                sign = -sign
-        total += sign
-    return total

@@ -61,6 +61,9 @@ def _parse_primes(spec: str) -> list[int]:
     """'13,31,43' or 'upto:B'."""
     if spec.startswith("upto:"):
         bound = _parse_int(spec[len("upto:") :], "--primes upto:")
+        # refused before the walk, as every arena refuses p past the limit
+        if bound >= ntheory.P_LIMIT:
+            raise ParameterError(f"upto:{bound} is not below the 2**31 limit on p")
         ps = [p for p in range(3, bound + 1) if ntheory.is_prime(p)]
     else:
         ps = []
@@ -238,8 +241,9 @@ def _status(ok) -> str:
 
 
 def _sextic_suite(args, check):
-    """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
-    policies = ntheory.G_POLICIES if args.policy == "both" else (args.policy,)
+    """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail).
+    No --g-policy means both."""
+    policies = ntheory.G_POLICIES if args.policy in (None, "both") else (args.policy,)
     for p, policy, params in _arenas(args.primes, ntheory.SexticParams, policies):
         name = f"{args.suite} p={p} policy={policy}"
         yield (name, "n/a", "NoSuchRoot") if params is None else (name, *check(params))
@@ -353,6 +357,8 @@ _SUITES = {
     "index-representation": lambda args: _sextic_suite(args, _index_representation),
 }
 SUITES = tuple(_SUITES)
+# the suites that read --g-policy: each checks both root policies unless told one
+_POLICY_SUITES = ("cross-construction", "diffset", "index-representation")
 
 
 def cmd_verify(args) -> int:
@@ -362,6 +368,9 @@ def cmd_verify(args) -> int:
         raise ParameterError(f"--queries must be >= 0; got {args.queries}")
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0; got {args.seed}")
+    if args.policy is not None and args.suite not in _POLICY_SUITES:
+        raise ParameterError(f"--g-policy is read only by the suites {', '.join(_POLICY_SUITES)}; "
+                             f"{args.suite} checks the smallest root's words")
     checks = list(_SUITES[args.suite](args))
     for name, status, detail in checks:
         print(f"[{status.upper():6s}] {name}  {detail}")
@@ -463,8 +472,7 @@ def _make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[seed, budget], help="run a verification suite")
     v.add_argument("--suite", required=True, choices=SUITES)
     v.add_argument("--primes", required=True)
-    v.add_argument("--g-policy", dest="policy", default="both",
-                   choices=(*ntheory.G_POLICIES, "both"))
+    v.add_argument("--g-policy", dest="policy", choices=(*ntheory.G_POLICIES, "both"))
     v.add_argument("--kmax", type=int, default=bounds.DEFAULT_K_CAP)
     v.add_argument("--queries", type=int, default=200)
     v.add_argument("--N", default="p", choices=("p", "2p"))

@@ -39,7 +39,7 @@ def cache_key(seq, measure: str, params: dict) -> str:
 @dataclass
 class MeasureRecord:
     sequence_label: str
-    measure: str  # Ck | autocorr | lc_profile | moc_profile | two_adic | charsum | bound_check
+    measure: str  # Ck | autocorr | lc_profile | moc_profile | two_adic
     params: dict
     value: object
     witness: dict | None = None

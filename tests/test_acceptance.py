@@ -18,11 +18,6 @@ from cycloseq.bounds import (
     random_baseline,
     theorem1_kernel,
 )
-from cycloseq.charsum import (
-    direct_signed_sum,
-    expand_correlation_to_charsums,
-    phase_counts,
-)
 from cycloseq.errors import NoSuchRoot
 from cycloseq.measures import (
     berlekamp_massey_profile,
@@ -46,6 +41,7 @@ from cycloseq.seqgen import (
     hall_sequence_via_characters,
     legendre_sequence,
 )
+from test_charsum import direct_signed_sum, expansion_value, phase_counts
 from test_measures import max_order_complexity_naive
 
 SEXTIC_PRIMES_499 = [p for p in range(7, 500) if is_prime(p) and p % 6 == 1]
@@ -223,11 +219,9 @@ def test_criterion_09_charsum_reconstruction_and_weil():
                         sorted(int(d) for d in rng.choice(p, size=k, replace=False))
                     )
                     window = int(rng.integers(2, p + 1))
-                    exp = expand_correlation_to_charsums(params, shifts, window)
-                    a, b = exp.evaluate_exact()
-                    assert b == 0
-                    assert a == exp.denominator * direct_signed_sum(params, shifts, window)
-                    assert len(exp.exponents) <= 7**k
+                    a, b, d = expansion_value(params, shifts, window)
+                    assert b == 0 and d == 3**k
+                    assert a == d * direct_signed_sum(params, shifts, window)
             # complete sums: exact Weil bound, all shift/exponent combos
             from itertools import combinations, product
 

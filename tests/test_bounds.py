@@ -10,7 +10,6 @@ from cycloseq.bounds import (
     _class_differences,
     check_bw06,
     check_iw17,
-    corollary1_kernel,
     difference_set_check,
     random_baseline,
     theorem1_kernel,
@@ -37,24 +36,9 @@ def test_theorem1_kernel_monotone():
             assert theorem1_kernel(k, p) < theorem1_kernel(k + 1, p)
 
 
-def test_corollary1_kernel():
-    # min resolves to p when N >= p
-    p = 10**6 + 3
-    assert corollary1_kernel(2 * p, p) == pytest.approx(
-        math.log(p / (math.sqrt(p) * math.log(p) ** 2))
-    )
-    assert corollary1_kernel(1, 13) < 0  # vacuous
-    # at the threshold N = sqrt(p) log^3 p the kernel is log log p
-    p = 10**9 + 7
-    n = int(math.sqrt(p) * math.log(p) ** 3)
-    assert corollary1_kernel(n, p) == pytest.approx(math.log(math.log(p)), rel=1e-6)
-
-
 def test_kernel_validation():
     with pytest.raises(ParameterError):
         theorem1_kernel(0, 13)
-    with pytest.raises(ParameterError):
-        corollary1_kernel(0, 13)
 
 
 def test_iw17_all_zero_trivial():
@@ -265,14 +249,3 @@ def test_baseline_band_n256():
     assert 0.5 <= st.mean_ratio <= 3.0
     assert st.mean_ratio == pytest.approx(sum(ratios) / 20) and st.max_ratio == max(ratios)
     assert min(ratios) <= st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2] <= max(ratios)
-
-
-def test_corollary1_positive_implies_moc_at_least_one():
-    # desk-scale primes make the kernel negative (vacuous); the implication
-    # kernel > 0 => M >= 1 is then trivially respected, and M >= 1 anyway
-    for p in (13, 31, 127):
-        assert corollary1_kernel(p, p) < 0
-        params = SexticParams.create(p)
-        from cycloseq.measures import max_order_complexity_profile
-
-        assert max_order_complexity_profile(hall_sequence(params, p)).final >= 1

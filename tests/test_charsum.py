@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -9,12 +10,7 @@ from hypothesis import strategies as st
 
 from cycloseq import charsum
 from cycloseq.bounds import difference_set_check
-from cycloseq.charsum import (
-    direct_signed_sum,
-    expand_correlation_to_charsums,
-    phase_counts,
-    weil_verdicts,
-)
+from cycloseq.charsum import weil_verdicts
 from cycloseq.errors import ParameterError
 from cycloseq.ntheory import (
     PrimeParams,
@@ -46,6 +42,24 @@ def zeta6_conj(x):
     """Complex conjugate of a + b*w in Z[w]: conj(w) = 1 - w."""
     a, b = x
     return a + b, -b
+
+
+def phase_counts(params, exponents, shifts, window):
+    """counts[t, b, r]: the terms n in 1..window-1 of shift tuple t whose
+    exponent row b has phase r, so window - 1 - counts[t, b].sum() terms of
+    tuple t have a vanishing argument.
+
+    The batch is checked and counted by `weil_verdicts`' own kernel, and each
+    row's counts are gathered from its conjugate class as `weil_verdicts`
+    gathers its verdicts.
+    """
+    S, windows = charsum._checked_shifts(params, shifts, window)
+    E = charsum._checked_exponents(exponents, S.shape[1])
+    rows, gather = charsum._conjugate_classes(E)
+    counts = np.empty((len(S), len(E), 6), dtype=np.int64)
+    for lo, hi, c in charsum._count_chunks(params, rows, S, windows):
+        counts[lo:hi] = c.reshape(hi - lo, -1)[:, gather]
+    return counts
 
 
 def one_sum(params, exponents, shifts, window):
@@ -157,14 +171,10 @@ def test_long_windows_are_summed_in_pieces():
 
 def test_single_tuple_must_be_a_one_tuple_batch():
     batch = list(product(range(1, 6), repeat=2))
-    counts = phase_counts(P31, batch, [(3, 17)], 20)
-    assert counts.shape == (1, 25, 6) and counts.dtype == np.int64
     assert weil_verdicts(P31, batch, [(3, 17)], 20).shape == (1, 25)
     # a bare tuple, and exponent rows given per tuple, are refused
     for exponents, shifts in ((batch, (3, 17)), ([batch], [(3, 17)]),
                               ([batch, batch], [(3, 17), (4, 5)])):
-        with pytest.raises(ParameterError):
-            phase_counts(P31, exponents, shifts, 20)
         with pytest.raises(ParameterError):
             weil_verdicts(P31, exponents, shifts, 20)
 
@@ -181,14 +191,12 @@ def test_one_bad_tuple_among_good_ones_is_refused():
         (good, [13, 13]),  # one window per tuple
     ):
         with pytest.raises(ParameterError):
-            phase_counts(P13, [(1, 2)], shifts, windows)
-        with pytest.raises(ParameterError):
             weil_verdicts(P13, [(1, 2)], shifts, windows)
 
 
 def test_phase_counts_shape_mismatch():
     with pytest.raises(ParameterError):
-        phase_counts(P13, [(1, 2)], [(0,)], 13)
+        weil_verdicts(P13, [(1, 2)], [(0,)], 13)
 
 
 def _reference_bound_ok(params, ms, shifts, window):
@@ -242,10 +250,7 @@ def test_complete_verdicts_are_exact_and_agree_with_floats(p, kmax):
 P11 = PrimeParams.create(11)  # 6 does not divide p - 1 = 10
 
 SEXTIC_READERS = {
-    "phase_counts": lambda: phase_counts(P11, [(1,)], [(0,)], 11),
     "weil_verdicts": lambda: weil_verdicts(P11, [(1,)], [(0,)], 11),
-    "expansion": lambda: expand_correlation_to_charsums(P11, (0, 1), 11).evaluate_exact(),
-    "direct_signed_sum": lambda: direct_signed_sum(P11, (0, 1), 11),
     "hall_sequence_via_characters": lambda: hall_sequence_via_characters(P11, 11),
     "permutation_map_f": lambda: permutation_map_f(P11, [1, 2, 3, 4]),
     "check_index_representation": lambda: check_index_representation(P11),
@@ -288,7 +293,7 @@ def test_query_validation():
         ((), (), 13),
     ):
         with pytest.raises(ParameterError):
-            phase_counts(P13, [exponents], [shifts], window)
+            weil_verdicts(P13, [exponents], [shifts], window)
 
 
 def test_complete_single_character_sums_vanish():
@@ -373,20 +378,45 @@ def test_factor_coefficients_reproduce_sign():
         assert abs(total - (-1) ** int(h[n])) < 1e-9
 
 
-def test_expansion_term_counts():
-    for k in (1, 2, 3):
-        exp = expand_correlation_to_charsums(P13, tuple(range(k)), 13)
-        # every exponent vector over 1..5 exactly once: 5**k merged terms, not 7**k
-        assert sorted(exp.exponents) == list(product(range(1, 6), repeat=k))
-        assert len(exp.coeffs) == len(exp.exponents) == 5**k
-        assert exp.k == k and exp.shifts == tuple(range(k)) and exp.window == 13
-        assert exp.denominator == 3**k
+def direct_signed_sum(params, shifts, window):
+    """sum_{n=1}^{window-1} prod_i (-1)**h_{n+d_i}, skipping n with a vanishing argument.
+
+    The independent side of the reconstruction check: computed from coset
+    membership alone, no characters involved.
+    """
+    p = params.p
+    m, ones = CLASS_SETS["hall"]
+    cls = params.cosets(m).tolist()
+    total = 0
+    for n in range(1, window):
+        sign = 1
+        for d in shifts:
+            arg = (n + d) % p
+            if arg == 0:
+                sign = 0
+                break
+            if cls[arg] in ones:
+                sign = -sign
+        total += sign
+    return total
 
 
-def test_expansion_refuses_bad_shifts_and_window():
-    for shifts, window in (((), 13), ((2, 1), 13), ((0, 13), 13), ((0,), 14), ((0,), 0)):
-        with pytest.raises(ParameterError):
-            expand_correlation_to_charsums(P13, shifts, window)
+def expansion_value(params, shifts, window):
+    """(a, b, d): the correlation sum sum_{n=1}^{window-1} prod_i (-1)**h_{n+d_i}
+    as (a + b*w)/d, d = 3**k, by the paper's route to Theorem 1.
+
+    Per factor, (-1)**h_n = sum_{j=1}^{5} c_j chi^j(n) with Hall's coefficients
+    from `sign_coefficients`, exact over the denominator 3 (c_0 = 0, as Hall's
+    class set is balanced).  The product of the k factors is a sum over the
+    5**k exponent rows of the rows' coefficient products times their
+    character sums, read off the kernel's phase counts.
+    """
+    nums, d = sign_coefficients(*CLASS_SETS["hall"])
+    rows = list(product(range(1, 6), repeat=len(shifts)))
+    coeffs = [reduce(zeta6_mul, (nums[j] for j in ms), (1, 0)) for ms in rows]
+    counts = phase_counts(params, rows, [shifts], window)[0]
+    a, b = zeta6_mul(np.array(coeffs).T, reduce_zeta6(counts.T))
+    return int(a.sum()), int(b.sum()), d ** len(shifts)
 
 
 def test_reconstruction_exact_seeded():
@@ -396,8 +426,6 @@ def test_reconstruction_exact_seeded():
             for _ in range(25):
                 shifts = tuple(sorted(int(d) for d in rng.choice(params.p, size=k, replace=False)))
                 window = int(rng.integers(2, params.p + 1))
-                exp = expand_correlation_to_charsums(params, shifts, window)
-                a, b = exp.evaluate_exact()
-                direct = direct_signed_sum(params, shifts, window)
-                assert b == 0
-                assert a == exp.denominator * direct
+                a, b, d = expansion_value(params, shifts, window)
+                assert b == 0 and d == 3**k
+                assert a == d * direct_signed_sum(params, shifts, window)

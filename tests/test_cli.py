@@ -470,6 +470,41 @@ def test_verify_diffset(capsys):
     assert stdout.count("[PASS") == 2
 
 
+def test_sextic_suites_check_both_policies_unless_told_one(capsys):
+    for suite in ("cross-construction", "diffset", "index-representation"):
+        args = ("verify", "--suite", suite, "--primes", "31,43")
+        assert run(capsys, *args) == run(capsys, *args, "--g-policy", "both")
+
+
+@pytest.mark.parametrize("suite", ["iw17", "bw06", "moc-le-lc", "weil"])
+@pytest.mark.parametrize("policy", ["smallest", "three-in-c1", "both"])
+def test_g_policy_is_refused_by_suites_that_ignore_it(suite, policy, capsys):
+    # these suites check the smallest root's words: a policy would not be applied
+    code, stdout, err = run(capsys, "verify", "--suite", suite, "--primes", "31,43",
+                            "--kmax", "1", "--g-policy", policy)
+    assert code == EXIT_PARAM and stdout == ""
+    assert err.startswith("error: --g-policy") and err.count("\n") == 1
+    assert all(name in err for name in ("cross-construction", "diffset", "index-representation"))
+
+
+@pytest.mark.parametrize("command", [("verify", "--suite", "diffset"), ("scan", "--ck", "2")])
+def test_primes_upto_the_limit_is_refused_before_the_walk(command, monkeypatch, capsys):
+    def no_walk(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(ntheory, "is_prime", no_walk)
+    for bound in (ntheory.P_LIMIT, 3 * 10**9):
+        code, stdout, err = run(capsys, *command, "--primes", f"upto:{bound}")
+        assert code == EXIT_PARAM and stdout == ""
+        assert err == f"error: upto:{bound} is not below the 2**31 limit on p\n"
+    # the edge: a bound below the limit is walked
+    monkeypatch.undo()
+    monkeypatch.setattr(ntheory, "P_LIMIT", 44)
+    assert run(capsys, *command, "--primes", "upto:44")[0] == EXIT_PARAM
+    code, stdout, _ = run(capsys, *command, "--primes", "upto:43")
+    assert code == EXIT_OK and "43" in stdout
+
+
 def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, capsys):
     # the parser is built once per process; main must still dispatch to the
     # cmd_* bound at call time

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.charsum import phase_counts
 from cycloseq.errors import NoSuchRoot, ParameterError
 from cycloseq.ntheory import (
     G_POLICIES,
@@ -18,6 +17,7 @@ from cycloseq.ntheory import (
     is_primitive_root,
 )
 from cycloseq.seqgen import cyclotomic_sequence
+from test_charsum import phase_counts
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 61, 97, 101]
 

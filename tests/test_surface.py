@@ -1,8 +1,8 @@
 """Every public name of the library has a reader outside the tests.
 
 A public top-level function or class must be read (called, named or imported)
-outside its own definition, in `src/cycloseq`, `scripts/` or `bench/`; the
-package's re-exports in `__init__.py` are not reads.  Every public field of a
+outside its own definition, in `src/cycloseq`, `scripts/` or `bench/`.  The
+package re-exports nothing, so an import is a read.  Every public field of a
 dataclass must be read as `.field` somewhere in those trees.  The check is
 conservative: a generic field name such as `.k` is also matched by unrelated
 reads.
@@ -17,11 +17,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "cycloseq").glob("*.py"))
 READERS = [*SRC, *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]
-
-# CorrelationExpansion, the return type of expand_correlation_to_charsums, is
-# read in its own module and needs no skip
-AWAITING_A_CALLER = {"corollary1_kernel", "expand_correlation_to_charsums", "direct_signed_sum"}
-AWAITING = "Theorem 1 with an explicit constant and Corollary 1 as a scan (ROADMAP) give it a caller"
 
 
 @functools.cache
@@ -65,8 +60,7 @@ def _public_definitions():
 
 
 DEFINITIONS = [
-    pytest.param(path, node, id=f"{path.stem}.{node.name}",
-                 marks=[pytest.mark.skip(reason=AWAITING)] * (node.name in AWAITING_A_CALLER))
+    pytest.param(path, node, id=f"{path.stem}.{node.name}")
     for path, node in _public_definitions()
     if not node.name.startswith("cmd_")  # main dispatches cmd_* by name
 ]
@@ -78,13 +72,21 @@ DATACLASSES = [node for _, node in _public_definitions()
 
 def test_the_exemptions_name_existing_definitions():
     names = {node.name for _, node in _public_definitions()}
-    assert AWAITING_A_CALLER <= names
     assert "MeasureRecord" in names and any(n.startswith("cmd_") for n in names)
+
+
+def test_the_package_reexports_nothing():
+    # every reader imports from the defining module, so a name bound in
+    # __init__.py would be a second binding of it
+    body = _tree(ROOT / "src" / "cycloseq" / "__init__.py").body
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert all(isinstance(n, ast.Assign) for n in body[1:])
+    assert [t.id for n in body[1:] for t in n.targets] == ["__version__"]
 
 
 @pytest.mark.parametrize("path,node", DEFINITIONS)
 def test_public_definition_has_a_reader(path, node):
-    outside = set().union(*(_file_reads(q) for q in READERS if q != path and q.name != "__init__.py"))
+    outside = set().union(*(_file_reads(q) for q in READERS if q != path))
     inside = _reads(n for n in _tree(path).body if getattr(n, "name", None) != node.name)
     assert node.name in outside | inside, f"{path.name}: {node.name} is read only by tests"
 
