@@ -63,21 +63,20 @@ def theorem1_kernel(k: int, p: int) -> float:
 
 def check_iw17(
     seq: BitSequence,
-    n: int,
     k_cap: int = DEFAULT_K_CAP,
     budget: int = DEFAULT_BUDGET,
 ) -> BoundEvaluation:
-    """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N)."""
+    """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N), N the word's length."""
+    n = seq.length
     if n < 2:
         raise ParameterError("need N >= 2")
-    prefix = seq.prefix(n)
-    m = max_order_complexity_profile(prefix).final
+    m = max_order_complexity_profile(seq).final
     c_values: dict[int, int] = {}
     detail = {"c_values": c_values, "mode": "not-applicable", "k_used": 0}
     satisfied = None
     for k in range(1, min(m + 1, k_cap) + 1):
         try:
-            c_values[k] = correlation_measure_exact(prefix, k, budget=budget).value
+            c_values[k] = correlation_measure_exact(seq, k, budget=budget).value
         except BudgetExceeded:
             detail["mode"] = "budget-exceeded"
             break
@@ -91,10 +90,11 @@ def check_iw17(
     return BoundEvaluation(inputs=inputs, satisfied=satisfied)
 
 
-def check_bw06(seq: BitSequence, n: int) -> BoundEvaluation:
-    """L(S,N) >= N - max_{1<=k<=L(S,N)+1} C_k(S), certified by BM's own witness.
+def check_bw06(seq: BitSequence) -> BoundEvaluation:
+    """L(S,N) >= N - max_{1<=k<=L(S,N)+1} C_k(S), N the word's length,
+    certified by BM's own witness.
 
-    BM's connection polynomial C(x) for the length-N prefix gives the shifts
+    BM's connection polynomial C(x) for the word gives the shifts
     D = {L - i : c_i = 1}, w <= L + 1 of them, whose sign product is +1 at
     each of the first N - L steps; so C_w >= v >= N - L, with v the walk value
     of D from `correlation_for_shifts`.  A walk below N - L means BM or the
@@ -102,10 +102,8 @@ def check_bw06(seq: BitSequence, n: int) -> BoundEvaluation:
     and C_1 >= 1 settles the inequality without a walk (v = 0).  The witness
     costs O(N * w); no budget applies.
     """
-    if n < 1:
-        raise ParameterError("need N >= 1")
-    prefix = seq.prefix(n)
-    profile = berlekamp_massey_profile(prefix)
+    n = seq.length
+    profile = berlekamp_massey_profile(seq)
     lc, conn = profile.final, profile.connection
     if conn >> (lc + 1) or not conn & 1:
         raise InvariantViolation(
@@ -114,7 +112,7 @@ def check_bw06(seq: BitSequence, n: int) -> BoundEvaluation:
     shifts = tuple(lc - i for i in range(lc, -1, -1) if conn >> i & 1)
     v = 0
     if lc < n:
-        v = correlation_for_shifts(prefix, shifts)[0]
+        v = correlation_for_shifts(seq, shifts)[0]
         if v < n - lc:
             raise InvariantViolation(
                 f"{seq.label}: BM witness walks to {v} < N - L = {n - lc} (N={n}, L={lc})"
@@ -208,7 +206,11 @@ def random_baseline(
     values = []
     for _ in range(trials):
         word = BitSequence.create(rng.integers(0, 2, size=n, dtype=np.uint8), label="random")
-        values.append(correlation_measure_exact(word, k, budget=budget).value)
+        try:
+            values.append(correlation_measure_exact(word, k, budget=budget).value)
+        except BudgetExceeded as e:  # the baseline has no sampled variant to point to
+            raise BudgetExceeded(e.estimate, e.budget,
+                                 hint="lower --n or --k, or raise --budget") from None
     ratios = tuple(v / norm for v in values)
     q25, q50, q75 = (float(q) for q in np.quantile(ratios, [0.25, 0.5, 0.75]))
     return BaselineStatistics(

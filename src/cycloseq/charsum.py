@@ -1,9 +1,9 @@
 """Order-6 character sums and their Weil bounds.
 
-Sums are accumulated as integer counts over the six 6th-root-of-unity phases
-and reduced exactly in Z[w] (w = exp(pi*i/3), w^2 = w - 1), so every equality
-assertion is integer arithmetic; floats appear only in magnitudes and bound
-comparisons.  |a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
+Every term of a sum is a sixth root of unity w**r (w = exp(pi*i/3),
+w^2 = w - 1), so a sum is an element a + b*w of Z[w], summed exactly in
+integers; floats appear only in magnitudes and bound comparisons.
+|a + b*w|^2 = a^2 + a*b + b^2 is exact as well.
 
 One kernel computes every sum, and `weil_verdicts` is its one entry.  It has
 one batch shape: a T x k array of shift tuples with one window each, and a
@@ -14,18 +14,19 @@ verdict at its own row.  Tuples are evaluated in chunks of at most about
 _BLOCK_CELLS array cells, so memory does not grow with T.  The
 residues ind(n + d_i) mod 6 of a term form a k-digit base-6 code.  When the
 6**k codes are few next to the window, each tuple's codes are histogrammed
-first and the histogram is multiplied by a table of every code's phase under
-every exponent row; otherwise each term's phase is formed from its digits.
-Either way the six phase counts are summed as one integer word with a 10-bit
-lane per phase, in pieces of at most 1023 terms so that no lane overflows.
-The kernel is integer numpy throughout (no float product, so no BLAS
-threads).  `weil_verdicts` holds a batch to its Weil-type bound chunk by
-chunk.  Exponents range over 1..5, so no row is the principal character and
-Weil applies to every sum.
+first and the histogram is multiplied by a table of every code's value under
+every exponent row; otherwise each term's value is formed from its digits.
+Either way a sum a + b*w is held as one int64, a + b * 2**32: a sum has at
+most p - 1 < 2**31 terms, so |a|, |b| < 2**31 and packed terms add without a
+carry from one half into the other, whatever the window.  The kernel is
+integer numpy throughout (no float product, so no BLAS threads).
+`weil_verdicts` holds a batch to its Weil-type bound chunk by chunk.
+Exponents range over 1..5, so no row is the principal character and Weil
+applies to every sum.
 
 The paper's route to Theorem 1, expanding (-1)**(h_{n+d_1}+...+h_{n+d_k})
 into 5**k character sums with Hall's coefficients, is checked in
-tests/test_charsum.py: a helper there gathers the kernel's phase counts, and
+tests/test_charsum.py: a helper there gathers the kernel's exact sums, and
 the expansion's value is asserted equal to a direct coset count.  The per-term
 loop the kernel replaced stays there as `_character_sum_reference`, the
 oracle the kernel is tested against.
@@ -44,11 +45,20 @@ from .ntheory import SexticParams, reduce_zeta6, zeta6_norm_sq
 # memory of a call does not grow with the number of tuples.
 _BLOCK_CELLS = 16384
 
-# A packed count word holds the six phase counts in 10-bit lanes; a packed sum
-# runs over at most _PIECE terms, so no lane overflows into the next, and
-# _PIECE also masks one lane.
-_LANE = 10
-_PIECE = (1 << _LANE) - 1
+
+def _pack(a, b):
+    """a + b*w as the int64 a + b * 2**32, for |a|, |b| < 2**31."""
+    return a + (b << 32)
+
+
+def _unpack(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of packed sums: a is the low half, sign-extended."""
+    a = sums.astype(np.int32).astype(np.int64)
+    return a, (sums - a) >> 32
+
+
+# w**r packed, r = 0..5
+_UNITS = _pack(*reduce_zeta6(np.eye(6, dtype=np.int64)))
 
 
 def _checked_shifts(params: SexticParams, shifts, window) -> tuple[np.ndarray, np.ndarray]:
@@ -94,20 +104,18 @@ def _checked_exponents(exponents, k: int) -> np.ndarray:
 
 def _packed_phases(E: np.ndarray) -> np.ndarray:
     """For exponent rows E (B x k), the 6**k x B table whose entry at residue
-    code c is 1 << (_LANE * phase), phase = sum_i E_i * digit_i(c) mod 6."""
+    code c is w**phase packed, phase = sum_i E_i * digit_i(c) mod 6."""
     k = E.shape[1]
     digits = np.arange(6**k)[:, None] // 6 ** np.arange(k) % 6
-    phase = digits @ E.T % 6
-    return np.left_shift(np.uint64(1), (_LANE * phase).astype(np.uint64))
+    return _UNITS[digits @ E.T % 6]
 
 
 def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, gather): one exponent row per class of equal or conjugate rows of
-    E, and the index that maps their counts, flattened to rows x 6, back to
-    E's B x 6 counts.
+    """(rows, back): one exponent row per class of equal or conjugate rows of
+    E, and for each row of E the index of its class in rows.
 
-    The conjugate row 6 - m has the negated phases of row m, so its counts are
-    m's mirrored (phase r -> -r mod 6).
+    The conjugate row 6 - m has the complex conjugate sum, so a class shares
+    one norm.
     """
     first = (E != 3).argmax(axis=1)  # the first entry the conjugation changes
     flip = E[np.arange(len(E)), first] > 3
@@ -115,33 +123,28 @@ def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one base-6 code per row, first entry most significant: a 1-d sort in row order
     codes = canon @ 6 ** np.arange(E.shape[1] - 1, -1, -1)
     _, first_of, back = np.unique(codes, return_index=True, return_inverse=True)
-    phase = np.where(flip[:, None], -np.arange(6) % 6, np.arange(6))
-    return canon[first_of], 6 * back.reshape(-1, 1) + phase
+    return canon[first_of], back
 
 
-def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
-    """Yield (lo, hi, counts) for consecutive chunks of the tuples S[lo:hi]:
-    counts[t, b, r] is the number of terms n in 1..window-1 of tuple lo + t
-    whose exponent row E[b] has phase r.
+def _sum_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
+    """Yield (lo, hi, a, b) for consecutive chunks of the tuples S[lo:hi]:
+    a[t, j] + b[t, j]*w is the sum over n in 1..window-1 of
+    chi((n+d_1)^m_1 ... (n+d_k)^m_k), d the tuple lo + t and m the row E[j].
 
     The residues ind(n + d_i) mod 6 of a term are its k base-6 digits; a term
     outside its window (first digit) or with a vanishing argument (that
-    argument's digit) gets an out-of-range digit and counts nowhere.  Phase
-    counts are summed as packed words, one 10-bit lane per phase, over pieces
-    of at most _PIECE terms.  When the window is long next to the 6**k digit
+    argument's digit) gets an out-of-range digit and adds nothing.  Sums are
+    packed int64 (`_pack`).  When the window is long next to the 6**k digit
     codes, each tuple's codes are histogrammed and the histogram is multiplied
-    by a table of packed phases; otherwise each term's phase is formed from its
-    digits and packed.
+    by a table of packed values; otherwise each term's phase is formed from
+    its digits and its packed value gathered.
     """
     p = params.p
     T, k = S.shape
     B = len(E)
     K = 6**k
-    # terms n = 1..W, masked per window, summed in pieces of L <= _PIECE terms
+    # terms n = 1..W, masked per window
     W = max(1, int(windows.max(initial=1)) - 1)
-    pieces = -(-W // _PIECE)
-    L = -(-W // pieces)
-    W = pieces * L
     n = np.arange(1, W + 1)
     # histogramming first costs about 6**k multiply-adds per row and tuple, forming
     # each term's phase about 8 times as much per term (measured)
@@ -154,15 +157,15 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
     # ind(x) mod 6 for the arguments x = n + d_i < 3p; x = p vanishes mod p
     ind6 = np.tile(params.cosets(6), 3).astype(dtype)
     ind6[p] = out
-    per_tuple = W * k + pieces * B * 7
+    per_tuple = W * k + 3 * B
     if by_code:
-        per_tuple += pieces * K
+        per_tuple += K
         table = _packed_phases(E)
     else:
         per_tuple += W * B
         Et = np.ascontiguousarray(E.T, dtype=dtype)  # rows along the last axis
-        lane = np.zeros(11 * out, dtype=np.uint64)
-        lane[:out] = np.left_shift(np.uint64(1), (_LANE * (np.arange(out) % 6)).astype(np.uint64))
+        units = np.zeros(11 * out, dtype=np.int64)
+        units[:out] = _UNITS[np.arange(out) % 6]
     step = max(1, _BLOCK_CELLS // per_tuple)
     for lo in range(0, T, step):
         hi = min(T, lo + step)
@@ -170,17 +173,15 @@ def _count_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: n
         digits[:, 0][n >= windows[lo:hi, None]] = out
         if by_code:
             codes = np.minimum(np.matmul(6 ** np.arange(k), digits), K)
-            slot = (n - 1) // L + pieces * np.arange(hi - lo)[:, None]
-            hist = np.bincount((codes + (K + 1) * slot).ravel(), minlength=(K + 1) * slot.size // L)
-            hist = hist.reshape(hi - lo, pieces, K + 1)[..., :K].astype(np.uint64)
-            packed = np.matmul(hist, table)
+            codes += (K + 1) * np.arange(hi - lo)[:, None]
+            hist = np.bincount(codes.ravel(), minlength=(K + 1) * (hi - lo))
+            sums = np.matmul(hist.reshape(hi - lo, K + 1)[:, :K], table)
         else:
             phase = Et[0, :, None] * digits[:, None, 0, :]
             for i in range(1, k):
                 phase += Et[i, :, None] * digits[:, None, i, :]
-            packed = lane[phase].reshape(hi - lo, -1, pieces, L).sum(axis=3).transpose(0, 2, 1)
-        lanes = packed[..., None] >> np.arange(0, 6 * _LANE, _LANE, dtype=np.uint64)
-        yield lo, hi, (lanes & np.uint64(_PIECE)).sum(axis=1).astype(np.int64)
+            sums = units[phase].sum(axis=2)
+        yield lo, hi, *_unpack(sums)
 
 
 def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
@@ -198,8 +199,8 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
     the Z[w] norm and a = n - (k-1)**2 p - k**2, iff a <= 0 or a**2 <=
     4 k**2 (k-1)**2 p, that is a <= isqrt(4 k**2 (k-1)**2 p).  Incomplete sums
     are held on floats to the desk-scale explicit form k*sqrt(p)*(1 + ln p),
-    standing in for the cited O(k sqrt(p) log p).  Counts are reduced chunk by
-    chunk and never held for the whole batch.
+    standing in for the cited O(k sqrt(p) log p).  Sums are held to their bounds
+    chunk by chunk and never kept for the whole batch.
     """
     S, windows = _checked_shifts(params, shifts, window)
     E = _checked_exponents(exponents, S.shape[1])
@@ -207,11 +208,11 @@ def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray
     complete = windows == p
     limit = (k - 1) ** 2 * p + k * k + math.isqrt(4 * k * k * (k - 1) ** 2 * p)
     bound = k * math.sqrt(p) * (1.0 + math.log(p)) + 1e-9
-    rows, gather = _conjugate_classes(E)
+    rows, back = _conjugate_classes(E)
     ok = np.empty((len(S), len(E)), dtype=bool)
-    for lo, hi, counts in _count_chunks(params, rows, S, windows):
-        norm = zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0)))
+    for lo, hi, a, b in _sum_chunks(params, rows, S, windows):
+        norm = zeta6_norm_sq((a, b))
         within = np.where(complete[lo:hi, None], norm <= limit, np.sqrt(norm) <= bound)
-        # a row and its conjugate have sums of equal modulus
-        ok[lo:hi] = within[:, gather[:, 0] // 6]
+        # a row and its conjugate have conjugate sums, of equal norm
+        ok[lo:hi] = within[:, back]
     return ok

@@ -280,7 +280,7 @@ def _suite_instances(args):
 
 def _inequality_suite(args, check, **bounds_kw):
     for name, seq in _suite_instances(args):
-        ev = check(seq, seq.length, **bounds_kw)
+        ev = check(seq, **bounds_kw)
         status = {True: "pass", False: "fail", None: "n/a"}[ev.satisfied]
         yield f"{args.suite} {name}", status, ev.inputs.get("mode", "")
 
@@ -297,14 +297,14 @@ def _weil_suite(args):
     # each prime's largest k: k > p has no shift tuple
     kmaxes = {p: min(args.kmax, p) for p in _admitted(args.primes, ntheory.SexticParams)}
 
-    def windows(p, kmax):
+    def charge(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
         complete sum, and every random query read against at most
         min(queries, 5**kmax) distinct exponent rows, each window at most p."""
         complete = sum(math.comb(p, k) * 5**k for k in range(1, kmax + 1))
         return (complete + args.queries * min(args.queries, 5**kmax)) * p
 
-    estimate = sum(windows(p, kmax) for p, kmax in kmaxes.items())
+    estimate = sum(charge(p, kmax) for p, kmax in kmaxes.items())
     if estimate > args.budget:
         raise BudgetExceeded(estimate, args.budget,
                              hint="lower --kmax or --queries, or raise --budget")

@@ -35,7 +35,7 @@ class BudgetExceeded(CycloseqError):
 
 
 class CapExceeded(CycloseqError):
-    """Input length exceeds the configured cap for a naive oracle."""
+    """A period past the 2-adic measure's cap, which keeps its record printable."""
 
     def __init__(self, n: int, cap: int):
         self.n = n

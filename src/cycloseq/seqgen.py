@@ -107,11 +107,6 @@ class BitSequence:
     def to01(self) -> str:
         return (self.bits + ord("0")).tobytes().decode()
 
-    def prefix(self, n: int) -> "BitSequence":
-        if not 1 <= n <= self.length:
-            raise ParameterError(f"prefix length {n} outside 1..{self.length}")
-        return BitSequence.create(self.bits[:n], period=None, label=self.label)
-
     def __repr__(self) -> str:
         head = self.to01() if self.length <= 32 else self.to01()[:32] + "..."
         return f"BitSequence({head!r}, N={self.length}, period={self.period}, label={self.label!r})"

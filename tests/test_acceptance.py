@@ -30,7 +30,6 @@ from cycloseq.ntheory import (
     SexticParams,
     find_primitive_root,
     is_prime,
-    reduce_zeta6,
     zeta6_norm_sq,
 )
 from cycloseq.seqgen import (
@@ -41,7 +40,7 @@ from cycloseq.seqgen import (
     hall_sequence_via_characters,
     legendre_sequence,
 )
-from test_charsum import direct_signed_sum, expansion_value, phase_counts
+from test_charsum import direct_signed_sum, exact_sums, expansion_value, reference_sum
 from test_measures import max_order_complexity_naive
 
 SEXTIC_PRIMES_499 = [p for p in range(7, 500) if is_prime(p) and p % 6 == 1]
@@ -147,9 +146,9 @@ def test_criterion_05_inequality_suites_p101():
             for seq in seqs:
                 if seq.length < 2:
                     continue
-                iw = check_iw17(seq, seq.length)
+                iw = check_iw17(seq)
                 assert iw.satisfied is True, (p, seq.label, iw)
-                bw = check_bw06(seq, seq.length)
+                bw = check_bw06(seq)
                 assert bw.satisfied is True, (p, seq.label, bw)
                 resolved_true += 1
                 # M <= L at every prefix length, one and two periods
@@ -191,7 +190,7 @@ def test_criterion_07_bm_conventions_and_hall_lc():
             seq = hall_sequence(hall_params(p), 2 * p)
             lc = berlekamp_massey_profile(seq).final
             print(f"        (L(Hall {p}, {2 * p}) = {lc}; L >= p/2: {lc >= p / 2})")
-            ev = check_bw06(seq, 2 * p)
+            ev = check_bw06(seq)
             # BM's own witness certifies the inequality, also at p = 127
             # where exact C_k beyond k = 3 is out of budget at N = 254
             assert ev.satisfied is True, (p, ev)
@@ -229,15 +228,16 @@ def test_criterion_09_charsum_reconstruction_and_weil():
                 bound_sq = ((k - 1) * math.sqrt(p) + k) ** 2
                 batch = list(product(range(1, 6), repeat=k))
                 tuples = list(combinations(range(p), k))
-                counts = phase_counts(params, batch, tuples, p)
-                assert counts.shape == (len(tuples), len(batch), 6)
-                # the term n = p - d has a vanishing argument for each shift d > 0
-                skipped = np.array([sum(d > 0 for d in ds) for ds in tuples])
-                assert (counts.sum(axis=2) + skipped[:, None] == p - 1).all()
-                for shifts, rows in zip(tuples, counts):
+                sums = exact_sums(params, batch, tuples, p)
+                assert sums.shape == (len(tuples), len(batch), 2)
+                for shifts, rows in zip(tuples, sums):
                     for row, ms in zip(rows, batch):
-                        norm_sq = zeta6_norm_sq(reduce_zeta6(row))
+                        norm_sq = zeta6_norm_sq(row)
                         assert norm_sq <= bound_sq + 1e-9, (p, shifts, ms)
+                # the reference loop agrees at the first and the last tuple
+                for t in (0, -1):
+                    for row, ms in zip(sums[t], batch):
+                        assert tuple(row.tolist()) == reference_sum(params, ms, tuples[t], p)
 
 
 def test_criterion_10_random_baseline():

@@ -43,7 +43,7 @@ def test_kernel_validation():
 
 def test_iw17_all_zero_trivial():
     seq = BitSequence.create([0] * 12)
-    ev = check_iw17(seq, 12)
+    ev = check_iw17(seq)
     assert ev.satisfied is True
     assert ev.inputs["M"] == 1
     # RHS = N - 2**2 * C_1 = 12 - 4*12 < 0
@@ -53,13 +53,13 @@ def test_iw17_all_zero_trivial():
 def test_iw17_hall_examples():
     for p, g in ((13, 2), (31, 3)):
         params = SexticParams.create(p, g=g)
-        ev = check_iw17(hall_sequence(params, p), p)
+        ev = check_iw17(hall_sequence(params, p))
         assert ev.satisfied is True
 
 
 def test_bw06_all_zero_equality():
     seq = BitSequence.create([0] * 9)
-    ev = check_bw06(seq, 9)
+    ev = check_bw06(seq)
     assert ev.satisfied is True
     assert ev.inputs["L"] == 0
     assert ev.inputs["rhs"] == 0
@@ -68,7 +68,7 @@ def test_bw06_all_zero_equality():
 
 def test_bw06_alternating():
     seq = BitSequence.create([0, 1] * 5)
-    ev = check_bw06(seq, 10)
+    ev = check_bw06(seq)
     # L = 2 and C(x) = 1 + x^2: D = {0, 2} walks to 8 = N - L, so RHS = 2 <= 2
     assert ev.satisfied is True
     assert ev.inputs["L"] == 2
@@ -78,7 +78,7 @@ def test_bw06_alternating():
 
 def test_bw06_hall13():
     params = SexticParams.create(13, g=2)
-    ev = check_bw06(hall_sequence(params, 13), 13)
+    ev = check_bw06(hall_sequence(params, 13))
     assert ev.satisfied is True
 
 
@@ -87,7 +87,7 @@ def test_bw06_witness_beyond_cap():
     # polynomial names 10 shifts whose walk reaches N - L = 232
     params = SexticParams.create(127, g=3)
     seq = hall_sequence(params, 254)
-    ev = check_bw06(seq, 254)
+    ev = check_bw06(seq)
     assert ev.satisfied is True
     assert ev.inputs["mode"] == "certified-witness"
     assert ev.inputs["L"] == 22 and ev.inputs["w"] == 10
@@ -99,7 +99,7 @@ def _assert_bw06_witness(bits):
     """The witness against plain Python: each recurrence, then the walk and exact C_w."""
     n = len(bits)
     seq = BitSequence.create(bits)
-    ev = check_bw06(seq, n)
+    ev = check_bw06(seq)
     lc, D, w, v = (ev.inputs[key] for key in ("L", "D", "w", "v"))
     assert ev.satisfied is True
     assert w == len(D) <= lc + 1 and D == tuple(sorted(set(D))) and D[0] >= 0 and D[-1] == lc

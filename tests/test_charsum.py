@@ -36,6 +36,8 @@ SEXTIC = {p: SexticParams.create(p) for p in (7, 13, 19, 31, 37, 43)}
 
 # exp(2*pi*i*r/6) for r = 0..5: the float side the exact Z[w] values are checked against
 ROOT6 = tuple(cmath.exp(2j * cmath.pi * r / 6) for r in range(6))
+# the same roots exactly, w**r as the row (a, b) of a + b*w
+UNITS = np.array(reduce_zeta6(np.eye(6, dtype=np.int64))).T
 
 
 def zeta6_conj(x):
@@ -44,28 +46,34 @@ def zeta6_conj(x):
     return a + b, -b
 
 
-def phase_counts(params, exponents, shifts, window):
-    """counts[t, b, r]: the terms n in 1..window-1 of shift tuple t whose
-    exponent row b has phase r, so window - 1 - counts[t, b].sum() terms of
-    tuple t have a vanishing argument.
+def exact_sums(params, exponents, shifts, window):
+    """sums[t, b] = (a, b): the sum over n in 1..window-1 of shift tuple t
+    under exponent row b, exactly a + b*w, a T x B x 2 array.
 
-    The batch is checked and counted by `weil_verdicts`' own kernel, and each
-    row's counts are gathered from its conjugate class as `weil_verdicts`
-    gathers its verdicts.
+    The batch is checked and summed by `weil_verdicts`' own kernel, and each
+    row's sum is gathered from its conjugate class as `weil_verdicts` gathers
+    its verdicts: a row whose class is its conjugate gets the conjugate sum.
     """
     S, windows = charsum._checked_shifts(params, shifts, window)
     E = charsum._checked_exponents(exponents, S.shape[1])
-    rows, gather = charsum._conjugate_classes(E)
-    counts = np.empty((len(S), len(E), 6), dtype=np.int64)
-    for lo, hi, c in charsum._count_chunks(params, rows, S, windows):
-        counts[lo:hi] = c.reshape(hi - lo, -1)[:, gather]
-    return counts
+    rows, back = charsum._conjugate_classes(E)
+    flip = (rows[back] != E).any(axis=1)
+    sums = np.empty((len(S), len(E), 2), dtype=np.int64)
+    for lo, hi, a, b in charsum._sum_chunks(params, rows, S, windows):
+        a, b = a[:, back], b[:, back]
+        sums[lo:hi] = np.stack(np.where(flip, zeta6_conj((a, b)), (a, b)), axis=-1)
+    return sums
 
 
 def one_sum(params, exponents, shifts, window):
-    """(counts, exact a + b*w) of one sum, as a one-row kernel batch."""
-    counts = tuple(int(c) for c in phase_counts(params, [exponents], [shifts], window)[0, 0])
-    return counts, reduce_zeta6(counts)
+    """The exact (a, b) of one sum a + b*w, as a one-row kernel batch."""
+    return tuple(int(x) for x in exact_sums(params, [exponents], [shifts], window)[0, 0])
+
+
+def reference_sum(params, exponents, shifts, window):
+    """The exact (a, b) of one sum from the reference loop's counts."""
+    counts, _ = _character_sum_reference(params, exponents, shifts, window)
+    return tuple(int(x) for x in reduce_zeta6(counts))
 
 
 def _character_sum_reference(params, exponents, shifts, window):
@@ -105,14 +113,12 @@ def kernel_batches(draw):
 
 @given(kernel_batches())
 @settings(max_examples=200, deadline=None)
-def test_phase_counts_match_reference(case):
+def test_sums_match_reference(case):
     params, batch, shifts, window = case
-    counts = phase_counts(params, batch, [shifts], window)
-    assert counts.shape == (1, len(batch), 6)
-    for row, ms in zip(counts[0], batch):
-        ref_counts, ref_skipped = _character_sum_reference(params, ms, shifts, window)
-        assert row.tolist() == ref_counts
-        assert window - 1 - row.sum() == ref_skipped
+    sums = exact_sums(params, batch, [shifts], window)
+    assert sums.shape == (1, len(batch), 2)
+    for row, ms in zip(sums[0], batch):
+        assert tuple(row.tolist()) == reference_sum(params, ms, shifts, window)
 
 
 @st.composite
@@ -139,34 +145,59 @@ def test_batched_tuples_match_reference(case):
     # a small chunk constant puts chunk edges between (at 1, inside) the tuples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charsum, "_BLOCK_CELLS", block)
-        counts = phase_counts(params, exponents, shifts, windows)
+        sums = exact_sums(params, exponents, shifts, windows)
         ok = weil_verdicts(params, exponents, shifts, windows)
     T, B = len(shifts), len(exponents)
-    assert counts.shape == (T, B, 6) and ok.shape == (T, B)
+    assert sums.shape == (T, B, 2) and ok.shape == (T, B)
     for t, (ds, window) in enumerate(zip(shifts, windows)):
         for b, ms in enumerate(exponents):
-            ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
-            assert counts[t, b].tolist() == ref_counts
-            assert window - 1 - counts[t, b].sum() == ref_skipped
+            assert tuple(sums[t, b].tolist()) == reference_sum(params, ms, ds, window)
             assert ok[t, b] == _reference_bound_ok(params, ms, ds, window)
 
 
-def test_long_windows_are_summed_in_pieces():
-    # windows past _PIECE terms overflow a packed lane unless split; the
-    # code-histogram path (k <= 2, and k = 4 at window 200) and the per-term
-    # path (k = 4 at window 40, k = 6) are checked against the reference loop
-    params = SexticParams.create(2053)
-    cases = [((1,), [(0,), (7,)], [2053, 1500]),
-             ((2, 5), [(0, 1), (3, 2050)], [2053, 1024]),
-             ((1, 2, 3, 4), [(0, 1, 2, 3)], [40]),
-             ((1, 2, 3, 4), [(5, 9, 700, 2052)], [200]),
-             ((1, 2, 3, 4, 5, 1), [(0, 1, 2, 3, 4, 5), (9, 99, 999, 1999, 2000, 2052)], [1100, 2053])]
-    for ms, shifts, windows in cases:
-        counts = phase_counts(params, [ms], shifts, windows)
+def test_long_windows_match_reference():
+    # the code-histogram path (k <= 2, k = 4 at window 200, and k = 1 over a
+    # whole window at p = 100003) and the per-term path (k = 4 at window 40,
+    # k = 6, and k = 7 at window 30 000, where 6**7 > 8 * 29 999) are checked
+    # against the reference loop
+    p2053, p100003 = SexticParams.create(2053), SexticParams.create(100003)
+    cases = [(p2053, (1,), [(0,), (7,)], [2053, 1500]),
+             (p2053, (2, 5), [(0, 1), (3, 2050)], [2053, 1024]),
+             (p2053, (1, 2, 3, 4), [(0, 1, 2, 3)], [40]),
+             (p2053, (1, 2, 3, 4), [(5, 9, 700, 2052)], [200]),
+             (p2053, (1, 2, 3, 4, 5, 1), [(0, 1, 2, 3, 4, 5), (9, 99, 999, 1999, 2000, 2052)],
+              [1100, 2053]),
+             (p100003, (5,), [(77,)], [100003]),
+             (p100003, (1, 5, 2, 4, 3, 1, 2), [(0, 3, 10, 500, 29000, 70000, 100002)], [30000])]
+    for params, ms, shifts, windows in cases:
+        sums = exact_sums(params, [ms], shifts, windows)
         for t, (ds, window) in enumerate(zip(shifts, windows)):
-            ref_counts, ref_skipped = _character_sum_reference(params, ms, ds, window)
-            assert counts[t, 0].tolist() == ref_counts
-            assert window - 1 - counts[t, 0].sum() == ref_skipped
+            assert tuple(sums[t, 0].tolist()) == reference_sum(params, ms, ds, window)
+
+
+@pytest.mark.parametrize("p", [13, 31, 2053])
+def test_complete_one_shift_sums_skip_the_vanishing_term(p):
+    # n + d runs over every residue but d, and chi^m sums to zero over all
+    # residues (chi(0) = 0): so the complete sum is 0 at d = 0, where no term
+    # vanishes, and -chi^m(d) at every other shift, where n = p - d vanishes
+    params = SexticParams.create(p)
+    exponents = [(m,) for m in range(1, 6)]
+    sums = exact_sums(params, exponents, [(d,) for d in range(p)], p)
+    assert (sums[0] == 0).all()
+    ind = params.index_table[1:p].astype(np.int64)
+    for m in range(1, 6):
+        assert (sums[1:, m - 1] == -UNITS[m * ind % 6]).all(), m
+
+
+@given(st.integers(-(2**31) + 1, 2**31 - 1), st.integers(-(2**31) + 1, 2**31 - 1))
+def test_packed_sums_round_trip(a, b):
+    # a packed sum unpacks to its halves, and two packed halves of it add to
+    # it without a carry between a and b
+    a1, b1 = a // 2, b // 2
+    packed = charsum._pack(np.array([a, a1, a - a1]), np.array([b, b1, b - b1]))
+    assert packed.dtype == np.int64
+    assert [x.tolist() for x in charsum._unpack(packed)] == [[a, a1, a - a1], [b, b1, b - b1]]
+    assert [int(x[0]) for x in charsum._unpack(packed[1:].sum(keepdims=True))] == [a, b]
 
 
 def test_single_tuple_must_be_a_one_tuple_batch():
@@ -223,27 +254,31 @@ def test_weil_verdicts_match_reference():
         weil_verdicts(P13, [(1,), (6,)], [(0,)], 13)
 
 
-def _exact_complete_ok(counts, p, k):
+def _exact_complete_ok(value, p, k):
     """A complete sum's verdict by the integer rule: with n the exact norm and
     a = n - (k-1)**2 p - k**2, |sum| <= (k-1) sqrt(p) + k iff a <= 0 or
     a**2 <= 4 k**2 (k-1)**2 p."""
-    a = int(zeta6_norm_sq(reduce_zeta6(counts))) - (k - 1) ** 2 * p - k * k
+    a = int(zeta6_norm_sq(value)) - (k - 1) ** 2 * p - k * k
     return a <= 0 or a * a <= 4 * k * k * (k - 1) ** 2 * p
 
 
 @pytest.mark.parametrize("p,kmax", [(7, 4), (13, 3), (19, 3)])
 def test_complete_verdicts_are_exact_and_agree_with_floats(p, kmax):
     # every complete sum at p and k <= kmax: the exact verdicts equal both the
-    # integer rule and the float comparison they replaced
+    # integer rule and the float comparison they replaced, and the sums of
+    # about 20 tuples a k equal the reference loop's
     params = SEXTIC[p]
     for k in range(1, kmax + 1):
         batch = list(product(range(1, 6), repeat=k))
         tuples = list(combinations(range(p), k))
         ok = weil_verdicts(params, batch, tuples, p)
-        counts = phase_counts(params, batch, tuples, p)
-        exact = [[_exact_complete_ok(c, p, k) for c in rows] for rows in counts.tolist()]
-        floats = np.sqrt(zeta6_norm_sq(reduce_zeta6(np.moveaxis(counts, -1, 0))))
+        sums = exact_sums(params, batch, tuples, p)
+        exact = [[_exact_complete_ok(v, p, k) for v in rows] for rows in sums.tolist()]
+        floats = np.sqrt(zeta6_norm_sq(np.moveaxis(sums, -1, 0)))
         assert ok.tolist() == exact
+        for t in range(0, len(tuples), -(-len(tuples) // 20)):
+            for b, ms in enumerate(batch):
+                assert tuple(sums[t, b].tolist()) == reference_sum(params, ms, tuples[t], p)
         assert (ok == (floats <= (k - 1) * math.sqrt(p) + k + 1e-9)).all()
 
 
@@ -300,9 +335,7 @@ def test_complete_single_character_sums_vanish():
     # orthogonality: sum over 1..p-1 of chi^m is exactly zero
     for params in (P13, P31):
         for m in range(1, 6):
-            counts, reduced = one_sum(params, (m,), (0,), params.p)
-            assert reduced == (0, 0)
-            assert abs(sum(c * ROOT6[r] for r, c in enumerate(counts))) < 1e-6 * params.p
+            assert one_sum(params, (m,), (0,), params.p) == (0, 0)
 
 
 def test_float_matches_exact_representation():
@@ -312,11 +345,13 @@ def test_float_matches_exact_representation():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(1, 32))
-        counts, (a, b) = one_sum(P31, ms, shifts, window)
+        a, b = one_sum(P31, ms, shifts, window)
+        counts, skipped = _character_sum_reference(P31, ms, shifts, window)
+        assert (a, b) == reduce_zeta6(counts)
         value = sum(c * ROOT6[r] for r, c in enumerate(counts))
         assert abs(value - (a + b * ROOT6[1])) < 1e-9
         # one vanishing argument, n = 31 - d, for each shift d past 31 - window
-        skipped = sum(d > 31 - window for d in shifts)
+        assert skipped == sum(d > 31 - window for d in shifts)
         assert sum(counts) + skipped == max(window - 1, 0)
 
 
@@ -327,8 +362,10 @@ def test_conjugate_symmetry():
         shifts = tuple(sorted(int(d) for d in rng.choice(31, size=k, replace=False)))
         ms = tuple(int(m) for m in rng.integers(1, 6, size=k))
         window = int(rng.integers(2, 32))
-        _, a = one_sum(P31, ms, shifts, window)
-        _, b = one_sum(P31, tuple(6 - m for m in ms), shifts, window)
+        a = one_sum(P31, ms, shifts, window)
+        b = one_sum(P31, tuple(6 - m for m in ms), shifts, window)
+        assert a == reference_sum(P31, ms, shifts, window)
+        assert b == reference_sum(P31, tuple(6 - m for m in ms), shifts, window)
         assert b == zeta6_conj(a)
         assert zeta6_norm_sq(a) == zeta6_norm_sq(b)
 
@@ -343,8 +380,8 @@ def test_weil_complete_exhaustive_p13():
 
 
 def test_weil_example_bound():
-    _, reduced = one_sum(P13, (1, 1), (0, 1), 13)
-    assert math.sqrt(zeta6_norm_sq(reduced)) <= math.sqrt(13) + 2
+    value = one_sum(P13, (1, 1), (0, 1), 13)
+    assert math.sqrt(zeta6_norm_sq(value)) <= math.sqrt(13) + 2
 
 
 def test_weil_incomplete_random_p31():
@@ -409,13 +446,13 @@ def expansion_value(params, shifts, window):
     from `sign_coefficients`, exact over the denominator 3 (c_0 = 0, as Hall's
     class set is balanced).  The product of the k factors is a sum over the
     5**k exponent rows of the rows' coefficient products times their
-    character sums, read off the kernel's phase counts.
+    character sums, the kernel's exact sums.
     """
     nums, d = sign_coefficients(*CLASS_SETS["hall"])
     rows = list(product(range(1, 6), repeat=len(shifts)))
     coeffs = [reduce(zeta6_mul, (nums[j] for j in ms), (1, 0)) for ms in rows]
-    counts = phase_counts(params, rows, [shifts], window)[0]
-    a, b = zeta6_mul(np.array(coeffs).T, reduce_zeta6(counts.T))
+    sums = exact_sums(params, rows, [shifts], window)[0]
+    a, b = zeta6_mul(np.array(coeffs).T, sums.T)
     return int(a.sum()), int(b.sum()), d ** len(shifts)
 
 

@@ -545,7 +545,7 @@ def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, c
     monkeypatch.setattr(bounds, "berlekamp_massey_profile", forged)
     seq = seqgen.hall_sequence(SexticParams.create(13, g=2), 13)
     with pytest.raises(InvariantViolation, match="BM witness"):
-        bounds.check_bw06(seq, 13)
+        bounds.check_bw06(seq)
     code, stdout, err = run(capsys, "verify", "--suite", "bw06", "--primes", "13")
     assert code == EXIT_VERIFY
     assert err.startswith("error:") and "BM witness" in err and "N - L" in err
@@ -837,6 +837,15 @@ def test_scan_c2_small_range(capsys):
     lines = stdout.strip().splitlines()[1:]
     assert len(lines) == len([p for p in (7, 13, 19, 31, 37, 43)])
     assert all(",ok" in l for l in lines)
+
+
+def test_baseline_over_budget_hints_at_its_own_options(capsys):
+    # baseline has no --sampled: its refusal names the options it does have
+    code, stdout, err = run(capsys, "baseline", "--n", "256", "--k", "3", "--trials", "2",
+                            "--budget", "1000")
+    assert (code, stdout) == (EXIT_BUDGET, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lower --n or --k, or raise --budget" in err and "sampled" not in err
 
 
 def test_baseline_deterministic(capsys):

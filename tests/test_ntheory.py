@@ -17,7 +17,7 @@ from cycloseq.ntheory import (
     is_primitive_root,
 )
 from cycloseq.seqgen import cyclotomic_sequence
-from test_charsum import phase_counts
+from test_charsum import UNITS, exact_sums
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 61, 97, 101]
 
@@ -32,10 +32,10 @@ def chi_phase(params, order, j, n):
     """Phase r of the order-`order` character value w**r at n, w = exp(pi*i/3).
 
     The character is chi**(j*6/order) with chi(g) = w, evaluated as the
-    one-term character sum at argument n.
+    one-term character sum at argument n, whose exact value is w**r.
     """
-    counts = phase_counts(params, [(j * 6 // order,)], [(n - 1,)], 2)
-    return counts[0, 0].tolist().index(1)
+    value = exact_sums(params, [(j * 6 // order,)], [(n - 1,)], 2)[0, 0]
+    return UNITS.tolist().index(value.tolist())
 
 
 def test_is_prime_small():
@@ -259,8 +259,8 @@ def test_character_phase_examples():
 
 def test_character_phase_zero_argument():
     p13 = SexticParams.create(13, g=2)
-    # chi(0) = 0: the one term, n = 1, has a vanishing argument and no phase
-    assert phase_counts(p13, [(1,)], [(12,)], 2).tolist() == [[[0] * 6]]
+    # chi(0) = 0: the one term, n = 1, has a vanishing argument and adds nothing
+    assert exact_sums(p13, [(1,)], [(12,)], 2).tolist() == [[[0, 0]]]
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 61, 97])
