@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
 from collections import Counter
@@ -61,10 +62,16 @@ def _parse_primes(spec: str) -> list[int]:
     """'13,31,43' or 'upto:B'."""
     if spec.startswith("upto:"):
         bound = _parse_int(spec[len("upto:") :], "--primes upto:")
-        # refused before the walk, as every arena refuses p past the limit
+        # refused before the sieve, as every arena refuses p past the limit
         if bound >= ntheory.P_LIMIT:
             raise ParameterError(f"upto:{bound} is not below the 2**31 limit on p")
-        ps = [p for p in range(3, bound + 1) if ntheory.is_prime(p)]
+        # a sieve over the odd numbers up to bound: entry i stands for 2i + 1
+        odd = np.ones(max(0, (bound + 1) // 2), dtype=bool)
+        odd[:1] = False
+        for i in range(1, (math.isqrt(max(0, bound)) + 1) // 2):
+            if odd[i]:  # strike the odd multiples of 2i + 1 from its square on
+                odd[2 * i * (i + 1) :: 2 * i + 1] = False
+        ps = (2 * np.flatnonzero(odd) + 1).tolist()
     else:
         ps = []
         for tok in spec.split(","):
@@ -217,22 +224,19 @@ def cmd_measure(args) -> int:
 
     cache = RecordCache(args.cache)
     key = cache_key(seq, measure, params)
-    if not args.no_cache:
-        hit = cache.get(key)
-        if hit is not None:
-            MeasureRecord(**hit).write(fmt=args.format)
-            return EXIT_OK
-
-    value, witness = compute()
-    record = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
-                           value=value, witness=witness, cache_key=key)
-    line = record.to_json()  # the one serialization, for the cache and for JSON output
-    if not args.no_cache:
-        cache.append(line)
+    # a hit is the stored line, printed as stored; a miss serializes its record once,
+    # for the cache and for the output
+    line = None if args.no_cache else cache.get(key)
+    if line is None:
+        value, witness = compute()
+        line = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
+                             value=value, witness=witness, cache_key=key).to_json()
+        if not args.no_cache:
+            cache.append(line)
     if args.format == "json":
         print(line)
     else:
-        record.write(fmt=args.format)
+        MeasureRecord(**json.loads(line)).write(fmt=args.format)
     return EXIT_OK
 
 
@@ -316,8 +320,10 @@ def _weil_suite(args):
         for k in range(1, kmax + 1):
             exponents = np.array(list(product(range(1, 6), repeat=k)))
             tuples = combinations(range(p), k)
-            # 2**14 tuples per call: 2 MB of verdicts at k = 3, not 42 MB for p = 127
-            while (S := np.fromiter(chain.from_iterable(islice(tuples, 1 << 14)),
+            # at most 2**20 verdicts (tuples x exponent rows) per call: 1 MB at any k,
+            # not 42 MB for one call per k at p = 127, k = 3
+            per_call = max(1, (1 << 20) // len(exponents))
+            while (S := np.fromiter(chain.from_iterable(islice(tuples, per_call)),
                                     dtype=np.int64)).size:
                 ok = charsum.weil_verdicts(params, exponents, S.reshape(-1, k), p)
                 total += ok.size
@@ -406,8 +412,6 @@ def cmd_scan(args) -> int:
         w.writeheader()
         w.writerows(rows)
     else:
-        import json
-
         for row in rows:
             print(json.dumps(row, sort_keys=True))
     return EXIT_OK
@@ -436,7 +440,8 @@ def cmd_baseline(args) -> int:
 
 
 @functools.cache
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     # options several subcommands read; each subcommand takes only those it reads
     fmt, seed, budget, cache, arena = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
@@ -489,13 +494,20 @@ def _make_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--trials", type=int, default=100)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    # The parser is built once per process; the subcommand's cmd_* is looked up
+    # The parsers are built once per process; the subcommand's cmd_* is looked up
     # at call time, so rebinding one (a monkeypatch, a tracer) still reaches it.
-    args = _make_parser().parse_args(argv)
+    # A request is parsed once, by its subcommand's parser: the top-level parser
+    # parses only what names no subcommand first (no argv, an unknown command, -h).
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = _make_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = top.parse_args(argv)
     try:
         # measure, verify, scan and baseline take --budget
         if getattr(args, "budget", 1) < 1:

@@ -106,8 +106,9 @@ class RecordCache:
     def __init__(self, path):
         self.path = Path(path)
 
-    def get(self, key: str) -> dict | None:
-        """The last record stored under `key`, or None.
+    def get(self, key: str) -> str | None:
+        """The stored line of the last record under `key`, without its line
+        terminator, or None.
 
         The file is searched as bytes for `key`, last occurrence first, and only
         the line around each occurrence is parsed.  Corrupt lines are skipped:
@@ -125,11 +126,12 @@ class RecordCache:
             stop = data.find(b"\n", hit)
             end = start - 1
             try:
-                d = json.loads(data[start : stop if stop >= 0 else len(data)].decode())
+                line = data[start : stop if stop >= 0 else len(data)].removesuffix(b"\r").decode()
+                d = json.loads(line)
             except ValueError:  # JSONDecodeError or UnicodeDecodeError
                 continue
             if isinstance(d, dict) and d.get("cache_key") == key and _REQUIRED <= d.keys() <= _FIELDS:
-                return d
+                return line
         return None
 
     def append(self, line: str) -> None:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import json
 import math
@@ -207,9 +208,11 @@ def test_measure_cache_headerless_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("measure", [("--ck", "2"), ("--autocorr", "all"), ("--lc-profile",),
-                                     ("--moc-profile",), ("--two-adic",)],
-                         ids=["ck2", "autocorr-all", "lc-profile", "moc-profile", "two-adic"])
+@pytest.mark.parametrize("measure", [("--ck", "2"), ("--ck", "3", "--sampled", "40"),
+                                     ("--autocorr", "all"), ("--lc-profile",), ("--moc-profile",),
+                                     ("--two-adic",)],
+                         ids=["ck2", "ck3-sampled", "autocorr-all", "lc-profile", "moc-profile",
+                              "two-adic"])
 def test_measure_cache_hit_prints_what_the_miss_printed(tmp_path, capsys, measure, fmt):
     args = ("measure", "--construction", "hall", "--p", "31", *measure, "--format", fmt,
             "--cache", str(tmp_path / "c.jsonl"))
@@ -505,6 +508,13 @@ def test_primes_upto_the_limit_is_refused_before_the_walk(command, monkeypatch, 
     assert code == EXIT_OK and "43" in stdout
 
 
+def test_primes_upto_are_the_primes_from_3_to_the_bound():
+    assert [cli._parse_primes(f"upto:{b}") for b in (-1, 0, 1, 2, 3, 4)] == [[], [], [], [], [3], [3]]
+    walked = [p for p in range(3, 20001) if ntheory.is_prime(p)]
+    for bound in range(20001):  # every bound: each prime square and its neighbours
+        assert cli._parse_primes(f"upto:{bound}") == walked[:bisect.bisect_right(walked, bound)]
+
+
 def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, capsys):
     # the parser is built once per process; main must still dispatch to the
     # cmd_* bound at call time
@@ -515,6 +525,49 @@ def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, caps
     monkeypatch.setattr(cli, "cmd_measure", lambda a: seen.append(a.ck) or EXIT_VERIFY)
     assert run(capsys, *args)[0] == EXIT_VERIFY
     assert seen == [1]
+
+
+_MEASURE_FLAGS = [("--format", "csv"), ("--seed", "3"), ("--budget", "5"), ("--cache", "c.jsonl"),
+                  ("--no-cache",), ("--construction", "legendre"), ("--p", "13"),
+                  ("--g", "three-in-c1"), ("--m", "6"), ("--classes", "0,1,3"), ("--length", "20"),
+                  ("--input", "x.seq"), ("--period", "13"), ("--sampled", "5"), ("--ck", "2"),
+                  ("--autocorr", "all"), ("--lc-profile",), ("--moc-profile",), ("--two-adic",)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate",),
+    ("generate", "--construction", "hall", "--p", "13", "--output", "h.seq"),
+    ("measure",),
+    *(("measure", *flag) for flag in _MEASURE_FLAGS),
+    ("verify", "--suite", "diffset", "--primes", "13"),
+    ("verify", "--suite", "diffset", "--primes", "13", "--g-policy", "both"),
+    ("verify", "--suite", "moc-le-lc", "--primes", "upto:20", "--N", "2p", "--kmax", "2"),
+    ("verify", "--suite", "weil", "--primes", "13", "--queries", "5", "--seed", "1"),
+    ("scan", "--ck", "2", "--primes", "13"),
+    ("scan", "--ck", "2", "--primes", "13", "--g-policy", "three-in-c1", "--no-cache",
+     "--format", "csv", "--budget", "7"),
+    ("baseline", "--n", "8", "--k", "1"),
+    ("baseline", "--n", "8", "--k", "1", "--trials", "3", "--seed", "2", "--format", "csv"),
+], ids="_".join)
+def test_main_parses_once_as_the_top_level_parser_would(argv, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda a: seen.append(a) or EXIT_OK)
+    assert main(list(argv)) == EXIT_OK
+    top, _ = cli._make_parser()
+    assert [vars(a) for a in seen] == [vars(top.parse_args(list(argv)))]
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ([], EXIT_PARAM, "usage: cycloseq"),
+    (["--help"], EXIT_OK, "usage: cycloseq"),
+    (["bogus"], EXIT_PARAM, "invalid choice"),
+])
+def test_top_level_parser_answers_what_names_no_subcommand(argv, code, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert text in out.out + out.err
 
 
 def test_diffset_forged_cyclotomic_numbers_is_invariant_violation(monkeypatch, capsys):

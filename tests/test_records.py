@@ -12,6 +12,11 @@ def _record(key, value):
                          cache_key=key)
 
 
+def _value(cache, key):
+    """The value of the record `get` serves under `key`; get returns its stored line."""
+    return json.loads(cache.get(key))["value"]
+
+
 def _get_oracle(path, key):
     """The line-splitting lookup RecordCache.get replaced, with its corrupt-line rules:
     every line holding `key` is parsed, last first."""
@@ -38,8 +43,8 @@ def test_cache_get_last_record_wins(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
     for key, value in (("a" * 64, 1), ("b" * 64, 2), ("a" * 64, 3)):
         cache.append(_record(key, value).to_json())
-    assert cache.get("a" * 64)["value"] == 3
-    assert cache.get("b" * 64)["value"] == 2
+    assert _value(cache, "a" * 64) == 3
+    assert _value(cache, "b" * 64) == 2
     assert cache.get("c" * 64) is None
 
 
@@ -48,7 +53,7 @@ def test_cache_get_skips_corrupt_lines(tmp_path):
     cache.append(_record("a" * 64, 1).to_json())
     with open(cache.path, "a") as f:
         f.write('{"cache_key": "' + "a" * 64 + '", "value": \n')  # truncated write
-    assert cache.get("a" * 64)["value"] == 1
+    assert _value(cache, "a" * 64) == 1
 
 
 def test_cache_get_matches_the_key_field_only(tmp_path):
@@ -57,6 +62,18 @@ def test_cache_get_matches_the_key_field_only(tmp_path):
     rec.sequence_label = "a" * 64  # the key appears in the line, but not as its cache_key
     cache.append(rec.to_json())
     assert cache.get("a" * 64) is None
+
+
+def test_cache_get_serves_the_stored_line(tmp_path):
+    cache = RecordCache(tmp_path / "c.jsonl")
+    stored = _record("a" * 64, 1).to_json()
+    cache.append(stored)
+    assert cache.get("a" * 64) == stored
+    # a CRLF-terminated record is served without its carriage return
+    crlf = _record("a" * 64, 2).to_json()
+    with open(cache.path, "ab") as f:
+        f.write(crlf.encode() + b"\r\n")
+    assert cache.get("a" * 64) == crlf
 
 
 def test_cache_get_missing_file(tmp_path):
@@ -68,7 +85,7 @@ def test_cache_get_skips_non_object_lines(tmp_path):
     cache.append(_record("a" * 64, 1).to_json())
     for line in ('["' + "a" * 64 + '"]', '"' + "a" * 64 + '"'):
         cache.append(line)
-        assert cache.get("a" * 64)["value"] == 1
+        assert _value(cache, "a" * 64) == 1
 
 
 def test_cache_get_skips_records_with_unknown_or_missing_fields(tmp_path):
@@ -83,7 +100,7 @@ def test_cache_get_skips_records_with_unknown_or_missing_fields(tmp_path):
     cache.append(_canonical(missing))
     # a record written while MeasureRecord still had a kernel_values field
     cache.append(_canonical({**good, "value": 5, "kernel_values": None}))
-    assert cache.get("a" * 64)["value"] == 1  # the next older record under the key
+    assert _value(cache, "a" * 64) == 1  # the next older record under the key
 
 
 KEYS = ["a" * 8, "b" * 8, "ab" * 4]
@@ -121,7 +138,8 @@ def test_cache_get_matches_line_splitting_oracle(tmp_path_factory, lines, traili
     path = tmp_path_factory.mktemp("cache") / "c.jsonl"
     text = "\n".join(lines) + ("\n" if trailing_newline and lines else "")
     path.write_bytes(text.encode())
-    assert RecordCache(path).get(key) == _get_oracle(path, key)
+    line = RecordCache(path).get(key)
+    assert (None if line is None else json.loads(line)) == _get_oracle(path, key)
 
 
 _INTS = st.integers(-(10**60), 10**60)
