@@ -7,16 +7,13 @@ is negative (vacuous) at every desk-scale prime and has no report here yet.
 The IW17 and BW06 inequalities are verified from independently recomputed
 quantities.
 
-IW17 raises k through C_1, C_2, ... until the full range k <= M+1 is covered
-(mode `exact`) or the partial maximum already implies the inequality: it
-lower-bounds the full maximum, so M >= N - 2**(M+1) * partial is a one-sided
-certificate (mode `certified-partial`).  `k_cap` (`--kmax`) and `budget`
-(`--budget`) bound this ladder; an instance it cannot settle is reported
-not-applicable (mode `budget-exceeded` or `not-applicable`).
-
-BW06 needs no ladder: BM's connection polynomial names shifts D, w <= L+1 of
-them, whose walk reaches N - L, so C_w >= N - L settles every instance (mode
-`certified-witness`, see `check_bw06`).
+Neither inequality runs an exact C_k ladder: each is certified by the
+witness its own proof names, one walk of a shift set D (mode
+`certified-witness`).  For BW06, BM's connection polynomial names shifts D,
+w <= L+1 of them, whose walk reaches N - L, so C_w >= N - L (see `check_bw06`).
+For IW17, the word's own maximum-order feedback register names D = (i, j), two
+equal M-bit windows among the first 2**M + 1, whose walk reaches N - j, so
+C_2 >= N - j (see `check_iw17`).
 
 The difference-set check reads Hall's difference multiplicities lambda(t) and
 autocorrelations A(t) off the order-6 cyclotomic numbers (Storer, Cyclotomy
@@ -28,9 +25,10 @@ checked at run time.  The O(p^2) correlations they replace are the tests' oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .measures import (
@@ -43,15 +41,13 @@ from .measures import (
 from .ntheory import SexticParams, cyclotomic_numbers
 from .seqgen import CLASS_SETS, BitSequence
 
-DEFAULT_K_CAP = 6
-
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    """Outcome of one bound check (IW17 or BW06); satisfied=None means not-applicable."""
+    """Outcome of one bound check (IW17 or BW06)."""
 
-    inputs: dict = field(default_factory=dict)
-    satisfied: bool | None = None
+    inputs: dict
+    satisfied: bool
 
 
 def theorem1_kernel(k: int, p: int) -> float:
@@ -61,33 +57,39 @@ def theorem1_kernel(k: int, p: int) -> float:
     return (14.0 / 3.0) ** k * k * math.sqrt(p) * math.log(p)
 
 
-def check_iw17(
-    seq: BitSequence,
-    k_cap: int = DEFAULT_K_CAP,
-    budget: int = DEFAULT_BUDGET,
-) -> BoundEvaluation:
-    """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N), N the word's length."""
+def check_iw17(seq: BitSequence) -> BoundEvaluation:
+    """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N), N the word's
+    length, certified by the word's own feedback register.
+
+    With M the MOC profile's final value: when 2**(M+1) >= N - M, C_1 >= 1
+    settles the inequality without a walk (D = (0,), v = 1).  Otherwise
+    2**M < N/2, and equal M-bit windows share their successor, so two of the
+    first 2**M + 1 windows are equal, at i < j, and s_{n+i} = s_{n+j} from
+    there on: C_2 >= v >= N - j, with v the walk value of D = (i, j) from
+    `correlation_for_shifts`.  A walk below N - j means MOC or the walk is
+    wrong (InvariantViolation).  The witness costs O(N); no budget applies.
+    """
     n = seq.length
-    if n < 2:
-        raise ParameterError("need N >= 2")
     m = max_order_complexity_profile(seq).final
-    c_values: dict[int, int] = {}
-    detail = {"c_values": c_values, "mode": "not-applicable", "k_used": 0}
-    satisfied = None
-    for k in range(1, min(m + 1, k_cap) + 1):
-        try:
-            c_values[k] = correlation_measure_exact(seq, k, budget=budget).value
-        except BudgetExceeded:
-            detail["mode"] = "budget-exceeded"
-            break
-        detail["k_used"] = k
-        detail["rhs"] = rhs = n - 2 ** (m + 1) * max(c_values.values())
-        if k == m + 1 or m >= rhs:
-            detail["mode"] = "exact" if k == m + 1 else "certified-partial"
-            satisfied = m >= rhs
-            break
-    inputs = {"N": n, "M": m, "label": seq.label, **detail}
-    return BoundEvaluation(inputs=inputs, satisfied=satisfied)
+    shifts, v = (0,), 1
+    if 2 ** (m + 1) < n - m:
+        # the first repeated code among the first 2**m + 1 windows of m bits
+        codes = sliding_window_view(seq.bits[: 2**m + m], m) @ (1 << np.arange(m))
+        seen = {}
+        for j, code in enumerate(codes.tolist()):
+            i = seen.setdefault(code, j)
+            if i < j:
+                break
+        shifts = (i, j)
+        v = correlation_for_shifts(seq, shifts)[0]
+        if v < n - j:
+            raise InvariantViolation(
+                f"{seq.label}: MOC witness {shifts} walks to {v} < N - j = {n - j} (N={n}, M={m})"
+            )
+    rhs = n - 2 ** (m + 1) * v
+    inputs = {"N": n, "M": m, "label": seq.label, "D": shifts, "w": len(shifts), "v": v,
+              "mode": "certified-witness", "rhs": rhs}
+    return BoundEvaluation(inputs=inputs, satisfied=m >= rhs)
 
 
 def check_bw06(seq: BitSequence) -> BoundEvaluation:

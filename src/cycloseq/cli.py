@@ -90,11 +90,11 @@ def _admitted(spec: str, cls) -> list[int]:
     return [p for p in _parse_primes(spec) if (p - 1) % cls._order == 0]
 
 
-def _arenas(spec: str, cls=ntheory.PrimeParams, policies=("smallest",)):
-    """(p, policy, arena) for each prime of spec that cls admits and each root
+def _arenas(primes, cls=ntheory.PrimeParams, policies=("smallest",)):
+    """(p, policy, arena) for each prime of primes, admitted by cls, and each root
     policy.  A prime builds the smallest root's arena once and rebases it for
     three-in-c1; arena is None where no root fits the policy."""
-    for p in _admitted(spec, cls):
+    for p in primes:
         smallest = cls.create(p)
         for policy in policies:
             try:
@@ -236,7 +236,7 @@ def cmd_measure(args) -> int:
     if args.format == "json":
         print(line)
     else:
-        MeasureRecord(**json.loads(line)).write(fmt=args.format)
+        MeasureRecord(**json.loads(line)).write_csv()
     return EXIT_OK
 
 
@@ -248,7 +248,8 @@ def _sextic_suite(args, check):
     """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail).
     No --g-policy means both."""
     policies = ntheory.G_POLICIES if args.policy in (None, "both") else (args.policy,)
-    for p, policy, params in _arenas(args.primes, ntheory.SexticParams, policies):
+    primes = _admitted(args.primes, ntheory.SexticParams)
+    for p, policy, params in _arenas(primes, ntheory.SexticParams, policies):
         name = f"{args.suite} p={p} policy={policy}"
         yield (name, "n/a", "NoSuchRoot") if params is None else (name, *check(params))
 
@@ -274,7 +275,7 @@ def _diffset(params):
 def _suite_instances(args):
     """Each named construction whose order divides p - 1, on one arena a prime."""
     out = []
-    for p, _, params in _arenas(args.primes):
+    for p, _, params in _arenas(_admitted(args.primes, ntheory.PrimeParams)):
         n = 2 * p if args.N == "2p" else p
         for name, (m, _) in seqgen.CLASS_SETS.items():
             if (p - 1) % m == 0:
@@ -282,11 +283,10 @@ def _suite_instances(args):
     return out
 
 
-def _inequality_suite(args, check, **bounds_kw):
+def _inequality_suite(args, check):
     for name, seq in _suite_instances(args):
-        ev = check(seq, **bounds_kw)
-        status = {True: "pass", False: "fail", None: "n/a"}[ev.satisfied]
-        yield f"{args.suite} {name}", status, ev.inputs.get("mode", "")
+        ev = check(seq)
+        yield f"{args.suite} {name}", _status(ev.satisfied), ev.inputs["mode"]
 
 
 def _moc_le_lc_suite(args):
@@ -313,7 +313,7 @@ def _weil_suite(args):
         raise BudgetExceeded(estimate, args.budget,
                              hint="lower --kmax or --queries, or raise --budget")
     rng = np.random.default_rng(args.seed)
-    for p, _, params in _arenas(args.primes, ntheory.SexticParams):
+    for p, _, params in _arenas(kmaxes, ntheory.SexticParams):
         kmax = kmaxes[p]
         bad = 0
         total = 0
@@ -354,8 +354,7 @@ def _weil_suite(args):
 # a tracer) reaches the suites.
 _SUITES = {
     "cross-construction": lambda args: _sextic_suite(args, _cross_construction),
-    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17, k_cap=args.kmax,
-                                           budget=args.budget),
+    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17),
     "bw06": lambda args: _inequality_suite(args, bounds.check_bw06),
     "moc-le-lc": _moc_le_lc_suite,
     "diffset": lambda args: _sextic_suite(args, _diffset),
@@ -389,7 +388,8 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
     rows = []
-    for p, _, params in _arenas(args.primes, ntheory.SexticParams, (args.policy,)):
+    primes = _admitted(args.primes, ntheory.SexticParams)
+    for p, _, params in _arenas(primes, ntheory.SexticParams, (args.policy,)):
         row = dict.fromkeys(header, "")
         row["p"] = p
         rows.append(row)
@@ -431,7 +431,10 @@ def cmd_baseline(args) -> int:
             "values": list(stats.values),
         },
     )
-    record.write(fmt=args.format)
+    if args.format == "json":
+        print(record.to_json())
+    else:
+        record.write_csv()
     return EXIT_OK
 
 
@@ -478,7 +481,7 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     v.add_argument("--suite", required=True, choices=SUITES)
     v.add_argument("--primes", required=True)
     v.add_argument("--g-policy", dest="policy", choices=(*ntheory.G_POLICIES, "both"))
-    v.add_argument("--kmax", type=int, default=bounds.DEFAULT_K_CAP)
+    v.add_argument("--kmax", type=int, default=6)  # the weil suite's largest k
     v.add_argument("--queries", type=int, default=200)
     v.add_argument("--N", default="p", choices=("p", "2p"))
 

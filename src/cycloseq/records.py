@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import sys
@@ -55,39 +56,21 @@ class MeasureRecord:
         # every field holds JSON-native values, so no asdict deep copy is needed
         return _canonical(vars(self))
 
-    def write(self, fmt: str = "json") -> None:
-        """Print the record to stdout as one JSON line, or as CSV rows."""
-        if fmt == "json":
-            print(self.to_json())
-        elif fmt == "csv":
-            import csv
-
-            w = csv.writer(sys.stdout)
-            base = [self.sequence_label, self.measure, _canonical(self.params)]
-            tail = [
-                _canonical(self.witness) if self.witness else "",
-                self.timestamp,
-                self.toolkit_version,
-            ]
-            header = [
-                "sequence_label",
-                "measure",
-                "params",
-                "key",
-                "value",
-                "witness",
-                "timestamp",
-                "toolkit_version",
-            ]
-            w.writerow(header)
-            if isinstance(self.value, dict):
-                # rows in the key order of to_json, so a cache hit prints what its miss printed
-                for key, val in sorted(self.value.items()):
-                    w.writerow(base + [key, _json_cell(val)] + tail)
-            else:
-                w.writerow(base + ["", _json_cell(self.value)] + tail)
+    def write_csv(self) -> None:
+        """Print the record to stdout as CSV rows: a header, then one row per
+        key of a dict value, or one row."""
+        w = csv.writer(sys.stdout)
+        base = [self.sequence_label, self.measure, _canonical(self.params)]
+        tail = [_canonical(self.witness) if self.witness else "", self.timestamp,
+                self.toolkit_version]
+        w.writerow(["sequence_label", "measure", "params", "key", "value", "witness",
+                    "timestamp", "toolkit_version"])
+        if isinstance(self.value, dict):
+            # rows in the key order of to_json, so a cache hit prints what its miss printed
+            for key, val in sorted(self.value.items()):
+                w.writerow(base + [key, _json_cell(val)] + tail)
         else:
-            raise ValueError(f"unknown format {fmt!r}")
+            w.writerow(base + ["", _json_cell(self.value)] + tail)
 
 
 _FIELDS = frozenset(f.name for f in fields(MeasureRecord))

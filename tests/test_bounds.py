@@ -18,6 +18,7 @@ from cycloseq.errors import NoSuchRoot, ParameterError
 from cycloseq.measures import correlation_measure_exact, periodic_autocorrelations
 from cycloseq.ntheory import G_POLICIES, PrimeParams, SexticParams, cyclotomic_numbers, is_prime
 from cycloseq.seqgen import BitSequence, cyclotomic_sequence, hall_sequence
+from test_measures import brute_force_ck, max_order_complexity_naive
 
 
 def test_theorem1_kernel_values():
@@ -46,8 +47,9 @@ def test_iw17_all_zero_trivial():
     ev = check_iw17(seq)
     assert ev.satisfied is True
     assert ev.inputs["M"] == 1
-    # RHS = N - 2**2 * C_1 = 12 - 4*12 < 0
-    assert ev.inputs["rhs"] < 0
+    # windows 0 and 1 repeat: D = (0, 1) walks to 11, so RHS = 12 - 2**2 * 11 < 0
+    assert ev.inputs["D"] == (0, 1) and ev.inputs["v"] == 11
+    assert ev.inputs["rhs"] == 12 - 4 * 11
 
 
 def test_iw17_hall_examples():
@@ -55,6 +57,51 @@ def test_iw17_hall_examples():
         params = SexticParams.create(p, g=g)
         ev = check_iw17(hall_sequence(params, p))
         assert ev.satisfied is True
+
+
+def test_iw17_needs_two_bits():
+    with pytest.raises(ParameterError, match="N >= 2"):
+        check_iw17(BitSequence.create([1]))
+
+
+@pytest.mark.parametrize(
+    "period, n, shifts, v",
+    [
+        ("01", 5000, (0, 2), 4998),
+        ("0000111101100101", 20000, (0, 16), 19984),  # every 4-bit window once a period
+    ],
+)
+def test_iw17_settles_low_complexity_words(period, n, shifts, v):
+    # long words of short period: one walk of the register's repeat settles them
+    seq = BitSequence.create(np.resize([int(b) for b in period], n))
+    ev = check_iw17(seq)
+    assert ev.satisfied is True
+    assert ev.inputs["mode"] == "certified-witness"
+    assert (ev.inputs["D"], ev.inputs["v"]) == (shifts, v)
+
+
+def _assert_iw17_witness(bits):
+    """The certificate against plain Python: the repeated windows, the recurrence
+    they start, the walk and exact C_2, and the branch taken."""
+    n = len(bits)
+    seq = BitSequence.create(bits)
+    ev = check_iw17(seq)
+    m, D, v, rhs = (ev.inputs[key] for key in ("M", "D", "v", "rhs"))
+    assert m == max_order_complexity_naive(seq).final
+    trivial = 2 ** (m + 1) >= n - m
+    assert (D == (0,)) == trivial
+    if trivial:
+        assert v == 1  # C_1 >= 1
+    else:
+        i, j = D
+        assert i < j <= 2**m and bits[i : i + m] == bits[j : j + m]
+        for k in range(n - j):
+            assert bits[k + i] == bits[k + j], (bits, D, k)
+        assert v >= n - j
+        assert correlation_measure_exact(seq, 2).value >= v
+    assert ev.inputs["w"] == len(D) and ev.inputs["mode"] == "certified-witness"
+    assert rhs == n - 2 ** (m + 1) * v <= m
+    assert ev.satisfied is True
 
 
 def test_bw06_all_zero_equality():
@@ -128,6 +175,33 @@ def biased_bits(draw, max_size):
 @given(biased_bits(16))
 def test_bw06_witness_oracle(bits):
     _assert_bw06_witness(bits)
+
+
+@st.composite
+def periodic_bits(draw, max_size):
+    """A transient, then a period repeated up to a drawn length."""
+    transient = draw(st.lists(st.integers(0, 1), max_size=8))
+    period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    n = draw(st.integers(2, max_size))
+    return (transient + period * max_size)[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(biased_bits(64), periodic_bits(64)).filter(lambda bits: len(bits) >= 2))
+def test_iw17_witness_oracle(bits):
+    _assert_iw17_witness(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(biased_bits(14).filter(lambda bits: len(bits) >= 2))
+def test_iw17_brute_force_oracle(bits):
+    # the inequality itself, off the definitions of M and C_k: a maximum over
+    # the first k <= M + 1 bounds the full one from below, so the first k
+    # whose C_k clears it settles it
+    seq = BitSequence.create(bits)
+    n, m = len(bits), max_order_complexity_naive(seq).final
+    assert any(m >= n - 2 ** (m + 1) * brute_force_ck(seq, k)[0]
+               for k in range(1, min(m + 1, n) + 1))
 
 
 @pytest.mark.parametrize(

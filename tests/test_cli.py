@@ -508,6 +508,19 @@ def test_primes_upto_the_limit_is_refused_before_the_walk(command, monkeypatch, 
     assert code == EXIT_OK and "43" in stdout
 
 
+@pytest.mark.parametrize("command", [
+    *(("verify", "--suite", suite, "--kmax", "1", "--queries", "2") for suite in cli.SUITES),
+    ("scan", "--ck", "1"),
+], ids=[*cli.SUITES, "scan"])
+def test_each_run_parses_primes_once(command, monkeypatch, capsys):
+    # the weil suite charges its primes and then walks them: one parse for both
+    parsed = []
+    parse = cli._parse_primes
+    monkeypatch.setattr(cli, "_parse_primes", lambda spec: parsed.append(spec) or parse(spec))
+    code, _, _ = run(capsys, *command, "--primes", "upto:13")
+    assert code == EXIT_OK and parsed == ["upto:13"]
+
+
 def test_primes_upto_are_the_primes_from_3_to_the_bound():
     assert [cli._parse_primes(f"upto:{b}") for b in (-1, 0, 1, 2, 3, 4)] == [[], [], [], [], [3], [3]]
     walked = [p for p in range(3, 20001) if ntheory.is_prime(p)]
@@ -604,6 +617,19 @@ def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, c
     assert err.startswith("error:") and "BM witness" in err and "N - L" in err
 
 
+def test_iw17_forged_moc_is_invariant_violation(monkeypatch, capsys):
+    # M = 1 reported on 0...01 (its M is N - 1): windows 0 and 1 repeat, but
+    # D = (0, 1) walks to N - 2 < N - 1, which only a wrong MOC or a wrong walk can cause
+    monkeypatch.setattr(bounds, "max_order_complexity_profile",
+                        lambda seq: measures.ComplexityProfile(values=(0, 1)))
+    seq = seqgen.BitSequence.create([0] * 19 + [1])
+    with pytest.raises(InvariantViolation, match="MOC witness"):
+        bounds.check_iw17(seq)
+    code, stdout, err = run(capsys, "verify", "--suite", "iw17", "--primes", "13")
+    assert code == EXIT_VERIFY
+    assert err.startswith("error:") and "MOC witness" in err and "N - j" in err
+
+
 def test_verify_cross_construction_upto(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--suite", "cross-construction", "--primes", "upto:60",
@@ -627,14 +653,20 @@ def test_verify_moc_le_lc(capsys):
 
 
 def test_verify_iw17_small(capsys):
-    code, stdout, _ = run(
-        capsys, "verify", "--suite", "iw17", "--primes", "7,13", "--kmax", "4",
-    )
-    assert code == EXIT_OK
+    # the MOC register's witness settles every instance; --kmax and --budget
+    # bound the weil suite only
+    for extra in ((), ("--kmax", "1", "--budget", "10")):
+        code, stdout, _ = run(capsys, "verify", "--suite", "iw17", "--primes", "7,13", *extra)
+        assert code == EXIT_OK
+        checks = stdout.splitlines()[:-1]
+        assert len(checks) == 5
+        assert all(line.startswith("[PASS") and line.endswith("  certified-witness")
+                   for line in checks), stdout
+        assert "5 passed, 0 failed, 0 n/a" in stdout
 
 
 def test_verify_bw06_reads_certified_witness_only(capsys):
-    # BM's witness settles every instance; --kmax and --budget bound IW17 only
+    # BM's witness settles every instance; --kmax and --budget bound the weil suite only
     for extra in ((), ("--kmax", "1", "--budget", "10")):
         code, stdout, _ = run(capsys, "verify", "--suite", "bw06", "--primes", "upto:7", *extra)
         assert code == EXIT_OK
