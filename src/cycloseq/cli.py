@@ -58,8 +58,9 @@ def _parse_int(tok: str, option: str) -> int:
         raise ParameterError(f"{option} takes integers; got {tok!r}")
 
 
-def _parse_primes(spec: str) -> list[int]:
-    """'13,31,43' or 'upto:B'."""
+def _parse_primes(spec: str) -> np.ndarray:
+    """'13,31,43' or 'upto:B', as one int64 array (upto:30000000's 1 857 858
+    primes take 15 MB)."""
     if spec.startswith("upto:"):
         bound = _parse_int(spec[len("upto:") :], "--primes upto:")
         # refused before the sieve, as every arena refuses p past the limit
@@ -71,34 +72,42 @@ def _parse_primes(spec: str) -> list[int]:
         for i in range(1, (math.isqrt(max(0, bound)) + 1) // 2):
             if odd[i]:  # strike the odd multiples of 2i + 1 from its square on
                 odd[2 * i * (i + 1) :: 2 * i + 1] = False
-        ps = (2 * np.flatnonzero(odd) + 1).tolist()
-    else:
-        ps = []
-        for tok in spec.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            p = _parse_int(tok, "--primes")
-            if not ntheory.is_prime(p):
-                raise ParameterError(f"{p} is not prime")
-            ps.append(p)
-    return ps
+        ps = np.flatnonzero(odd)
+        del odd
+        ps *= 2  # in place: no second array of the primes
+        ps += 1
+        return ps
+    ps = []
+    for tok in spec.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        p = _parse_int(tok, "--primes")
+        if not ntheory.is_prime(p):
+            raise ParameterError(f"{p} is not prime")
+        # refused here, as upto:B past the limit is, so that every p fits int64
+        if p >= ntheory.P_LIMIT:
+            raise ParameterError(f"p={p} exceeds the 2**31 limit")
+        ps.append(p)
+    return np.array(ps, dtype=np.int64)
 
 
-def _admitted(spec: str, cls) -> list[int]:
+def _admitted(spec: str, cls) -> np.ndarray:
     """The primes of spec whose arena cls admits: those with cls._order | p - 1."""
-    return [p for p in _parse_primes(spec) if (p - 1) % cls._order == 0]
+    ps = _parse_primes(spec)
+    return ps[(ps - 1) % cls._order == 0]
 
 
 def _arenas(primes, cls=ntheory.PrimeParams, policies=("smallest",)):
     """(p, policy, arena) for each prime of primes, admitted by cls, and each root
-    policy.  A prime builds the smallest root's arena once and rebases it for
-    three-in-c1; arena is None where no root fits the policy."""
+    policy, p a plain int; arena is None where no root fits the policy.  Arenas
+    come from create's memo, which rebases three-in-c1 from the smallest root's
+    arena, so a prime builds one index table under both policies."""
     for p in primes:
-        smallest = cls.create(p)
+        p = int(p)
         for policy in policies:
             try:
-                arena = smallest if policy == "smallest" else smallest.rebased_three_in_c1()
+                arena = cls.create(p, policy)
             except NoSuchRoot:
                 arena = None
             yield p, policy, arena
@@ -299,7 +308,7 @@ def _moc_le_lc_suite(args):
 
 def _weil_suite(args):
     # each prime's largest k: k > p has no shift tuple
-    kmaxes = {p: min(args.kmax, p) for p in _admitted(args.primes, ntheory.SexticParams)}
+    kmaxes = {p: min(args.kmax, p) for p in map(int, _admitted(args.primes, ntheory.SexticParams))}
 
     def charge(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every

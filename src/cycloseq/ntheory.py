@@ -17,14 +17,30 @@ int64 array and a product of two residues fits in 64 bits) with m | p - 1.
 `PrimeParams.create(p, g)` takes the root as one argument: an explicit root,
 checked once (in 1..p-1 and primitive), or a policy of G_POLICIES, "smallest"
 (None means it too) or "three-in-c1".  `find_primitive_root(p, policy)` is
-that arena's g, found without an index table for the smallest root.  Each
-arena builds one index table; a three-in-c1 arena derives its table from the
-smallest root's, which the root search built anyway.
+that arena's g, found without an index table for the smallest root.  A
+three-in-c1 arena derives its table from the smallest root's, which the root
+search built anyway.
+
+Each arena is built once per process.  `create` keeps a memo of p-long int64
+tables: each (p, root) arena's index table, keyed by the integer root or by
+the policy (None and "smallest" are one key), and each coset table
+ind_g(n) mod m that such an arena's `cosets(m)` computed.  Its contract:
+- refusals (an unknown policy, `check_prime` with the class's order, a root
+  outside 1..p-1) run before the memo is read, and errors are never stored:
+  a root that is not primitive raises ParameterError, and a prime with no
+  three-in-c1 root NoSuchRoot, on every call;
+- the tables it hands out are read-only and PrimeParams is frozen, so no
+  caller can change an arena another caller holds;
+- it holds at most ARENA_MEMO_ENTRIES table entries in all, evicting the least
+  recently used table first; a table longer than that is built, returned and
+  not kept.
+An arena built by hand (not by `create`) keeps nothing in the memo.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -43,6 +59,9 @@ _MR_FOUR_BASES_BELOW = 3_215_031_751
 
 THREE_IN_C1 = "three-in-c1"
 G_POLICIES = ("smallest", THREE_IN_C1)
+
+# The arena memo keeps at most this many int64 table entries (8 MB) in all.
+ARENA_MEMO_ENTRIES = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -152,6 +171,53 @@ def build_index_table(p: int, g: int) -> np.ndarray:
     return table
 
 
+class _ArenaMemo:
+    """Read-only p-long tables by key, least recently used first.  A key is
+    (p, root) for an arena or (p, root, m) for its coset table, so its p is its
+    table's length; the tables hold at most ARENA_MEMO_ENTRIES entries in all."""
+
+    def __init__(self):
+        self.tables: OrderedDict[tuple, object] = OrderedDict()
+        self.entries = 0
+
+    def get(self, key: tuple):
+        value = self.tables.get(key)
+        if value is not None:
+            self.tables.move_to_end(key)
+        return value
+
+    def put(self, key: tuple, value) -> None:
+        """Keep value under key, evicting the least recently used tables past
+        the bound; a table longer than the bound is not kept."""
+        if key[0] <= ARENA_MEMO_ENTRIES:
+            self.tables[key] = value
+            self.entries += key[0]
+            while self.entries > ARENA_MEMO_ENTRIES:
+                self.entries -= self.tables.popitem(last=False)[0][0]
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.entries = 0
+
+
+_MEMO = _ArenaMemo()
+
+
+def _memo_arena(p: int, root: int | str) -> "PrimeParams":
+    """The arena of a checked p under root (an integer in 1..p-1, "smallest" or
+    THREE_IN_C1): from the memo, or built and kept there."""
+    key = (p, root)
+    arena = _MEMO.get(key)
+    if arena is None:
+        if root == THREE_IN_C1:  # rebased from the smallest root's arena
+            arena = replace(_memo_arena(p, "smallest").rebased_three_in_c1(), _key=key)
+        else:
+            g = _smallest_root(p) if root == "smallest" else root
+            arena = PrimeParams(p, g, build_index_table(p, g), key)
+        _MEMO.put(key, arena)
+    return arena
+
+
 @dataclass(frozen=True, eq=False)
 class PrimeParams:
     """A prime p with a fixed primitive root g and its index (discrete log) table."""
@@ -159,6 +225,8 @@ class PrimeParams:
     p: int
     g: int
     index_table: np.ndarray = field(repr=False)
+    # the memo key of an arena made by create, under which its coset tables are kept
+    _key: tuple | None = field(default=None, repr=False)
 
     _order: ClassVar[int] = 2  # create refuses p unless _order | p - 1
 
@@ -166,17 +234,17 @@ class PrimeParams:
     def create(cls, p: int, g: int | str | None = None) -> "PrimeParams":
         """The arena of p with root g: an integer root, or a policy of G_POLICIES
         (None is "smallest").  An unknown policy and an integer outside 1..p-1
-        are refused, and build_index_table refuses one that is not primitive."""
+        are refused, and build_index_table refuses one that is not primitive.
+        The arena comes from the memo (see the module docstring)."""
         if isinstance(g, str) and g not in G_POLICIES:
             raise ParameterError(f"unknown g policy {g!r}")
-        three_in_c1 = g == THREE_IN_C1
-        check_prime(p, 6 if three_in_c1 else cls._order)
-        if g is None or isinstance(g, str):
-            g = _smallest_root(p)
-        elif not 1 <= g <= p - 1:
+        check_prime(p, 6 if g == THREE_IN_C1 else cls._order)
+        if g is None:
+            g = "smallest"
+        elif not isinstance(g, str) and not 1 <= g <= p - 1:
             raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
-        arena = cls(p=p, g=g, index_table=build_index_table(p, g))
-        return arena.rebased_three_in_c1() if three_in_c1 else arena
+        arena = _memo_arena(p, g)
+        return arena if type(arena) is cls else cls(p, arena.g, arena.index_table, arena._key)
 
     def rebased_three_in_c1(self) -> "PrimeParams":
         """This arena under the "three-in-c1" policy, with no second index table.
@@ -197,13 +265,21 @@ class PrimeParams:
         table = t * pow(int(t[g]), -1, p - 1) % (p - 1)
         table[0] = -1
         table.setflags(write=False)
-        return replace(self, g=g, index_table=table)
+        return replace(self, g=g, index_table=table, _key=None)
 
     def cosets(self, m: int) -> np.ndarray:
-        """ind_g(n) mod m for n = 0..p-1; ParameterError unless m | p - 1."""
+        """ind_g(n) mod m for n = 0..p-1, read-only; ParameterError unless m | p - 1.
+        An arena made by create keeps the table in the memo."""
         if m < 1 or (self.p - 1) % m:
             raise ParameterError(f"m={m} does not divide p-1={self.p - 1}")
-        return self.index_table % m
+        key = None if self._key is None else (*self._key, m)
+        table = None if key is None else _MEMO.get(key)
+        if table is None:
+            table = self.index_table % m
+            table.setflags(write=False)
+            if key is not None:
+                _MEMO.put(key, table)
+        return table
 
     def g_inverse(self) -> int:
         return pow(self.g, self.p - 2, self.p)

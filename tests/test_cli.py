@@ -116,7 +116,8 @@ def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys
     # every prime-walking command builds one arena a prime: moc-le-lc's Hall,
     # Legendre and DHL words share it, and under three-in-c1 (alone or beside
     # smallest) the arena is rebased from the smallest root's, also where no
-    # root puts 3 in C1 (13 and 37)
+    # root puts 3 in C1 (13 and 37); the same command again in the process
+    # builds none, and prints the same
     built = []
     build = ntheory.build_index_table
     monkeypatch.setattr(ntheory, "build_index_table", lambda p, g: built.append(p) or build(p, g))
@@ -124,6 +125,9 @@ def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys
     assert code == EXIT_OK
     assert argv[0] != "verify" or " 0 failed," in stdout
     assert sorted(built) == primes
+    built.clear()
+    assert run(capsys, *argv) == (code, stdout, "")
+    assert built == []
 
 
 def test_generate_parameter_error(tmp_path, capsys):
@@ -522,10 +526,31 @@ def test_each_run_parses_primes_once(command, monkeypatch, capsys):
 
 
 def test_primes_upto_are_the_primes_from_3_to_the_bound():
-    assert [cli._parse_primes(f"upto:{b}") for b in (-1, 0, 1, 2, 3, 4)] == [[], [], [], [], [3], [3]]
+    parsed = [cli._parse_primes(f"upto:{b}") for b in (-1, 0, 1, 2, 3, 4)]
+    assert all(ps.dtype == np.int64 for ps in parsed)
+    assert [ps.tolist() for ps in parsed] == [[], [], [], [], [3], [3]]
     walked = [p for p in range(3, 20001) if ntheory.is_prime(p)]
     for bound in range(20001):  # every bound: each prime square and its neighbours
-        assert cli._parse_primes(f"upto:{bound}") == walked[:bisect.bisect_right(walked, bound)]
+        expected = walked[:bisect.bisect_right(walked, bound)]
+        assert cli._parse_primes(f"upto:{bound}").tolist() == expected
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--suite", "diffset"), ("verify", "--suite", "weil"), ("verify", "--suite", "bw06"),
+    ("scan", "--ck", "2"),
+], ids=["diffset", "weil", "bw06", "scan"])
+def test_listed_primes_past_the_limit_are_refused(command, capsys):
+    # a listed prime past 2**31 is refused as upto:B past it is, whatever order
+    # the command admits and before its budget is charged, so every listed
+    # prime fits the int64 array; a listed composite is still "not prime"
+    assert cli._parse_primes("13, 2,31").tolist() == [13, 2, 31]
+    assert cli._parse_primes("").dtype == np.int64
+    # 2147483693 = 5 (mod 6), which no sextic suite admits, was skipped silently
+    for p in (2147483659, 2147483693, 2**89 - 1):
+        code, stdout, err = run(capsys, *command, "--primes", f"13,{p}")
+        assert (code, stdout, err) == (EXIT_PARAM, "", f"error: p={p} exceeds the 2**31 limit\n")
+    code, stdout, err = run(capsys, *command, "--primes", "13,2147483661")
+    assert (code, stdout, err) == (EXIT_PARAM, "", "error: 2147483661 is not prime\n")
 
 
 def test_main_reaches_rebound_command_on_later_calls(monkeypatch, tmp_path, capsys):

@@ -393,7 +393,8 @@ def test_three_in_c1_table_matches_its_own_build():
     assert found > 50
 
 
-def test_an_arena_builds_one_index_table(monkeypatch):
+def _count_builds(monkeypatch):
+    """The (p, g) of every index table built from here on."""
     import cycloseq.ntheory as ntheory
 
     calls = []
@@ -403,13 +404,133 @@ def test_an_arena_builds_one_index_table(monkeypatch):
         return build_index_table(p, g)
 
     monkeypatch.setattr(ntheory, "build_index_table", counted)
+    return calls
+
+
+def test_an_arena_builds_one_index_table(monkeypatch):
+    import cycloseq.ntheory as ntheory
+
+    calls = _count_builds(monkeypatch)
     for policy, p in ((THREE_IN_C1, 31), (THREE_IN_C1, 1987), ("smallest", 1987)):
+        ntheory._MEMO.clear()
         calls.clear()
         SexticParams.create(p, policy)
         assert len(calls) == 1, (policy, p, calls)
+    ntheory._MEMO.clear()
     calls.clear()
     PrimeParams.create(13, g=6)
     assert calls == [(13, 6)]
+    # three-in-c1 kept the smallest root's arena it was rebased from
+    ntheory._MEMO.clear()
+    SexticParams.create(1987, THREE_IN_C1)
+    calls.clear()
+    SexticParams.create(1987)
+    assert calls == []
+
+
+PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
+
+
+@given(st.sampled_from(PRIMES_3000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_memoized_arena_equals_a_fresh_build(p, data):
+    import cycloseq.ntheory as ntheory
+
+    ntheory._MEMO.clear()
+    roots = [g for g in range(1, p) if is_primitive_root(g, p)]
+    explicit = data.draw(st.sampled_from(roots))
+    smallest = build_index_table(p, roots[0])
+    tables = {}
+    for root in (None, "smallest", THREE_IN_C1, explicit):
+        try:
+            arena = PrimeParams.create(p, root)
+        except (NoSuchRoot, ParameterError):  # no root puts 3 in C1, or 6 does not divide p - 1
+            assert root == THREE_IN_C1
+            continue
+        expected = (PrimeParams(p, roots[0], smallest).rebased_three_in_c1().index_table
+                    if root == THREE_IN_C1 else build_index_table(p, arena.g))
+        assert np.array_equal(arena.index_table, expected), (p, root)
+        assert not arena.index_table.flags.writeable
+        again = PrimeParams.create(p, root)
+        assert again.g == arena.g and again.index_table is arena.index_table
+        for m in (2, 3, 6):
+            if (p - 1) % m == 0:
+                assert again.cosets(m) is arena.cosets(m)
+        tables[root] = arena.index_table
+    # None and "smallest" are one key; every other root has its own table
+    assert tables["smallest"] is tables[None]
+    del tables[None]
+    assert len({id(t) for t in tables.values()}) == len(tables)
+
+
+def test_refusals_are_never_stored(monkeypatch):
+    import cycloseq.ntheory as ntheory
+
+    calls = _count_builds(monkeypatch)
+    for _ in range(3):  # 3 is not primitive mod 13: built, refused, built again
+        with pytest.raises(ParameterError, match="3 is not a primitive root mod 13"):
+            PrimeParams.create(13, 3)
+    assert calls == [(13, 3)] * 3
+    calls.clear()
+    for _ in range(3):  # ind_2(3) = 4 (mod 6): no root mod 13 puts 3 in C1
+        with pytest.raises(NoSuchRoot):
+            SexticParams.create(13, THREE_IN_C1)
+    assert calls == [(13, 2)]  # the smallest root's arena is kept, and rebased each time
+    assert [key for key in ntheory._MEMO.tables] == [(13, "smallest")]
+    # refusals before the memo: a cold prime, a root outside 1..p-1, an unknown policy
+    for p, g, why in ((15, None, "p=15 is not"), (11, THREE_IN_C1, "mod 6"),
+                      (13, 0, "g must be in"), (13, "largest", "unknown g policy")):
+        with pytest.raises(ParameterError, match=why):
+            PrimeParams.create(p, g)
+    assert [key for key in ntheory._MEMO.tables] == [(13, "smallest")]
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    import cycloseq.ntheory as ntheory
+
+    monkeypatch.setattr(ntheory, "ARENA_MEMO_ENTRIES", 100)
+    memo = ntheory._MEMO
+    calls = _count_builds(monkeypatch)
+    first = PrimeParams.create(31)
+    second = PrimeParams.create(37)
+    assert list(memo.tables) == [(31, "smallest"), (37, "smallest")] and memo.entries == 68
+    assert PrimeParams.create(31).index_table is first.index_table  # 31 is now the most recent
+    third = PrimeParams.create(41)  # past 100 entries: 37, the least recently used, goes
+    assert list(memo.tables) == [(31, "smallest"), (41, "smallest")] and memo.entries == 72
+    assert calls == [(31, 3), (37, 2), (41, 6)]
+    calls.clear()
+    rebuilt = PrimeParams.create(37)  # evicted, so built again, equal
+    assert calls == [(37, 2)]
+    assert rebuilt.index_table is not second.index_table
+    assert np.array_equal(rebuilt.index_table, second.index_table)
+    assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
+    # coset tables count against the same bound
+    third.cosets(2)
+    assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
+    # an arena longer than the bound is built and returned, and not kept
+    calls.clear()
+    kept = list(memo.tables)
+    big = PrimeParams.create(101)
+    assert big.cosets(4).size == 101 and list(memo.tables) == kept
+    assert np.array_equal(PrimeParams.create(101).index_table, big.index_table)
+    assert calls == [(101, 2), (101, 2)]
+    # every create under a small bound keeps the memo within it
+    for p in PRIMES_3000[:40]:
+        for m in (1, 2):
+            PrimeParams.create(p).cosets(m)
+            assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
+
+
+def test_coset_tables_are_read_only():
+    forged = PrimeParams(p=13, g=2, index_table=build_index_table(13, 2))
+    for params in (SexticParams.create(13), SexticParams.create(13, 6), forged):
+        for m in (1, 2, 3, 4, 6, 12):
+            table = params.cosets(m)
+            assert np.array_equal(table, params.index_table % m), (params, m)
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0
+    # a hand-built arena keeps nothing in the memo
+    assert forged.cosets(6) is not forged.cosets(6)
 
 
 def cyclotomic_numbers_reference(p, g, m):
