@@ -38,7 +38,7 @@ from .measures import (
     correlation_measure_exact,
     max_order_complexity_profile,
 )
-from .ntheory import SexticParams, cyclotomic_numbers
+from .ntheory import PrimeParams, cyclotomic_numbers
 from .seqgen import CLASS_SETS, BitSequence
 
 
@@ -159,7 +159,7 @@ def _class_differences(p: int, cyc: np.ndarray, classes) -> tuple[np.ndarray, np
     return lam, p - 4 * (w - lam)
 
 
-def difference_set_check(params: SexticParams) -> DifferenceSetReport:
+def difference_set_check(params: PrimeParams) -> DifferenceSetReport:
     """Is Hall's ones-set a difference set, with A(t) = -1 for all t?
 
     Both are read off the order-6 cyclotomic numbers: lambda(t) and A(t)

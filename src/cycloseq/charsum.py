@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .ntheory import SexticParams, reduce_zeta6, zeta6_norm_sq
+from .ntheory import PrimeParams, reduce_zeta6, zeta6_norm_sq
 
 # Tuples are evaluated in chunks of at most about this many array cells, so the
 # memory of a call does not grow with the number of tuples.
@@ -61,7 +61,7 @@ def _unpack(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _UNITS = _pack(*reduce_zeta6(np.eye(6, dtype=np.int64)))
 
 
-def _checked_shifts(params: SexticParams, shifts, window) -> tuple[np.ndarray, np.ndarray]:
+def _checked_shifts(params: PrimeParams, shifts, window) -> tuple[np.ndarray, np.ndarray]:
     """(shifts as a T x k array, windows as a length-T array), one tuple per row.
 
     `window` is one window for every tuple or one per tuple.  Refuses anything
@@ -126,7 +126,7 @@ def _conjugate_classes(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canon[first_of], back
 
 
-def _sum_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
+def _sum_chunks(params: PrimeParams, E: np.ndarray, S: np.ndarray, windows: np.ndarray):
     """Yield (lo, hi, a, b) for consecutive chunks of the tuples S[lo:hi]:
     a[t, j] + b[t, j]*w is the sum over n in 1..window-1 of
     chi((n+d_1)^m_1 ... (n+d_k)^m_k), d the tuple lo + t and m the row E[j].
@@ -184,7 +184,7 @@ def _sum_chunks(params: SexticParams, E: np.ndarray, S: np.ndarray, windows: np.
         yield lo, hi, *_unpack(sums)
 
 
-def weil_verdicts(params: SexticParams, exponents, shifts, window) -> np.ndarray:
+def weil_verdicts(params: PrimeParams, exponents, shifts, window) -> np.ndarray:
     """|sum| <= its Weil-type bound for each tuple and exponent row: a T x B array.
 
     The sums are sum_{n=1}^{window-1} chi((n+d_1)^{m_1} ... (n+d_k)^{m_k}).

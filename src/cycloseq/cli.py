@@ -92,22 +92,22 @@ def _parse_primes(spec: str) -> np.ndarray:
     return np.array(ps, dtype=np.int64)
 
 
-def _admitted(spec: str, cls) -> np.ndarray:
-    """The primes of spec whose arena cls admits: those with cls._order | p - 1."""
+def _admitted(spec: str, m: int) -> np.ndarray:
+    """The primes of spec with m | p - 1."""
     ps = _parse_primes(spec)
-    return ps[(ps - 1) % cls._order == 0]
+    return ps[(ps - 1) % m == 0]
 
 
-def _arenas(primes, cls=ntheory.PrimeParams, policies=("smallest",)):
-    """(p, policy, arena) for each prime of primes, admitted by cls, and each root
-    policy, p a plain int; arena is None where no root fits the policy.  Arenas
-    come from create's memo, which rebases three-in-c1 from the smallest root's
-    arena, so a prime builds one index table under both policies."""
+def _arenas(primes, policies=("smallest",)):
+    """(p, policy, arena) for each prime of primes and each root policy, p a plain
+    int; arena is None where no root fits the policy.  Arenas come from create's
+    memo, which rebases three-in-c1 from the smallest root's arena, so a prime
+    builds one index table under both policies."""
     for p in primes:
         p = int(p)
         for policy in policies:
             try:
-                arena = cls.create(p, policy)
+                arena = ntheory.PrimeParams.create(p, policy)
             except NoSuchRoot:
                 arena = None
             yield p, policy, arena
@@ -257,8 +257,8 @@ def _sextic_suite(args, check):
     """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail).
     No --g-policy means both."""
     policies = ntheory.G_POLICIES if args.policy in (None, "both") else (args.policy,)
-    primes = _admitted(args.primes, ntheory.SexticParams)
-    for p, policy, params in _arenas(primes, ntheory.SexticParams, policies):
+    primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
+    for p, policy, params in _arenas(primes, policies):
         name = f"{args.suite} p={p} policy={policy}"
         yield (name, "n/a", "NoSuchRoot") if params is None else (name, *check(params))
 
@@ -284,7 +284,7 @@ def _diffset(params):
 def _suite_instances(args):
     """Each named construction whose order divides p - 1, on one arena a prime."""
     out = []
-    for p, _, params in _arenas(_admitted(args.primes, ntheory.PrimeParams)):
+    for p, _, params in _arenas(_admitted(args.primes, 2)):
         n = 2 * p if args.N == "2p" else p
         for name, (m, _) in seqgen.CLASS_SETS.items():
             if (p - 1) % m == 0:
@@ -308,7 +308,8 @@ def _moc_le_lc_suite(args):
 
 def _weil_suite(args):
     # each prime's largest k: k > p has no shift tuple
-    kmaxes = {p: min(args.kmax, p) for p in map(int, _admitted(args.primes, ntheory.SexticParams))}
+    primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
+    kmaxes = {p: min(args.kmax, p) for p in map(int, primes)}
 
     def charge(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
@@ -322,7 +323,7 @@ def _weil_suite(args):
         raise BudgetExceeded(estimate, args.budget,
                              hint="lower --kmax or --queries, or raise --budget")
     rng = np.random.default_rng(args.seed)
-    for p, _, params in _arenas(kmaxes, ntheory.SexticParams):
+    for p, _, params in _arenas(kmaxes):
         kmax = kmaxes[p]
         bad = 0
         total = 0
@@ -397,8 +398,8 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
     rows = []
-    primes = _admitted(args.primes, ntheory.SexticParams)
-    for p, _, params in _arenas(primes, ntheory.SexticParams, (args.policy,)):
+    primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
+    for p, _, params in _arenas(primes, (args.policy,)):
         row = dict.fromkeys(header, "")
         row["p"] = p
         rows.append(row)

@@ -7,7 +7,9 @@ m.  For m | 6 a second, independent route evaluates (-1)**s_n =
 sum_j c_j chi_m**j(n), with the c_j of `sign_coefficients` exact in Z[w], at
 every n at once and requires +-1 at each; the two Hall routes agreeing bit for
 bit is the mechanical check of the identity.  The per-n indicator deltas and
-Legendre's squares stay in tests/test_seqgen.py as the oracles.
+Legendre's squares stay in tests/test_seqgen.py as the oracles.  Each
+construction builds its word through `_word`, 0/1 and p-periodic by
+construction; `BitSequence.create` validates words from outside.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .ntheory import PrimeParams, SexticParams, check_prime, reduce_zeta6, zeta6_mul
+from .ntheory import PrimeParams, check_prime, reduce_zeta6, zeta6_mul
 
 # Each named construction's class set (m, I), in the command line's order.
 CLASS_SETS = {
@@ -74,9 +76,9 @@ class BitSequence:
 
     @classmethod
     def create(cls, bits, period: int | None = None, label: str = "") -> "BitSequence":
-        """The word as a read-only uint8 copy.  The values are checked on the
-        input's own dtype before the cast, so 256 or 0.5 is refused rather than
-        wrapped or truncated; booleans and exact 0.0/1.0 are accepted."""
+        """A word from outside the constructions, as a read-only uint8 copy.  Values
+        are checked on the input's own dtype before the cast, so 256 or 0.5 is
+        refused rather than wrapped or truncated; booleans and exact 0.0/1.0 pass."""
         arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("bits must be a nonempty 1-d 0/1 word")
@@ -112,11 +114,14 @@ class BitSequence:
         return f"BitSequence({head!r}, N={self.length}, period={self.period}, label={self.label!r})"
 
 
-def _extend(core: np.ndarray, length: int) -> np.ndarray:
-    """The first `length` terms of core repeated; ParameterError unless length >= 1."""
+def _word(core: np.ndarray, length: int, label: str) -> BitSequence:
+    """The p-long 0/1 uint8 core tiled to `length` terms, read-only, of period p;
+    ParameterError unless length >= 1.  A tiled core wraps, so nothing is checked."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    return np.resize(core, length)
+    bits = core if length <= core.size else np.resize(core, length)
+    bits.setflags(write=False)
+    return BitSequence(bits[:length], period=core.size, label=label)
 
 
 def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
@@ -144,11 +149,10 @@ def named_sequence(params: PrimeParams, name: str, length: int) -> BitSequence:
     without g when the word ignores the root."""
     m, subset = CLASS_SETS[name]
     g = "" if ignores_root(name) else f",g={params.g}"
-    return BitSequence.create(_extend(_core_from_classes(params, m, subset), length),
-                              period=params.p, label=f"{name}(p={params.p}{g})")
+    return _word(_core_from_classes(params, m, subset), length, f"{name}(p={params.p}{g})")
 
 
-def hall_sequence(params: SexticParams, length: int) -> BitSequence:
+def hall_sequence(params: PrimeParams, length: int) -> BitSequence:
     """Hall's sextic residue sequence, CLASS_SETS["hall"]."""
     return named_sequence(params, "hall", length)
 
@@ -174,13 +178,10 @@ def _core_via_characters(params: PrimeParams, m: int, subset: frozenset[int]) ->
     return core
 
 
-def hall_sequence_via_characters(params: SexticParams, length: int) -> BitSequence:
+def hall_sequence_via_characters(params: PrimeParams, length: int) -> BitSequence:
     """Hall's word from its character expansion sum_j c_j chi**j(n); h_0 = 0."""
-    return BitSequence.create(
-        _extend(_core_via_characters(params, *CLASS_SETS["hall"]), length),
-        period=params.p,
-        label=f"hall_via_characters(p={params.p},g={params.g})",
-    )
+    return _word(_core_via_characters(params, *CLASS_SETS["hall"]), length,
+                 f"hall_via_characters(p={params.p},g={params.g})")
 
 
 def legendre_sequence(p: int, length: int) -> BitSequence:
@@ -198,14 +199,11 @@ def cyclotomic_sequence(params: PrimeParams, m: int, subset, length: int) -> Bit
     """Characteristic sequence of a union of order-m cyclotomic cosets."""
     subset = frozenset(int(s) for s in subset)
     s_str = ",".join(map(str, sorted(subset)))
-    return BitSequence.create(
-        _extend(_core_from_classes(params, m, subset), length),
-        period=params.p,
-        label=f"cyclotomic(p={params.p},g={params.g},m={m},S={{{s_str}}})",
-    )
+    return _word(_core_from_classes(params, m, subset), length,
+                 f"cyclotomic(p={params.p},g={params.g},m={m},S={{{s_str}}})")
 
 
-def permutation_map_f(params: SexticParams, n):
+def permutation_map_f(params: PrimeParams, n):
     """The bijection of {1..p-1} interchanging cosets C2 and C3 (identity elsewhere).
 
     Elementwise on an array of residues (an int gives an int); ParameterError
@@ -220,7 +218,7 @@ def permutation_map_f(params: SexticParams, n):
     return int(out) if out.ndim == 0 else out
 
 
-def check_index_representation(params: SexticParams) -> bool:
+def check_index_representation(params: PrimeParams) -> bool:
     """Verify h_n = 0 exactly when ind_{g^-1}(f(n)) mod 6 lies in {1, 2, 3}.
 
     ind with respect to g^-1 is (-ind_g) mod (p-1), so -ind_g mod 6 as 6 | p-1.

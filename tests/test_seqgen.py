@@ -17,12 +17,13 @@ from cycloseq.seqgen import (
     hall_sequence_via_characters,
     ignores_root,
     legendre_sequence,
+    named_sequence,
     permutation_map_f,
     read_sequence,
     sign_coefficients,
     write_sequence,
 )
-from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _core_via_characters, _extend
+from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _core_via_characters, _word
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -331,7 +332,55 @@ def test_every_constructor_refuses_nonpositive_lengths(name):
 @settings(max_examples=200, deadline=None)
 def test_extend_repeats_the_core(core, n):
     core = np.array(core, dtype=np.uint8)
-    assert np.array_equal(_extend(core, n), core[np.arange(n) % core.size])
+    word = _word(core, n, "w")
+    assert np.array_equal(word.bits, core[np.arange(n) % core.size])
+    assert (word.period, word.bits.dtype, word.label) == (core.size, np.uint8, "w")
+    with pytest.raises(ValueError):
+        word.bits[0] = 1
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_constructed_words_are_what_create_would_build(data):
+    # every constructor's word, built through _word without re-validation, is
+    # the word that BitSequence.create builds from its tiled core, and create
+    # accepts it with period p: the dropped run-time check would have passed
+    p = data.draw(st.sampled_from(PRIMES_500))
+    root = data.draw(st.sampled_from(["smallest", "three-in-c1", "explicit"]))
+    if root == "explicit":
+        root = data.draw(st.sampled_from([g for g in range(1, p) if is_primitive_root(g, p)]))
+    try:
+        params = PrimeParams.create(p, root)
+    except (NoSuchRoot, ParameterError):  # three-in-c1 needs p = 1 (mod 6) and such a root
+        params = PrimeParams.create(p)
+    g, n = params.g, data.draw(st.integers(1, 3 * p))
+    m = data.draw(st.sampled_from([m for m in range(1, 13) if (p - 1) % m == 0]))
+    subset = data.draw(st.frozensets(st.integers(0, m - 1)))
+    s_str = ",".join(map(str, sorted(subset)))
+    cases = [(cyclotomic_sequence(params, m, subset, n), _core_from_classes(params, m, subset),
+              f"cyclotomic(p={p},g={g},m={m},S={{{s_str}}})")]
+    for name, (order, classes) in CLASS_SETS.items():
+        if (p - 1) % order == 0:
+            label = f"{name}(p={p})" if ignores_root(name) else f"{name}(p={p},g={g})"
+            core = _core_from_classes(params, order, classes)
+            cases.append((named_sequence(params, name, n), core, label))
+    cases.append((legendre_sequence(p, n), _core_from_classes(params, *CLASS_SETS["legendre"]),
+                  f"legendre(p={p})"))
+    if p % 4 == 1:
+        cases.append((dhl_sequence(p, g, n), _core_from_classes(params, *CLASS_SETS["dhl"]),
+                      f"dhl(p={p},g={g})"))
+    if p % 6 == 1:
+        hall = _core_from_classes(params, *CLASS_SETS["hall"])
+        cases.append((hall_sequence(params, n), hall, f"hall(p={p},g={g})"))
+        cases.append((hall_sequence_via_characters(params, n),
+                      _core_via_characters(params, *CLASS_SETS["hall"]),
+                      f"hall_via_characters(p={p},g={g})"))
+    for word, core, label in cases:
+        want = BitSequence.create(np.resize(core, n), period=p, label=label)
+        assert np.array_equal(word.bits, want.bits), label
+        assert (word.period, word.label, word.bits.dtype) == (p, label, np.uint8)
+        assert not word.bits.flags.writeable
+        assert BitSequence.create(word.bits, period=p).to01() == word.to01()
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
