@@ -32,8 +32,11 @@ ind_g(n) mod m that such an arena's `cosets(m)` computed.  Its contract:
 - the tables it hands out are read-only and PrimeParams is frozen, so no
   caller can change an arena another caller holds;
 - it holds at most ARENA_MEMO_ENTRIES table entries in all, evicting the least
-  recently used table first; a table longer than that is built, returned and
-  not kept.
+  recently used table first;
+- the tables of a p whose table is longer than that are kept aside, for the
+  most recent such p only: reading or storing another such p's key drops
+  them before that p builds anything, so two such primes' tables are never
+  held at once.
 An arena built by hand (not by `create`) keeps nothing in the memo.
 """
 
@@ -174,13 +177,24 @@ def build_index_table(p: int, g: int) -> np.ndarray:
 class _ArenaMemo:
     """Read-only p-long tables by key, least recently used first.  A key is
     (p, root) for an arena or (p, root, m) for its coset table, so its p is its
-    table's length; the tables hold at most ARENA_MEMO_ENTRIES entries in all."""
+    table's length; the tables hold at most ARENA_MEMO_ENTRIES entries in all.
+    The tables of one p past the bound, the most recent, are kept aside until a
+    key of another such p is read or stored, which drops them first."""
 
     def __init__(self):
         self.tables: OrderedDict[tuple, object] = OrderedDict()
         self.entries = 0
+        self.over: dict[tuple, object] = {}  # the tables of one p past the bound
+
+    def _over(self, p: int) -> dict:
+        """The kept tables of p past the bound, emptied first if they were another p's."""
+        if any(key[0] != p for key in self.over):
+            self.over.clear()
+        return self.over
 
     def get(self, key: tuple):
+        if key[0] > ARENA_MEMO_ENTRIES:
+            return self._over(key[0]).get(key)
         value = self.tables.get(key)
         if value is not None:
             self.tables.move_to_end(key)
@@ -188,16 +202,19 @@ class _ArenaMemo:
 
     def put(self, key: tuple, value) -> None:
         """Keep value under key, evicting the least recently used tables past
-        the bound; a table longer than the bound is not kept."""
-        if key[0] <= ARENA_MEMO_ENTRIES:
-            self.tables[key] = value
-            self.entries += key[0]
-            while self.entries > ARENA_MEMO_ENTRIES:
-                self.entries -= self.tables.popitem(last=False)[0][0]
+        the bound; a table longer than the bound is kept aside."""
+        if key[0] > ARENA_MEMO_ENTRIES:
+            self._over(key[0])[key] = value
+            return
+        self.tables[key] = value
+        self.entries += key[0]
+        while self.entries > ARENA_MEMO_ENTRIES:
+            self.entries -= self.tables.popitem(last=False)[0][0]
 
     def clear(self) -> None:
         self.tables.clear()
         self.entries = 0
+        self.over.clear()
 
 
 _MEMO = _ArenaMemo()

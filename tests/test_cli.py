@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq import bounds, cli, measures, ntheory, seqgen
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
@@ -675,6 +677,86 @@ def test_verify_moc_le_lc(capsys):
         capsys, "verify", "--suite", "moc-le-lc", "--primes", "upto:31", "--N", "2p",
     )
     assert code == EXIT_OK
+    # legendre at the ten odd primes, hall at 7, 13, 19, 31 and dhl at 5, 13, 17, 29
+    checks = stdout.splitlines()[:-1]
+    assert len(checks) == 18
+    assert all(line.startswith("[PASS  ] moc-le-lc ") for line in checks), stdout
+    assert stdout.splitlines()[-1] == "suite=moc-le-lc: 18 passed, 0 failed, 0 n/a, 0 reported"
+
+
+@st.composite
+def _moc_le_lc_words(draw):
+    """Biased words of 2..300 bits, some after a constant run that keeps L small
+    for long."""
+    n = draw(st.integers(2, 300))
+    run_length = draw(st.sampled_from([0, 0, 1, n // 3, n // 2, n - 1]))
+    ones = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=n - run_length, max_size=n - run_length))
+    head = [draw(st.integers(0, 1))] * run_length
+    return seqgen.BitSequence.create(head + [int(v < ones) for v in draws])
+
+
+@given(st.data(), _moc_le_lc_words(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_moc_le_lc_verdict_equals_the_full_comparison(data, seq, forge):
+    # the early stop rests on one lemma: with M never falling, comparing up to the
+    # first prefix with L(n) >= M(N) decides every prefix; a forged nondecreasing
+    # M, near L or anywhere, must get the verdict of the full comparison
+    lc = measures.berlekamp_massey_profile(seq).values
+    moc = measures.max_order_complexity_profile(seq).values
+    if forge:
+        offsets = data.draw(st.lists(st.integers(-3, 1), min_size=len(lc), max_size=len(lc)))
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=len(lc), max_size=len(lc)))
+        moc = tuple(np.maximum.accumulate(
+            data.draw(st.sampled_from([np.add(lc, offsets), np.cumsum(steps)]))).tolist())
+    expected = all(m <= l for m, l in zip(moc, lc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "max_order_complexity_profile",
+                   lambda s: measures.ComplexityProfile(values=moc))
+        assert cli._moc_le_lc(seq) == expected, (seq, moc, lc)
+
+
+def test_verify_moc_le_lc_fails_past_the_final_lc(monkeypatch, capsys):
+    # a forged nondecreasing M whose last value passes L(N): L never reaches it,
+    # so BM runs to N and the last prefix fails
+    real = measures.max_order_complexity_profile
+
+    def forged(seq):
+        values = real(seq).values
+        return measures.ComplexityProfile(
+            values=values[:-1] + (measures.berlekamp_massey_profile(seq).final + 1,))
+
+    monkeypatch.setattr(measures, "max_order_complexity_profile", forged)
+    code, stdout, _ = run(capsys, "verify", "--suite", "moc-le-lc", "--primes", "13,31",
+                          "--N", "2p")
+    assert code == EXIT_VERIFY
+    checks = stdout.splitlines()[:-1]
+    assert len(checks) == 5 and all(line.startswith("[FAIL  ] moc-le-lc ") for line in checks)
+    assert stdout.splitlines()[-1] == "suite=moc-le-lc: 0 passed, 5 failed, 0 n/a, 0 reported"
+
+
+def test_verify_moc_le_lc_runs_bm_until_l_reaches_the_final_moc(monkeypatch, capsys):
+    # BM reads about 2*M(N) bits of each word, not N: at most 8 * (M(N) + 1) in all
+    words = []
+    moc, bm = measures.max_order_complexity_profile, measures.berlekamp_massey_profile
+
+    def counted_moc(seq):
+        profile = moc(seq)
+        words.append([profile.final, seq.length])
+        return profile
+
+    def counted_bm(seq):
+        words[-1].append(seq.length)
+        return bm(seq)
+
+    monkeypatch.setattr(measures, "max_order_complexity_profile", counted_moc)
+    monkeypatch.setattr(measures, "berlekamp_massey_profile", counted_bm)
+    code, stdout, _ = run(capsys, "verify", "--suite", "moc-le-lc",
+                          "--primes", "1033,1459,1481,2903", "--N", "2p")
+    assert code == EXIT_OK and " 8 passed, 0 failed," in stdout
+    assert len(words) == 8
+    for M, N, *reads in words:
+        assert reads and sum(reads) <= 8 * (M + 1) < N, (M, N, reads)
 
 
 def test_verify_iw17_small(capsys):

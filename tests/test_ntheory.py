@@ -507,13 +507,32 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     # coset tables count against the same bound
     third.cosets(2)
     assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
-    # an arena longer than the bound is built and returned, and not kept
+    # an arena longer than the bound is kept aside with its coset tables, outside
+    # the bound, until another such p is created: that drops them before it builds
     calls.clear()
     kept = list(memo.tables)
     big = PrimeParams.create(101)
-    assert big.cosets(4).size == 101 and list(memo.tables) == kept
-    assert np.array_equal(PrimeParams.create(101).index_table, big.index_table)
-    assert calls == [(101, 2), (101, 2)]
+    cosets = big.cosets(4)
+    assert cosets.size == 101 and list(memo.tables) == kept
+    again = PrimeParams.create(101)
+    assert again.index_table is big.index_table and again.cosets(4) is cosets
+    assert calls == [(101, 2)]
+    assert set(memo.over) == {(101, "smallest"), (101, "smallest", 4)}
+    seen = []
+    build = ntheory.build_index_table
+    monkeypatch.setattr(ntheory, "build_index_table",
+                        lambda p, g: seen.append(set(memo.over)) or build(p, g))
+    PrimeParams.create(103)
+    assert seen == [set()] and set(memo.over) == {(103, "smallest")}
+    assert list(memo.tables) == kept and calls == [(101, 2), (103, 5)]
+    # past the bound too, three-in-c1 is rebased from the kept smallest root's
+    # arena: one table under both policies, both arenas and their cosets kept
+    calls.clear()
+    for policy in ("smallest", THREE_IN_C1, "smallest", THREE_IN_C1):
+        SexticParams.create(139, policy).cosets(6)
+    assert calls == [(139, 2)]
+    assert set(memo.over) == {(139, root, *m) for root in ("smallest", THREE_IN_C1)
+                              for m in ((), (6,))}
     # every create under a small bound keeps the memo within it
     for p in PRIMES_3000[:40]:
         for m in (1, 2):
