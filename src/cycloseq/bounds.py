@@ -36,7 +36,7 @@ from .measures import (
     berlekamp_massey_profile,
     correlation_for_shifts,
     correlation_measure_exact,
-    max_order_complexity_profile,
+    max_order_complexity,
 )
 from .ntheory import PrimeParams, cyclotomic_numbers
 from .seqgen import CLASS_SETS, BitSequence
@@ -61,7 +61,7 @@ def check_iw17(seq: BitSequence) -> BoundEvaluation:
     """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N), N the word's
     length, certified by the word's own feedback register.
 
-    With M the MOC profile's final value: when 2**(M+1) >= N - M, C_1 >= 1
+    With M = M(S, N) from `max_order_complexity`: when 2**(M+1) >= N - M, C_1 >= 1
     settles the inequality without a walk (D = (0,), v = 1).  Otherwise
     2**M < N/2, and equal M-bit windows share their successor, so two of the
     first 2**M + 1 windows are equal, at i < j, and s_{n+i} = s_{n+j} from
@@ -70,7 +70,7 @@ def check_iw17(seq: BitSequence) -> BoundEvaluation:
     wrong (InvariantViolation).  The witness costs O(N); no budget applies.
     """
     n = seq.length
-    m = max_order_complexity_profile(seq).final
+    m = max_order_complexity(seq)
     shifts, v = (0,), 1
     if 2 ** (m + 1) < n - m:
         # the first repeated code among the first 2**m + 1 windows of m bits

@@ -299,18 +299,20 @@ def _inequality_suite(args, check):
 
 
 def _moc_le_lc(seq: seqgen.BitSequence) -> bool:
-    """M(n) <= L(n) at every prefix n of seq.  The MOC profile runs over the whole
-    word, since its final value M(N) needs every bit; BM runs only on prefixes,
-    first 2*M(N) + 2 bits long and then twice as long, until L(n) >= M(N) or n = N.
-    Both profiles never fall and BM is online, so a prefix's L profile is the
-    word's cut at n, and past such an n every later n' has
-    M(n') <= M(N) <= L(n) <= L(n'): no later prefix can break M <= L."""
-    moc = measures.max_order_complexity_profile(seq).values
+    """M(n) <= L(n) at every prefix n of seq.  M(N) comes from one sort of the
+    word's window codes; BM runs only on prefixes, first 2*M(N) + 2 bits long and
+    then twice as long, until L(n) >= M(N) or n = N, and the MOC automaton only on
+    the last of them.  Both profiles never fall and both kernels are online, so a
+    prefix's profiles are the word's cut at n, and past such an n every later n'
+    has M(n') <= M(N) <= L(n) <= L(n'): no later prefix can break M <= L."""
+    final = measures.max_order_complexity(seq)
     N = seq.length
-    n = min(N, 2 * moc[-1] + 2)
+    n = min(N, 2 * final + 2)
     while True:
-        lc = measures.berlekamp_massey_profile(seqgen.BitSequence(seq.bits[:n])).values
-        if lc[-1] >= moc[-1] or n == N:
+        prefix = seqgen.BitSequence(seq.bits[:n])
+        lc = measures.berlekamp_massey_profile(prefix).values
+        if lc[-1] >= final or n == N:
+            moc = measures.max_order_complexity_profile(prefix).values
             return all(m <= l for m, l in zip(moc, lc))
         n = min(N, 2 * n)
 

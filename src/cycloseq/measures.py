@@ -53,6 +53,28 @@ once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
 evaluates, and the sampled measure min(samples, binom(N, k)) * N.
+
+The maximum order complexity profile comes from an online suffix automaton
+(`max_order_complexity_profile`).  Its final value alone, M(N) = 1 + the length
+of the longest factor w followed by both bits, is a longest-common-prefix
+question, and the longest common prefix always shows up between two neighbours
+in sorted order (Manber and Myers, SIAM J. Comput. 22, 1993), so
+`max_order_complexity` answers it with one sort.  Position i gets the 63-bit
+code of bits i..i+62, MSB first and zero past the word, and the positions are
+sorted by code, equal codes shorter suffix first.  A neighbour pair (a, b) with
+x = code_a ^ code_b shares 63 - bit_length(x) leading bits; it is a conflict
+when both suffixes still have a real bit where they differ, that is when
+x >> (63 - r) != 0 with r = min(N - a, N - b, 63).  M - 1 is the longest such
+shared prefix, or 0 without a conflict.  Exact while the longest conflict w
+has l <= 62 bits, seen as w0 at i and w1 at j: every suffix sorting between i
+and j shares w, and has a real bit at l, since one that ends inside w or right
+after it has the least code with its prefix and sorts before i; so some
+neighbour pair steps from 0 to 1 at l, and every conflicting pair is a real
+conflict.  Conflicts are closed under suffixes, so a shared prefix of 62 bits
+means the longest conflict has 62 bits or more, which the codes cannot tell
+apart: such words, eventually periodic ones with long periods among them, take
+the automaton's final value.  So do words shorter than _MOC_SORT_MIN bits, on
+which the automaton is cheaper than the sort's fixed cost.
 """
 
 from __future__ import annotations
@@ -217,6 +239,9 @@ _BLOCK_CELLS = 1 << 14
 # The sampled measure's draw scheme, a param of its cached records: a record
 # drawn under another scheme is never served.
 SAMPLED_DRAW = "floyd"
+# Shortest word whose final MOC is read off the sorted window codes: below it
+# the automaton is cheaper than the sort's fixed cost of about 15 numpy calls.
+_MOC_SORT_MIN = 64
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -540,6 +565,41 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
         values.append(conflict + 1)
     values[0] = 0
     return ComplexityProfile(values=tuple(values))
+
+
+def max_order_complexity(seq: BitSequence) -> int:
+    """M(S, N), the final value of `max_order_complexity_profile`, from one sort
+    of the word's 63-bit window codes (see the module docstring).  Words shorter
+    than _MOC_SORT_MIN bits, and words with a conflict of 62 bits or more, take
+    the automaton."""
+    N = seq.length
+    if N < _MOC_SORT_MIN:
+        return max_order_complexity_profile(seq).final
+    # code[i] = bits i..i+63 MSB first, zero past the word, by doubling the
+    # window width; then >> 1 keeps bits i..i+62
+    code = np.zeros(N + 32, dtype=np.uint64)
+    code[:N] = seq.bits
+    for w in (1, 2, 4, 8, 16, 32):
+        code[:-w] = (code[:-w] << w) | code[w:]
+    # reversed, so position N - 1 - k sits at k and its suffix has k + 1 bits; a
+    # stable sort then puts equal codes shorter suffix first
+    code = code[N - 1 :: -1] >> 1
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    # a neighbour pair shares 63 - bit_length(x) leading bits; it is a conflict
+    # when the shorter suffix, of k + 1 bits, still has a real bit after them:
+    # when x >> (62 - k) != 0, with k capped at 62; x and k overwrite the sorted
+    # codes and the order, which holds the peak near 32 bytes a bit
+    x = np.bitwise_xor(code[1:], code[:-1], out=code[1:])
+    k = np.minimum(order[1:], order[:-1], out=order[1:])
+    np.minimum(k, 62, out=k)
+    x = x[(x >> (62 - k).astype(np.uint64)) != 0]
+    if not x.size:
+        return 1
+    common = 63 - int(x.min()).bit_length()
+    if common >= 62:  # a conflict past the codes' width may hide behind it
+        return max_order_complexity_profile(seq).final
+    return common + 1
 
 
 def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:

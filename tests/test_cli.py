@@ -647,8 +647,7 @@ def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, c
 def test_iw17_forged_moc_is_invariant_violation(monkeypatch, capsys):
     # M = 1 reported on 0...01 (its M is N - 1): windows 0 and 1 repeat, but
     # D = (0, 1) walks to N - 2 < N - 1, which only a wrong MOC or a wrong walk can cause
-    monkeypatch.setattr(bounds, "max_order_complexity_profile",
-                        lambda seq: measures.ComplexityProfile(values=(0, 1)))
+    monkeypatch.setattr(bounds, "max_order_complexity", lambda seq: 1)
     seq = seqgen.BitSequence.create([0] * 19 + [1])
     with pytest.raises(InvariantViolation, match="MOC witness"):
         bounds.check_iw17(seq)
@@ -711,52 +710,74 @@ def test_moc_le_lc_verdict_equals_the_full_comparison(data, seq, forge):
             data.draw(st.sampled_from([np.add(lc, offsets), np.cumsum(steps)]))).tolist())
     expected = all(m <= l for m, l in zip(moc, lc))
     with pytest.MonkeyPatch.context() as mp:
+        # the final value and the profile of each prefix agree with the forged M
+        mp.setattr(measures, "max_order_complexity", lambda s: moc[-1])
         mp.setattr(measures, "max_order_complexity_profile",
-                   lambda s: measures.ComplexityProfile(values=moc))
+                   lambda s: measures.ComplexityProfile(values=moc[: s.length]))
         assert cli._moc_le_lc(seq) == expected, (seq, moc, lc)
 
 
 def test_verify_moc_le_lc_fails_past_the_final_lc(monkeypatch, capsys):
-    # a forged nondecreasing M whose last value passes L(N): L never reaches it,
-    # so BM runs to N and the last prefix fails
-    real = measures.max_order_complexity_profile
+    # a forged M(N) one past L(N), with the profile's last value raised to match:
+    # L never reaches it, so BM runs to N and the last prefix fails
+    real, bm = measures.max_order_complexity_profile, measures.berlekamp_massey_profile
+    words = []
+
+    def forged_final(seq):
+        words.append([seq.length])
+        return bm(seq).final + 1
 
     def forged(seq):
         values = real(seq).values
-        return measures.ComplexityProfile(
-            values=values[:-1] + (measures.berlekamp_massey_profile(seq).final + 1,))
+        return measures.ComplexityProfile(values=values[:-1] + (bm(seq).final + 1,))
 
+    def counted_bm(seq):
+        words[-1].append(seq.length)
+        return bm(seq)
+
+    monkeypatch.setattr(measures, "max_order_complexity", forged_final)
     monkeypatch.setattr(measures, "max_order_complexity_profile", forged)
+    monkeypatch.setattr(measures, "berlekamp_massey_profile", counted_bm)
     code, stdout, _ = run(capsys, "verify", "--suite", "moc-le-lc", "--primes", "13,31",
                           "--N", "2p")
     assert code == EXIT_VERIFY
+    assert len(words) == 5 and all(w[-1] == w[0] for w in words), words
     checks = stdout.splitlines()[:-1]
     assert len(checks) == 5 and all(line.startswith("[FAIL  ] moc-le-lc ") for line in checks)
     assert stdout.splitlines()[-1] == "suite=moc-le-lc: 0 passed, 5 failed, 0 n/a, 0 reported"
 
 
 def test_verify_moc_le_lc_runs_bm_until_l_reaches_the_final_moc(monkeypatch, capsys):
-    # BM reads about 2*M(N) bits of each word, not N: at most 8 * (M(N) + 1) in all
+    # BM reads about 2*M(N) bits of each word, not N: at most 8 * (M(N) + 1) in
+    # all; the automaton reads only BM's last prefix
     words = []
-    moc, bm = measures.max_order_complexity_profile, measures.berlekamp_massey_profile
+    final, moc, bm = (measures.max_order_complexity, measures.max_order_complexity_profile,
+                      measures.berlekamp_massey_profile)
+
+    def counted_final(seq):
+        m = final(seq)
+        words.append({"M": m, "N": seq.length, "bm": [], "moc": []})
+        return m
 
     def counted_moc(seq):
-        profile = moc(seq)
-        words.append([profile.final, seq.length])
-        return profile
+        words[-1]["moc"].append(seq.length)
+        return moc(seq)
 
     def counted_bm(seq):
-        words[-1].append(seq.length)
+        words[-1]["bm"].append(seq.length)
         return bm(seq)
 
+    monkeypatch.setattr(measures, "max_order_complexity", counted_final)
     monkeypatch.setattr(measures, "max_order_complexity_profile", counted_moc)
     monkeypatch.setattr(measures, "berlekamp_massey_profile", counted_bm)
     code, stdout, _ = run(capsys, "verify", "--suite", "moc-le-lc",
                           "--primes", "1033,1459,1481,2903", "--N", "2p")
     assert code == EXIT_OK and " 8 passed, 0 failed," in stdout
     assert len(words) == 8
-    for M, N, *reads in words:
-        assert reads and sum(reads) <= 8 * (M + 1) < N, (M, N, reads)
+    for w in words:
+        M, N, reads = w["M"], w["N"], w["bm"]
+        assert reads and sum(reads) <= 8 * (M + 1) < N, w
+        assert sum(w["moc"]) <= sum(reads), w
 
 
 def test_verify_iw17_small(capsys):

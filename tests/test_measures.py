@@ -15,6 +15,7 @@ from cycloseq.measures import (
     correlation_for_shifts,
     correlation_measure_exact,
     correlation_measure_sampled,
+    max_order_complexity,
     max_order_complexity_profile,
     periodic_autocorrelation,
     periodic_autocorrelations,
@@ -860,6 +861,127 @@ def test_moc_below_linear_complexity(bits):
             assert m <= l
         else:
             assert (m, l) == ((1, 0) if i >= 1 else (0, 0))
+
+
+
+def _final_moc_by_sort(seq):
+    """max_order_complexity with the sort taken at every length, and whether it
+    fell back to the automaton."""
+    calls = []
+    real = measures.max_order_complexity_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_MOC_SORT_MIN", 2)
+        mp.setattr(measures, "max_order_complexity_profile",
+                   lambda s: calls.append(s.length) or real(s))
+        return max_order_complexity(seq), bool(calls)
+
+
+@st.composite
+def moc_final_words(draw):
+    """Words of 2..300 bits: uniformly random, biased towards one bit (long runs,
+    ties among the zero-padded window codes of the last suffixes), or eventually
+    periodic (a head, then a period of 1..100 bits, perhaps with one bit flipped),
+    whose conflicts run up to the period and past the codes' 63 bits."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["random", "biased", "periodic"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if kind == "biased":
+        rare, odds = draw(st.integers(0, 1)), draw(st.integers(0, 4))
+        draws = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        return [rare if v < odds else 1 - rare for v in draws]
+    head = draw(st.lists(st.integers(0, 1), max_size=20))
+    period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=100))
+    bits = (head + period * (n // len(period) + 1))[:n]
+    flip = draw(st.none() | st.integers(0, n - 1))
+    if flip is not None:
+        bits[flip] ^= 1
+    return bits
+
+
+@given(moc_final_words())
+@settings(max_examples=300, deadline=None)
+def test_moc_final_by_sort_equals_the_automaton(bits):
+    seq = BitSequence.create(bits)
+    want = max_order_complexity_profile(seq).final
+    got, fell_back = _final_moc_by_sort(seq)
+    assert got == want
+    # the codes hold 63 bits: only a conflict of 62 bits or more (M >= 63) falls back
+    assert fell_back == (want >= 63)
+    if seq.length <= 40:
+        assert got == max_order_complexity_naive(seq).final
+
+
+def _moc_final_cases():
+    rng = np.random.default_rng(34)
+    cases = [([a, b], 1) for a in (0, 1) for b in (0, 1)]  # N = 2: no conflict
+    cases += [([1] * 100, 1), ([0, 1] * 50, 1)]
+    # 0^(N-1) 1: 0^(N-2) is followed by both bits, so M = N - 1
+    cases += [([0] * (n - 1) + [1], n - 1) for n in (3, 10, 62, 63, 64, 65, 100)]
+    # around the codes' width
+    cases += [(bits, max_order_complexity_naive(BitSequence.create(bits)).final)
+              for bits in (rng.integers(0, 2, n).tolist() for n in range(62, 67))]
+    # the last suffix u has the code of an earlier u followed by zeros, and sorts
+    # between it and u 0^5 1, which it shares u 0^5 with but ends before: only
+    # shorter-first order puts it outside the pair that holds the conflict u 0^5
+    u = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1]
+    cases.append((u + [0] * 34 + [1] + u + [0] * 5 + [1] + u, 36))
+    # a sparse word's many zero-padded suffixes tie in code
+    cases.append(([int(i in (39, 66, 105)) for i in range(107)], 54))
+    return cases
+
+
+@pytest.mark.parametrize("bits, m", _moc_final_cases())
+def test_moc_final_examples(bits, m):
+    seq = BitSequence.create(bits)
+    assert max_order_complexity(seq) == m
+    assert _final_moc_by_sort(seq) == (m, m >= 63)
+
+
+def test_moc_final_needs_two_bits():
+    with pytest.raises(ParameterError, match="need N >= 2"):
+        max_order_complexity(BitSequence.create([1]))
+
+
+def test_moc_final_falls_back_past_the_codes_width():
+    # a random 80-bit block three times, one bit of the middle copy flipped: the
+    # bits before the flip are also followed by the unflipped bit one block on,
+    # so the longest conflict is 62 bits or more and the automaton decides
+    rng = np.random.default_rng(80)
+    for _ in range(20):
+        bits = np.tile(rng.integers(0, 2, 80), 3)
+        bits[80 + int(rng.integers(62, 80))] ^= 1
+        seq = BitSequence.create(bits)
+        m = max_order_complexity_profile(seq).final
+        assert m >= 63
+        assert _final_moc_by_sort(seq) == (m, True)
+        assert max_order_complexity(seq) == m
+
+
+def test_moc_final_below_the_floor_takes_the_automaton(monkeypatch):
+    calls = []
+    real = measures.max_order_complexity_profile
+    monkeypatch.setattr(measures, "max_order_complexity_profile",
+                        lambda s: calls.append(s.length) or real(s))
+    rng = np.random.default_rng(64)
+    floor = measures._MOC_SORT_MIN
+    for n in (2, floor - 1, floor, 4 * floor):
+        seq = BitSequence.create(rng.integers(0, 2, n))
+        assert max_order_complexity(seq) == real(seq).final
+    assert calls == [2, floor - 1]
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        hall_sequence(SexticParams.create(1033), 2066),
+        legendre_sequence(1033, 2066),
+        dhl_sequence(1033, SexticParams.create(1033).g, 2066),
+    ],
+    ids=["hall", "legendre", "dhl"],
+)
+def test_moc_final_by_sort_at_2p(seq):
+    assert _final_moc_by_sort(seq) == (max_order_complexity_profile(seq).final, False)
 
 
 # --- 2-adic complexity -------------------------------------------------------
