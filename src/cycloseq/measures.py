@@ -59,22 +59,35 @@ The maximum order complexity profile comes from an online suffix automaton
 of the longest factor w followed by both bits, is a longest-common-prefix
 question, and the longest common prefix always shows up between two neighbours
 in sorted order (Manber and Myers, SIAM J. Comput. 22, 1993), so
-`max_order_complexity` answers it with one sort.  Position i gets the 63-bit
-code of bits i..i+62, MSB first and zero past the word, and the positions are
-sorted by code, equal codes shorter suffix first.  A neighbour pair (a, b) with
-x = code_a ^ code_b shares 63 - bit_length(x) leading bits; it is a conflict
-when both suffixes still have a real bit where they differ, that is when
-x >> (63 - r) != 0 with r = min(N - a, N - b, 63).  M - 1 is the longest such
-shared prefix, or 0 without a conflict.  Exact while the longest conflict w
-has l <= 62 bits, seen as w0 at i and w1 at j: every suffix sorting between i
-and j shares w, and has a real bit at l, since one that ends inside w or right
-after it has the least code with its prefix and sorts before i; so some
-neighbour pair steps from 0 to 1 at l, and every conflicting pair is a real
-conflict.  Conflicts are closed under suffixes, so a shared prefix of 62 bits
-means the longest conflict has 62 bits or more, which the codes cannot tell
-apart: such words, eventually periodic ones with long periods among them, take
-the automaton's final value.  So do words shorter than _MOC_SORT_MIN bits, on
-which the automaton is cheaper than the sort's fixed cost.
+`max_order_complexity` answers it with one plain sort over one period.
+
+A word of period T keeps bits[n] = bits[n - T] (`BitSequence.create` checks
+it, the constructions tile their core), so only the positions i < K = min(N, T)
+are sorted: an occurrence of w0 or w1 at i >= T also occurs at i - T, and two
+positions congruent mod T are followed by the same bits, so they never conflict.
+Position i gets the 64-bit key of bits i..i+62, MSB first and zero past the
+word, then the flag "full": 1 when all 63 bits lie in the word, at the first
+F = min(K, N - 62) positions.  So a truncated key sorts before the full keys of
+its code, and full keys that tie are interchangeable: each has 63 real bits.
+The at most K - F <= 62 truncated slots take their real lengths N - i in
+(key, length) order, equal keys shorter suffix first; a periodic word with
+N >= T + 62, every N = 2p word among them, has none.  A neighbour pair with x = key_a ^ key_b > 1 shares
+64 - bit_length(x) leading bits; it is a conflict when both suffixes still have
+a real bit where they differ, that is when x >> (64 - r) != 0 with r the fewer
+real bits of the two, 63 for a full slot (for two full slots, x > 1).  M - 1 is
+the longest such shared prefix, or 0 without a conflict.  Exact while the
+longest conflict w has l <= 62 bits, seen as w0 at i and w1 at j: every suffix
+sorting between i and j shares w, and has a real bit at l, since one that ends
+inside w or right after it has the least code with its prefix and, by the flag
+and the shorter-first order, sorts before i; so some neighbour pair steps from
+0 to 1 at l, and every conflicting pair is a real conflict.  Conflicts are
+closed under suffixes, so a shared prefix of 62 bits means the longest conflict
+has 62 bits or more, which the codes cannot tell apart: such words, eventually
+periodic ones with long periods among them, take the automaton's final value.
+So do words shorter than _MOC_SORT_MIN bits, on which the automaton is cheaper
+than the sort's fixed cost.  The sort peaks near 17 bytes per sorted position:
+two arrays of K uint64 (the keys and a shifted copy while they are built, the
+keys and their neighbours' XORs after) and one byte of the unshifted keys.
 """
 
 from __future__ import annotations
@@ -239,8 +252,12 @@ _BLOCK_CELLS = 1 << 14
 # The sampled measure's draw scheme, a param of its cached records: a record
 # drawn under another scheme is never served.
 SAMPLED_DRAW = "floyd"
-# Shortest word whose final MOC is read off the sorted window codes: below it
-# the automaton is cheaper than the sort's fixed cost of about 15 numpy calls.
+# Shortest word whose final MOC is read off the sorted window codes.  Automaton
+# vs sort in us (medians of 9 interleaved rounds; 2 shared cores, Python 3.11.7,
+# numpy 2.4.6): random words, N = 56: 32.5 vs 38.3, 64: 36.3 vs 37.3, 72: 41.7
+# vs 37.8; N = T with period T, 64: 37.5 vs 37.7, 72: 40.8 vs 39.2; N = 2T,
+# 64: 30.2 vs 35.5, 80: 36.9 vs 34.1, and 124, the first with no truncated
+# slot: 57.6 vs 20.5.  Words with truncated slots cross near 64.
 _MOC_SORT_MIN = 64
 
 
@@ -568,35 +585,55 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
 
 
 def max_order_complexity(seq: BitSequence) -> int:
-    """M(S, N), the final value of `max_order_complexity_profile`, from one sort
-    of the word's 63-bit window codes (see the module docstring).  Words shorter
-    than _MOC_SORT_MIN bits, and words with a conflict of 62 bits or more, take
-    the automaton."""
+    """M(S, N), the final value of `max_order_complexity_profile`, from one plain
+    sort of the flagged 63-bit window codes of one period's positions (see the
+    module docstring).  Words shorter than _MOC_SORT_MIN bits, and words with a
+    conflict of 62 bits or more, take the automaton."""
     N = seq.length
     if N < _MOC_SORT_MIN:
         return max_order_complexity_profile(seq).final
-    # code[i] = bits i..i+63 MSB first, zero past the word, by doubling the
-    # window width; then >> 1 keeps bits i..i+62
-    code = np.zeros(N + 32, dtype=np.uint64)
-    code[:N] = seq.bits
-    for w in (1, 2, 4, 8, 16, 32):
-        code[:-w] = (code[:-w] << w) | code[w:]
-    # reversed, so position N - 1 - k sits at k and its suffix has k + 1 bits; a
-    # stable sort then puts equal codes shorter suffix first
-    code = code[N - 1 :: -1] >> 1
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    # a neighbour pair shares 63 - bit_length(x) leading bits; it is a conflict
-    # when the shorter suffix, of k + 1 bits, still has a real bit after them:
-    # when x >> (62 - k) != 0, with k capped at 62; x and k overwrite the sorted
-    # codes and the order, which holds the peak near 32 bytes a bit
-    x = np.bitwise_xor(code[1:], code[:-1], out=code[1:])
-    k = np.minimum(order[1:], order[:-1], out=order[1:])
-    np.minimum(k, 62, out=k)
-    x = x[(x >> (62 - k).astype(np.uint64)) != 0]
-    if not x.size:
+    # one period: positions K.. repeat earlier ones with shorter suffixes
+    K = min(N, seq.period or N)
+    F = max(0, min(K, N - 62))  # positions 0..F-1 have 63 real bits
+    # key[i] = bits i..i+63 MSB first, zero past the word: bytes q..q+7 of the
+    # packed word as one big-endian uint64 and byte q + 8, shifted by 0..7 bits
+    Q = -(-K // 8)
+    packed = np.zeros(Q + 8, dtype=np.uint8)
+    head = np.packbits(seq.bits[: min(N, K + 63)])
+    packed[: head.size] = head
+    shifts = np.arange(8, dtype=np.uint64)
+    key = np.ndarray((Q, 1), ">u8", packed, 0, (1, 1)).astype(np.uint64) << shifts
+    key |= packed[8:, None] >> (8 - shifts)
+    key = key.ravel()[:K]
+    # bit i + 63 gives way to the flag "full"; past the word it is 0 already
+    key[:F] |= 1
+    tail = key[F:].copy()
+    key.sort()
+    # d[j] = key[j - 1] ^ key[j], and 0 for the missing pairs at both ends
+    d = np.zeros(K + 1, dtype=np.uint64)
+    np.bitwise_xor(key[1:], key[:-1], out=d[1:-1])
+    if F < K:
+        # the at most 62 truncated slots in sorted order, equal keys shorter
+        # suffix first (the order the exactness argument needs): tail reversed
+        # runs from the shortest suffix, N - K + 1 bits, up
+        order = tail[::-1].argsort(kind="stable")
+        tail = tail[::-1][order]
+        # each key's first slot, plus its rank among the equal truncated keys
+        slots = key.searchsorted(tail) + np.arange(tail.size) - tail.searchsorted(tail)
+        # slot j's pairs are d[j] and d[j + 1]; one next to a slot of r real
+        # bits conflicts only if it differs within them: d >> (64 - r) != 0,
+        # with 64 - r = 63 - N + K - order
+        pairs = slots[:, None] + np.arange(2)
+        cut = (63 - N + K - order).astype(np.uint64)
+        d[pairs[d[pairs] >> cut[:, None] == 0]] = 0
+    # d <= 1: equal codes, or a pair dropped above; any other d is a conflict of
+    # 64 - bit_length(d) bits.  Less 2, the former wrap to the top, so the
+    # least d is the longest conflict, unless it wrapped too: no conflict
+    d -= 2
+    least = int(d.min()) + 2
+    if least >> 64:
         return 1
-    common = 63 - int(x.min()).bit_length()
+    common = 64 - least.bit_length()
     if common >= 62:  # a conflict past the codes' width may hide behind it
         return max_order_complexity_profile(seq).final
     return common + 1

@@ -923,7 +923,8 @@ def _moc_final_cases():
               for bits in (rng.integers(0, 2, n).tolist() for n in range(62, 67))]
     # the last suffix u has the code of an earlier u followed by zeros, and sorts
     # between it and u 0^5 1, which it shares u 0^5 with but ends before: only
-    # shorter-first order puts it outside the pair that holds the conflict u 0^5
+    # shorter-first order (a truncated key sorts before the full key equal to it)
+    # puts it outside the pair that holds the conflict u 0^5
     u = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1]
     cases.append((u + [0] * 34 + [1] + u + [0] * 5 + [1] + u, 36))
     # a sparse word's many zero-padded suffixes tie in code
@@ -936,6 +937,15 @@ def test_moc_final_examples(bits, m):
     seq = BitSequence.create(bits)
     assert max_order_complexity(seq) == m
     assert _final_moc_by_sort(seq) == (m, m >= 63)
+
+
+@pytest.mark.parametrize("k", [2, 62])
+def test_moc_final_truncated_ties_shorter_first(k):
+    # 0 1 0^k: the suffixes 0^j tie in code, and only the longest of them, sorted
+    # last among them, shows next to 0 1 0^(k-1) that 0 is followed by both bits
+    seq = BitSequence.create([0, 1] + [0] * k)
+    assert max_order_complexity(seq) == 2
+    assert _final_moc_by_sort(seq) == (2, False)
 
 
 def test_moc_final_needs_two_bits():
@@ -969,6 +979,77 @@ def test_moc_final_below_the_floor_takes_the_automaton(monkeypatch):
         seq = BitSequence.create(rng.integers(0, 2, n))
         assert max_order_complexity(seq) == real(seq).final
     assert calls == [2, floor - 1]
+
+
+@st.composite
+def periodic_moc_final_words(draw):
+    """A core of 1..100 bits, uniformly random or biased towards one bit, tiled
+    to N bits with its period declared: N < T + 62 leaves truncated slots among
+    the first T positions, N >= T + 62 leaves none."""
+    T = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        core = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+    else:
+        rare, odds = draw(st.integers(0, 1)), draw(st.integers(0, 4))
+        draws = draw(st.lists(st.integers(0, 15), min_size=T, max_size=T))
+        core = [rare if v < odds else 1 - rare for v in draws]
+    n = draw(st.integers(2, T + 61) | st.integers(T + 62, 3 * T + 80))
+    return (core * (n // T + 1))[:n], T
+
+
+@given(periodic_moc_final_words())
+@settings(max_examples=300, deadline=None)
+def test_moc_final_by_sort_over_one_period(word):
+    bits, T = word
+    seq = BitSequence.create(bits, period=T)
+    want = max_order_complexity_profile(seq).final
+    got, fell_back = _final_moc_by_sort(seq)
+    assert got == want
+    assert fell_back == (want >= 63)
+    # the period only drops positions: the same bits without it agree
+    assert _final_moc_by_sort(BitSequence.create(bits)) == (got, fell_back)
+    if seq.length <= 40:
+        assert got == max_order_complexity_naive(seq).final
+
+
+@pytest.mark.parametrize("T", [1, 2, 31, 62, 63, 64, 100])
+def test_moc_final_over_one_period_around_the_last_truncated_slot(T):
+    # N = T + 61 keeps one truncated slot in the first period, T + 62 none
+    rng = np.random.default_rng(T)
+    core = rng.integers(0, 2, T)
+    for n in (T + 60, T + 61, T + 62, T + 63, 2 * T + 62):
+        bits = np.resize(core, n)
+        want = max_order_complexity_profile(BitSequence.create(bits)).final
+        assert _final_moc_by_sort(BitSequence.create(bits, period=T)) == (want, want >= 63)
+
+
+def test_moc_final_over_one_period_falls_back_past_the_codes_width():
+    # an 80-bit block, then the block with one bit flipped, as the period: the
+    # bits before the flip are followed by both bits, a conflict of 62 or more
+    rng = np.random.default_rng(160)
+    for _ in range(10):
+        block = rng.integers(0, 2, 80)
+        core = np.concatenate((block, block))
+        core[80 + int(rng.integers(62, 80))] ^= 1
+        for n in (200, 320, 400):
+            seq = BitSequence.create(np.resize(core, n), period=160)
+            m = max_order_complexity_profile(seq).final
+            assert m >= 63
+            assert _final_moc_by_sort(seq) == (m, True)
+
+
+def test_moc_final_memory_is_one_period_of_keys():
+    # the keys and their neighbours' XORs, one uint64 each per position of one
+    # period: about 17.6 bytes per period bit at N = 2p, where keys and positions
+    # over the whole word took 64
+    seq = legendre_sequence(100003, 200006)
+    tracemalloc.start()
+    try:
+        max_order_complexity(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 100003, peak
 
 
 @pytest.mark.parametrize(
