@@ -154,8 +154,9 @@ def _sum_chunks(params: PrimeParams, E: np.ndarray, S: np.ndarray, windows: np.n
     # and a vanishing argument, so a phase sum stays below 11 * out)
     out = K if by_code else 25 * k + 1
     dtype = np.int64 if by_code else np.min_scalar_type(-11 * out)
-    # ind(x) mod 6 for the arguments x = n + d_i < 3p; x = p vanishes mod p
-    ind6 = np.tile(params.cosets(6), 3).astype(dtype)
+    # ind(x) mod 6 for the arguments x = n + d_i <= 2p - 2 (n <= window - 1 <= p - 1,
+    # d_i <= p - 1); x = p vanishes mod p
+    ind6 = np.tile(params.cosets(6), 2).astype(dtype)
     ind6[p] = out
     per_tuple = W * k + 3 * B
     if by_code:

@@ -282,14 +282,13 @@ def _diffset(params):
 
 
 def _suite_instances(args):
-    """Each named construction whose order divides p - 1, on one arena a prime."""
-    out = []
+    """Each named construction whose order divides p - 1, on one arena a prime,
+    built as it is checked: no word waits for another prime's checks."""
     for p, _, params in _arenas(_admitted(args.primes, 2)):
         n = 2 * p if args.N == "2p" else p
         for name, (m, _) in seqgen.CLASS_SETS.items():
             if (p - 1) % m == 0:
-                out.append((f"{name} p={p}", seqgen.named_sequence(params, name, n)))
-    return out
+                yield f"{name} p={p}", seqgen.named_sequence(params, name, n)
 
 
 def _inequality_suite(args, check):

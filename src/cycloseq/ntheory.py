@@ -31,12 +31,14 @@ ind_g(n) mod m that such an arena's `cosets(m)` computed.  Its contract:
   three-in-c1 root NoSuchRoot, on every call;
 - the tables it hands out are read-only and PrimeParams is frozen, so no
   caller can change an arena another caller holds;
-- it holds at most ARENA_MEMO_ENTRIES table entries in all, evicting the least
-  recently used table first;
-- the tables of a p whose table is longer than that are kept aside, for the
-  most recent such p only: reading or storing another such p's key drops
-  them before that p builds anything, so two such primes' tables are never
-  held at once.
+- one eviction rule: a miss first evicts the least recently used tables of
+  other primes until the new table fits in ARENA_MEMO_ENTRIES entries, and
+  only then builds it; a prime's own tables are never evicted.  So a prime's
+  arenas and coset tables stay together (a three-in-c1 arena is rebased from
+  the smallest root's kept arena, and a prime builds one index table under
+  both policies), the memo holds the bound or, past it, the current prime's
+  tables alone, and its peak is the bound, plus the current prime's tables,
+  plus the table being built.
 An arena built by hand (not by `create`) keeps nothing in the memo.
 """
 
@@ -177,62 +179,44 @@ def build_index_table(p: int, g: int) -> np.ndarray:
 class _ArenaMemo:
     """Read-only p-long tables by key, least recently used first.  A key is
     (p, root) for an arena or (p, root, m) for its coset table, so its p is its
-    table's length; the tables hold at most ARENA_MEMO_ENTRIES entries in all.
-    The tables of one p past the bound, the most recent, are kept aside until a
-    key of another such p is read or stored, which drops them first."""
+    table's length.  A miss first evicts the least recently used tables of
+    other primes until the new table fits in ARENA_MEMO_ENTRIES, never a table
+    of its own p; only then is the new table built and stored."""
 
     def __init__(self):
         self.tables: OrderedDict[tuple, object] = OrderedDict()
         self.entries = 0
-        self.over: dict[tuple, object] = {}  # the tables of one p past the bound
 
-    def _over(self, p: int) -> dict:
-        """The kept tables of p past the bound, emptied first if they were another p's."""
-        if any(key[0] != p for key in self.over):
-            self.over.clear()
-        return self.over
-
-    def get(self, key: tuple):
-        if key[0] > ARENA_MEMO_ENTRIES:
-            return self._over(key[0]).get(key)
+    def get_or_build(self, key: tuple, build):
+        """The table under key, or build() stored under it; an error is not stored."""
         value = self.tables.get(key)
         if value is not None:
             self.tables.move_to_end(key)
+            return value
+        p = key[0]
+        self._make_room(p)
+        value = build()
+        self._make_room(p)  # a build that read the memo may have stored tables of p
+        self.tables[key] = value
+        self.entries += p
         return value
 
-    def put(self, key: tuple, value) -> None:
-        """Keep value under key, evicting the least recently used tables past
-        the bound; a table longer than the bound is kept aside."""
-        if key[0] > ARENA_MEMO_ENTRIES:
-            self._over(key[0])[key] = value
-            return
-        self.tables[key] = value
-        self.entries += key[0]
-        while self.entries > ARENA_MEMO_ENTRIES:
-            self.entries -= self.tables.popitem(last=False)[0][0]
+    def _make_room(self, p: int) -> None:
+        """Evict the least recently used tables of primes other than p until a
+        p-long table fits in ARENA_MEMO_ENTRIES, or none is left."""
+        if self.entries + p > ARENA_MEMO_ENTRIES:
+            for key in [key for key in self.tables if key[0] != p]:
+                del self.tables[key]
+                self.entries -= key[0]
+                if self.entries + p <= ARENA_MEMO_ENTRIES:
+                    break
 
     def clear(self) -> None:
         self.tables.clear()
         self.entries = 0
-        self.over.clear()
 
 
 _MEMO = _ArenaMemo()
-
-
-def _memo_arena(p: int, root: int | str) -> "PrimeParams":
-    """The arena of a checked p under root (an integer in 1..p-1, "smallest" or
-    THREE_IN_C1): from the memo, or built and kept there."""
-    key = (p, root)
-    arena = _MEMO.get(key)
-    if arena is None:
-        if root == THREE_IN_C1:  # rebased from the smallest root's arena
-            arena = replace(_memo_arena(p, "smallest").rebased_three_in_c1(), _key=key)
-        else:
-            g = _smallest_root(p) if root == "smallest" else root
-            arena = PrimeParams(p, g, build_index_table(p, g), key)
-        _MEMO.put(key, arena)
-    return arena
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +244,16 @@ class PrimeParams:
             g = "smallest"
         elif not isinstance(g, str) and not 1 <= g <= p - 1:
             raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
-        arena = _memo_arena(p, g)
-        return arena if type(arena) is cls else cls(p, arena.g, arena.index_table, arena._key)
+        key = (p, g)
+
+        def build():
+            if g == THREE_IN_C1:  # rebased from the smallest root's arena
+                return replace(PrimeParams.create(p).rebased_three_in_c1(), _key=key)
+            root = _smallest_root(p) if g == "smallest" else g
+            return PrimeParams(p, root, build_index_table(p, root), key)
+
+        arena = _MEMO.get_or_build(key, build)
+        return arena if type(arena) is cls else cls(p, arena.g, arena.index_table, key)
 
     def rebased_three_in_c1(self) -> "PrimeParams":
         """This arena under the "three-in-c1" policy, with no second index table.
@@ -289,14 +281,13 @@ class PrimeParams:
         An arena made by create keeps the table in the memo."""
         if m < 1 or (self.p - 1) % m:
             raise ParameterError(f"m={m} does not divide p-1={self.p - 1}")
-        key = None if self._key is None else (*self._key, m)
-        table = None if key is None else _MEMO.get(key)
-        if table is None:
+
+        def build():
             table = self.index_table % m
             table.setflags(write=False)
-            if key is not None:
-                _MEMO.put(key, table)
-        return table
+            return table
+
+        return build() if self._key is None else _MEMO.get_or_build((*self._key, m), build)
 
     def g_inverse(self) -> int:
         return pow(self.g, self.p - 2, self.p)

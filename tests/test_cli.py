@@ -132,6 +132,30 @@ def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys
     assert built == []
 
 
+@pytest.mark.parametrize("suite, module, check", [
+    ("iw17", bounds, "check_iw17"), ("bw06", bounds, "check_bw06"), ("moc-le-lc", cli, "_moc_le_lc"),
+])
+def test_verify_builds_a_word_only_when_it_is_checked(suite, module, check, monkeypatch, capsys):
+    # the words of the word-walking suites are built one prime at a time: at no
+    # build are the words of more than one prime waiting for their checks
+    events = []
+    build = seqgen.named_sequence
+    checked = getattr(module, check)
+    monkeypatch.setattr(seqgen, "named_sequence", lambda params, name, n:
+                        events.append(("build", params.p)) or build(params, name, n))
+    monkeypatch.setattr(module, check, lambda seq: events.append(("check", None)) or checked(seq))
+    code, stdout, _ = run(capsys, "verify", "--suite", suite, "--primes", "upto:50", "--N", "2p")
+    assert code == EXIT_OK and " 0 failed," in stdout
+    waiting = []
+    for event, p in events:
+        if event == "build":
+            waiting.append(p)
+            assert len(set(waiting)) == 1, events
+        else:
+            waiting.pop(0)
+    assert waiting == [] and len(events) == 2 * (len(stdout.splitlines()) - 1)
+
+
 def test_generate_parameter_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "generate", "--construction", "hall", "--p", "12",
@@ -700,14 +724,15 @@ def _moc_le_lc_words(draw):
 def test_moc_le_lc_verdict_equals_the_full_comparison(data, seq, forge):
     # the early stop rests on one lemma: with M never falling, comparing up to the
     # first prefix with L(n) >= M(N) decides every prefix; a forged nondecreasing
-    # M, near L or anywhere, must get the verdict of the full comparison
+    # M, near L or anywhere, must get the verdict of the full comparison (an M is
+    # never negative, so neither is a forged one)
     lc = measures.berlekamp_massey_profile(seq).values
     moc = measures.max_order_complexity_profile(seq).values
     if forge:
         offsets = data.draw(st.lists(st.integers(-3, 1), min_size=len(lc), max_size=len(lc)))
         steps = data.draw(st.lists(st.integers(0, 2), min_size=len(lc), max_size=len(lc)))
-        moc = tuple(np.maximum.accumulate(
-            data.draw(st.sampled_from([np.add(lc, offsets), np.cumsum(steps)]))).tolist())
+        moc = tuple(np.maximum.accumulate(np.maximum(
+            0, data.draw(st.sampled_from([np.add(lc, offsets), np.cumsum(steps)])))).tolist())
     expected = all(m <= l for m, l in zip(moc, lc))
     with pytest.MonkeyPatch.context() as mp:
         # the final value and the profile of each prefix agree with the forged M

@@ -507,37 +507,63 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     # coset tables count against the same bound
     third.cosets(2)
     assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
-    # an arena longer than the bound is kept aside with its coset tables, outside
-    # the bound, until another such p is created: that drops them before it builds
+    # a p past the bound keeps its arena and coset tables together: its miss
+    # evicted every other prime's tables before it built
     calls.clear()
-    kept = list(memo.tables)
     big = PrimeParams.create(101)
     cosets = big.cosets(4)
-    assert cosets.size == 101 and list(memo.tables) == kept
+    assert cosets.size == 101 and list(memo.tables) == [(101, "smallest"), (101, "smallest", 4)]
     again = PrimeParams.create(101)
     assert again.index_table is big.index_table and again.cosets(4) is cosets
-    assert calls == [(101, 2)]
-    assert set(memo.over) == {(101, "smallest"), (101, "smallest", 4)}
+    assert calls == [(101, 2)] and memo.entries == 202
+    # the next such p's miss drops them before that p builds
     seen = []
     build = ntheory.build_index_table
     monkeypatch.setattr(ntheory, "build_index_table",
-                        lambda p, g: seen.append(set(memo.over)) or build(p, g))
+                        lambda p, g: seen.append(set(memo.tables)) or build(p, g))
     PrimeParams.create(103)
-    assert seen == [set()] and set(memo.over) == {(103, "smallest")}
-    assert list(memo.tables) == kept and calls == [(101, 2), (103, 5)]
+    assert seen == [set()] and list(memo.tables) == [(103, "smallest")]
+    assert calls == [(101, 2), (103, 5)]
     # past the bound too, three-in-c1 is rebased from the kept smallest root's
     # arena: one table under both policies, both arenas and their cosets kept
     calls.clear()
     for policy in ("smallest", THREE_IN_C1, "smallest", THREE_IN_C1):
         SexticParams.create(139, policy).cosets(6)
     assert calls == [(139, 2)]
-    assert set(memo.over) == {(139, root, *m) for root in ("smallest", THREE_IN_C1)
-                              for m in ((), (6,))}
-    # every create under a small bound keeps the memo within it
+    assert set(memo.tables) == {(139, root, *m) for root in ("smallest", THREE_IN_C1)
+                                for m in ((), (6,))}
+    # a three-in-c1 build stores the smallest root's arena first, and room is
+    # made again for the rebased one: 59 goes, and the memo stays within the bound
+    memo.clear()
+    PrimeParams.create(59)
+    SexticParams.create(31, THREE_IN_C1)
+    assert set(memo.tables) == {(31, "smallest"), (31, THREE_IN_C1)} and memo.entries == 62
+    # every create under a small bound keeps the memo within it, or holds one
+    # prime's tables alone
     for p in PRIMES_3000[:40]:
-        for m in (1, 2):
-            PrimeParams.create(p).cosets(m)
-            assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
+        for root in ("smallest", THREE_IN_C1) if p % 6 == 1 else ("smallest",):
+            try:
+                arena = PrimeParams.create(p, root)
+            except NoSuchRoot:
+                continue
+            for m in (1, 2):
+                arena.cosets(m)
+                assert memo.entries == sum(key[0] for key in memo.tables)
+                assert memo.entries <= 100 or len({key[0] for key in memo.tables}) == 1
+
+
+def test_a_prime_past_half_the_bound_keeps_its_arena(monkeypatch):
+    """79 is in (50, 100]: its coset table and arena are more than the bound
+    together, yet its coset table's miss evicts no table of 79, so three-in-c1
+    is rebased from the kept arena and 79 builds one index table."""
+    import cycloseq.ntheory as ntheory
+
+    monkeypatch.setattr(ntheory, "ARENA_MEMO_ENTRIES", 100)
+    calls = _count_builds(monkeypatch)
+    SexticParams.create(79).cosets(6)
+    SexticParams.create(79, THREE_IN_C1)
+    assert calls == [(79, 3)]
+    assert set(ntheory._MEMO.tables) == {(79, "smallest"), (79, "smallest", 6), (79, THREE_IN_C1)}
 
 
 def test_coset_tables_are_read_only():
