@@ -194,8 +194,6 @@ def cmd_measure(args) -> int:
         measure, params = "autocorr", {"t": "all"}
 
         def compute():
-            if seq.period is None:
-                raise ParameterError("--autocorr all needs a periodic sequence")
             values = measures.periodic_autocorrelations(seq).tolist()
             return {str(t): a for t, a in enumerate(values, 1)}, None
 

@@ -42,13 +42,16 @@ is evaluated at once, so the cuts start from a real maximum.
 Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
 8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple, through
-`_walk_maxima`; exact k = 1; and the witness walk of each attaining pattern,
-over its N - d_k steps.  A window attains a pattern's spread only between a
-minimum and a maximum of its walk, so the smallest such window (a, b) is the
-first minimum and the first maximum in order, which `argmin` and `argmax`
-return.  Memory is O(N) plus the block.  The sampled measure
-draws a block's shift tuples together, by Floyd's algorithm over every row at
-once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
+`_walk_maxima`; and the exact witness pass, which walks every attaining
+pattern (0, d_2, ..., d_k) the search hands back over its N - d_k steps, k = 1
+included: its one pattern (0,) has no search, and its walk's spread is C_1.
+A walk whose spread differs from the search's is an InvariantViolation (exit
+4).  A window attains a pattern's spread only between a minimum and a maximum
+of its walk, so the smallest such window (a, b) is the first minimum and the
+first maximum in order, which `argmin` and `argmax` return.  Memory is O(N)
+plus the block.  The sampled measure draws a block's shift tuples together,
+by Floyd's algorithm over every row at once (`_draw_subsets`), whose rows x N
+mask is no bigger than the block's walk.
 
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
@@ -298,8 +301,8 @@ def _spreads(cells: np.ndarray) -> np.ndarray:
 
 
 def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Max spread over the patterns (0, *rest) of k >= 2 shifts, and every rest
-    that attains it."""
+    """Max spread over the patterns (0, d_2, ..., d_k) of k >= 2 shifts, and
+    every pattern that attains it."""
     N = bits.size
     R = _packed_rows(bits)
     nb = R.shape[1]
@@ -355,7 +358,7 @@ def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...
             mask = (1 << best) - 1
             v = (prod ^ (prefix >> d) ^ (prefix >> (d + todo + 1))) & mask
             if v == 0 or v == mask:
-                attaining.append((*path[:j], *range(d, d + todo + 1))[1:])
+                attaining.append((*path[:j], *range(d, d + todo + 1)))
             continue
         path[j] = d
         prod ^= word >> d
@@ -367,7 +370,7 @@ def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...
         # a head: its rows d_k = d+1..N-best join the block, which is
         # evaluated once it is full, or at once while best is the trivial 1 so
         # that the cuts start from a real maximum; the cut is re-read after each
-        head = tuple(path[1:])
+        head = tuple(path)
         first = d + 1
         while first <= N - best:
             n = min(N - best + 1 - first, max(1, (_BLOCK_CELLS - cells) // nb))
@@ -396,25 +399,20 @@ def correlation_measure_exact(
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
     rows = _step_rows(seq.bits)
-
-    def walk(pattern: tuple[int, ...]) -> np.ndarray:
-        # P_0..P_{N-d_k}: only the first N - d_k step columns are gathered
-        return _walks(rows[:, : N - pattern[-1]], np.array([pattern]))[0]
-
-    if k == 1:
-        only = walk((0,))  # the one pattern: the witness loop reads it too
-        best, attaining = int(np.ptp(only)), [()]
-    else:
-        best, attaining = _search_patterns(seq.bits, k)
-
+    # k = 1 has the one pattern (0,), whose walk's spread is C_1
+    best, attaining = _search_patterns(seq.bits, k) if k > 1 else (None, [(0,)])
     witness = None
-    for rest in attaining:
-        pattern = (0, *rest)
+    for pattern in attaining:
         if witness is not None and pattern > witness[0]:
             continue  # its every D is pattern + a >= pattern > witness D
-        P = only if k == 1 else walk(pattern)
-        if np.ptp(P) != best:
-            continue
+        # P_0..P_{N-d_k}: only the first N - d_k step columns are gathered
+        P = _walks(rows[:, : N - pattern[-1]], np.array([pattern]))[0]
+        spread = int(np.ptp(P))
+        if best is None:
+            best = spread
+        elif spread != best:
+            raise InvariantViolation(f"pattern {pattern} walks to spread {spread}, "
+                                     f"where the search read C_{k} = {best}")
         a, b = sorted((int(P.argmin()), int(P.argmax())))
         cand = (tuple(a + d for d in pattern), b - a)
         if witness is None or cand < witness:

@@ -24,7 +24,9 @@ search built anyway.
 Each arena is built once per process.  `create` keeps a memo of p-long int64
 tables: each (p, root) arena's index table, keyed by the integer root or by
 the policy (None and "smallest" are one key), and each coset table
-ind_g(n) mod m that such an arena's `cosets(m)` computed.  Its contract:
+ind_g(n) mod m that such an arena's `cosets(m)` computed.  An integer root
+that a policy arena of p still held resolved to gets that arena, coset
+tables and all, not a second table.  Its contract:
 - refusals (an unknown policy, `check_prime` with the class's order, a root
   outside 1..p-1) run before the memo is read, and errors are never stored:
   a root that is not primitive raises ParameterError, and a prime with no
@@ -245,6 +247,9 @@ class PrimeParams:
         elif not isinstance(g, str) and not 1 <= g <= p - 1:
             raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
         key = (p, g)
+        if not isinstance(g, str):  # a held policy arena with this root lends its tables
+            key = next(((p, r) for r in G_POLICIES
+                        if getattr(_MEMO.tables.get((p, r)), "g", None) == g), key)
 
         def build():
             if g == THREE_IN_C1:  # rebased from the smallest root's arena

@@ -295,6 +295,16 @@ def test_measure_autocorr_all(tmp_path, capsys):
     assert all(v == -1 for v in rec["value"].values())
 
 
+def test_measure_autocorr_all_needs_a_declared_period(tmp_path, capsys):
+    path = tmp_path / "bare.seq"
+    path.write_text("0110010010011\n")  # no header, so no period
+    code, stdout, err = run(capsys, "measure", "--input", str(path), "--autocorr", "all",
+                            "--no-cache")
+    assert code == EXIT_PARAM and stdout == ""
+    assert err.startswith("error:") and "declared period" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_measure_autocorr_all_csv_one_line_per_shift(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "measure", "--construction", "hall", "--p", "31", "--g", "three-in-c1",
@@ -678,6 +688,28 @@ def test_iw17_forged_moc_is_invariant_violation(monkeypatch, capsys):
     code, stdout, err = run(capsys, "verify", "--suite", "iw17", "--primes", "13")
     assert code == EXIT_VERIFY
     assert err.startswith("error:") and "MOC witness" in err and "N - j" in err
+
+
+def test_exact_ck_walk_that_disagrees_with_the_search_is_invariant_violation(monkeypatch, capsys):
+    # the step after the walk's later first extreme flips, so the walk moves past
+    # that extreme while the earlier one stays: its spread grows past the search's
+    walks = measures._walks
+
+    def forged(rows, shifts):
+        walk = walks(rows, shifts)
+        for P in walk:
+            b = max(P.argmin(), P.argmax()) + 1
+            P[b:] -= 2 * (P[b] - P[b - 1])
+        return walk
+
+    monkeypatch.setattr(measures, "_walks", forged)
+    seq = seqgen.hall_sequence(SexticParams.create(31), 31)
+    with pytest.raises(InvariantViolation, match="where the search read C_2 = 6"):
+        measures.correlation_measure_exact(seq, 2)
+    code, stdout, err = run(capsys, "measure", "--construction", "hall", "--p", "31", "--ck", "2",
+                            "--no-cache")
+    assert code == EXIT_VERIFY and stdout == ""
+    assert err.startswith("error:") and "walks to spread" in err and err.count("\n") == 1
 
 
 def test_verify_cross_construction_upto(capsys):

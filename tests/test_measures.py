@@ -450,8 +450,8 @@ def test_exact_matches_batched_reference_small_blocks(seq, k, bound):
 
 
 def _attaining_reference(seq, k):
-    """Max walk spread over every pattern (0, *rest) of k shifts, and the set of
-    rests that attain it, by enumerating them all."""
+    """Max walk spread over every pattern (0, d_2, ..., d_k) of k shifts, and
+    the set of patterns that attain it, by enumerating them all."""
     N = seq.length
     x = seq.signs()
     spreads = {}
@@ -461,9 +461,9 @@ def _attaining_reference(seq, k):
         for d in rest:
             steps *= x[d : d + L]
         walk = np.concatenate([[0], np.cumsum(steps)])
-        spreads[rest] = int(walk.max() - walk.min())
+        spreads[(0, *rest)] = int(walk.max() - walk.min())
     best = max(spreads.values())
-    return best, {rest for rest, v in spreads.items() if v == best}
+    return best, {pattern for pattern, v in spreads.items() if v == best}
 
 
 @given(st.data(), biased_words(14), st.sampled_from([1, 17, 40]))

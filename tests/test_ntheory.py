@@ -457,10 +457,31 @@ def test_memoized_arena_equals_a_fresh_build(p, data):
             if (p - 1) % m == 0:
                 assert again.cosets(m) is arena.cosets(m)
         tables[root] = arena.index_table
-    # None and "smallest" are one key; every other root has its own table
+    # None and "smallest" are one key; an explicit root that a policy resolved to
+    # shares that policy's table, and every other root has its own
     assert tables["smallest"] is tables[None]
     del tables[None]
-    assert len({id(t) for t in tables.values()}) == len(tables)
+    resolved = {PrimeParams.create(p, root).g: tables[root]
+                for root in (THREE_IN_C1, "smallest") if root in tables}
+    assert tables[explicit] is resolved.get(explicit, tables[explicit])
+    assert len({id(t) for t in tables.values()}) == len(tables) - (explicit in resolved)
+
+
+def test_an_integer_root_shares_a_held_policy_arena(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    smallest = PrimeParams.create(31)
+    assert PrimeParams.create(31, 3) is smallest  # 3 is 31's smallest root
+    assert PrimeParams.create(31, 3).cosets(6) is smallest.cosets(6)
+    assert calls == [(31, 3)]
+    # 139's smallest root is 2, its three-in-c1 root 3: one table for the
+    # smallest, rebased for three-in-c1, and none for the integer root 3
+    calls.clear()
+    rebased = SexticParams.create(139, THREE_IN_C1)
+    assert calls == [(139, 2)] and rebased.g == 3
+    explicit = SexticParams.create(139, 3)
+    assert explicit.index_table is rebased.index_table
+    assert explicit.cosets(6) is rebased.cosets(6)
+    assert calls == [(139, 2)]
 
 
 def test_refusals_are_never_stored(monkeypatch):
