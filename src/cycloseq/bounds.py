@@ -185,20 +185,12 @@ def difference_set_check(params: PrimeParams) -> DifferenceSetReport:
     )
 
 
-@dataclass(frozen=True)
-class BaselineStatistics:
-    """C_k of each random word; mean, max and quartiles of C_k / sqrt(N ln N)."""
-
-    values: tuple[int, ...]
-    mean_ratio: float
-    max_ratio: float
-    quartiles: tuple[float, float, float]
-
-
 def random_baseline(
     n: int, k: int, trials: int, rng_seed: int, budget: int = DEFAULT_BUDGET
-) -> BaselineStatistics:
-    """Exact C_k over uniform random words, normalized by sqrt(N ln N)."""
+) -> dict:
+    """Exact C_k over uniform random words, as the value `baseline` prints: the
+    mean_ratio, max_ratio and quartiles [q25, q50, q75] of C_k / sqrt(N ln N),
+    and the C_k of each word in values."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if rng_seed < 0:
@@ -213,11 +205,10 @@ def random_baseline(
         except BudgetExceeded as e:  # the baseline has no sampled variant to point to
             raise BudgetExceeded(e.estimate, e.budget,
                                  hint="lower --n or --k, or raise --budget") from None
-    ratios = tuple(v / norm for v in values)
-    q25, q50, q75 = (float(q) for q in np.quantile(ratios, [0.25, 0.5, 0.75]))
-    return BaselineStatistics(
-        values=tuple(values),
-        mean_ratio=float(np.mean(ratios)),
-        max_ratio=float(max(ratios)),
-        quartiles=(q25, q50, q75),
-    )
+    ratios = [v / norm for v in values]
+    return {
+        "mean_ratio": float(np.mean(ratios)),
+        "max_ratio": max(ratios),
+        "quartiles": [float(q) for q in np.quantile(ratios, [0.25, 0.5, 0.75])],
+        "values": values,
+    }

@@ -441,18 +441,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    stats = bounds.random_baseline(args.n, args.k, args.trials, args.seed, budget=args.budget)
     record = MeasureRecord(
         sequence_label=f"random(N={args.n})",
         measure="Ck",
         params={"mode": "baseline", "k": args.k, "N": args.n, "trials": args.trials,
                 "seed": args.seed},
-        value={
-            "mean_ratio": stats.mean_ratio,
-            "max_ratio": stats.max_ratio,
-            "quartiles": list(stats.quartiles),
-            "values": list(stats.values),
-        },
+        value=bounds.random_baseline(args.n, args.k, args.trials, args.seed, budget=args.budget),
     )
     if args.format == "json":
         print(record.to_json())

@@ -467,14 +467,20 @@ def correlation_measure_sampled(
     return CorrelationReport(value=value, witness_D=D, witness_M=m, exhaustive=False)
 
 
-def _period_signs(seq: BitSequence) -> np.ndarray:
-    """(-1)**s_n over one declared period; ParameterError without one."""
+def _one_period(seq: BitSequence, measure: str) -> np.ndarray:
+    """The first T bits of a word of declared period T; ParameterError without
+    one, or with fewer than T bits."""
     T = seq.period
     if T is None:
-        raise ParameterError("periodic autocorrelation needs a declared period")
+        raise ParameterError(f"{measure} needs a declared period")
     if seq.length < T:
         raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
-    return seq.signs()[:T]
+    return seq.bits[:T]
+
+
+def _period_signs(seq: BitSequence) -> np.ndarray:
+    """(-1)**s_n over one declared period."""
+    return 1 - 2 * _one_period(seq, "periodic autocorrelation").astype(np.int64)
 
 
 def periodic_autocorrelation(seq: BitSequence, t: int) -> int:
@@ -639,15 +645,10 @@ def max_order_complexity(seq: BitSequence) -> int:
 
 def two_adic_complexity(seq: BitSequence) -> TwoAdicReport:
     """Full-period 2-adic complexity via gcd(S(2), 2**T - 1)."""
-    T = seq.period
-    if T is None:
-        raise ParameterError("2-adic complexity needs a declared period")
-    if T > TWO_ADIC_CAP:
-        raise CapExceeded(T, TWO_ADIC_CAP)
-    if seq.length < T:
-        raise ParameterError(f"need at least one full period ({T} bits), have {seq.length}")
-    s2 = _bits_to_int(seq.bits[:T])
-    modulus = (1 << T) - 1
+    if seq.period is not None and seq.period > TWO_ADIC_CAP:
+        raise CapExceeded(seq.period, TWO_ADIC_CAP)
+    s2 = _bits_to_int(_one_period(seq, "2-adic complexity"))
+    modulus = (1 << seq.period) - 1
     g = math.gcd(s2, modulus)
     return TwoAdicReport(
         numerator=s2,

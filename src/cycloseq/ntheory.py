@@ -213,10 +213,6 @@ class _ArenaMemo:
                 if self.entries + p <= ARENA_MEMO_ENTRIES:
                     break
 
-    def clear(self) -> None:
-        self.tables.clear()
-        self.entries = 0
-
 
 _MEMO = _ArenaMemo()
 
@@ -293,9 +289,6 @@ class PrimeParams:
             return table
 
         return build() if self._key is None else _MEMO.get_or_build((*self._key, m), build)
-
-    def g_inverse(self) -> int:
-        return pow(self.g, self.p - 2, self.p)
 
 
 def cyclotomic_numbers(params: PrimeParams, m: int) -> np.ndarray:

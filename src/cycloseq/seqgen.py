@@ -102,10 +102,6 @@ class BitSequence:
     def length(self) -> int:
         return int(self.bits.size)
 
-    def signs(self) -> np.ndarray:
-        """(-1)**bits as an int64 array."""
-        return 1 - 2 * self.bits.astype(np.int64)
-
     def to01(self) -> str:
         return (self.bits + ord("0")).tobytes().decode()
 
@@ -214,7 +210,7 @@ def permutation_map_f(params: PrimeParams, n):
     if (n == 0).any():
         raise ParameterError("f is undefined at 0")
     l = params.cosets(6)[n]
-    out = np.where(l == 2, params.g * n % p, np.where(l == 3, params.g_inverse() * n % p, n))
+    out = np.where(l == 2, params.g * n % p, np.where(l == 3, pow(params.g, -1, p) * n % p, n))
     return int(out) if out.ndim == 0 else out
 
 

@@ -243,8 +243,8 @@ def test_criterion_09_charsum_reconstruction_and_weil():
 def test_criterion_10_random_baseline():
     with criterion(10, "mean C_2/sqrt(N ln N) over 100 random words in [0.5, 3.0]"):
         stats = random_baseline(256, 2, trials=100, rng_seed=20260810)
-        assert 0.5 <= stats.mean_ratio <= 3.0
-        print(f"        (mean ratio = {stats.mean_ratio:.3f}, max = {stats.max_ratio:.3f})")
+        assert 0.5 <= stats["mean_ratio"] <= 3.0
+        print(f"        (mean ratio = {stats['mean_ratio']:.3f}, max = {stats['max_ratio']:.3f})")
 
 
 def test_criterion_11_known_small_sequences():

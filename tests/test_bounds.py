@@ -308,7 +308,7 @@ def test_difference_set_check_matches_the_correlations():
 
 def test_baseline_trivial():
     st = random_baseline(1, 1, trials=5, rng_seed=1)
-    assert st.values == (1, 1, 1, 1, 1)
+    assert st["values"] == [1, 1, 1, 1, 1]
 
 
 def test_baseline_deterministic():
@@ -319,7 +319,8 @@ def test_baseline_deterministic():
 
 def test_baseline_band_n256():
     st = random_baseline(256, 2, trials=20, rng_seed=3)
-    ratios = [v / math.sqrt(256 * math.log(256)) for v in st.values]
-    assert 0.5 <= st.mean_ratio <= 3.0
-    assert st.mean_ratio == pytest.approx(sum(ratios) / 20) and st.max_ratio == max(ratios)
-    assert min(ratios) <= st.quartiles[0] <= st.quartiles[1] <= st.quartiles[2] <= max(ratios)
+    ratios = [v / math.sqrt(256 * math.log(256)) for v in st["values"]]
+    assert 0.5 <= st["mean_ratio"] <= 3.0
+    assert st["mean_ratio"] == pytest.approx(sum(ratios) / 20) and st["max_ratio"] == max(ratios)
+    q25, q50, q75 = st["quartiles"]
+    assert min(ratios) <= q25 <= q50 <= q75 <= max(ratios)

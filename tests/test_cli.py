@@ -1,5 +1,7 @@
 import bisect
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -1127,3 +1129,14 @@ def test_baseline_deterministic(capsys):
     ra, rb = json.loads(a), json.loads(b)
     ra.pop("timestamp"), rb.pop("timestamp")
     assert ra == rb
+
+
+def test_baseline_prints_the_library_value(capsys):
+    argv = ("baseline", "--n", "64", "--k", "2", "--trials", "5", "--seed", "11")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == bounds.random_baseline(64, 2, 5, 11)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    keys = [row["key"] for row in csv.DictReader(io.StringIO(out))]
+    assert keys == ["max_ratio", "mean_ratio", "quartiles", "values"]

@@ -35,6 +35,11 @@ words = st.lists(st.integers(0, 1), min_size=2, max_size=24).map(BitSequence.cre
 # --- independent oracles -----------------------------------------------------
 
 
+def _signs(seq):
+    """(-1)**bits of the whole word as int64."""
+    return 1 - 2 * seq.bits.astype(np.int64)
+
+
 def brute_force_ck(seq, k):
     """Direct (D, M) enumeration straight off the definition."""
     N = seq.length
@@ -60,7 +65,7 @@ def _ck_reference(seq, k):
     """Exact C_k and its lex-smallest (D, M) by the batched loop the depth-first
     kernel replaced: every head, its product re-multiplied, no pruning."""
     N = seq.length
-    x = seq.signs()
+    x = _signs(seq)
     best, attaining = 0, []
     if k == 1:
         P = np.concatenate([[0], np.cumsum(x)])
@@ -129,7 +134,7 @@ def test_witness_window_is_the_first_extremes(steps, excess):
 def _for_shifts_reference(seq, D):
     """(max_M |P_M|, smallest maximizing M) by one int64 walk of D's own: the
     product of the word's shifted sign slices over N - d_k steps, summed."""
-    x = seq.signs()
+    x = _signs(seq)
     L = seq.length - D[-1]
     T = x[D[0] : D[0] + L].copy()
     for d in D[1:]:
@@ -380,7 +385,7 @@ def test_witness_satisfies_reported_value():
         k = int(rng.integers(1, 4))
         seq = BitSequence.create(rng.integers(0, 2, size=n, dtype=np.uint8))
         rep = correlation_measure_exact(seq, k)
-        x = seq.signs()
+        x = _signs(seq)
         s = sum(int(np.prod([x[i + d] for d in rep.witness_D])) for i in range(rep.witness_M))
         assert abs(s) == rep.value
         assert rep.witness_M - 1 + rep.witness_D[-1] <= n - 1
@@ -453,7 +458,7 @@ def _attaining_reference(seq, k):
     """Max walk spread over every pattern (0, d_2, ..., d_k) of k shifts, and
     the set of patterns that attain it, by enumerating them all."""
     N = seq.length
-    x = seq.signs()
+    x = _signs(seq)
     spreads = {}
     for rest in combinations(range(1, N), k - 1):
         L = N - rest[-1]
@@ -697,7 +702,7 @@ def test_autocorrelation_symmetry_and_parseval(bits):
     ac = [periodic_autocorrelation(seq, t) for t in range(1, T)]
     for t in range(1, T):
         assert ac[t - 1] == ac[T - t - 1]
-    imbalance = int(seq.signs().sum())
+    imbalance = int(_signs(seq).sum())
     assert sum(ac) == imbalance**2 - T
 
 
@@ -723,7 +728,7 @@ def test_all_shift_autocorrelation_errors():
     with pytest.raises(ParameterError, match="periodic autocorrelation needs a declared period"):
         periodic_autocorrelations(BitSequence.create([0, 1, 1]))
     short = BitSequence.create(HALL13.bits[:12], period=13)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"need at least one full period \(13 bits\), have 12"):
         periodic_autocorrelations(short)
     with pytest.raises(ParameterError):
         periodic_autocorrelation(short, 1)
@@ -1098,3 +1103,9 @@ def test_two_adic_cap():
     seq = BitSequence.create([0, 1] * 6000, period=12000)
     with pytest.raises(CapExceeded):
         two_adic_complexity(seq)
+    # the cap is refused ahead of a short word, and a short word under the cap
+    # as the autocorrelations refuse it
+    with pytest.raises(CapExceeded):
+        two_adic_complexity(BitSequence.create([0, 1] * 50, period=12000))
+    with pytest.raises(ParameterError, match=r"need at least one full period \(13 bits\), have 12"):
+        two_adic_complexity(BitSequence.create(HALL13.bits[:12], period=13))

@@ -93,7 +93,7 @@ def f_reference(params: SexticParams, n: int) -> int:
     if l == 2:
         return params.g * n % params.p
     if l == 3:
-        return params.g_inverse() * n % params.p
+        return pow(params.g, params.p - 2, params.p) * n % params.p  # Fermat inverse
     return n
 
 

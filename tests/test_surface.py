@@ -3,9 +3,10 @@
 A public top-level function or class must be read (called, named or imported)
 outside its own definition, in `src/cycloseq`, `scripts/` or `bench/`.  The
 package re-exports nothing, so an import is a read.  Every public field of a
-dataclass must be read as `.field` somewhere in those trees.  The check is
-conservative: a generic field name such as `.k` is also matched by unrelated
-reads.
+dataclass must be read as `.field` somewhere in those trees, and every public
+method or property of a public class as `.name` outside its own definition.
+The check is conservative: a generic name such as `.k` or `.create` is also
+matched by unrelated reads.
 """
 
 import ast
@@ -43,6 +44,24 @@ def _file_reads(path: Path) -> set[str]:
     return _reads([_tree(path)])
 
 
+def _attribute_reads(root: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Attributes read anywhere under `root`, except under `skip`."""
+    out, stack = set(), [root]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+@functools.cache
+def _file_attribute_reads(path: Path) -> set[str]:
+    return _attribute_reads(_tree(path))
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return any(
         isinstance(d, ast.Name) and d.id == "dataclass"
@@ -63,6 +82,11 @@ DEFINITIONS = [
     pytest.param(path, node, id=f"{path.stem}.{node.name}")
     for path, node in _public_definitions()
     if not node.name.startswith("cmd_")  # main dispatches cmd_* by name
+]
+METHODS = [
+    pytest.param(path, f, id=f"{path.stem}.{cls.name}.{f.name}")
+    for path, cls in _public_definitions() if isinstance(cls, ast.ClassDef)
+    for f in cls.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
 ]
 # MeasureRecord is serialized whole through vars()
 DATACLASSES = [node for _, node in _public_definitions()
@@ -91,8 +115,7 @@ def test_public_definition_has_a_reader(path, node):
     assert node.name in outside | inside, f"{path.name}: {node.name} is read only by tests"
 
 
-ATTRIBUTE_READS = {n.attr for q in READERS for n in ast.walk(_tree(q))
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+ATTRIBUTE_READS = set().union(*(_file_attribute_reads(q) for q in READERS))
 
 
 @pytest.mark.parametrize("cls", DATACLASSES, ids=[c.name for c in DATACLASSES])
@@ -102,3 +125,10 @@ def test_dataclass_fields_are_read(cls):
               and not s.target.id.startswith("_")]
     unread = [f for f in fields if f not in ATTRIBUTE_READS]
     assert not unread, f"{cls.name} fields read only by tests: {unread}"
+
+
+@pytest.mark.parametrize("path,method", METHODS)
+def test_public_method_has_a_reader(path, method):
+    outside = set().union(*(_file_attribute_reads(q) for q in READERS if q != path))
+    inside = _attribute_reads(_tree(path), skip=method)
+    assert method.name in outside | inside, f"{path.name}: .{method.name} is read only by tests"
