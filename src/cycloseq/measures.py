@@ -64,33 +64,37 @@ question, and the longest common prefix always shows up between two neighbours
 in sorted order (Manber and Myers, SIAM J. Comput. 22, 1993), so
 `max_order_complexity` answers it with one plain sort over one period.
 
-A word of period T keeps bits[n] = bits[n - T] (`BitSequence.create` checks
-it, the constructions tile their core), so only the positions i < K = min(N, T)
-are sorted: an occurrence of w0 or w1 at i >= T also occurs at i - T, and two
-positions congruent mod T are followed by the same bits, so they never conflict.
-Position i gets the 64-bit key of bits i..i+62, MSB first and zero past the
-word, then the flag "full": 1 when all 63 bits lie in the word, at the first
-F = min(K, N - 62) positions.  So a truncated key sorts before the full keys of
-its code, and full keys that tie are interchangeable: each has 63 real bits.
-The at most K - F <= 62 truncated slots take their real lengths N - i in
-(key, length) order, equal keys shorter suffix first; a periodic word with
-N >= T + 62, every N = 2p word among them, has none.  A neighbour pair with x = key_a ^ key_b > 1 shares
-64 - bit_length(x) leading bits; it is a conflict when both suffixes still have
-a real bit where they differ, that is when x >> (64 - r) != 0 with r the fewer
-real bits of the two, 63 for a full slot (for two full slots, x > 1).  M - 1 is
-the longest such shared prefix, or 0 without a conflict.  Exact while the
-longest conflict w has l <= 62 bits, seen as w0 at i and w1 at j: every suffix
-sorting between i and j shares w, and has a real bit at l, since one that ends
-inside w or right after it has the least code with its prefix and, by the flag
-and the shorter-first order, sorts before i; so some neighbour pair steps from
-0 to 1 at l, and every conflicting pair is a real conflict.  Conflicts are
-closed under suffixes, so a shared prefix of 62 bits means the longest conflict
-has 62 bits or more, which the codes cannot tell apart: such words, eventually
-periodic ones with long periods among them, take the automaton's final value.
-So do words shorter than _MOC_SORT_MIN bits, on which the automaton is cheaper
-than the sort's fixed cost.  The sort peaks near 17 bytes per sorted position:
-two arrays of K uint64 (the keys and a shifted copy while they are built, the
-keys and their neighbours' XORs after) and one byte of the unshifted keys.
+A word of period T keeps bits[n] = bits[n - T] (`BitSequence.create` checks it,
+the constructions tile their core), so only the positions i < K = min(N, T) are
+sorted: an occurrence of w0 or w1 at i >= T also occurs at i - T, and two
+positions congruent mod T are followed by the same bits, so they never
+conflict.  Position i gets a 64-bit key: its code, bits i..i+56 MSB first and
+zero past the word, in the top 57 bits, and in the low 7 how many of those are
+real: 64, "full", at the first F = min(K, N - 56) positions, and the length
+r = N - i <= 56 at the at most 56 truncated positions after them, whose low
+bits are zero before r goes in.  A full key's bits 0..5 keep word bits past its
+code; they are never read, since keys whose XOR is below 128 have equal codes,
+which is no conflict.  So a truncated key sorts before every full key of its
+code and after the shorter truncated ones, and equals no other key:
+searchsorted finds its slot.  A periodic word with N >= T + 56, every N = 2p
+word among them, has no truncated slot.  A neighbour pair with
+x = key_a ^ key_b >= 128 shares 64 - bit_length(x) leading bits; it is a
+conflict when both suffixes still have a real bit where they differ: always for
+two full slots, else when x >> (64 - r) != 0 for the fewer real bits r of the
+two, which is testing it against each truncated slot's own r, since bits that
+agree within the larger r agree within the smaller.  M - 1 is the longest such
+shared prefix, or 0 without a conflict.  Exact while the longest conflict w has
+l <= 56 bits, seen as w0 at i and w1 at j: every suffix sorting between i and j
+shares w, and has a real bit at l, since one that ends inside w or right after
+it has the least code with its prefix and, by its length, sorts before i; so
+some neighbour pair steps from 0 to 1 at l, and every conflicting pair is a
+real conflict.  Conflicts are closed under suffixes, so a shared prefix of 56
+bits means the longest conflict has 56 bits or more, which the codes cannot
+tell apart: such words, eventually periodic ones with long periods among them,
+take the automaton's final value.  So do words shorter than _MOC_SORT_MIN bits,
+on which the automaton is cheaper than the sort's fixed cost.  The sort peaks
+near 16.3 bytes per sorted position: two arrays of K uint64, the keys and their
+neighbours' XORs, beside the packed word.
 """
 
 from __future__ import annotations
@@ -256,11 +260,13 @@ _BLOCK_CELLS = 1 << 14
 # drawn under another scheme is never served.
 SAMPLED_DRAW = "floyd"
 # Shortest word whose final MOC is read off the sorted window codes.  Automaton
-# vs sort in us (medians of 9 interleaved rounds; 2 shared cores, Python 3.11.7,
-# numpy 2.4.6): random words, N = 56: 32.5 vs 38.3, 64: 36.3 vs 37.3, 72: 41.7
-# vs 37.8; N = T with period T, 64: 37.5 vs 37.7, 72: 40.8 vs 39.2; N = 2T,
-# 64: 30.2 vs 35.5, 80: 36.9 vs 34.1, and 124, the first with no truncated
-# slot: 57.6 vs 20.5.  Words with truncated slots cross near 64.
+# vs sort in us (medians of 15 interleaved rounds over 50 words; 2 shared cores,
+# Python 3.11.7, numpy 2.4.6): random words, N = 48: 24.4 vs 23.4, 56: 27.5 vs
+# 23.2, 64: 43.8 vs 37.2; N = T with period T, 48: 27.5 vs 27.6, 56: 27.8 vs
+# 23.3, 64: 31.7 vs 24.2; N = 2T, 48: 22.1 vs 24.2, 56: 22.8 vs 22.2, 64: 26.2
+# vs 22.0, and 112, the first with no truncated slot: 41.9 vs 13.3.  Repeated
+# runs cross between 48 and 60, each side ahead at 56 in some; from 64 on the
+# sort leads in every shape.
 _MOC_SORT_MIN = 64
 
 
@@ -590,55 +596,46 @@ def max_order_complexity_profile(seq: BitSequence) -> ComplexityProfile:
 
 def max_order_complexity(seq: BitSequence) -> int:
     """M(S, N), the final value of `max_order_complexity_profile`, from one plain
-    sort of the flagged 63-bit window codes of one period's positions (see the
-    module docstring).  Words shorter than _MOC_SORT_MIN bits, and words with a
-    conflict of 62 bits or more, take the automaton."""
+    sort of the 57-bit window codes of one period's positions, each key carrying
+    its length (see the module docstring).  Words shorter than _MOC_SORT_MIN
+    bits, and words with a conflict of 56 bits or more, take the automaton."""
     N = seq.length
     if N < _MOC_SORT_MIN:
         return max_order_complexity_profile(seq).final
     # one period: positions K.. repeat earlier ones with shorter suffixes
     K = min(N, seq.period or N)
-    F = max(0, min(K, N - 62))  # positions 0..F-1 have 63 real bits
-    # key[i] = bits i..i+63 MSB first, zero past the word: bytes q..q+7 of the
-    # packed word as one big-endian uint64 and byte q + 8, shifted by 0..7 bits
+    F = max(0, min(K, N - 56))  # positions 0..F-1 have 57 real bits
+    # key[i]'s top 57 bits are bits i..i+56, MSB first and zero past the word:
+    # bytes q..q+7 of the packed word as one big-endian uint64, shifted by i - 8q
     Q = -(-K // 8)
-    packed = np.zeros(Q + 8, dtype=np.uint8)
-    head = np.packbits(seq.bits[: min(N, K + 63)])
+    packed = np.zeros(Q + 7, dtype=np.uint8)
+    head = np.packbits(seq.bits[: min(N, K + 56)])
     packed[: head.size] = head
-    shifts = np.arange(8, dtype=np.uint64)
-    key = np.ndarray((Q, 1), ">u8", packed, 0, (1, 1)).astype(np.uint64) << shifts
-    key |= packed[8:, None] >> (8 - shifts)
-    key = key.ravel()[:K]
-    # bit i + 63 gives way to the flag "full"; past the word it is 0 already
-    key[:F] |= 1
+    key = np.ndarray((Q, 1), ">u8", packed, 0, (1, 1)).astype(np.uint64)
+    key = (key << np.arange(8, dtype=np.uint64)).ravel()[:K]
+    # the low 7 bits: 64, "full", or a truncated key's real length N - i <= 56
+    key[:F] |= 64
+    key[F:] |= np.arange(N - F, N - K, -1, dtype=np.uint64)
     tail = key[F:].copy()
     key.sort()
     # d[j] = key[j - 1] ^ key[j], and 0 for the missing pairs at both ends
     d = np.zeros(K + 1, dtype=np.uint64)
     np.bitwise_xor(key[1:], key[:-1], out=d[1:-1])
     if F < K:
-        # the at most 62 truncated slots in sorted order, equal keys shorter
-        # suffix first (the order the exactness argument needs): tail reversed
-        # runs from the shortest suffix, N - K + 1 bits, up
-        order = tail[::-1].argsort(kind="stable")
-        tail = tail[::-1][order]
-        # each key's first slot, plus its rank among the equal truncated keys
-        slots = key.searchsorted(tail) + np.arange(tail.size) - tail.searchsorted(tail)
-        # slot j's pairs are d[j] and d[j + 1]; one next to a slot of r real
-        # bits conflicts only if it differs within them: d >> (64 - r) != 0,
-        # with 64 - r = 63 - N + K - order
-        pairs = slots[:, None] + np.arange(2)
-        cut = (63 - N + K - order).astype(np.uint64)
+        # a truncated key is unique, so searchsorted finds its slot j; its pairs
+        # d[j] and d[j + 1] conflict only if they differ within its r real bits
+        pairs = key.searchsorted(tail)[:, None] + np.arange(2)
+        cut = 64 - (tail & 63)
         d[pairs[d[pairs] >> cut[:, None] == 0]] = 0
-    # d <= 1: equal codes, or a pair dropped above; any other d is a conflict of
-    # 64 - bit_length(d) bits.  Less 2, the former wrap to the top, so the
+    # d < 128: equal codes, or a pair dropped above; any other d is a conflict
+    # of 64 - bit_length(d) bits.  Less 128, the former wrap to the top, so the
     # least d is the longest conflict, unless it wrapped too: no conflict
-    d -= 2
-    least = int(d.min()) + 2
+    d -= 128
+    least = int(d.min()) + 128
     if least >> 64:
         return 1
     common = 64 - least.bit_length()
-    if common >= 62:  # a conflict past the codes' width may hide behind it
+    if common >= 56:  # a conflict past the codes' width may hide behind it
         return max_order_complexity_profile(seq).final
     return common + 1
 

@@ -886,7 +886,7 @@ def moc_final_words(draw):
     """Words of 2..300 bits: uniformly random, biased towards one bit (long runs,
     ties among the zero-padded window codes of the last suffixes), or eventually
     periodic (a head, then a period of 1..100 bits, perhaps with one bit flipped),
-    whose conflicts run up to the period and past the codes' 63 bits."""
+    whose conflicts run up to the period and past the codes' 57 bits."""
     n = draw(st.integers(2, 300))
     kind = draw(st.sampled_from(["random", "biased", "periodic"]))
     if kind == "random":
@@ -911,8 +911,8 @@ def test_moc_final_by_sort_equals_the_automaton(bits):
     want = max_order_complexity_profile(seq).final
     got, fell_back = _final_moc_by_sort(seq)
     assert got == want
-    # the codes hold 63 bits: only a conflict of 62 bits or more (M >= 63) falls back
-    assert fell_back == (want >= 63)
+    # the codes hold 57 bits: only a conflict of 56 bits or more (M >= 57) falls back
+    assert fell_back == (want >= 57)
     if seq.length <= 40:
         assert got == max_order_complexity_naive(seq).final
 
@@ -923,7 +923,7 @@ def _moc_final_cases():
     cases += [([1] * 100, 1), ([0, 1] * 50, 1)]
     # 0^(N-1) 1: 0^(N-2) is followed by both bits, so M = N - 1
     cases += [([0] * (n - 1) + [1], n - 1) for n in (3, 10, 62, 63, 64, 65, 100)]
-    # around the codes' width
+    # around 63 bits
     cases += [(bits, max_order_complexity_naive(BitSequence.create(bits)).final)
               for bits in (rng.integers(0, 2, n).tolist() for n in range(62, 67))]
     # the last suffix u has the code of an earlier u followed by zeros, and sorts
@@ -934,6 +934,10 @@ def _moc_final_cases():
     cases.append((u + [0] * 34 + [1] + u + [0] * 5 + [1] + u, 36))
     # a sparse word's many zero-padded suffixes tie in code
     cases.append(([int(i in (39, 66, 105)) for i in range(107)], 54))
+    # around the codes' 57 bits: M = 57 is the first value that falls back
+    cases += [([0] * (n - 1) + [1], n - 1) for n in (56, 57, 58, 59)]
+    cases += [(bits, max_order_complexity_naive(BitSequence.create(bits)).final)
+              for bits in (rng.integers(0, 2, n).tolist() for n in range(55, 61))]
     return cases
 
 
@@ -941,7 +945,7 @@ def _moc_final_cases():
 def test_moc_final_examples(bits, m):
     seq = BitSequence.create(bits)
     assert max_order_complexity(seq) == m
-    assert _final_moc_by_sort(seq) == (m, m >= 63)
+    assert _final_moc_by_sort(seq) == (m, m >= 57)
 
 
 @pytest.mark.parametrize("k", [2, 62])
@@ -989,8 +993,8 @@ def test_moc_final_below_the_floor_takes_the_automaton(monkeypatch):
 @st.composite
 def periodic_moc_final_words(draw):
     """A core of 1..100 bits, uniformly random or biased towards one bit, tiled
-    to N bits with its period declared: N < T + 62 leaves truncated slots among
-    the first T positions, N >= T + 62 leaves none."""
+    to N bits with its period declared: N < T + 56 leaves truncated slots among
+    the first T positions, N >= T + 56 leaves none."""
     T = draw(st.integers(1, 100))
     if draw(st.booleans()):
         core = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
@@ -998,7 +1002,7 @@ def periodic_moc_final_words(draw):
         rare, odds = draw(st.integers(0, 1)), draw(st.integers(0, 4))
         draws = draw(st.lists(st.integers(0, 15), min_size=T, max_size=T))
         core = [rare if v < odds else 1 - rare for v in draws]
-    n = draw(st.integers(2, T + 61) | st.integers(T + 62, 3 * T + 80))
+    n = draw(st.integers(2, T + 55) | st.integers(T + 56, 3 * T + 80))
     return (core * (n // T + 1))[:n], T
 
 
@@ -1010,7 +1014,7 @@ def test_moc_final_by_sort_over_one_period(word):
     want = max_order_complexity_profile(seq).final
     got, fell_back = _final_moc_by_sort(seq)
     assert got == want
-    assert fell_back == (want >= 63)
+    assert fell_back == (want >= 57)
     # the period only drops positions: the same bits without it agree
     assert _final_moc_by_sort(BitSequence.create(bits)) == (got, fell_back)
     if seq.length <= 40:
@@ -1019,13 +1023,13 @@ def test_moc_final_by_sort_over_one_period(word):
 
 @pytest.mark.parametrize("T", [1, 2, 31, 62, 63, 64, 100])
 def test_moc_final_over_one_period_around_the_last_truncated_slot(T):
-    # N = T + 61 keeps one truncated slot in the first period, T + 62 none
+    # N = T + 55 keeps one truncated slot in the first period, T + 56 none
     rng = np.random.default_rng(T)
     core = rng.integers(0, 2, T)
-    for n in (T + 60, T + 61, T + 62, T + 63, 2 * T + 62):
+    for n in (T + 54, T + 55, T + 56, T + 57, T + 60, T + 61, T + 62, T + 63, 2 * T + 62):
         bits = np.resize(core, n)
         want = max_order_complexity_profile(BitSequence.create(bits)).final
-        assert _final_moc_by_sort(BitSequence.create(bits, period=T)) == (want, want >= 63)
+        assert _final_moc_by_sort(BitSequence.create(bits, period=T)) == (want, want >= 57)
 
 
 def test_moc_final_over_one_period_falls_back_past_the_codes_width():
@@ -1045,7 +1049,7 @@ def test_moc_final_over_one_period_falls_back_past_the_codes_width():
 
 def test_moc_final_memory_is_one_period_of_keys():
     # the keys and their neighbours' XORs, one uint64 each per position of one
-    # period: about 17.6 bytes per period bit at N = 2p, where keys and positions
+    # period: about 16.3 bytes per period bit at N = 2p, where keys and positions
     # over the whole word took 64
     seq = legendre_sequence(100003, 200006)
     tracemalloc.start()
@@ -1057,16 +1061,20 @@ def test_moc_final_memory_is_one_period_of_keys():
     assert peak < 20 * 100003, peak
 
 
+@pytest.mark.parametrize("N", [1033, 2066], ids=["p", "2p"])
 @pytest.mark.parametrize(
-    "seq",
+    "build",
     [
-        hall_sequence(SexticParams.create(1033), 2066),
-        legendre_sequence(1033, 2066),
-        dhl_sequence(1033, SexticParams.create(1033).g, 2066),
+        lambda N: hall_sequence(SexticParams.create(1033), N),
+        lambda N: legendre_sequence(1033, N),
+        lambda N: dhl_sequence(1033, SexticParams.create(1033).g, N),
     ],
     ids=["hall", "legendre", "dhl"],
 )
-def test_moc_final_by_sort_at_2p(seq):
+def test_moc_final_by_sort_on_named_words(build, N):
+    # N = 2p codes one period with no truncated slot; N = p, the length IW17
+    # reads, leaves 56 truncated slots at the word's end
+    seq = build(N)
     assert _final_moc_by_sort(seq) == (max_order_complexity_profile(seq).final, False)
 
 
