@@ -8,12 +8,13 @@ The IW17 and BW06 inequalities are verified from independently recomputed
 quantities.
 
 Neither inequality runs an exact C_k ladder: each is certified by the
-witness its own proof names, one walk of a shift set D (mode
-`certified-witness`).  For BW06, BM's connection polynomial names shifts D,
-w <= L+1 of them, whose walk reaches N - L, so C_w >= N - L (see `check_bw06`).
-For IW17, the word's own maximum-order feedback register names D = (i, j), two
-equal M-bit windows among the first 2**M + 1, whose walk reaches N - j, so
-C_2 >= N - j (see `check_iw17`).
+witness its own proof names, a shift set D whose sign product is +1 at each of
+its N - d_k steps, so its walk reaches v = N - d_k (mode `certified-witness`).
+For BW06, BM's connection polynomial names shifts D, w <= L+1 of them, with
+d_k = L, so C_w >= N - L (see `check_bw06`).  For IW17, the word's own
+maximum-order feedback register names D = (i, j), two equal M-bit windows
+among the first 2**M + 1, so C_2 >= N - j (see `check_iw17`).  One XOR of
+shifted copies of the word checks all N - d_k steps (`_witness_value`).
 
 The difference-set check reads Hall's difference multiplicities lambda(t) and
 autocorrelations A(t) off the order-6 cyclotomic numbers (Storer, Cyclotomy
@@ -33,8 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .measures import (
     DEFAULT_BUDGET,
+    _bits_to_int,
     berlekamp_massey_profile,
-    correlation_for_shifts,
     correlation_measure_exact,
     max_order_complexity,
 )
@@ -57,6 +58,26 @@ def theorem1_kernel(k: int, p: int) -> float:
     return (14.0 / 3.0) ** k * k * math.sqrt(p) * math.log(p)
 
 
+def _witness_value(seq: BitSequence, shifts: tuple[int, ...], broken) -> int:
+    """v = N - d_k, the walk value of the sorted shift set D = shifts, when its
+    sign product prod_{d in D} (-1)**s_{n+d} is +1 at every step n < N - d_k;
+    else InvariantViolation with message broken(n), n the first -1 step.
+
+    With W the word as an int (bit n is s_n), bit n of the XOR of W >> d over D
+    is the parity of s_{n+d} over D, 0 exactly when step n's product is +1: the
+    XOR's low N - d_k bits decide every step, in O(w N / 64) word operations.
+    """
+    word = _bits_to_int(seq.bits)
+    steps = seq.length - shifts[-1]
+    parity = 0
+    for d in shifts:
+        parity ^= word >> d
+    parity &= (1 << steps) - 1
+    if parity:
+        raise InvariantViolation(f"{seq.label}: {broken((parity & -parity).bit_length() - 1)}")
+    return steps
+
+
 def check_iw17(seq: BitSequence) -> BoundEvaluation:
     """M(S,N) >= N - 2**(M(S,N)+1) * max_{1<=k<=M(S,N)+1} C_k(S,N), N the word's
     length, certified by the word's own feedback register.
@@ -65,9 +86,9 @@ def check_iw17(seq: BitSequence) -> BoundEvaluation:
     settles the inequality without a walk (D = (0,), v = 1).  Otherwise
     2**M < N/2, and equal M-bit windows share their successor, so two of the
     first 2**M + 1 windows are equal, at i < j, and s_{n+i} = s_{n+j} from
-    there on: C_2 >= v >= N - j, with v the walk value of D = (i, j) from
-    `correlation_for_shifts`.  A walk below N - j means MOC or the walk is
-    wrong (InvariantViolation).  The witness costs O(N); no budget applies.
+    there on: C_2 >= v = N - j, with v the walk value of D = (i, j) from
+    `_witness_value`.  A step n < N - j with s_{n+i} != s_{n+j} means MOC is
+    wrong (InvariantViolation).  The witness costs O(N / 64); no budget applies.
     """
     n = seq.length
     m = max_order_complexity(seq)
@@ -81,11 +102,9 @@ def check_iw17(seq: BitSequence) -> BoundEvaluation:
             if i < j:
                 break
         shifts = (i, j)
-        v = correlation_for_shifts(seq, shifts)[0]
-        if v < n - j:
-            raise InvariantViolation(
-                f"{seq.label}: MOC witness {shifts} walks to {v} < N - j = {n - j} (N={n}, M={m})"
-            )
+        v = _witness_value(seq, shifts, lambda t: (
+            f"MOC witness i = {i}, j = {j} has s_(n+i) != s_(n+j) at n = {t}, "
+            f"one of the N - j = {n - j} steps (N={n}, M={m})"))
     rhs = n - 2 ** (m + 1) * v
     inputs = {"N": n, "M": m, "label": seq.label, "D": shifts, "w": len(shifts), "v": v,
               "mode": "certified-witness", "rhs": rhs}
@@ -98,11 +117,11 @@ def check_bw06(seq: BitSequence) -> BoundEvaluation:
 
     BM's connection polynomial C(x) for the word gives the shifts
     D = {L - i : c_i = 1}, w <= L + 1 of them, whose sign product is +1 at
-    each of the first N - L steps; so C_w >= v >= N - L, with v the walk value
-    of D from `correlation_for_shifts`.  A walk below N - L means BM or the
-    walk is wrong (InvariantViolation).  When L = N, D reaches past the word
-    and C_1 >= 1 settles the inequality without a walk (v = 0).  The witness
-    costs O(N * w); no budget applies.
+    each of the first N - L steps; so C_w >= v = N - L, with v the walk value
+    of D from `_witness_value`.  A step whose product is -1, the recurrence
+    broken at n = L + step, means BM is wrong (InvariantViolation).  When
+    L = N, D reaches past the word and C_1 >= 1 settles the inequality without
+    a walk (v = 0).  The witness costs O(w N / 64); no budget applies.
     """
     n = seq.length
     profile = berlekamp_massey_profile(seq)
@@ -114,11 +133,9 @@ def check_bw06(seq: BitSequence) -> BoundEvaluation:
     shifts = tuple(lc - i for i in range(lc, -1, -1) if conn >> i & 1)
     v = 0
     if lc < n:
-        v = correlation_for_shifts(seq, shifts)[0]
-        if v < n - lc:
-            raise InvariantViolation(
-                f"{seq.label}: BM witness walks to {v} < N - L = {n - lc} (N={n}, L={lc})"
-            )
+        v = _witness_value(seq, shifts, lambda t: (
+            f"BM witness breaks the recurrence at n = {lc + t}, "
+            f"step {t} of the N - L = {n - lc} steps (N={n}, L={lc})"))
     inputs = {"N": n, "L": lc, "label": seq.label, "D": shifts, "w": len(shifts), "v": v,
               "mode": "certified-witness", "rhs": n - v}
     return BoundEvaluation(inputs=inputs, satisfied=True)

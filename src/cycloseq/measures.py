@@ -41,17 +41,16 @@ is evaluated at once, so the cuts start from a real maximum.
 
 Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
-8 * _BLOCK_CELLS steps, and `correlation_for_shifts`'s one tuple, through
-`_walk_maxima`; and the exact witness pass, which walks every attaining
-pattern (0, d_2, ..., d_k) the search hands back over its N - d_k steps, k = 1
-included: its one pattern (0,) has no search, and its walk's spread is C_1.
-A walk whose spread differs from the search's is an InvariantViolation (exit
-4).  A window attains a pattern's spread only between a minimum and a maximum
-of its walk, so the smallest such window (a, b) is the first minimum and the
-first maximum in order, which `argmin` and `argmax` return.  Memory is O(N)
-plus the block.  The sampled measure draws a block's shift tuples together,
-by Floyd's algorithm over every row at once (`_draw_subsets`), whose rows x N
-mask is no bigger than the block's walk.
+8 * _BLOCK_CELLS steps, through `_walk_maxima`; and the exact witness pass,
+which walks every attaining pattern (0, d_2, ..., d_k) the search hands back
+over its N - d_k steps, k = 1 included: its one pattern (0,) has no search,
+and its walk's spread is C_1.  A walk whose spread differs from the search's
+is an InvariantViolation (exit 4).  A window attains a pattern's spread only
+between a minimum and a maximum of its walk, so the smallest such window
+(a, b) is the first minimum and the first maximum in order, which `argmin`
+and `argmax` return.  Memory is O(N) plus the block.  The sampled measure
+draws a block's shift tuples together, by Floyd's algorithm over every row at
+once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
@@ -148,28 +147,6 @@ class TwoAdicReport:
     @property
     def is_maximal(self) -> bool:
         return self.gcd_value == 1
-
-
-def _validate_shifts(D, N: int) -> tuple[int, ...]:
-    D = tuple(int(d) for d in D)
-    if not D:
-        raise ParameterError("empty shift tuple")
-    if D[0] < 0 or any(a >= b for a, b in zip(D, D[1:])):
-        raise ParameterError(f"shifts {D} not strictly increasing and nonnegative")
-    if D[-1] >= N:
-        raise ParameterError(f"largest shift {D[-1]} leaves no window in length {N}")
-    return D
-
-
-def correlation_for_shifts(seq: BitSequence, D) -> tuple[int, int]:
-    """Inner maximization over M for a fixed shift tuple D.
-
-    Returns (max_M |P_M|, smallest maximizing M) where P_M is the signed
-    prefix sum of the k-fold products: one row of `_walk_maxima`.
-    """
-    D = _validate_shifts(D, seq.length)
-    values, ms = _walk_maxima(_step_rows(seq.bits), np.array([D]))
-    return int(values[0]), int(ms[0])
 
 
 def _step_rows(bits: np.ndarray) -> np.ndarray:

@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from cycloseq.bounds import (
     _class_differences,
+    _witness_value,
     check_bw06,
     check_iw17,
     difference_set_check,
     random_baseline,
     theorem1_kernel,
 )
-from cycloseq.errors import NoSuchRoot, ParameterError
-from cycloseq.measures import correlation_measure_exact, periodic_autocorrelations
+from cycloseq.errors import InvariantViolation, NoSuchRoot, ParameterError
+from cycloseq.measures import (
+    berlekamp_massey_profile,
+    correlation_measure_exact,
+    periodic_autocorrelations,
+)
 from cycloseq.ntheory import G_POLICIES, PrimeParams, SexticParams, cyclotomic_numbers, is_prime
 from cycloseq.seqgen import BitSequence, cyclotomic_sequence, hall_sequence
-from test_measures import brute_force_ck, max_order_complexity_naive
+from test_measures import _walk_reference, brute_force_ck, max_order_complexity_naive
 
 
 def test_theorem1_kernel_values():
@@ -202,6 +207,77 @@ def test_iw17_brute_force_oracle(bits):
     n, m = len(bits), max_order_complexity_naive(seq).final
     assert any(m >= n - 2 ** (m + 1) * brute_force_ck(seq, k)[0]
                for k in range(1, min(m + 1, n) + 1))
+
+
+def _assert_witness_value(seq, D):
+    """`_witness_value` against the int64 walk of D: N - d_k when every step is
+    +1, else InvariantViolation naming the first step that is -1."""
+    P = _walk_reference(seq, D)
+    steps = np.diff(P, prepend=0)
+    if (steps == 1).all():
+        assert _witness_value(seq, D, lambda t: f"step {t}") == seq.length - D[-1] == P[-1]
+    else:
+        with pytest.raises(InvariantViolation, match=f": step {np.argmax(steps < 0)}$"):
+            _witness_value(seq, D, lambda t: f"step {t}")
+
+
+@st.composite
+def witness_cases(draw):
+    """A biased word of N <= 64 bits (all-zero and all-one at densities 0 and 8)
+    with three shift sets: a random sorted one, BM's (when L < N) and the first
+    repeat (i, j) of the word's M-bit windows (when one exists)."""
+    bits = draw(biased_bits(64))
+    n = len(bits)
+    w = draw(st.integers(1, n))
+    shifts = [tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=w, max_size=w))))]
+    seq = BitSequence.create(bits)
+    profile = berlekamp_massey_profile(seq)
+    lc = profile.final
+    if lc < n:
+        shifts.append(tuple(lc - i for i in range(lc, -1, -1) if profile.connection >> i & 1))
+    if n >= 2:
+        m = max_order_complexity_naive(seq).final
+        seen = {}
+        for j in range(n - m + 1):
+            i = seen.setdefault(tuple(bits[j : j + m]), j)
+            if i < j:
+                shifts.append((i, j))
+                break
+    return seq, shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_cases())
+def test_witness_value_matches_the_walk_reference(case):
+    seq, shifts = case
+    for D in shifts:
+        _assert_witness_value(seq, D)
+
+
+def _word_with_broken_steps(head, D, n, broken):
+    """The n-bit word that starts with head (d_k bits) and whose sign product
+    over D is -1 at exactly the steps in broken: bit n' + d_k is the parity of
+    the other shifts' bits, flipped at a broken step n'."""
+    bits = list(head)
+    for t in range(n - D[-1]):
+        bits.append(sum(bits[t + d] for d in D[:-1]) % 2 ^ (t in broken))
+    return BitSequence.create(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_witness_value_rejects_a_forged_witness(data):
+    # one -1 step at the first, a middle or the last of the N - d_k steps, or
+    # every step -1, whose walk still reaches |P| = N - d_k; unbroken, it is accepted
+    n = data.draw(st.integers(1, 64))
+    w = data.draw(st.integers(1, n))
+    D = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=w, max_size=w))))
+    steps = n - D[-1]
+    head = data.draw(st.lists(st.integers(0, 1), min_size=D[-1], max_size=D[-1]))
+    for broken in (set(), {0}, {steps // 2}, {steps - 1}, set(range(steps))):
+        seq = _word_with_broken_steps(head, D, n, broken)
+        assert set(np.flatnonzero(np.diff(_walk_reference(seq, D), prepend=0) < 0)) == broken
+        _assert_witness_value(seq, D)
 
 
 @pytest.mark.parametrize(

@@ -665,31 +665,41 @@ def test_diffset_forged_cyclotomic_numbers_is_invariant_violation(monkeypatch, c
 
 
 def test_bw06_forged_connection_polynomial_is_invariant_violation(monkeypatch, capsys):
-    # one flipped coefficient c_1 breaks a recurrence of the BM witness: its
-    # walk falls below N - L, which only a wrong BM or a wrong walk can cause
+    # one flipped coefficient c_1 breaks a recurrence of the BM witness, which
+    # only a wrong BM can cause: the message names the first n it breaks at,
+    # found here by plain Python over the forged polynomial
     def forged(seq):
         profile = measures.berlekamp_massey_profile(seq)
         return dataclasses.replace(profile, connection=profile.connection ^ 2)
 
     monkeypatch.setattr(bounds, "berlekamp_massey_profile", forged)
     seq = seqgen.hall_sequence(SexticParams.create(13, g=2), 13)
-    with pytest.raises(InvariantViolation, match="BM witness"):
+    profile, bits = forged(seq), seq.bits.tolist()
+    lc = profile.final
+    t = next(t for t in range(13 - lc)
+             if sum(bits[t + lc - i] for i in range(lc + 1) if profile.connection >> i & 1) % 2)
+    text = (f"hall(p=13,g=2): BM witness breaks the recurrence at n = {lc + t}, "
+            f"step {t} of the N - L = {13 - lc} steps (N=13, L={lc})")
+    with pytest.raises(InvariantViolation) as exc:
         bounds.check_bw06(seq)
+    assert str(exc.value) == text
     code, stdout, err = run(capsys, "verify", "--suite", "bw06", "--primes", "13")
-    assert code == EXIT_VERIFY
-    assert err.startswith("error:") and "BM witness" in err and "N - L" in err
+    assert code == EXIT_VERIFY and stdout == ""
+    assert err == f"error: {text}\n"
 
 
 def test_iw17_forged_moc_is_invariant_violation(monkeypatch, capsys):
     # M = 1 reported on 0...01 (its M is N - 1): windows 0 and 1 repeat, but
-    # D = (0, 1) walks to N - 2 < N - 1, which only a wrong MOC or a wrong walk can cause
+    # s_(n+0) != s_(n+1) at n = N - 2, which only a wrong MOC can cause
     monkeypatch.setattr(bounds, "max_order_complexity", lambda seq: 1)
     seq = seqgen.BitSequence.create([0] * 19 + [1])
-    with pytest.raises(InvariantViolation, match="MOC witness"):
+    with pytest.raises(InvariantViolation) as exc:
         bounds.check_iw17(seq)
+    assert str(exc.value) == (": MOC witness i = 0, j = 1 has s_(n+i) != s_(n+j) at n = 18, "
+                              "one of the N - j = 19 steps (N=20, M=1)")
     code, stdout, err = run(capsys, "verify", "--suite", "iw17", "--primes", "13")
     assert code == EXIT_VERIFY
-    assert err.startswith("error:") and "MOC witness" in err and "N - j" in err
+    assert err.startswith("error:") and "MOC witness i = " in err and "N - j" in err
 
 
 def test_exact_ck_walk_that_disagrees_with_the_search_is_invariant_violation(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from cycloseq.errors import BudgetExceeded, CapExceeded, ParameterError
 from cycloseq.measures import (
     ComplexityProfile,
     berlekamp_massey_profile,
-    correlation_for_shifts,
     correlation_measure_exact,
     correlation_measure_sampled,
     max_order_complexity,
@@ -131,15 +130,20 @@ def test_witness_window_is_the_first_extremes(steps, excess):
         assert expected == tuple(sorted((int(P.argmin()), int(P.argmax()))))
 
 
-def _for_shifts_reference(seq, D):
-    """(max_M |P_M|, smallest maximizing M) by one int64 walk of D's own: the
+def _walk_reference(seq, D):
+    """The signed walk P_1, ..., P_{N-d_k} of D by one int64 walk of its own: the
     product of the word's shifted sign slices over N - d_k steps, summed."""
     x = _signs(seq)
     L = seq.length - D[-1]
     T = x[D[0] : D[0] + L].copy()
     for d in D[1:]:
         T *= x[d : d + L]
-    P = np.abs(np.cumsum(T))
+    return np.cumsum(T)
+
+
+def _for_shifts_reference(seq, D):
+    """(max_M |P_M|, smallest maximizing M) off `_walk_reference`."""
+    P = np.abs(_walk_reference(seq, D))
     return int(P.max()), int(np.argmax(P)) + 1
 
 
@@ -323,11 +327,18 @@ def max_order_complexity_naive(seq, cap=MOC_NAIVE_CAP):
 # --- correlation -------------------------------------------------------------
 
 
+def _for_shifts(seq, D):
+    """(max_M |P_M|, smallest maximizing M) of one shift tuple: one row of
+    `_walk_maxima`, the kernel of the sampled measure."""
+    values, ms = measures._walk_maxima(measures._step_rows(seq.bits), np.array([D]))
+    return int(values[0]), int(ms[0])
+
+
 def test_for_shifts_examples():
-    assert correlation_for_shifts(BitSequence.create([0] * 10), (0,)) == (10, 10)
-    assert correlation_for_shifts(BitSequence.create([0, 1] * 5), (0, 1)) == (9, 9)
+    assert _for_shifts(BitSequence.create([0] * 10), (0,)) == (10, 10)
+    assert _for_shifts(BitSequence.create([0, 1] * 5), (0, 1)) == (9, 9)
     # Hall p=13, D=(0): prefix-sum walk 0,1,0,-1,0,1,0,1,2,1,2,3,2,1 peaks at |P_11|=3
-    assert correlation_for_shifts(HALL13, (0,)) == (3, 11)
+    assert _for_shifts(HALL13, (0,)) == (3, 11)
 
 
 @given(st.data())
@@ -343,17 +354,7 @@ def test_for_shifts_matches_direct_sums(data):
     for M in range(1, N - D[-1] + 1):
         sums.append(abs(sum(math.prod(x[n + d] for d in D) for n in range(M))))
     value = max(sums)
-    assert correlation_for_shifts(BitSequence.create(bits), D) == (value, sums.index(value) + 1)
-
-
-def test_for_shifts_validation():
-    seq = BitSequence.create([0, 1, 1, 0])
-    with pytest.raises(ParameterError, match="shifts \\(1, 1\\) not strictly increasing"):
-        correlation_for_shifts(seq, (1, 1))
-    with pytest.raises(ParameterError, match="largest shift 4 leaves no window in length 4"):
-        correlation_for_shifts(seq, (0, 4))
-    with pytest.raises(ParameterError, match="empty shift tuple"):
-        correlation_for_shifts(seq, ())
+    assert _for_shifts(BitSequence.create(bits), D) == (value, sums.index(value) + 1)
 
 
 def test_c1_hall13_is_4():
@@ -530,7 +531,7 @@ def test_exact_memory_does_not_grow_with_word_squared():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
-    assert correlation_for_shifts(seq, rep.witness_D) == (rep.value, rep.witness_M)
+    assert _for_shifts_reference(seq, rep.witness_D) == (rep.value, rep.witness_M)
 
 
 @given(words, st.integers(1, 3))
@@ -607,7 +608,7 @@ def test_for_shifts_matches_pattern_walk_route(data, seq, bound):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_CELLS", bound)
         for D in tuples:
-            assert correlation_for_shifts(seq, D) == _for_shifts_reference(seq, D)
+            assert _for_shifts(seq, D) == _for_shifts_reference(seq, D)
 
 
 def _check_draw_subsets(N, k, n, seed):
