@@ -409,6 +409,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.ck < 1:
+        raise ParameterError(f"--ck must be >= 1; got {args.ck}")
     header = ["p", "g", "C_k", "sqrt_p_ln_p", "ratio", "theorem1_kernel", "within_kernel", "status"]
     rows = []
     primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
@@ -419,10 +421,14 @@ def cmd_scan(args) -> int:
         if params is None:
             row["status"] = "no-such-root"
             continue
+        row["g"] = params.g
+        if args.ck > p:  # C_k of a p-bit word needs k <= p
+            row["status"] = "k-above-p"
+            continue
         seq = seqgen.hall_sequence(params, p)
         kernel = bounds.theorem1_kernel(args.ck, p)
         norm = math.sqrt(p) * math.log(p)
-        row.update(g=params.g, sqrt_p_ln_p=f"{norm:.6g}", theorem1_kernel=f"{kernel:.6g}")
+        row.update(sqrt_p_ln_p=f"{norm:.6g}", theorem1_kernel=f"{kernel:.6g}")
         try:
             rep = measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
         except BudgetExceeded:

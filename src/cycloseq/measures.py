@@ -37,7 +37,13 @@ needs O(N + _BLOCK_CELLS) memory.  The running best rises only when
 a block is evaluated, and the cuts are re-read after each block.  A cut made
 against an older, lower best evaluates more patterns but never drops one
 that attains the final maximum.  While best is still the trivial 1, each head
-is evaluated at once, so the cuts start from a real maximum.
+is evaluated at once, so the cuts start from a real maximum.  At small N a
+block has many more rows than cells per row (8 at N = 60, 63 at N = 499), and
+numpy loops once per row along short rows, so `_spreads` reads such a block
+cell-major: cell j of every row forms one slab, each walk's value before each
+cell is a doubling prefix sum over the slabs, and max and min reduce across
+them.  A block of rows at least as long as it is tall, from N of about 1000
+up, keeps one cumsum per row.
 
 Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
@@ -275,12 +281,30 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def _spreads(cells: np.ndarray) -> np.ndarray:
-    """Walk spread of each row of flat table indices (valid steps << 8 | byte)."""
-    steps = _PREFIX_SUM.take(cells)
-    ends = np.cumsum(steps, axis=1, dtype=np.int32)
+    """Walk spread of each row of flat table indices (valid steps << 8 | byte).
+
+    A block of more rows than cells per row is read cell-major, one slab per
+    cell.  Its walks and spreads stay within 8n for n cells per row, so the
+    doubling prefix is int16 while 8n < 2**15.  Other blocks keep one int32
+    cumsum per row: on long rows it beats log2(n) doubling passes.
+    """
+    rows, n = cells.shape
+    if rows <= n:
+        axis = 1
+        steps = _PREFIX_SUM.take(cells)
+        ends = np.cumsum(steps, axis=1, dtype=np.int32)
+    else:
+        axis = 0
+        cells = np.ascontiguousarray(cells.T)
+        steps = _PREFIX_SUM.take(cells)
+        ends = steps.astype(np.int16 if 8 * n < 1 << 15 else np.int32)
+        s = 1
+        while s < n:  # ends[j] sums slabs j - 2s + 1 .. j after the pass at s
+            ends[s:] = ends[s:] + ends[:-s]
+            s *= 2
     ends -= steps  # the walk's value before each byte
-    high = (ends + _PREFIX_MAX.take(cells)).max(axis=1)
-    return high - (ends + _PREFIX_MIN.take(cells)).min(axis=1)
+    high = (ends + _PREFIX_MAX.take(cells)).max(axis=axis)
+    return high - (ends + _PREFIX_MIN.take(cells)).min(axis=axis)
 
 
 def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...]]]:

@@ -119,12 +119,16 @@ class RecordCache:
 
     def append(self, line: str) -> None:
         """Append one serialized record, a MeasureRecord.to_json() line."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as f:
+        try:
+            f = open(self.path, "ab")
+        except FileNotFoundError:  # a directory is missing: only then is one made
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            f = open(self.path, "ab")
+        with f:
             try:
                 import fcntl
 
                 fcntl.flock(f, fcntl.LOCK_EX)
             except ImportError:
                 pass
-            f.write(line + "\n")
+            f.write(line.encode() + b"\n")

@@ -1111,6 +1111,24 @@ def test_scan_empty_range(capsys):
     assert len(stdout.strip().splitlines()) == 1  # header only
 
 
+def test_scan_marks_primes_below_k_and_goes_on(capsys):
+    # a 7-bit word has no C_8: its row keeps p and g, and the next primes are scanned
+    code, stdout, err = run(capsys, "scan", "--ck", "8", "--primes", "7,13,19,31")
+    assert (code, err) == (EXIT_OK, "")
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert [(r["p"], r["status"]) for r in rows] == [
+        (7, "k-above-p"), (13, "ok"), (19, "ok"), (31, "ok")]
+    assert rows[0]["g"] == 3 and rows[0]["C_k"] == rows[0]["theorem1_kernel"] == ""
+    assert [r["C_k"] for r in rows[1:]] == [5, 9, 21]
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_scan_refuses_ck_below_one(k, capsys):
+    code, stdout, err = run(capsys, "scan", "--ck", k, "--primes", "7,13")
+    assert (code, stdout) == (EXIT_PARAM, "")
+    assert err == f"error: --ck must be >= 1; got {k}\n"
+
+
 def test_scan_c2_small_range(capsys):
     code, stdout, _ = run(
         capsys, "scan", "--ck", "2", "--primes", "upto:60", "--format", "csv",

@@ -496,6 +496,53 @@ def test_prefix_tables_match_direct_walk():
             assert got == (walk[-1], max(walk), min(walk)), (byte, count)
 
 
+def _spreads_reference(cells):
+    """Walk spread of each row, by decoding each cell's count of valid steps and
+    its byte and walking those steps one at a time."""
+    out = []
+    for row in cells.tolist():
+        walk = [0]
+        for cell in row:
+            count, byte = cell >> 8, cell & 0xFF
+            for i in range(count):
+                walk.append(walk[-1] + (-1 if byte >> i & 1 else 1))
+        out.append(max(walk) - min(walk))
+    return out
+
+
+@st.composite
+def cell_blocks(draw):
+    """Blocks of cells (valid steps << 8 | byte) with more rows than cells per
+    row, fewer, as many, one row, or one cell per row: both layouts of `_spreads`."""
+    shape = draw(st.sampled_from(["tall", "wide", "square", "one row", "one cell"]))
+    n = draw(st.integers(1, 70))
+    rows = {"tall": n + draw(st.integers(1, 150)), "wide": n, "square": n, "one row": 1,
+            "one cell": draw(st.integers(1, 150))}[shape]
+    n = {"wide": n + draw(st.integers(1, 150)), "one cell": 1}.get(shape, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # counts favour 8 and 0, as in real rows, and the bytes' density of ones is
+    # drawn, so long runs of one sign are common
+    counts = rng.choice([0, 8, *range(9)], size=(rows, n))
+    ones = rng.random((rows, n, 8)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return (counts << 8 | np.packbits(ones, axis=2, bitorder="little")[..., 0]).astype(np.uint16)
+
+
+@given(cell_blocks())
+@settings(max_examples=200, deadline=None)
+def test_spreads_match_direct_walk(cells):
+    assert measures._spreads(cells).tolist() == _spreads_reference(cells)
+
+
+def test_spreads_reach_the_int16_extreme_of_the_default_block():
+    # 128 rows of 127 all-down cells: every walk falls to -1016, the furthest a
+    # cell-major block gets at the default _BLOCK_CELLS (fewer than 128 cells)
+    cells = np.full((128, 127), 8 << 8 | 0xFF, dtype=np.uint16)
+    assert measures._spreads(cells).tolist() == [1016] * 128
+    # one up step first: the walks rise to 1, then fall to -1014
+    cells[:, 0] = 8 << 8 | 0xFE
+    assert measures._spreads(cells).tolist() == [1015] * 128
+
+
 @pytest.mark.parametrize("n, k", [(1201, 2), (150, 3)])
 def test_exact_blocks_stay_within_cell_bound(monkeypatch, n, k):
     seq = BitSequence.create(np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8))

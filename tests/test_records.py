@@ -185,3 +185,12 @@ def _records(draw):
 @settings(max_examples=300, deadline=None)
 def test_to_json_matches_asdict_serialization(rec):
     assert rec.to_json() == _canonical(asdict(rec))
+
+
+def test_cache_append_creates_missing_directories(tmp_path):
+    # the first append under two missing directory levels makes them both
+    cache = RecordCache(tmp_path / "a" / "b" / "c.jsonl")
+    stored = _record("a" * 64, 1).to_json()
+    cache.append(stored)
+    assert cache.path.read_bytes() == stored.encode() + b"\n"
+    assert cache.get("a" * 64) == stored
