@@ -212,16 +212,21 @@ def random_baseline(
         raise ParameterError("trials must be >= 1")
     if rng_seed < 0:
         raise ParameterError(f"seed must be >= 0; got {rng_seed}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1; got {n}")
+    if not 1 <= k <= n:
+        raise ParameterError(f"order k={k} outside 1..{n}")
+    # each word's exact search charges the same, so the charge is made once, before
+    # the first draw; the baseline has no sampled variant to point to
+    estimate = math.comb(n, k) * n
+    if estimate > budget:
+        raise BudgetExceeded(estimate, budget, hint="lower --n or --k, or raise --budget")
     rng = np.random.default_rng(rng_seed)
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     values = []
     for _ in range(trials):
         word = BitSequence.create(rng.integers(0, 2, size=n, dtype=np.uint8), label="random")
-        try:
-            values.append(correlation_measure_exact(word, k, budget=budget).value)
-        except BudgetExceeded as e:  # the baseline has no sampled variant to point to
-            raise BudgetExceeded(e.estimate, e.budget,
-                                 hint="lower --n or --k, or raise --budget") from None
+        values.append(correlation_measure_exact(word, k, budget=budget).value)
     ratios = [v / norm for v in values]
     return {
         "mean_ratio": float(np.mean(ratios)),

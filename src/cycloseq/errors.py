@@ -31,7 +31,10 @@ class BudgetExceeded(CycloseqError):
     def __init__(self, estimate: int, budget: int, hint: str = "use the sampled variant"):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(f"estimated {estimate} window evaluations exceed budget {budget}; {hint}")
+        # an estimate past 2**4096 is shown by its size: str() refuses ints past
+        # 4300 digits, and C_k's comb(N, k) * N gets there at N = 10**5, k = 3000
+        shown = estimate if estimate.bit_length() <= 4096 else f"at least 2**{estimate.bit_length() - 1}"
+        super().__init__(f"estimated {shown} window evaluations exceed budget {budget}; {hint}")
 
 
 class CapExceeded(CycloseqError):

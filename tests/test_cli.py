@@ -1,9 +1,13 @@
+import argparse
 import bisect
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +473,30 @@ def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
     assert json.loads(first)["params"] == {"k": 3, "samples": 40, "seed": 0, "draw": "floyd"}
 
 
+@pytest.mark.parametrize("source, message", [
+    (("--construction", "hall", "--p", "13", "--m", "3", "--classes", "0"),
+     "--construction hall does not read --m, --classes"),
+    (("--construction", "legendre", "--p", "13", "--m", "2"), "--construction legendre does not read --m"),
+    (("--construction", "dhl", "--p", "13", "--classes", "0"), "--construction dhl does not read --classes"),
+    (("--input", "{seq}", "--construction", "hall"), "--input does not read --construction"),
+    (("--input", "{seq}", "--p", "13"), "--input does not read --p"),
+    (("--input", "{seq}", "--m", "6", "--classes", "0,1,3"), "--input does not read --m, --classes"),
+    (("--input", "{seq}", "--length", "5"), "--input does not read --length"),
+], ids=["hall-m-classes", "legendre-m", "dhl-classes", "input-construction", "input-p",
+        "input-m-classes", "input-length"])
+def test_options_the_word_source_does_not_read_are_refused(source, message, tmp_path,
+                                                          monkeypatch, capsys):
+    seq = tmp_path / "w.seq"
+    seq.write_text("0110100\n")
+    source = [a.format(seq=seq) for a in source]
+    code, stdout, err = run(capsys, "measure", *source, "--ck", "1", "--no-cache")
+    assert (code, stdout, err) == (EXIT_PARAM, "", f"error: {message}\n")
+    if "--input" not in source:  # generate builds its word the same way, and writes none
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "generate", *source) == (EXIT_PARAM, "", f"error: {message}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["w.seq"]
+
+
 def _stored(seq, params, value):
     """A C_k cache line for `seq` keyed on `params`, as a toolkit that took
     those params would have written it."""
@@ -631,6 +659,76 @@ def test_main_parses_once_as_the_top_level_parser_would(argv, monkeypatch):
     assert main(list(argv)) == EXIT_OK
     top, _ = cli._make_parser()
     assert [vars(a) for a in seen] == [vars(top.parse_args(list(argv)))]
+
+
+def _parse_args(command, argv):
+    """What the subcommand's argparse parser makes of argv: a Namespace, or None
+    where it exits (an error, or -h)."""
+    parser = cli._make_parser()[1][command]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parser.parse_args(argv, argparse.Namespace(command=command))
+    except SystemExit:
+        return None
+
+
+@st.composite
+def _subcommand_argv(draw, command):
+    """Tokens for one subcommand, read from its parser's actions: valid values
+    mixed with bad ints, values off choices, values that start with '-', repeats,
+    abbreviations, --opt=value, -h, --, positionals, options of other subcommands,
+    missing values and missing required options."""
+    parser = cli._make_parser()[1][command]
+    odd = ["x", "1.5", "", " 3", "-1", "-x", "bogus"]
+    every_option = sorted({s for sub in cli._make_parser()[1].values()
+                           for a in sub._actions for s in a.option_strings})
+    tokens = []
+    if draw(st.booleans()):  # the required options, each with a valid value
+        for a in parser._actions:
+            if a.required:
+                tokens += [a.option_strings[0], str(a.choices[0]) if a.choices else "13"]
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.sampled_from(parser._actions))
+        opt = draw(st.sampled_from(a.option_strings))
+        valid = list(map(str, a.choices or (["13", "2"] if a.type is int else ["13", "0,1,3", "all"])))
+        value = draw(st.sampled_from(odd) if draw(st.integers(0, 5)) == 0 else st.sampled_from(valid))
+        form = draw(st.sampled_from(["full"] * 12 + ["eq", "abbrev", "bare", "stray"]))
+        if form == "full":
+            tokens += [opt] if a.nargs == 0 else [opt, value]
+        elif form == "eq":
+            tokens.append(f"{opt}={value}")
+        elif form == "abbrev":
+            tokens += [opt[:-1], value]
+        elif form == "bare":  # a flag, or an option missing its value
+            tokens.append(opt)
+        else:
+            tokens.append(draw(st.sampled_from(["-h", "--", "stray", *every_option])))
+    return tokens
+
+
+@pytest.mark.parametrize("command", ["generate", "measure", "verify", "scan", "baseline"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_parse_is_argparse_or_declines(command, data):
+    argv = data.draw(_subcommand_argv(command))
+    exact = cli._parse_exact(command, argv)
+    expected = _parse_args(command, argv)
+    if exact is not None:
+        assert expected is not None and vars(exact) == vars(expected)
+    if expected is None:
+        assert exact is None
+
+
+def test_readme_command_lines_take_the_exact_parse():
+    # a later option of another action kind must not send these back to argparse
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cycloseq ")]
+    assert len(lines) >= 10
+    for command, *argv in lines:
+        exact = cli._parse_exact(command, argv)
+        assert exact is not None, (command, *argv)
+        assert vars(exact) == vars(_parse_args(command, argv))
 
 
 @pytest.mark.parametrize("argv, code, text", [
@@ -1146,6 +1244,20 @@ def test_baseline_over_budget_hints_at_its_own_options(capsys):
     assert (code, stdout) == (EXIT_BUDGET, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "lower --n or --k, or raise --budget" in err and "sampled" not in err
+
+
+@pytest.mark.parametrize("n, k, code, message", [
+    ("-5", "2", EXIT_PARAM, "n must be >= 1; got -5"),
+    ("0", "2", EXIT_PARAM, "n must be >= 1; got 0"),
+    (str(10**20), "2", EXIT_BUDGET, f"estimated {math.comb(10**20, 2) * 10**20} window"),
+    # past str()'s 4300 digits an estimate is given by its size
+    (str(10**20), "300", EXIT_BUDGET, "estimated at least 2**"),
+], ids=["n-negative", "n-zero", "n-1e20", "n-1e20-k300"])
+def test_baseline_refuses_n_before_the_first_draw(n, k, code, message, monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "BitSequence", None)  # no word is drawn
+    code_, stdout, err = run(capsys, "baseline", "--n", n, "--k", k)
+    assert (code_, stdout) == (code, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_baseline_deterministic(capsys):
