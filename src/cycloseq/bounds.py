@@ -27,20 +27,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, InvariantViolation, ParameterError
+from .errors import InvariantViolation, ParameterError
 from .measures import (
     DEFAULT_BUDGET,
     _bits_to_int,
+    _charge,
     berlekamp_massey_profile,
     correlation_measure_exact,
     max_order_complexity,
 )
 from .ntheory import PrimeParams, cyclotomic_numbers
 from .seqgen import CLASS_SETS, BitSequence
+
+
+# ASCII binary digits '0'/'1' to the bytes 0/1, the selectors of `compress`
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,9 @@ def check_bw06(seq: BitSequence) -> BoundEvaluation:
         raise InvariantViolation(
             f"{seq.label}: BM connection {conn:#x} has c_0 = 0 or degree > L = {lc}"
         )
-    shifts = tuple(lc - i for i in range(lc, -1, -1) if conn >> i & 1)
+    # D off C(x)'s binary digits, c_deg first: shift L - deg + t at each 1 of digit t
+    digits = bin(conn)[2:]
+    shifts = tuple(compress(range(lc + 1 - len(digits), lc + 1), digits.encode().translate(_BITS)))
     v = 0
     if lc < n:
         v = _witness_value(seq, shifts, lambda t: (
@@ -218,9 +226,7 @@ def random_baseline(
         raise ParameterError(f"order k={k} outside 1..{n}")
     # each word's exact search charges the same, so the charge is made once, before
     # the first draw; the baseline has no sampled variant to point to
-    estimate = math.comb(n, k) * n
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget, hint="lower --n or --k, or raise --budget")
+    _charge(n, k, budget, hint="lower --n or --k, or raise --budget")
     rng = np.random.default_rng(rng_seed)
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     values = []

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from itertools import chain, combinations, islice, product
 
 import numpy as np
@@ -58,6 +57,23 @@ def _parse_int(tok: str, option: str) -> int:
         raise ParameterError(f"{option} takes integers; got {tok!r}")
 
 
+def _listed_primes(spec: str) -> list[int]:
+    """The primes of a list '13,31,43', as ints in the order given."""
+    ps = []
+    for tok in spec.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        p = _parse_int(tok, "--primes")
+        if not ntheory.is_prime(p):
+            raise ParameterError(f"{p} is not prime")
+        # refused here, as upto:B past the limit is, so that every p fits int64
+        if p >= ntheory.P_LIMIT:
+            raise ParameterError(f"p={p} exceeds the 2**31 limit")
+        ps.append(p)
+    return ps
+
+
 def _parse_primes(spec: str) -> np.ndarray:
     """'13,31,43' or 'upto:B', as one int64 array (upto:30000000's 1 857 858
     primes take 15 MB)."""
@@ -77,25 +93,16 @@ def _parse_primes(spec: str) -> np.ndarray:
         ps *= 2  # in place: no second array of the primes
         ps += 1
         return ps
-    ps = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        p = _parse_int(tok, "--primes")
-        if not ntheory.is_prime(p):
-            raise ParameterError(f"{p} is not prime")
-        # refused here, as upto:B past the limit is, so that every p fits int64
-        if p >= ntheory.P_LIMIT:
-            raise ParameterError(f"p={p} exceeds the 2**31 limit")
-        ps.append(p)
-    return np.array(ps, dtype=np.int64)
+    return np.array(_listed_primes(spec), dtype=np.int64)
 
 
 def _admitted(spec: str, m: int) -> np.ndarray:
-    """The primes of spec with m | p - 1."""
-    ps = _parse_primes(spec)
-    return ps[(ps - 1) % m == 0]
+    """The primes of spec with m | p - 1, as one int64 array.  A list, a few
+    primes as a rule, is filtered as ints: numpy's mask costs more than it saves."""
+    if spec.startswith("upto:"):
+        ps = _parse_primes(spec)
+        return ps[(ps - 1) % m == 0]
+    return np.array([p for p in _listed_primes(spec) if (p - 1) % m == 0], dtype=np.int64)
 
 
 def _arenas(primes, policies=("smallest",)):
@@ -152,11 +159,11 @@ def _build_sequence(args) -> seqgen.BitSequence:
 
 
 def _load_sequence(args) -> seqgen.BitSequence:
-    if args.input:
+    if args.input is not None:
         # --g is left out: its default cannot be told from a given --g smallest
         _refuse_unread(args, "--input", ("--construction", "--p", "--m", "--classes", "--length"))
         seq = seqgen.read_sequence(args.input)
-    elif args.construction and args.p:
+    elif args.construction is not None and args.p is not None:  # p = 0 is check_prime's to name
         seq = _build_sequence(args)
     else:
         raise ParameterError("need --input FILE or --construction/--p")
@@ -410,12 +417,15 @@ def cmd_verify(args) -> int:
     if args.policy is not None and args.suite not in _POLICY_SUITES:
         raise ParameterError(f"--g-policy is read only by the suites {', '.join(_POLICY_SUITES)}; "
                              f"{args.suite} checks the smallest root's words")
-    checks = list(_SUITES[args.suite](args))
-    for name, status, detail in checks:
-        print(f"[{status.upper():6s}] {name}  {detail}")
-    n = Counter(status for _, status, _ in checks)
-    print(f"suite={args.suite}: {n['pass']} passed, {n['fail']} failed, "
-          f"{n['n/a']} n/a, {n['report']} reported")
+    # nothing is printed until the whole suite has run, then everything in one print
+    n = {"pass": 0, "fail": 0, "n/a": 0, "report": 0}
+    lines = []
+    for name, status, detail in _SUITES[args.suite](args):
+        n[status] += 1
+        lines.append(f"[{status.upper():6s}] {name}  {detail}")
+    lines.append(f"suite={args.suite}: {n['pass']} passed, {n['fail']} failed, "
+                 f"{n['n/a']} n/a, {n['report']} reported")
+    print("\n".join(lines))
     return EXIT_VERIFY if n["fail"] else EXIT_OK
 
 
@@ -537,43 +547,55 @@ def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 @functools.cache
 def _option_table(command: str):
     """One subcommand's options as its argparse parser declares them: each option
-    string of a plain store (one value) or store_true action, the default of every
-    action, the required actions and the members of each mutually exclusive group."""
+    string of a plain store (one value) or store_true action, as that action and
+    the converter argparse applies to its value (None for a flag), the default of
+    every action, the required actions and the members of each mutually exclusive
+    group."""
     parser = _make_parser()[1][command]
-    actions = {s: a for a in parser._actions for s in a.option_strings
-               if type(a) is argparse._StoreTrueAction
-               or type(a) is argparse._StoreAction and a.nargs is None}
+    actions = {}
+    for a in parser._actions:
+        if type(a) is argparse._StoreTrueAction:
+            actions.update(dict.fromkeys(a.option_strings, (a, None)))
+        elif type(a) is argparse._StoreAction and a.nargs is None:
+            convert = parser._registry_get("type", a.type, a.type)
+            actions.update(dict.fromkeys(a.option_strings, (a, convert)))
     defaults = {a.dest: a.default for a in parser._actions
                 if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
     required = [a for a in parser._actions if a.required]
     groups = [g._group_actions for g in parser._mutually_exclusive_groups]
-    return parser, actions, defaults, required, groups
+    return actions, defaults, required, groups
 
 
 def _parse_exact(command: str, argv):
     """The Namespace parse_args builds for argv, the tokens after command, when
     every token is an exact option string of the table followed by its value; None
     for anything else (an abbreviation, --opt=value, -h, --, a positional, a value
-    that is missing, starts with '-', does not convert or is not a choice, a missing
-    required option, two options of one exclusive group), which argparse parses."""
-    parser, actions, defaults, required, groups = _option_table(command)
+    that is missing, starts with '-', is not a choice or fails its converter with
+    one of the errors argparse reports, a missing required option, two options of
+    one exclusive group), which argparse parses.  Each value is converted and
+    checked against its choices here, as argparse's _get_value and _check_value
+    would, without building their error messages."""
+    actions, defaults, required, groups = _option_table(command)
     seen = {}
     tokens = iter(argv)
     for tok in tokens:
-        action = actions.get(tok)
-        if action is None:
+        entry = actions.get(tok)
+        if entry is None:
             return None
-        if action.nargs == 0:  # store_true
+        action, convert = entry
+        if convert is None:  # store_true
             seen[action] = action.const
             continue
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
         try:
-            seen[action] = parser._get_value(action, value)
-            parser._check_value(action, seen[action])
-        except argparse.ArgumentError:
+            value = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action] = value
     if any(a not in seen for a in required) or any(
             sum(a in seen for a in members) > 1 for members in groups):
         return None
@@ -606,7 +628,7 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as e:
         msg = str(e)
-        if isinstance(e, MemoryError):  # np.resize raises one with no message
+        if isinstance(e, MemoryError):  # some allocators raise one with no message
             msg = f"out of memory: {msg}" if msg else "out of memory"
         print(f"error: {msg}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)

@@ -25,15 +25,19 @@ class InvariantViolation(CycloseqError):
     """Two independent computations that must agree do not."""
 
 
+# An estimate past 2**SHOWN_BITS is shown by its size: str() refuses ints past
+# 4300 digits, and C_k's comb(N, k) * N gets there at N = 10**5, k = 3000.
+SHOWN_BITS = 4096
+
+
 class BudgetExceeded(CycloseqError):
     """Exact enumeration would exceed the configured budget."""
 
     def __init__(self, estimate: int, budget: int, hint: str = "use the sampled variant"):
         self.estimate = estimate
         self.budget = budget
-        # an estimate past 2**4096 is shown by its size: str() refuses ints past
-        # 4300 digits, and C_k's comb(N, k) * N gets there at N = 10**5, k = 3000
-        shown = estimate if estimate.bit_length() <= 4096 else f"at least 2**{estimate.bit_length() - 1}"
+        bits = estimate.bit_length()
+        shown = estimate if bits <= SHOWN_BITS else f"at least 2**{bits - 1}"
         super().__init__(f"estimated {shown} window evaluations exceed budget {budget}; {hint}")
 
 

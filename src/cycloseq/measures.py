@@ -60,7 +60,11 @@ once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 
 The budget is an upfront refusal in one unit, window evaluations: the exact
 search is charged its nominal count binom(N, k) * N, not the walk steps it
-evaluates, and the sampled measure min(samples, binom(N, k)) * N.
+evaluates, and the sampled measure min(samples, binom(N, k)) * N (`_charge`).
+A charge is never computed in full to be refused: binom(N, k) >= (N/j)**j,
+j = min(k, N - k), so a charge whose bound passes both 2**4096 and the budget
+is refused from the bound alone, and samples below the bound charge
+samples * N without binom.
 
 The maximum order complexity profile comes from an online suffix automaton
 (`max_order_complexity_profile`).  Its final value alone, M(N) = 1 + the length
@@ -109,7 +113,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, InvariantViolation, ParameterError
+from .errors import SHOWN_BITS, BudgetExceeded, CapExceeded, InvariantViolation, ParameterError
 from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
@@ -260,23 +264,29 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:
     """Row s, s < N: bits s..s+N-1 packed little-endian, zero past the word, as
-    an (N, ceil(N / 8)) view over one packed copy of the word.
+    an (N, ceil(N / 8)) view over one array of windows.
 
     Each uint16 cell holds one byte of the row in its low half and, in its high
     half, how many of that byte's steps a pattern whose last shift is s has
     (N - s - 8j for byte j, clipped to 0..8), so a cell is its own index into
     the flattened prefix tables.  Both halves depend on s + 8j alone, so cell
     [s, j] is entry s + 8j of one array: the byte of bits i..i+7 at entry i.
+    That byte is read off the packed word: bytes q and q + 1 of it, i = 8q + r,
+    as one uint16 shifted down by r.
     """
     N = bits.size
     nb = -(-N // 8)
-    ext = np.zeros(N + 8 * nb + 7, dtype=np.uint8)
-    ext[:N] = bits
-    # No (N, N) array of single bits and no (N, nb) table is built.  The strided
-    # views are ndarrays over the buffers, which checks their bounds.
-    windows = np.packbits(np.ndarray((N + 8 * nb, 8), np.uint8, ext, 0, (1, 1)), axis=1,
-                          bitorder="little").ravel().astype(np.uint16)
-    windows[:N] |= np.minimum(np.arange(N, 0, -1), 8).astype(np.uint16) << 8
+    # the packed word, zero past it: entry s + 8j < N + 8 nb <= 16 nb reads byte
+    # (s + 8j) // 8 + 1 at most, so 2 nb + 1 bytes cover every cell
+    packed = np.zeros(2 * nb + 1, dtype=np.uint16)
+    packed[:nb] = np.packbits(bits, bitorder="little")
+    packed[:-1] |= packed[1:] << 8
+    windows = (packed[:-1, None] >> np.arange(8, dtype=np.uint16) & 0xFF).ravel()
+    # steps: 8 at each entry i < N, but N - i for the last seven
+    windows[:N] |= 8 << 8
+    tail = min(N, 7)
+    windows[N - tail : N] -= np.arange(8 - tail, 8, dtype=np.uint16) << 8
+    # an ndarray over the buffer, which checks the view's bounds
     return np.ndarray((N, nb), np.uint16, windows, 0, (2, 16))  # [s, j] = windows[s + 8j]
 
 
@@ -391,6 +401,36 @@ def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...
     return best, attaining
 
 
+def _charge(N: int, k: int, budget: int, hint: str = "use the sampled variant",
+            samples: int | None = None) -> bool:
+    """Charge comb(N, k) * N window evaluations, 1 <= k <= N, or with samples
+    min(samples, comb(N, k)) * N, against budget: BudgetExceeded past it.  True
+    when the samples cover every tuple, samples >= comb(N, k).
+
+    comb(N, k) >= (N/j)**j >= 2**b, j = min(k, N - k), so comb is computed only
+    when it is needed: samples < 2**b charge samples * N, and a charge whose
+    bound 2**b * N alone passes both 2**SHOWN_BITS and the budget is refused as
+    at least that bound (math.comb(10**20, 10**5) alone takes seconds).  Below
+    that the estimate is exact.
+    """
+    j = min(k, N - k)
+    x = j * (math.log2(N) - math.log2(j)) if j else 0.0
+    b = max(0, math.floor(x - x / 2**20) - 1)  # 2**-20 of x and a bit spare cover rounding
+    if samples is not None and samples.bit_length() <= b:  # samples < 2**b <= comb(N, k)
+        tuples, covered = samples, False
+    else:
+        low = b + N.bit_length() - 1  # 2**low <= 2**b * N
+        if low >= SHOWN_BITS and budget.bit_length() <= low:
+            raise BudgetExceeded(1 << low, budget, hint)
+        tuples = math.comb(N, k)
+        covered = samples is not None and samples >= tuples
+        if samples is not None:
+            tuples = min(samples, tuples)
+    if tuples * N > budget:
+        raise BudgetExceeded(tuples * N, budget, hint)
+    return covered
+
+
 def correlation_measure_exact(
     seq: BitSequence, k: int, budget: int = DEFAULT_BUDGET
 ) -> CorrelationReport:
@@ -402,9 +442,7 @@ def correlation_measure_exact(
     N = seq.length
     if not 1 <= k <= N:
         raise ParameterError(f"order k={k} outside 1..{N}")
-    estimate = math.comb(N, k) * N
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+    _charge(N, k, budget)
     rows = _step_rows(seq.bits)
     # k = 1 has the one pattern (0,), whose walk's spread is C_1
     best, attaining = _search_patterns(seq.bits, k) if k > 1 else (None, [(0,)])
@@ -451,11 +489,7 @@ def correlation_measure_sampled(
     if rng_seed < 0:
         raise ParameterError(f"seed must be >= 0; got {rng_seed}")
 
-    total = math.comb(N, k)
-    estimate = min(samples, total) * N
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget, hint="lower --sampled or raise --budget")
-    if samples >= total:
+    if _charge(N, k, budget, "lower --sampled or raise --budget", samples):
         return replace(correlation_measure_exact(seq, k, budget=budget), exhaustive=False)
 
     rng = np.random.default_rng(rng_seed)

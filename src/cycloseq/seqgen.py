@@ -112,24 +112,39 @@ class BitSequence:
 
 def _word(core: np.ndarray, length: int, label: str) -> BitSequence:
     """The p-long 0/1 uint8 core tiled to `length` terms, read-only, of period p;
-    ParameterError unless length >= 1.  A tiled core wraps, so nothing is checked."""
+    ParameterError unless length >= 1.  A longer word is cut from whole copies of
+    the core laid end to end.  A tiled core wraps, so nothing is checked."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    bits = core if length <= core.size else np.resize(core, length)
+    bits = core
+    if length > core.size:
+        bits = np.empty((-(-length // core.size), core.size), dtype=np.uint8)
+        bits[:] = core
+        bits = bits.ravel()
     bits.setflags(write=False)
     return BitSequence(bits[:length], period=core.size, label=label)
 
 
-def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
-    """The 0/1 word on 0..p-1 of the order-m cosets C_l, l in subset: one table
-    gather of the length-m membership table at ind(n) mod m.  Slot 0 is zeroed
-    after, since index_table[0] = -1 wraps to class m - 1."""
-    cosets = params.cosets(m)
+@functools.lru_cache(maxsize=64)
+def _membership(m: int, subset: frozenset[int]) -> np.ndarray:
+    """The read-only length-m 0/1 table of the classes in subset; ParameterError
+    unless they lie in 0..m-1.  Bounded: a library process may pass any number
+    of class sets, and a refused one is never cached."""
     if not subset <= frozenset(range(m)):
         raise ParameterError(f"classes {sorted(subset)} not within 0..{m - 1}")
     member = np.zeros(m, dtype=np.uint8)
     member[list(subset)] = 1
-    core = member[cosets]
+    member.setflags(write=False)
+    return member
+
+
+def _core_from_classes(params: PrimeParams, m: int, subset: frozenset[int]) -> np.ndarray:
+    """The 0/1 word on 0..p-1 of the order-m cosets C_l, l in subset: one gather
+    of the class set's cached membership table at the arena's coset table,
+    ind(n) mod m.  Slot 0 is zeroed after, since index_table[0] = -1 wraps to
+    class m - 1."""
+    cosets = params.cosets(m)
+    core = _membership(m, subset)[cosets]
     core[0] = 0
     return core
 

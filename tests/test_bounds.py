@@ -1,11 +1,13 @@
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloseq import bounds
 from cycloseq.bounds import (
     _class_differences,
     _witness_value,
@@ -145,6 +147,21 @@ def test_bw06_witness_beyond_cap():
     assert ev.inputs["L"] == 22 and ev.inputs["w"] == 10
     assert ev.inputs["v"] >= 232 == 254 - 22
     assert ev.inputs["rhs"] == 254 - ev.inputs["v"] <= 22
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bw06_shifts_are_the_scan_of_every_position(data):
+    # D off the connection polynomial's binary digits equals the scan of all
+    # L + 1 positions it replaced, for any C(x) with c_0 = 1 and degree <= L;
+    # the word is L bits long, so no walk reads it
+    lc = data.draw(st.integers(1, 300))
+    conn = data.draw(st.integers(0, 2**lc - 1)) << 1 | 1
+    profile = SimpleNamespace(final=lc, connection=conn)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "berlekamp_massey_profile", lambda seq: profile)
+        ev = check_bw06(BitSequence.create(np.zeros(lc, dtype=np.uint8)))
+    assert ev.inputs["D"] == tuple(lc - i for i in range(lc, -1, -1) if conn >> i & 1)
 
 
 def _assert_bw06_witness(bits):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,43 @@ def test_measure_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("construction, message", [
+    (("hall",), "p=0 is not a prime = 1 (mod 6)"),
+    (("legendre",), "p=0 is not an odd prime"),
+    (("cyclotomic", "--m", "2", "--classes", "0"), "p=0 is not an odd prime"),
+], ids=["hall", "legendre", "cyclotomic"])
+def test_measure_names_p_zero_as_generate_does(construction, message, tmp_path, capsys):
+    # --p 0 is given: it is refused by the prime check, not as a missing --p
+    for argv in (("measure", "--ck", "1", "--no-cache"),
+                 ("generate", "--output", str(tmp_path / "w.seq"))):
+        code, stdout, err = run(capsys, *argv, "--construction", *construction, "--p", "0")
+        assert (code, stdout, err) == (EXIT_PARAM, "", f"error: {message}\n")
+
+
+def test_measure_empty_input_is_not_ignored(capsys):
+    # --input "" is given: refused beside --construction like any other path,
+    # never dropped for the construction's word
+    code, stdout, err = run(capsys, "measure", "--input", "", "--construction", "hall",
+                            "--p", "13", "--ck", "1", "--no-cache")
+    assert (code, stdout) == (EXIT_PARAM, "")
+    assert err == "error: --input does not read --construction, --p\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("baseline", "--n", str(10**20), "--k", "100000"),
+    ("measure", "--construction", "hall", "--p", "100003", "--ck", "20000", "--no-cache"),
+], ids=["baseline", "measure"])
+def test_astronomical_charge_is_refused_at_once(argv, monkeypatch, capsys):
+    # comb(10**20, 10**5) alone took seconds to compute only to be refused: the
+    # charge is refused from its lower bound, and never computed
+    monkeypatch.setattr(math, "comb", lambda *a: pytest.fail("comb computed"))
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, stdout) == (EXIT_BUDGET, "")
+    assert err.startswith("error: estimated at least 2**") and err.count("\n") == 1
+
+
 def test_measure_autocorr_not_an_integer(tmp_path, capsys):
     code, stdout, err = run(
         capsys, "measure", "--construction", "hall", "--p", "13", "--autocorr", "abc",
@@ -589,6 +627,21 @@ def test_each_run_parses_primes_once(command, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_parse_primes", lambda spec: parsed.append(spec) or parse(spec))
     code, _, _ = run(capsys, *command, "--primes", "upto:13")
     assert code == EXIT_OK and parsed == ["upto:13"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101]),
+             max_size=8).map(lambda ps: ",".join(map(str, ps))),
+    st.integers(-1, 3000).map(lambda b: f"upto:{b}"),
+), st.sampled_from([2, 6]))
+def test_admitted_primes_are_the_masked_parse(spec, m):
+    # a list (repeats, 2, any order) is filtered as ints, upto:B by a mask: both
+    # are exactly the parsed primes with m | p - 1, as one int64 array
+    ps = cli._parse_primes(spec)
+    admitted = cli._admitted(spec, m)
+    assert admitted.dtype == np.int64 and admitted.ndim == 1
+    assert admitted.tolist() == ps[(ps - 1) % m == 0].tolist()
 
 
 def test_primes_upto_are_the_primes_from_3_to_the_bound():

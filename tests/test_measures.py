@@ -485,6 +485,23 @@ def test_search_attaining_set_matches_enumeration(data, seq, bound):
     assert (best, set(attaining)) == _attaining_reference(seq, k)
 
 
+@pytest.mark.parametrize("N", [*range(1, 42), 61, 542, 1001])
+def test_packed_rows_match_the_cell_definition(N):
+    # every N mod 8, and N < 8, where the last seven windows are all there is:
+    # cell [s, j] is the byte of bits s+8j..s+8j+7 little-endian, zero past the
+    # word, over N - s - 8j steps clipped to 0..8
+    bits = np.random.default_rng(N).integers(0, 2, N, dtype=np.uint8)
+    nb = -(-N // 8)
+    R = measures._packed_rows(bits)
+    assert R.shape == (N, nb) and R.dtype == np.uint16
+    padded = [*bits.tolist(), *[0] * (16 * nb)]
+    for s in range(N):
+        for j in range(nb):
+            i = s + 8 * j
+            byte = sum(padded[i + t] << t for t in range(8))
+            assert R[s, j] == min(max(N - i, 0), 8) << 8 | byte, (s, j)
+
+
 def test_prefix_tables_match_direct_walk():
     for byte in range(256):
         for count in range(9):
@@ -598,6 +615,39 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded) as err:
         correlation_measure_exact(seq, 3, budget=1000)
     assert err.value.estimate == math.comb(100, 3) * 100
+
+
+@pytest.mark.parametrize("N, k", [(10**4, 2000), (10**4, 8000), (10**4, 5000), (10**5, 1000)])
+def test_huge_charge_is_refused_from_a_lower_bound(N, k, monkeypatch):
+    # past 2**4096 and the budget, comb(N, k) * N is refused as "at least 2**b"
+    # from comb(N, j) >= (N/j)**j, j = min(k, N - k), never computing comb, and
+    # the bound is a true lower bound of the exact charge
+    exact = math.comb(N, k) * N
+    monkeypatch.setattr(math, "comb", lambda *a: pytest.fail("comb computed"))
+    seq = BitSequence.create(np.zeros(N, dtype=np.uint8))
+    for refuse in (lambda: correlation_measure_exact(seq, k),
+                   lambda: correlation_measure_sampled(seq, k, exact, rng_seed=0)):
+        with pytest.raises(BudgetExceeded) as err:
+            refuse()
+        b = err.value.estimate.bit_length() - 1
+        assert err.value.estimate == 1 << b and b >= 4096 and 1 << b <= exact
+        assert str(err.value).startswith(f"estimated at least 2**{b} window")
+
+
+def test_charge_below_the_bound_threshold_is_exact(monkeypatch):
+    # comb(300, 150) * 300 is near 2**303, and comb(5000, 2000) * 5000 near
+    # 2**4860 while its bound 2**2654 is not past 2**4096: both exactly, as before
+    for N, k in ((300, 150), (5000, 2000)):
+        seq = BitSequence.create(np.zeros(N, dtype=np.uint8))
+        with pytest.raises(BudgetExceeded) as err:
+            correlation_measure_exact(seq, k)
+        assert err.value.estimate == math.comb(N, k) * N
+    # samples below the bound charge samples * N, without comb
+    monkeypatch.setattr(math, "comb", lambda *a: pytest.fail("comb computed"))
+    seq = BitSequence.create(np.zeros(10**4, dtype=np.uint8))
+    with pytest.raises(BudgetExceeded) as err:
+        correlation_measure_sampled(seq, 5000, 10**6, rng_seed=0, budget=10**9)
+    assert err.value.estimate == 10**6 * 10**4
 
 
 def test_sampled_determinism_and_bound():

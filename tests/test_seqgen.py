@@ -23,7 +23,13 @@ from cycloseq.seqgen import (
     sign_coefficients,
     write_sequence,
 )
-from cycloseq.seqgen import _PERIOD_RE, _core_from_classes, _core_via_characters, _word
+from cycloseq.seqgen import (
+    _PERIOD_RE,
+    _core_from_classes,
+    _core_via_characters,
+    _membership,
+    _word,
+)
 
 P13 = SexticParams.create(13, g=2)
 P31 = SexticParams.create(31, g=3)
@@ -411,9 +417,28 @@ def test_cyclotomic_empty_subset():
     assert cyclotomic_sequence(P13, 6, set(), 13).to01() == "0" * 13
 
 
+def test_membership_table_is_cached_read_only():
+    # one table a class set, shared by every word of it: no word can write it
+    _membership.cache_clear()
+    a = _core_from_classes(P13, 6, frozenset({0, 1, 3}))
+    table = _membership(6, frozenset({0, 1, 3}))
+    assert _membership.cache_info()[:2] == (1, 1)  # hits, misses
+    assert table.tolist() == [1, 1, 0, 1, 0, 0] and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[2] = 1
+    a[:] = 1  # each core is its own array
+    hall = _core_from_classes(P13, 6, frozenset({0, 1, 3}))
+    assert hall.tolist() == hall_sequence(P13, 13).bits.tolist()
+    assert table.tolist() == [1, 1, 0, 1, 0, 0]
+
+
 def test_cyclotomic_errors():
-    with pytest.raises(ParameterError, match="classes \\[0, 6\\] not within 0..5"):
-        cyclotomic_sequence(P13, 6, {0, 6}, 13)
+    # refused on every call: a refused class set leaves nothing in the cache
+    _membership.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ParameterError, match="classes \\[0, 6\\] not within 0..5"):
+            cyclotomic_sequence(P13, 6, {0, 6}, 13)
+    assert _membership.cache_info()[1:] == (3, 64, 0)  # misses, maxsize, currsize
     with pytest.raises(ParameterError, match="m=5 does not divide p-1=12"):
         cyclotomic_sequence(P13, 5, {0}, 13)
 
