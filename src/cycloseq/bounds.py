@@ -206,7 +206,7 @@ def difference_set_check(params: PrimeParams) -> DifferenceSetReport:
         lambda_value=int(lam[0]) if lambda_constant else None,
         two_level_ideal=two_level,
         hall_form_u=u,
-        three_in_c1=bool(params.cosets(6)[3] == 1),
+        three_in_c1=bool(params.index_table[3] % 6 == 1),
     )
 
 

@@ -180,7 +180,7 @@ def cmd_generate(args) -> int:
     if args.construction is None or args.p is None:
         raise ParameterError("generate needs --construction and --p")
     seq = _build_sequence(args)
-    out = args.output or f"{args.construction}-p{args.p}.seq"
+    out = f"{args.construction}-p{args.p}.seq" if args.output is None else args.output
     seqgen.write_sequence(seq, out)
     print(seq.label)
     return EXIT_OK

@@ -21,26 +21,25 @@ that arena's g, found without an index table for the smallest root.  A
 three-in-c1 arena derives its table from the smallest root's, which the root
 search built anyway.
 
-Each arena is built once per process.  `create` keeps a memo of p-long int64
-tables: each (p, root) arena's index table, keyed by the integer root or by
-the policy (None and "smallest" are one key), and each coset table
-ind_g(n) mod m that such an arena's `cosets(m)` computed.  An integer root
-that a policy arena of p still held resolved to gets that arena, coset
-tables and all, not a second table.  Its contract:
+Each arena is built once per process.  `create` keeps a memo of index
+tables only: each (p, root) arena's p-long int64 table, keyed by the integer
+root or by the policy (None and "smallest" are one key).  A coset table
+ind_g(n) mod m is never kept: each `cosets(m)` call derives it from the index
+table in O(p).  An integer root that a policy arena of p still held resolved
+to gets that arena, not a second table.  Its contract:
 - refusals (an unknown policy, `check_prime` with the class's order, a root
   outside 1..p-1) run before the memo is read, and errors are never stored:
   a root that is not primitive raises ParameterError, and a prime with no
   three-in-c1 root NoSuchRoot, on every call;
 - the tables it hands out are read-only and PrimeParams is frozen, so no
   caller can change an arena another caller holds;
-- one eviction rule: a miss first evicts the least recently used tables of
+- one eviction rule: a miss first evicts the least recently used arenas of
   other primes until the new table fits in ARENA_MEMO_ENTRIES entries, and
-  only then builds it; a prime's own tables are never evicted.  So a prime's
-  arenas and coset tables stay together (a three-in-c1 arena is rebased from
-  the smallest root's kept arena, and a prime builds one index table under
-  both policies), the memo holds the bound or, past it, the current prime's
-  tables alone, and its peak is the bound, plus the current prime's tables,
-  plus the table being built.
+  only then builds it; a prime's own arenas are never evicted.  So a
+  three-in-c1 arena is rebased from the smallest root's kept arena, a prime
+  builds one index table under both policies, the memo holds the bound or,
+  past it, the current prime's arenas alone, and its peak is the bound, plus
+  the current prime's arenas, plus the table being built.
 An arena built by hand (not by `create`) keeps nothing in the memo.
 """
 
@@ -179,18 +178,18 @@ def build_index_table(p: int, g: int) -> np.ndarray:
 
 
 class _ArenaMemo:
-    """Read-only p-long tables by key, least recently used first.  A key is
-    (p, root) for an arena or (p, root, m) for its coset table, so its p is its
-    table's length.  A miss first evicts the least recently used tables of
-    other primes until the new table fits in ARENA_MEMO_ENTRIES, never a table
-    of its own p; only then is the new table built and stored."""
+    """Arenas by (p, root) key, least recently used first; an arena's index
+    table is p long, so a key's p is its entry count.  A miss first evicts the
+    least recently used arenas of other primes until the new table fits in
+    ARENA_MEMO_ENTRIES, never an arena of its own p; only then is the new
+    arena built and stored."""
 
     def __init__(self):
         self.tables: OrderedDict[tuple, object] = OrderedDict()
         self.entries = 0
 
     def get_or_build(self, key: tuple, build):
-        """The table under key, or build() stored under it; an error is not stored."""
+        """The arena under key, or build() stored under it; an error is not stored."""
         value = self.tables.get(key)
         if value is not None:
             self.tables.move_to_end(key)
@@ -198,13 +197,13 @@ class _ArenaMemo:
         p = key[0]
         self._make_room(p)
         value = build()
-        self._make_room(p)  # a build that read the memo may have stored tables of p
+        self._make_room(p)  # a three-in-c1 build stored the smallest root's arena of p
         self.tables[key] = value
         self.entries += p
         return value
 
     def _make_room(self, p: int) -> None:
-        """Evict the least recently used tables of primes other than p until a
+        """Evict the least recently used arenas of primes other than p until a
         p-long table fits in ARENA_MEMO_ENTRIES, or none is left."""
         if self.entries + p > ARENA_MEMO_ENTRIES:
             for key in [key for key in self.tables if key[0] != p]:
@@ -224,8 +223,6 @@ class PrimeParams:
     p: int
     g: int
     index_table: np.ndarray = field(repr=False)
-    # the memo key of an arena made by create, under which its coset tables are kept
-    _key: tuple | None = field(default=None, repr=False)
 
     _order: ClassVar[int] = 2  # create refuses p unless _order | p - 1
 
@@ -243,18 +240,18 @@ class PrimeParams:
         elif not isinstance(g, str) and not 1 <= g <= p - 1:
             raise ParameterError(f"g must be in 1..{p - 1}; got {g}")
         key = (p, g)
-        if not isinstance(g, str):  # a held policy arena with this root lends its tables
+        if not isinstance(g, str):  # a held policy arena with this root lends its table
             key = next(((p, r) for r in G_POLICIES
                         if getattr(_MEMO.tables.get((p, r)), "g", None) == g), key)
 
         def build():
             if g == THREE_IN_C1:  # rebased from the smallest root's arena
-                return replace(PrimeParams.create(p).rebased_three_in_c1(), _key=key)
+                return PrimeParams.create(p).rebased_three_in_c1()
             root = _smallest_root(p) if g == "smallest" else g
-            return PrimeParams(p, root, build_index_table(p, root), key)
+            return PrimeParams(p, root, build_index_table(p, root))
 
         arena = _MEMO.get_or_build(key, build)
-        return arena if type(arena) is cls else cls(p, arena.g, arena.index_table, key)
+        return arena if type(arena) is cls else cls(p, arena.g, arena.index_table)
 
     def rebased_three_in_c1(self) -> "PrimeParams":
         """This arena under the "three-in-c1" policy, with no second index table.
@@ -275,20 +272,16 @@ class PrimeParams:
         table = t * pow(int(t[g]), -1, p - 1) % (p - 1)
         table[0] = -1
         table.setflags(write=False)
-        return replace(self, g=g, index_table=table, _key=None)
+        return replace(self, g=g, index_table=table)
 
     def cosets(self, m: int) -> np.ndarray:
         """ind_g(n) mod m for n = 0..p-1, read-only; ParameterError unless m | p - 1.
-        An arena made by create keeps the table in the memo."""
+        Derived from the index table in O(p) on every call; the memo keeps none."""
         if m < 1 or (self.p - 1) % m:
             raise ParameterError(f"m={m} does not divide p-1={self.p - 1}")
-
-        def build():
-            table = self.index_table % m
-            table.setflags(write=False)
-            return table
-
-        return build() if self._key is None else _MEMO.get_or_build((*self._key, m), build)
+        table = self.index_table % m
+        table.setflags(write=False)
+        return table
 
 
 def cyclotomic_numbers(params: PrimeParams, m: int) -> np.ndarray:

@@ -232,13 +232,14 @@ def permutation_map_f(params: PrimeParams, n):
 def check_index_representation(params: PrimeParams) -> bool:
     """Verify h_n = 0 exactly when ind_{g^-1}(f(n)) mod 6 lies in {1, 2, 3}.
 
-    ind with respect to g^-1 is (-ind_g) mod (p-1), so -ind_g mod 6 as 6 | p-1.
+    ind with respect to g^-1 is (-ind_g) mod (p-1), so -ind_g mod 6 as 6 | p-1,
+    and -c mod 6 is in {1, 2, 3} exactly when c = ind_g mod 6 is in {3, 4, 5}:
+    a comparison, which no unsigned table can wrap as a negation would.
     f is evaluated once on the array 1..p-1, which it permutes, so no f(n) is 0.
     """
     fn = permutation_map_f(params, np.arange(1, params.p))
-    val = -params.cosets(6)[fn] % 6
     core = _core_from_classes(params, *CLASS_SETS["hall"])
-    return bool(np.array_equal(core[1:] == 0, (1 <= val) & (val <= 3)))
+    return bool(np.array_equal(core[1:] == 0, params.cosets(6)[fn] >= 3))
 
 
 _PERIOD_RE = re.compile(r"^(?P<label>.*?)\s*period=(?P<t>\d+)$")

@@ -139,6 +139,21 @@ def test_verify_builds_one_index_table_a_prime(argv, primes, monkeypatch, capsys
     assert built == []
 
 
+def test_suites_leave_index_tables_only_in_the_memo(capsys):
+    # coset tables are derived where they are read: after suites that read
+    # classes of order 2, 3 and 6 under both policies, every memo key is (p, root)
+    for argv in (("cross-construction", "--primes", "13,31,1033", "--g-policy", "both"),
+                 ("index-representation", "--primes", "13,31,1033", "--g-policy", "both"),
+                 ("diffset", "--primes", "13,31,1033", "--g-policy", "both"),
+                 ("weil", "--primes", "13,31", "--kmax", "1", "--queries", "20")):
+        code, stdout, _ = run(capsys, "verify", "--suite", *argv)
+        assert code == EXIT_OK and " 0 failed," in stdout, argv
+    keys = list(ntheory._MEMO.tables)
+    assert {key[0] for key in keys} == {13, 31, 1033}
+    assert all(len(key) == 2 and (key[1] in ntheory.G_POLICIES or isinstance(key[1], int))
+               for key in keys), keys
+
+
 @pytest.mark.parametrize("suite, module, check", [
     ("iw17", bounds, "check_iw17"), ("bw06", bounds, "check_bw06"), ("moc-le-lc", cli, "_moc_le_lc"),
 ])
@@ -179,6 +194,15 @@ def test_generate_needs_construction_and_p(argv, tmp_path, monkeypatch, capsys):
     code, stdout, err = run(capsys, "generate", *argv)
     assert code == EXIT_PARAM
     assert stdout == "" and err.startswith("error:") and "--construction and --p" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_generate_empty_output_is_refused(tmp_path, monkeypatch, capsys):
+    # an empty --output is a bad path, not a request for the default name
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "generate", "--construction", "hall", "--p", "13", "--output", "")
+    assert code == EXIT_PARAM
+    assert stdout == "" and err.startswith("error:")
     assert not list(tmp_path.iterdir())
 
 

@@ -452,9 +452,6 @@ def test_memoized_arena_equals_a_fresh_build(p, data):
         assert not arena.index_table.flags.writeable
         again = PrimeParams.create(p, root)
         assert again.g == arena.g and again.index_table is arena.index_table
-        for m in (2, 3, 6):
-            if (p - 1) % m == 0:
-                assert again.cosets(m) is arena.cosets(m)
         tables[root] = arena.index_table
     # None and "smallest" are one key; an explicit root that a policy resolved to
     # shares that policy's table, and every other root has its own
@@ -470,7 +467,6 @@ def test_an_integer_root_shares_a_held_policy_arena(monkeypatch):
     calls = _count_builds(monkeypatch)
     smallest = PrimeParams.create(31)
     assert PrimeParams.create(31, 3) is smallest  # 3 is 31's smallest root
-    assert PrimeParams.create(31, 3).cosets(6) is smallest.cosets(6)
     assert calls == [(31, 3)]
     # 139's smallest root is 2, its three-in-c1 root 3: one table for the
     # smallest, rebased for three-in-c1, and none for the integer root 3
@@ -479,7 +475,6 @@ def test_an_integer_root_shares_a_held_policy_arena(monkeypatch):
     assert calls == [(139, 2)] and rebased.g == 3
     explicit = SexticParams.create(139, 3)
     assert explicit.index_table is rebased.index_table
-    assert explicit.cosets(6) is rebased.cosets(6)
     assert calls == [(139, 2)]
 
 
@@ -515,7 +510,7 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     second = PrimeParams.create(37)
     assert list(memo.tables) == [(31, "smallest"), (37, "smallest")] and memo.entries == 68
     assert PrimeParams.create(31).index_table is first.index_table  # 31 is now the most recent
-    third = PrimeParams.create(41)  # past 100 entries: 37, the least recently used, goes
+    PrimeParams.create(41)  # past 100 entries: 37, the least recently used, goes
     assert list(memo.tables) == [(31, "smallest"), (41, "smallest")] and memo.entries == 72
     assert calls == [(31, 3), (37, 2), (41, 6)]
     calls.clear()
@@ -524,18 +519,15 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     assert rebuilt.index_table is not second.index_table
     assert np.array_equal(rebuilt.index_table, second.index_table)
     assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
-    # coset tables count against the same bound
-    third.cosets(2)
-    assert memo.entries <= 100 and memo.entries == sum(key[0] for key in memo.tables)
-    # a p past the bound keeps its arena and coset tables together: its miss
-    # evicted every other prime's tables before it built
+    # a p past the bound keeps its arena: its miss evicted every other prime's
+    # arenas before it built
     calls.clear()
     big = PrimeParams.create(101)
-    cosets = big.cosets(4)
-    assert cosets.size == 101 and list(memo.tables) == [(101, "smallest"), (101, "smallest", 4)]
+    big.cosets(4)
+    assert list(memo.tables) == [(101, "smallest")]
     again = PrimeParams.create(101)
-    assert again.index_table is big.index_table and again.cosets(4) is cosets
-    assert calls == [(101, 2)] and memo.entries == 202
+    assert again.index_table is big.index_table
+    assert calls == [(101, 2)] and memo.entries == 101
     # the next such p's miss drops them before that p builds
     seen = []
     build = ntheory.build_index_table
@@ -545,13 +537,12 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     assert seen == [set()] and list(memo.tables) == [(103, "smallest")]
     assert calls == [(101, 2), (103, 5)]
     # past the bound too, three-in-c1 is rebased from the kept smallest root's
-    # arena: one table under both policies, both arenas and their cosets kept
+    # arena: one table under both policies, both arenas kept
     calls.clear()
     for policy in ("smallest", THREE_IN_C1, "smallest", THREE_IN_C1):
         SexticParams.create(139, policy).cosets(6)
     assert calls == [(139, 2)]
-    assert set(memo.tables) == {(139, root, *m) for root in ("smallest", THREE_IN_C1)
-                                for m in ((), (6,))}
+    assert set(memo.tables) == {(139, "smallest"), (139, THREE_IN_C1)}
     # a three-in-c1 build stores the smallest root's arena first, and room is
     # made again for the rebased one: 59 goes, and the memo stays within the bound
     memo = ntheory._ArenaMemo()
@@ -560,7 +551,7 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     SexticParams.create(31, THREE_IN_C1)
     assert set(memo.tables) == {(31, "smallest"), (31, THREE_IN_C1)} and memo.entries == 62
     # every create under a small bound keeps the memo within it, or holds one
-    # prime's tables alone
+    # prime's arenas alone
     for p in PRIMES_3000[:40]:
         for root in ("smallest", THREE_IN_C1) if p % 6 == 1 else ("smallest",):
             try:
@@ -574,9 +565,9 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
 
 
 def test_a_prime_past_half_the_bound_keeps_its_arena(monkeypatch):
-    """79 is in (50, 100]: its coset table and arena are more than the bound
-    together, yet its coset table's miss evicts no table of 79, so three-in-c1
-    is rebased from the kept arena and 79 builds one index table."""
+    """79 is in (50, 100]: its two arenas are more than the bound together, yet
+    the three-in-c1 miss evicts no arena of 79, so three-in-c1 is rebased from
+    the kept arena and 79 builds one index table."""
     import cycloseq.ntheory as ntheory
 
     monkeypatch.setattr(ntheory, "ARENA_MEMO_ENTRIES", 100)
@@ -584,7 +575,7 @@ def test_a_prime_past_half_the_bound_keeps_its_arena(monkeypatch):
     SexticParams.create(79).cosets(6)
     SexticParams.create(79, THREE_IN_C1)
     assert calls == [(79, 3)]
-    assert set(ntheory._MEMO.tables) == {(79, "smallest"), (79, "smallest", 6), (79, THREE_IN_C1)}
+    assert set(ntheory._MEMO.tables) == {(79, "smallest"), (79, THREE_IN_C1)}
 
 
 def test_coset_tables_are_read_only():

@@ -476,6 +476,40 @@ def test_index_representation():
     assert not index_representation_reference(P13, lambda prm, n: n)
 
 
+def test_index_representation_on_unsigned_coset_tables(monkeypatch):
+    # -c mod 6 on a uint8 class wraps mod 256, not mod 6: the check compares
+    # the class instead of negating it
+    cosets = PrimeParams.cosets
+    monkeypatch.setattr(PrimeParams, "cosets", lambda self, m: cosets(self, m).astype(np.uint8))
+    checked = 0
+    for p in filter(is_prime, range(7, 500, 6)):
+        for policy in ("smallest", "three-in-c1"):
+            try:
+                params = SexticParams.create(p, policy)
+            except NoSuchRoot:
+                continue
+            assert check_index_representation(params), (p, policy)
+            checked += 1
+    assert checked > 45
+
+
+def test_building_words_holds_no_coset_table():
+    # the arena keeps its index table only: three words at N = 2p hold about
+    # 3 * 2p bytes, not a p-long int64 coset table per class order read
+    import tracemalloc
+
+    p = 100057
+    params = SexticParams.create(p)
+    tracemalloc.start()
+    try:
+        words = [named_sequence(params, name, 2 * p) for name in ("hall", "legendre", "dhl")]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [w.period for w in words] == [p] * 3
+    assert held < 1.2e6, held
+
+
 def test_bitsequence_validation():
     with pytest.raises(ParameterError):
         BitSequence.create([])
