@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bounds, charsum, measures, ntheory, seqgen
 from .errors import (
+    SHOWN_BITS,
     BudgetExceeded,
     CapExceeded,
     CycloseqError,
@@ -345,9 +346,17 @@ def _weil_suite(args):
     def charge(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
         complete sum, and every random query read against at most
-        min(queries, 5**kmax) distinct exponent rows, each window at most p."""
-        complete = sum(math.comb(p, k) * 5**k for k in range(1, kmax + 1))
-        return (complete + args.queries * min(args.queries, 5**kmax)) * p
+        min(queries, 5**kmax) distinct exponent rows, each window at most p.
+        The sum stops once it passes both the budget and 2**SHOWN_BITS, where it
+        is refused and shown by its size; no power of 5 past the queries is built."""
+        complete, term = 0, 1
+        for k in range(1, kmax + 1):
+            term = term * (p - k + 1) * 5 // k  # comb(p, k) * 5**k, exact
+            complete += term
+            if complete > args.budget and complete.bit_length() > SHOWN_BITS:
+                break
+        rows = min(args.queries, 5 ** min(kmax, args.queries.bit_length()))
+        return (complete + args.queries * rows) * p
 
     estimate = sum(charge(p, kmax) for p, kmax in kmaxes.items())
     if estimate > args.budget:
@@ -486,84 +495,76 @@ def cmd_baseline(args) -> int:
 # argument plumbing
 
 
+# Each subcommand's options, declared once, as option string -> the keyword
+# arguments of its add_argument, in the order its help lists them: the parsers
+# and the exact parse's table are both built from _COMMANDS, subcommand -> (help,
+# options, the options of its mutually exclusive group).
+_FLAG = {"action": "store_true"}
+_INT = {"type": int}
+# options several subcommands read; each subcommand takes only those it reads
+_FORMAT = {"--format": {"choices": ("json", "csv"), "default": "json"}}
+_SEED = {"--seed": {"type": int, "default": 0}}
+_BUDGET = {"--budget": {"type": int, "default": measures.DEFAULT_BUDGET}}
+_CACHE = {"--cache": {"default": "cycloseq-cache.jsonl"}, "--no-cache": _FLAG}
+_ARENA = {"--construction": {"choices": (*seqgen.CLASS_SETS, "cyclotomic")}, "--p": _INT,
+          "--g": {"default": "smallest"}, "--m": _INT, "--classes": {}, "--length": _INT}
+_COMMANDS = {
+    "generate": ("construct a sequence file", {**_ARENA, "--output": {}}, {}),
+    "measure": ("compute one measure", {**_FORMAT, **_SEED, **_BUDGET, **_CACHE, **_ARENA,
+                                        "--input": {}, "--period": _INT, "--sampled": _INT},
+                {"--ck": _INT, "--autocorr": {}, "--lc-profile": _FLAG,  # one measure per call
+                 "--moc-profile": _FLAG, "--two-adic": _FLAG}),
+    "verify": ("run a verification suite", {
+        **_SEED, **_BUDGET, "--suite": {"required": True, "choices": SUITES},
+        "--primes": {"required": True},
+        "--g-policy": {"dest": "policy", "choices": (*ntheory.G_POLICIES, "both")},
+        "--kmax": {"type": int, "default": 6},  # the weil suite's largest k
+        "--queries": {"type": int, "default": 200}, "--N": {"default": "p", "choices": ("p", "2p")},
+    }, {}),
+    "scan": ("C_k vs kernel over a prime range", {
+        **_FORMAT, **_BUDGET, "--no-cache": _FLAG,  # a no-op kept for the benchmark's scan op
+        "--ck": {"type": int, "required": True}, "--primes": {"required": True},
+        "--g-policy": {"dest": "policy", "default": "smallest", "choices": ntheory.G_POLICIES},
+    }, {}),
+    "baseline": ("C_k statistics over random words", {
+        **_FORMAT, **_SEED, **_BUDGET, "--n": {"type": int, "required": True},
+        "--k": {"type": int, "required": True}, "--trials": {"type": int, "default": 100},
+    }, {}),
+}
+
+
 @functools.cache
 def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and the parser of each subcommand by name."""
-    # options several subcommands read; each subcommand takes only those it reads
-    fmt, seed, budget, cache, arena = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    fmt.add_argument("--format", choices=("json", "csv"), default="json")
-    seed.add_argument("--seed", type=int, default=0)
-    budget.add_argument("--budget", type=int, default=measures.DEFAULT_BUDGET)
-    cache.add_argument("--cache", default="cycloseq-cache.jsonl")
-    cache.add_argument("--no-cache", action="store_true")
-    arena.add_argument("--construction", choices=(*seqgen.CLASS_SETS, "cyclotomic"))
-    arena.add_argument("--p", type=int)
-    arena.add_argument("--g", default="smallest")
-    arena.add_argument("--m", type=int)
-    arena.add_argument("--classes")
-    arena.add_argument("--length", type=int)
-
     ap = argparse.ArgumentParser(prog="cycloseq", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", parents=[arena], help="construct a sequence file")
-    g.add_argument("--output")
-
-    m = sub.add_parser("measure", parents=[fmt, seed, budget, cache, arena],
-                       help="compute one measure")
-    m.add_argument("--input")
-    m.add_argument("--period", type=int)
-    m.add_argument("--sampled", type=int)
-    one = m.add_mutually_exclusive_group()  # one measure per call
-    one.add_argument("--ck", type=int)
-    one.add_argument("--autocorr")
-    one.add_argument("--lc-profile", action="store_true")
-    one.add_argument("--moc-profile", action="store_true")
-    one.add_argument("--two-adic", action="store_true")
-
-    v = sub.add_parser("verify", parents=[seed, budget], help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=SUITES)
-    v.add_argument("--primes", required=True)
-    v.add_argument("--g-policy", dest="policy", choices=(*ntheory.G_POLICIES, "both"))
-    v.add_argument("--kmax", type=int, default=6)  # the weil suite's largest k
-    v.add_argument("--queries", type=int, default=200)
-    v.add_argument("--N", default="p", choices=("p", "2p"))
-
-    s = sub.add_parser("scan", parents=[fmt, budget], help="C_k vs kernel over a prime range")
-    s.add_argument("--no-cache", action="store_true")  # a no-op kept for the benchmark's scan op
-    s.add_argument("--ck", type=int, required=True)
-    s.add_argument("--primes", required=True)
-    s.add_argument("--g-policy", dest="policy", default="smallest", choices=ntheory.G_POLICIES)
-
-    b = sub.add_parser("baseline", parents=[fmt, seed, budget],
-                       help="C_k statistics over random words")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--trials", type=int, default=100)
-
+    for name, (help_, options, exclusive) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=help_)
+        for option, kwargs in options.items():
+            parser.add_argument(option, **kwargs)
+        if exclusive:  # argparse's usage refuses an empty group
+            group = parser.add_mutually_exclusive_group()
+            for option, kwargs in exclusive.items():
+                group.add_argument(option, **kwargs)
     return ap, sub.choices
 
 
 @functools.cache
 def _option_table(command: str):
-    """One subcommand's options as its argparse parser declares them: each option
-    string of a plain store (one value) or store_true action, as that action and
-    the converter argparse applies to its value (None for a flag), the default of
-    every action, the required actions and the members of each mutually exclusive
-    group."""
-    parser = _make_parser()[1][command]
-    actions = {}
-    for a in parser._actions:
-        if type(a) is argparse._StoreTrueAction:
-            actions.update(dict.fromkeys(a.option_strings, (a, None)))
-        elif type(a) is argparse._StoreAction and a.nargs is None:
-            convert = parser._registry_get("type", a.type, a.type)
-            actions.update(dict.fromkeys(a.option_strings, (a, convert)))
-    defaults = {a.dest: a.default for a in parser._actions
-                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
-    required = [a for a in parser._actions if a.required]
-    groups = [g._group_actions for g in parser._mutually_exclusive_groups]
-    return actions, defaults, required, groups
+    """One subcommand's options as _COMMANDS declares them, read as argparse reads
+    them: each option string as its dest, the converter of its value (None for a
+    flag) and its choices; the default of every dest, the required dests and the
+    dests of the mutually exclusive group."""
+    _, options, exclusive = _COMMANDS[command]
+    table, defaults, required = {}, {}, []
+    for option, kwargs in {**options, **exclusive}.items():
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        flag = kwargs.get("action") == "store_true"
+        table[option] = dest, None if flag else kwargs.get("type", str), kwargs.get("choices")
+        defaults[dest] = kwargs.get("default", False if flag else None)
+        if kwargs.get("required"):
+            required.append(dest)
+    return table, defaults, required, [table[option][0] for option in exclusive]
 
 
 def _parse_exact(command: str, argv):
@@ -572,19 +573,19 @@ def _parse_exact(command: str, argv):
     for anything else (an abbreviation, --opt=value, -h, --, a positional, a value
     that is missing, starts with '-', is not a choice or fails its converter with
     one of the errors argparse reports, a missing required option, two options of
-    one exclusive group), which argparse parses.  Each value is converted and
-    checked against its choices here, as argparse's _get_value and _check_value
-    would, without building their error messages."""
-    actions, defaults, required, groups = _option_table(command)
+    the exclusive group), which argparse parses.  Each value is converted and
+    checked against its choices here, as argparse would, without building its
+    error messages."""
+    table, defaults, required, exclusive = _option_table(command)
     seen = {}
     tokens = iter(argv)
     for tok in tokens:
-        entry = actions.get(tok)
+        entry = table.get(tok)
         if entry is None:
             return None
-        action, convert = entry
+        dest, convert, choices = entry
         if convert is None:  # store_true
-            seen[action] = action.const
+            seen[dest] = True
             continue
         value = next(tokens, None)
         if value is None or value.startswith("-"):
@@ -593,34 +594,31 @@ def _parse_exact(command: str, argv):
             value = convert(value)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        seen[action] = value
-    if any(a not in seen for a in required) or any(
-            sum(a in seen for a in members) > 1 for members in groups):
+        seen[dest] = value
+    if any(d not in seen for d in required) or sum(d in seen for d in exclusive) > 1:
         return None
     ns = argparse.Namespace(command=command)
     vars(ns).update(defaults)  # a third of the time of Namespace(**defaults)
-    for action, value in seen.items():
-        setattr(ns, action.dest, value)
+    vars(ns).update(seen)
     return ns
 
 
 def main(argv=None) -> int:
-    # The parsers are built once per process; the subcommand's cmd_* is looked up
-    # at call time, so rebinding one (a monkeypatch, a tracer) still reaches it.
     # A request is parsed once: from its subcommand's option table when it uses
-    # only full-form tokens, else by the subcommand's parser, which alone answers
-    # abbreviations, -h and every malformed request; the top-level parser parses
-    # only what names no subcommand first (no argv, an unknown command, -h).
+    # only full-form tokens, else by argparse, built once per process when first
+    # needed: the subcommand's parser answers abbreviations, -h and every malformed
+    # request, the top-level one what names no subcommand first (no argv, -h, an
+    # unknown command).  cmd_* is looked up at call time, so a monkeypatch reaches it.
     argv = sys.argv[1:] if argv is None else argv
-    top, commands = _make_parser()
-    if argv and argv[0] in commands:
+    if argv and argv[0] in _COMMANDS:
         args = _parse_exact(argv[0], argv[1:])
         if args is None:
-            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args = _make_parser()[1][argv[0]].parse_args(argv[1:],
+                                                         argparse.Namespace(command=argv[0]))
     else:
-        args = top.parse_args(argv)
+        args = _make_parser()[0].parse_args(argv)
     try:
         # measure, verify, scan and baseline take --budget
         if getattr(args, "budget", 1) < 1:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-TOOLKIT_VERSION = "0.1.0"
+from . import __version__
 
 
 def _canonical(obj) -> str:
@@ -32,7 +32,7 @@ def cache_key(seq, measure: str, params: dict) -> str:
         "period": seq.period,
         "measure": measure,
         "params": params,
-        "version": TOOLKIT_VERSION,
+        "version": __version__,
     }
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
@@ -45,7 +45,7 @@ class MeasureRecord:
     value: object
     witness: dict | None = None
     timestamp: str = ""
-    toolkit_version: str = TOOLKIT_VERSION
+    toolkit_version: str = __version__
     cache_key: str | None = None  # see cache_key(); None for records never cached
 
     def __post_init__(self):

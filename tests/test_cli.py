@@ -326,6 +326,19 @@ def test_measure_autocorr_all(tmp_path, capsys):
     assert all(v == -1 for v in rec["value"].values())
 
 
+@pytest.mark.parametrize("t", [1, 5, 12])
+def test_measure_autocorr_at_one_shift(t, tmp_path, capsys):
+    args = ("measure", "--construction", "hall", "--p", "13", "--autocorr", str(t),
+            "--cache", str(tmp_path / "c.jsonl"))
+    code, miss, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert run(capsys, *args) == (EXIT_OK, miss, "")  # the hit prints the miss's line
+    rec = json.loads(miss)
+    seq = seqgen.named_sequence(ntheory.PrimeParams.create(13, "smallest"), "hall", 13)
+    assert rec["params"] == {"t": t}
+    assert rec["value"] == measures.periodic_autocorrelations(seq)[t - 1]
+
+
 def test_measure_autocorr_all_needs_a_declared_period(tmp_path, capsys):
     path = tmp_path / "bare.seq"
     path.write_text("0110010010011\n")  # no header, so no period
@@ -424,7 +437,8 @@ def test_measure_empty_input_is_not_ignored(capsys):
 @pytest.mark.parametrize("argv", [
     ("baseline", "--n", str(10**20), "--k", "100000"),
     ("measure", "--construction", "hall", "--p", "100003", "--ck", "20000", "--no-cache"),
-], ids=["baseline", "measure"])
+    ("verify", "--suite", "weil", "--primes", "1000003", "--kmax", "20000"),
+], ids=["baseline", "measure", "weil"])
 def test_astronomical_charge_is_refused_at_once(argv, monkeypatch, capsys):
     # comb(10**20, 10**5) alone took seconds to compute only to be refused: the
     # charge is refused from its lower bound, and never computed
@@ -1199,6 +1213,32 @@ def test_bad_input_is_refused(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("request_, message", [
+    (("generate", "--construction", "hall", "--p", "13", "--g", "bogus", "--output", "h.seq"),
+     "--g must be smallest, three-in-c1, or an integer; got 'bogus'"),
+    (("generate", "--construction", "cyclotomic", "--p", "13", "--m", "6", "--output", "c.seq"),
+     "cyclotomic needs --m and --classes"),
+    (("measure", "--ck", "2", "--no-cache"), "need --input FILE or --construction/--p"),
+    (("measure", "--construction", "hall", "--p", "13", "--no-cache"),
+     "pick one of --ck / --autocorr / --lc-profile / --moc-profile / --two-adic"),
+    (("baseline", "--n", "5", "--k", "6"), "order k=6 outside 1..5"),
+    (("baseline", "--n", "8", "--k", "1", "--trials", "0"), "trials must be >= 1"),
+    (lambda: measures.correlation_measure_exact(seqgen.BitSequence.create([0, 1, 1, 0]), 5),
+     "order k=5 outside 1..4"),
+    (lambda: measures.correlation_measure_sampled(seqgen.BitSequence.create([0, 1, 1, 0]), 0, 3, 0),
+     "order k=0 outside 1..4"),
+], ids=["g-bogus", "cyclotomic-no-classes", "measure-no-source", "measure-no-measure",
+        "baseline-k-above-n", "baseline-trials-0", "ck-exact-k-above-n", "ck-sampled-k-0"])
+def test_refusal_exits_2_with_its_message(request_, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = request_
+    if callable(request_):  # a library call, its error mapped to an exit code by main
+        monkeypatch.setattr(cli, "cmd_baseline", lambda args: request_())
+        argv = ("baseline", "--n", "1", "--k", "1")
+    assert run(capsys, *argv) == (EXIT_PARAM, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 def test_measure_consistent_period_on_construction(capsys):
     # the cyclotomic word has period 13: declaring it changes nothing
     args = ("measure", "--construction", "cyclotomic", "--p", "13", "--m", "6", "--classes",
@@ -1295,6 +1335,16 @@ def test_scan_marks_primes_below_k_and_goes_on(capsys):
         (7, "k-above-p"), (13, "ok"), (19, "ok"), (31, "ok")]
     assert rows[0]["g"] == 3 and rows[0]["C_k"] == rows[0]["theorem1_kernel"] == ""
     assert [r["C_k"] for r in rows[1:]] == [5, 9, 21]
+
+
+def test_scan_marks_a_prime_over_budget_and_goes_on(capsys):
+    # C_2 at p = 13 charges comb(13, 2) * 13 = 1014, at p = 31 comb(31, 2) * 31 = 14415
+    code, stdout, err = run(capsys, "scan", "--ck", "2", "--primes", "13,31", "--budget", "2000")
+    assert (code, err) == (EXIT_OK, "")
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert [(r["p"], r["status"], r["C_k"]) for r in rows] == [
+        (13, "ok", 7), (31, "budget-exceeded", "")]
+    assert rows[1]["g"] == 3 and rows[1]["theorem1_kernel"] != ""
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

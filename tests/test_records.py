@@ -4,7 +4,8 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq.records import MeasureRecord, RecordCache, _canonical
+from cycloseq.records import MeasureRecord, RecordCache, _canonical, cache_key
+from cycloseq.seqgen import BitSequence
 
 
 def _record(key, value):
@@ -194,3 +195,12 @@ def test_cache_append_creates_missing_directories(tmp_path):
     cache.append(stored)
     assert cache.path.read_bytes() == stored.encode() + b"\n"
     assert cache.get("a" * 64) == stored
+
+
+def test_records_keep_the_version_stored_keys_were_made_with():
+    # a key of another version misses every stored record: Hall's p = 13 word,
+    # C_2, keys as it did when its records were first written
+    seq = BitSequence.create([int(b) for b in "0110010010011"], period=13)
+    key = cache_key(seq, "Ck", {"k": 2})
+    assert key == "d3971a9c6fc9f4f3daa5f292e25db84edc75be99d7aa55752bda0bdbe5bd2fb9"
+    assert _record(key, 7).toolkit_version == "0.1.0"
