@@ -32,7 +32,7 @@ from itertools import compress
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvariantViolation, ParameterError
+from .errors import BudgetExceeded, InvariantViolation, ParameterError
 from .measures import (
     DEFAULT_BUDGET,
     _bits_to_int,
@@ -224,9 +224,14 @@ def random_baseline(
         raise ParameterError(f"n must be >= 1; got {n}")
     if not 1 <= k <= n:
         raise ParameterError(f"order k={k} outside 1..{n}")
-    # each word's exact search charges the same, so the charge is made once, before
-    # the first draw; the baseline has no sampled variant to point to
-    _charge(n, k, budget, hint="lower --n or --k, or raise --budget")
+    # each word's exact search charges the same E, so all trials are charged once,
+    # before the first draw: E * trials > budget exactly when E > budget // trials.
+    # The baseline has no sampled variant to point to.
+    hint = "lower --n, --k or --trials, or raise --budget"
+    try:
+        _charge(n, k, budget // trials, hint)
+    except BudgetExceeded as e:
+        raise BudgetExceeded(e.estimate * trials, budget, hint) from None
     rng = np.random.default_rng(rng_seed)
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     values = []

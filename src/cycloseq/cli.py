@@ -58,26 +58,11 @@ def _parse_int(tok: str, option: str) -> int:
         raise ParameterError(f"{option} takes integers; got {tok!r}")
 
 
-def _listed_primes(spec: str) -> list[int]:
-    """The primes of a list '13,31,43', as ints in the order given."""
-    ps = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        p = _parse_int(tok, "--primes")
-        if not ntheory.is_prime(p):
-            raise ParameterError(f"{p} is not prime")
-        # refused here, as upto:B past the limit is, so that every p fits int64
-        if p >= ntheory.P_LIMIT:
-            raise ParameterError(f"p={p} exceeds the 2**31 limit")
-        ps.append(p)
-    return ps
-
-
-def _parse_primes(spec: str) -> np.ndarray:
-    """'13,31,43' or 'upto:B', as one int64 array (upto:30000000's 1 857 858
-    primes take 15 MB)."""
+def _admitted(spec: str, m: int) -> np.ndarray:
+    """The primes of a --primes spec with m | p - 1, as one int64 array: 'upto:B',
+    the primes from 3 to B, sieved and masked once (upto:30000000's 1 857 858
+    primes take 15 MB), or a list '13,31,43', read as ints in the order given:
+    numpy's mask costs a list of a few primes more than it saves."""
     if spec.startswith("upto:"):
         bound = _parse_int(spec[len("upto:") :], "--primes upto:")
         # refused before the sieve, as every arena refuses p past the limit
@@ -89,21 +74,21 @@ def _parse_primes(spec: str) -> np.ndarray:
         for i in range(1, (math.isqrt(max(0, bound)) + 1) // 2):
             if odd[i]:  # strike the odd multiples of 2i + 1 from its square on
                 odd[2 * i * (i + 1) :: 2 * i + 1] = False
-        ps = np.flatnonzero(odd)
+        ps = 2 * np.flatnonzero(odd) + 1
         del odd
-        ps *= 2  # in place: no second array of the primes
-        ps += 1
-        return ps
-    return np.array(_listed_primes(spec), dtype=np.int64)
-
-
-def _admitted(spec: str, m: int) -> np.ndarray:
-    """The primes of spec with m | p - 1, as one int64 array.  A list, a few
-    primes as a rule, is filtered as ints: numpy's mask costs more than it saves."""
-    if spec.startswith("upto:"):
-        ps = _parse_primes(spec)
         return ps[(ps - 1) % m == 0]
-    return np.array([p for p in _listed_primes(spec) if (p - 1) % m == 0], dtype=np.int64)
+    ps = []
+    for tok in spec.split(","):
+        if tok := tok.strip():
+            p = _parse_int(tok, "--primes")
+            if not ntheory.is_prime(p):
+                raise ParameterError(f"{p} is not prime")
+            # refused here, as upto:B past the limit is, so that every p fits int64
+            if p >= ntheory.P_LIMIT:
+                raise ParameterError(f"p={p} exceeds the 2**31 limit")
+            if (p - 1) % m == 0:
+                ps.append(p)
+    return np.array(ps, dtype=np.int64)
 
 
 def _arenas(primes, policies=("smallest",)):
@@ -121,9 +106,10 @@ def _arenas(primes, policies=("smallest",)):
             yield p, policy, arena
 
 
-def _parse_g(g_arg: str) -> int | str:
-    """--g as the root an arena's create takes: a policy name, or an integer."""
-    if g_arg in ntheory.G_POLICIES:
+def _parse_g(g_arg: str | None) -> int | str | None:
+    """--g as the root an arena's create takes: a policy name, an integer, or
+    None (no --g) for the smallest root."""
+    if g_arg is None or g_arg in ntheory.G_POLICIES:
         return g_arg
     try:
         return int(g_arg)
@@ -146,10 +132,12 @@ def _build_sequence(args) -> seqgen.BitSequence:
     length = args.p if args.length is None else args.length
     name = args.construction
     if name in seqgen.CLASS_SETS:  # p is checked for the set's order before the root
-        root = None if seqgen.ignores_root(name) else _parse_g(args.g)
+        ignored = seqgen.ignores_root(name)
+        root = None if ignored else _parse_g(args.g)
         ntheory.check_prime(args.p, seqgen.CLASS_SETS[name][0])
         params = ntheory.PrimeParams.create(args.p, root)
-        _refuse_unread(args, f"--construction {name}", ("--m", "--classes"))
+        _refuse_unread(args, f"--construction {name}",
+                       ("--g", "--m", "--classes") if ignored else ("--m", "--classes"))
         return seqgen.named_sequence(params, name, length)
     root = _parse_g(args.g)
     # cyclotomic: argparse's choices admit no other construction
@@ -161,8 +149,8 @@ def _build_sequence(args) -> seqgen.BitSequence:
 
 def _load_sequence(args) -> seqgen.BitSequence:
     if args.input is not None:
-        # --g is left out: its default cannot be told from a given --g smallest
-        _refuse_unread(args, "--input", ("--construction", "--p", "--m", "--classes", "--length"))
+        _refuse_unread(args, "--input",
+                       ("--construction", "--p", "--g", "--m", "--classes", "--length"))
         seq = seqgen.read_sequence(args.input)
     elif args.construction is not None and args.p is not None:  # p = 0 is check_prime's to name
         seq = _build_sequence(args)
@@ -190,15 +178,18 @@ def cmd_generate(args) -> int:
 def cmd_measure(args) -> int:
     if args.sampled is not None and args.ck is None:
         raise ParameterError("--sampled needs --ck")
+    if args.seed is not None and args.sampled is None:
+        raise ParameterError("--seed needs --sampled")
     seq = _load_sequence(args)
     # One pass picks the measure, its params and compute() -> (value, witness).
     # A value does not depend on the budget, so the budget is no part of a key.
     if args.ck is not None:
         measure = "Ck"
         if args.sampled is not None:
-            params = {"k": args.ck, "samples": args.sampled, "seed": args.seed,
+            seed = 0 if args.seed is None else args.seed
+            params = {"k": args.ck, "samples": args.sampled, "seed": seed,
                       "draw": measures.SAMPLED_DRAW}
-            run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, args.seed,
+            run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, seed,
                                                                budget=args.budget)
         else:
             params = {"k": args.ck}
@@ -506,11 +497,13 @@ _FORMAT = {"--format": {"choices": ("json", "csv"), "default": "json"}}
 _SEED = {"--seed": {"type": int, "default": 0}}
 _BUDGET = {"--budget": {"type": int, "default": measures.DEFAULT_BUDGET}}
 _CACHE = {"--cache": {"default": "cycloseq-cache.jsonl"}, "--no-cache": _FLAG}
+# --g and measure's --seed have no default, so that each is refused where it is
+# not read; a root is then the smallest, and a seed 0
 _ARENA = {"--construction": {"choices": (*seqgen.CLASS_SETS, "cyclotomic")}, "--p": _INT,
-          "--g": {"default": "smallest"}, "--m": _INT, "--classes": {}, "--length": _INT}
+          "--g": {}, "--m": _INT, "--classes": {}, "--length": _INT}
 _COMMANDS = {
     "generate": ("construct a sequence file", {**_ARENA, "--output": {}}, {}),
-    "measure": ("compute one measure", {**_FORMAT, **_SEED, **_BUDGET, **_CACHE, **_ARENA,
+    "measure": ("compute one measure", {**_FORMAT, "--seed": _INT, **_BUDGET, **_CACHE, **_ARENA,
                                         "--input": {}, "--period": _INT, "--sampled": _INT},
                 {"--ck": _INT, "--autocorr": {}, "--lc-profile": _FLAG,  # one measure per call
                  "--moc-profile": _FLAG, "--two-adic": _FLAG}),

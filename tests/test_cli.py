@@ -70,7 +70,9 @@ def test_generate_cyclotomic_matches_hall(tmp_path, capsys):
     (("dhl", "--p", "13", "--g", "6"), "dhl(p=13,g=6)"),
     (("cyclotomic", "--p", "13", "--m", "4", "--classes", "1,0"),
      "cyclotomic(p=13,g=2,m=4,S={0,1})"),
-], ids=["hall", "hall-three-in-c1", "legendre", "dhl", "dhl-g6", "cyclotomic"])
+    (("cyclotomic", "--p", "13", "--m", "3", "--classes", "0", "--g", "6"),
+     "cyclotomic(p=13,g=6,m=3,S={0})"),
+], ids=["hall", "hall-three-in-c1", "legendre", "dhl", "dhl-g6", "cyclotomic", "cyclotomic-g6"])
 def test_generate_label_per_construction(argv, label, tmp_path, capsys):
     out = tmp_path / "w.seq"
     code, stdout, _ = run(capsys, "generate", "--construction", *argv, "--output", str(out))
@@ -81,12 +83,19 @@ def test_generate_label_per_construction(argv, label, tmp_path, capsys):
 
 @pytest.mark.parametrize("g", ["three-in-c1", "smallest", "5", "4", "0", "foo"])
 def test_legendre_ignores_g(g, tmp_path, capsys):
-    # the squares are C0 of order 2 for every root, so --g is never read
+    # the squares are C0 of order 2 for every root, so --g is never read: a given
+    # --g is refused, whatever its value, and nothing is written
     out = tmp_path / "w.seq"
-    code, stdout, _ = run(capsys, "generate", "--construction", "legendre", "--p", "7",
-                          "--g", g, "--output", str(out))
-    assert code == EXIT_OK and stdout == "legendre(p=7)\n"
+    argv = ("generate", "--construction", "legendre", "--p", "7", "--output", str(out))
+    assert run(capsys, *argv, "--g", g) == (
+        EXIT_PARAM, "", "error: --construction legendre does not read --g\n")
+    assert not out.exists()
+    assert run(capsys, *argv) == (EXIT_OK, "legendre(p=7)\n", "")
     assert read_sequence(out).to01() == "0110100"
+    # 3 and 5 are the primitive roots mod 7: both give the same word
+    for root in (3, 5):
+        word = seqgen.named_sequence(ntheory.PrimeParams.create(7, root), "legendre", 7)
+        assert word.to01() == "0110100"
 
 
 @pytest.mark.parametrize("p, g, message", [
@@ -549,6 +558,17 @@ def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
     assert json.loads(first)["params"] == {"k": 3, "samples": 40, "seed": 0, "draw": "floyd"}
 
 
+def test_measure_seed_needs_sampled(capsys):
+    # only the sampled C_k draws: a seed given to anything else was ignored
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "2", "--no-cache")
+    assert run(capsys, *args, "--seed", "5") == (EXIT_PARAM, "", "error: --seed needs --sampled\n")
+    assert run(capsys, *args, "--seed", "0")[0] == EXIT_PARAM
+    # --sampled with no --seed draws with seed 0, under the key it always had
+    keys = [json.loads(run(capsys, *args, "--sampled", "10", *seed)[1])["cache_key"]
+            for seed in ((), ("--seed", "0"))]
+    assert keys == ["fd1d0fa961c2d54e96b88f0ce04262625fe6c76eb744cd64d6b655bc6a7a72b1"] * 2
+
+
 @pytest.mark.parametrize("source, message", [
     (("--construction", "hall", "--p", "13", "--m", "3", "--classes", "0"),
      "--construction hall does not read --m, --classes"),
@@ -558,8 +578,14 @@ def test_measure_sampled_cache_ignores_budget(tmp_path, capsys):
     (("--input", "{seq}", "--p", "13"), "--input does not read --p"),
     (("--input", "{seq}", "--m", "6", "--classes", "0,1,3"), "--input does not read --m, --classes"),
     (("--input", "{seq}", "--length", "5"), "--input does not read --length"),
+    # --g, whatever its value: Legendre's word is the same under every root
+    (("--construction", "legendre", "--p", "13", "--g", "abc"),
+     "--construction legendre does not read --g"),
+    (("--construction", "legendre", "--p", "13", "--g", "smallest", "--m", "2"),
+     "--construction legendre does not read --g, --m"),
+    (("--input", "{seq}", "--g", "5"), "--input does not read --g"),
 ], ids=["hall-m-classes", "legendre-m", "dhl-classes", "input-construction", "input-p",
-        "input-m-classes", "input-length"])
+        "input-m-classes", "input-length", "legendre-g", "legendre-g-m", "input-g"])
 def test_options_the_word_source_does_not_read_are_refused(source, message, tmp_path,
                                                           monkeypatch, capsys):
     seq = tmp_path / "w.seq"
@@ -661,35 +687,41 @@ def test_primes_upto_the_limit_is_refused_before_the_walk(command, monkeypatch, 
 def test_each_run_parses_primes_once(command, monkeypatch, capsys):
     # the weil suite charges its primes and then walks them: one parse for both
     parsed = []
-    parse = cli._parse_primes
-    monkeypatch.setattr(cli, "_parse_primes", lambda spec: parsed.append(spec) or parse(spec))
+    admitted = cli._admitted
+    monkeypatch.setattr(cli, "_admitted", lambda spec, m: parsed.append(spec) or admitted(spec, m))
     code, _, _ = run(capsys, *command, "--primes", "upto:13")
     assert code == EXIT_OK and parsed == ["upto:13"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
-    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101]),
-             max_size=8).map(lambda ps: ",".join(map(str, ps))),
+    st.lists(st.sampled_from(["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37",
+                              "41", "43", "97", "101", " 13", "31 ", "", " "]),
+             max_size=8).map(",".join),
     st.integers(-1, 3000).map(lambda b: f"upto:{b}"),
-), st.sampled_from([2, 6]))
-def test_admitted_primes_are_the_masked_parse(spec, m):
-    # a list (repeats, 2, any order) is filtered as ints, upto:B by a mask: both
-    # are exactly the parsed primes with m | p - 1, as one int64 array
-    ps = cli._parse_primes(spec)
+), st.sampled_from([2, 4, 6]))
+def test_admitted_primes_are_a_brute_force_filter(spec, m):
+    # a list (repeats, 2, blanks, any order) keeps its primes in the order given,
+    # upto:B is the primes from 3 to B; either way exactly those with m | p - 1,
+    # as one int64 array
+    if spec.startswith("upto:"):
+        bound = int(spec[len("upto:"):])
+        ps = [p for p in range(3, bound + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    else:
+        ps = [int(tok) for tok in spec.split(",") if tok.strip()]
     admitted = cli._admitted(spec, m)
     assert admitted.dtype == np.int64 and admitted.ndim == 1
-    assert admitted.tolist() == ps[(ps - 1) % m == 0].tolist()
+    assert admitted.tolist() == [p for p in ps if (p - 1) % m == 0]
 
 
 def test_primes_upto_are_the_primes_from_3_to_the_bound():
-    parsed = [cli._parse_primes(f"upto:{b}") for b in (-1, 0, 1, 2, 3, 4)]
+    parsed = [cli._admitted(f"upto:{b}", 2) for b in (-1, 0, 1, 2, 3, 4)]
     assert all(ps.dtype == np.int64 for ps in parsed)
     assert [ps.tolist() for ps in parsed] == [[], [], [], [], [3], [3]]
     walked = [p for p in range(3, 20001) if ntheory.is_prime(p)]
     for bound in range(20001):  # every bound: each prime square and its neighbours
         expected = walked[:bisect.bisect_right(walked, bound)]
-        assert cli._parse_primes(f"upto:{bound}").tolist() == expected
+        assert cli._admitted(f"upto:{bound}", 2).tolist() == expected
 
 
 @pytest.mark.parametrize("command", [
@@ -700,8 +732,8 @@ def test_listed_primes_past_the_limit_are_refused(command, capsys):
     # a listed prime past 2**31 is refused as upto:B past it is, whatever order
     # the command admits and before its budget is charged, so every listed
     # prime fits the int64 array; a listed composite is still "not prime"
-    assert cli._parse_primes("13, 2,31").tolist() == [13, 2, 31]
-    assert cli._parse_primes("").dtype == np.int64
+    assert cli._admitted("13, 2,31", 2).tolist() == [13, 31]
+    assert cli._admitted("", 2).dtype == np.int64
     # 2147483693 = 5 (mod 6), which no sextic suite admits, was skipped silently
     for p in (2147483659, 2147483693, 2**89 - 1):
         code, stdout, err = run(capsys, *command, "--primes", f"13,{p}")
@@ -1370,13 +1402,28 @@ def test_baseline_over_budget_hints_at_its_own_options(capsys):
                             "--budget", "1000")
     assert (code, stdout) == (EXIT_BUDGET, "")
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "lower --n or --k, or raise --budget" in err and "sampled" not in err
+    assert "lower --n, --k or --trials, or raise --budget" in err and "sampled" not in err
+
+
+def test_baseline_charges_every_trial_before_the_first_draw(monkeypatch, capsys):
+    # 10**8 words of binom(64, 2) * 64 = 129 024 evaluations each: refused at
+    # once, where one word's charge ran for hours
+    monkeypatch.setattr(bounds, "BitSequence", None)  # no word is drawn
+    assert run(capsys, "baseline", "--n", "64", "--k", "2", "--trials", "100000000") == (
+        EXIT_BUDGET, "", "error: estimated 12902400000000 window evaluations exceed budget "
+                         "1000000000; lower --n, --k or --trials, or raise --budget\n")
+    monkeypatch.undo()
+    # the edge: 5 words charge 645 120 exactly
+    argv = ("baseline", "--n", "64", "--k", "2", "--trials", "5", "--budget")
+    assert run(capsys, *argv, "645119")[0] == EXIT_BUDGET
+    assert run(capsys, *argv, "645120")[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("n, k, code, message", [
     ("-5", "2", EXIT_PARAM, "n must be >= 1; got -5"),
     ("0", "2", EXIT_PARAM, "n must be >= 1; got 0"),
-    (str(10**20), "2", EXIT_BUDGET, f"estimated {math.comb(10**20, 2) * 10**20} window"),
+    # charged for all 100 words of the default --trials
+    (str(10**20), "2", EXIT_BUDGET, f"estimated {math.comb(10**20, 2) * 10**20 * 100} window"),
     # past str()'s 4300 digits an estimate is given by its size
     (str(10**20), "300", EXIT_BUDGET, "estimated at least 2**"),
 ], ids=["n-negative", "n-zero", "n-1e20", "n-1e20-k300"])
