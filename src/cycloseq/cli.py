@@ -330,6 +330,12 @@ def _moc_le_lc_suite(args):
 
 
 def _weil_suite(args):
+    if args.kmax < 1:
+        raise ParameterError(f"--kmax must be >= 1; got {args.kmax}")
+    if args.queries < 0:
+        raise ParameterError(f"--queries must be >= 0; got {args.queries}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0; got {args.seed}")
     # each prime's largest k: k > p has no shift tuple
     primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
     kmaxes = {p: min(args.kmax, p) for p in map(int, primes)}
@@ -407,16 +413,26 @@ SUITES = tuple(_SUITES)
 _POLICY_SUITES = ("cross-construction", "diffset", "index-representation")
 
 
+# the options only some suites read, with the default each of its readers applies;
+# every other suite refuses them
+_SUITE_ONLY = ("seed", "kmax", "queries", "N")
+_SUITE_OPTIONS = {
+    "weil": {"seed": 0, "kmax": 6, "queries": 200},
+    **dict.fromkeys(("iw17", "bw06", "moc-le-lc"), {"N": "p"}),
+}
+
+
 def cmd_verify(args) -> int:
-    if args.kmax < 1:
-        raise ParameterError(f"--kmax must be >= 1; got {args.kmax}")
-    if args.queries < 0:
-        raise ParameterError(f"--queries must be >= 0; got {args.queries}")
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be >= 0; got {args.seed}")
     if args.policy is not None and args.suite not in _POLICY_SUITES:
         raise ParameterError(f"--g-policy is read only by the suites {', '.join(_POLICY_SUITES)}; "
                              f"{args.suite} checks the smallest root's words")
+    reads = _SUITE_OPTIONS.get(args.suite, {})
+    for option in _SUITE_ONLY:
+        if getattr(args, option) is None:
+            setattr(args, option, reads.get(option))
+        elif option not in reads:  # refused, together with every other one given
+            _refuse_unread(args, f"--suite {args.suite}",
+                           [f"--{o}" for o in _SUITE_ONLY if o not in reads])
     # nothing is printed until the whole suite has run, then everything in one print
     n = {"pass": 0, "fail": 0, "n/a": 0, "report": 0}
     lines = []
@@ -494,7 +510,6 @@ _FLAG = {"action": "store_true"}
 _INT = {"type": int}
 # options several subcommands read; each subcommand takes only those it reads
 _FORMAT = {"--format": {"choices": ("json", "csv"), "default": "json"}}
-_SEED = {"--seed": {"type": int, "default": 0}}
 _BUDGET = {"--budget": {"type": int, "default": measures.DEFAULT_BUDGET}}
 _CACHE = {"--cache": {"default": "cycloseq-cache.jsonl"}, "--no-cache": _FLAG}
 # --g and measure's --seed have no default, so that each is refused where it is
@@ -508,11 +523,12 @@ _COMMANDS = {
                 {"--ck": _INT, "--autocorr": {}, "--lc-profile": _FLAG,  # one measure per call
                  "--moc-profile": _FLAG, "--two-adic": _FLAG}),
     "verify": ("run a verification suite", {
-        **_SEED, **_BUDGET, "--suite": {"required": True, "choices": SUITES},
+        "--seed": _INT, **_BUDGET, "--suite": {"required": True, "choices": SUITES},
         "--primes": {"required": True},
         "--g-policy": {"dest": "policy", "choices": (*ntheory.G_POLICIES, "both")},
-        "--kmax": {"type": int, "default": 6},  # the weil suite's largest k
-        "--queries": {"type": int, "default": 200}, "--N": {"default": "p", "choices": ("p", "2p")},
+        # --seed, --kmax, --queries and --N are read by some suites only, so they
+        # have no default here: see _SUITE_OPTIONS
+        "--kmax": _INT, "--queries": _INT, "--N": {"choices": ("p", "2p")},
     }, {}),
     "scan": ("C_k vs kernel over a prime range", {
         **_FORMAT, **_BUDGET, "--no-cache": _FLAG,  # a no-op kept for the benchmark's scan op
@@ -520,7 +536,7 @@ _COMMANDS = {
         "--g-policy": {"dest": "policy", "default": "smallest", "choices": ntheory.G_POLICIES},
     }, {}),
     "baseline": ("C_k statistics over random words", {
-        **_FORMAT, **_SEED, **_BUDGET, "--n": {"type": int, "required": True},
+        **_FORMAT, "--seed": {"type": int, "default": 0}, **_BUDGET, "--n": {"type": int, "required": True},
         "--k": {"type": int, "required": True}, "--trials": {"type": int, "default": 100},
     }, {}),
 }

@@ -507,6 +507,42 @@ def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, option", [
+    ("diffset", ("--seed", "5")),
+    ("diffset", ("--kmax", "3")),
+    ("diffset", ("--queries", "5")),
+    ("diffset", ("--N", "2p")),
+    ("cross-construction", ("--N", "p")),
+    ("index-representation", ("--seed", "0")),
+    ("iw17", ("--seed", "1")),
+    ("bw06", ("--kmax", "2")),
+    ("moc-le-lc", ("--queries", "3")),
+    ("weil", ("--N", "2p")),
+], ids="-".join)
+def test_verify_refuses_options_its_suite_does_not_read(suite, option, capsys):
+    # only weil reads --seed, --kmax and --queries, and only iw17, bw06 and
+    # moc-le-lc read --N: elsewhere each is refused, whatever its value
+    code, stdout, err = run(capsys, "verify", "--suite", suite, "--primes", "13", *option)
+    assert (code, stdout, err) == (EXIT_PARAM, "", f"error: --suite {suite} does not read {option[0]}\n")
+
+
+def test_verify_names_every_unread_option_it_refuses(capsys):
+    code, stdout, err = run(capsys, "verify", "--suite", "diffset", "--primes", "13",
+                            "--N", "2p", "--queries", "5", "--seed", "1")
+    assert (code, stdout, err) == (EXIT_PARAM, "", "error: --suite diffset does not read "
+                                                   "--seed, --queries, --N\n")
+
+
+def test_verify_suites_apply_the_defaults_of_the_options_they_read(capsys):
+    # the defaults each reader applies are the ones the options used to have
+    for args, defaults in (
+        (("--suite", "weil", "--primes", "7"), ("--seed", "0", "--kmax", "6", "--queries", "200")),
+        (("--suite", "iw17", "--primes", "7,13"), ("--N", "p")),
+        (("--suite", "moc-le-lc", "--primes", "7,13"), ("--N", "p")),
+    ):
+        assert run(capsys, "verify", *args) == run(capsys, "verify", *args, *defaults)
+
+
 def test_scan_accepts_no_cache(capsys):
     args = ("scan", "--ck", "1", "--primes", "13")
     assert run(capsys, *args, "--no-cache") == run(capsys, *args)
@@ -681,7 +717,8 @@ def test_primes_upto_the_limit_is_refused_before_the_walk(command, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", [
-    *(("verify", "--suite", suite, "--kmax", "1", "--queries", "2") for suite in cli.SUITES),
+    *(("verify", "--suite", suite, *(("--kmax", "1", "--queries", "2") if suite == "weil" else ()))
+      for suite in cli.SUITES),
     ("scan", "--ck", "1"),
 ], ids=[*cli.SUITES, "scan"])
 def test_each_run_parses_primes_once(command, monkeypatch, capsys):
@@ -1071,9 +1108,9 @@ def test_verify_moc_le_lc_runs_bm_until_l_reaches_the_final_moc(monkeypatch, cap
 
 
 def test_verify_iw17_small(capsys):
-    # the MOC register's witness settles every instance; --kmax and --budget
-    # bound the weil suite only
-    for extra in ((), ("--kmax", "1", "--budget", "10")):
+    # the MOC register's witness settles every instance; --budget bounds the
+    # weil suite only
+    for extra in ((), ("--budget", "10")):
         code, stdout, _ = run(capsys, "verify", "--suite", "iw17", "--primes", "7,13", *extra)
         assert code == EXIT_OK
         checks = stdout.splitlines()[:-1]
@@ -1084,8 +1121,8 @@ def test_verify_iw17_small(capsys):
 
 
 def test_verify_bw06_reads_certified_witness_only(capsys):
-    # BM's witness settles every instance; --kmax and --budget bound the weil suite only
-    for extra in ((), ("--kmax", "1", "--budget", "10")):
+    # BM's witness settles every instance; --budget bounds the weil suite only
+    for extra in ((), ("--budget", "10")):
         code, stdout, _ = run(capsys, "verify", "--suite", "bw06", "--primes", "upto:7", *extra)
         assert code == EXIT_OK
         checks = stdout.splitlines()[:-1]

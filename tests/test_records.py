@@ -1,9 +1,14 @@
 import json
+import os
+import random
+import sys
+import threading
 from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloseq import records
 from cycloseq.records import MeasureRecord, RecordCache, _canonical, cache_key
 from cycloseq.seqgen import BitSequence
 
@@ -112,7 +117,12 @@ def _cache_line(draw):
     key = draw(st.sampled_from(KEYS))
     rec = json.loads(_record(key, draw(st.integers(-5, 5))).to_json())
     kind = draw(st.sampled_from(["record", "truncated", "in-label", "list", "string",
-                                 "extra-field", "missing-field", "crlf", "blank"]))
+                                 "extra-field", "missing-field", "crlf", "blank", "reordered",
+                                 "escaped-name"]))
+    if kind == "reordered":  # a good record in another shape: cache_key last, spaced
+        return json.dumps(dict(reversed(rec.items())))
+    if kind == "escaped-name":  # a good record whose field name spells "_" as an escape
+        return json.dumps(rec).replace('"cache_key"', '"cache\\u005fkey"')
     if kind == "truncated":
         line = _canonical(rec)
         return line[: draw(st.integers(0, len(line) - 1))]
@@ -141,6 +151,189 @@ def test_cache_get_matches_line_splitting_oracle(tmp_path_factory, lines, traili
     path.write_bytes(text.encode())
     line = RecordCache(path).get(key)
     assert (None if line is None else json.loads(line)) == _get_oracle(path, key)
+
+
+def _byte_search(path, key):
+    """The byte search over the whole file, read afresh: what get served before
+    the process held what it read."""
+    return records._search(path.read_bytes(), key) if path.exists() else None
+
+
+def _write(path, text, mode):
+    with open(path, mode) as f:
+        f.write(text.encode())
+
+
+_SESSION_OPS = st.one_of(
+    st.tuples(st.just("append"), _cache_line()),
+    st.tuples(st.just("write"), st.lists(_cache_line(), min_size=1, max_size=2), st.booleans()),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("rewrite"), st.lists(_cache_line(), max_size=2)),
+    st.tuples(st.just("recreate"), st.lists(_cache_line(), max_size=2)),
+    st.tuples(st.just("unlink")),
+)
+
+
+@given(st.lists(_SESSION_OPS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cache_session_matches_line_splitting_oracle(tmp_path_factory, ops):
+    """One path, one process, nothing of what the process holds reset: after
+    each step, get serves what the oracle and a fresh byte search serve.
+
+    The files stay below the 4096 bytes that are compared before growth is taken
+    for an append, so every rewrite is compared whole.  An unterminated last line
+    never ends in a bare CR: a later write would leave that CR inside a line, where
+    the oracle's splitlines() ends a line and the byte search does not.
+    """
+    path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+    for op in ops:
+        size = path.stat().st_size if path.exists() else 0
+        if op[0] == "append":
+            RecordCache(path).append(op[1])
+        elif op[0] == "write":
+            text = "\n".join(op[1]) + "\n" if op[2] else "\n".join(op[1]).removesuffix("\r")
+            _write(path, text, "ab")
+        elif op[0] == "truncate" and size:
+            os.truncate(path, op[1] % size)
+        elif op[0] == "rewrite":  # in place, to a longer file with other records
+            text = "".join(line + "\n" for line in op[1])
+            while len(text.encode()) <= size:
+                text += _record(KEYS[len(text) % 3], len(text) % 11 - 5).to_json() + "\n"
+            _write(path, text, "r+b" if path.exists() else "wb")
+        elif op[0] == "recreate":
+            path.unlink(missing_ok=True)
+            _write(path, "".join(line + "\n" for line in op[1]), "wb")
+        elif op[0] == "unlink":
+            path.unlink(missing_ok=True)
+        assert not path.exists() or path.stat().st_size < records._WINDOW
+        for key in KEYS + ["c" * 8]:
+            line = RecordCache(path).get(key)
+            assert line == _byte_search(path, key)
+            assert (None if line is None else json.loads(line)) == _get_oracle(path, key)
+
+
+def _count_reads(monkeypatch) -> list[int]:
+    """Wrap the cache's file reads: the returned list gets each read's byte count."""
+    counts = []
+    read = records._read_from
+
+    def counted(*args):
+        data = read(*args)
+        counts.append(len(data))
+        return data
+
+    monkeypatch.setattr(records, "_read_from", counted)
+    return counts
+
+
+def test_cache_session_reads_linearly(tmp_path, monkeypatch):
+    # 500 requests, each key twice: the process reads back none of its own appends
+    counts = _count_reads(monkeypatch)
+    path = tmp_path / "c.jsonl"
+    keys = [f"{i:064x}" for i in range(250)] * 2
+    random.Random(5).shuffle(keys)
+    served = {}
+    for key in keys:
+        line = RecordCache(path).get(key)
+        if line is None:
+            line = _record(key, len(served)).to_json()
+            RecordCache(path).append(line)
+        assert served.setdefault(key, line) == line
+    assert len(served) == 250
+    assert sum(counts) <= 2 * path.stat().st_size
+
+
+def test_cache_first_get_reads_the_file_once_and_builds_no_index(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    lines = [_record(f"{i:064x}", i).to_json() for i in range(6000)]
+    path.write_text("".join(line + "\n" for line in lines))
+    counts = _count_reads(monkeypatch)
+    assert RecordCache(path).get(f"{4321:064x}") == lines[4321]
+    assert counts == [path.stat().st_size]
+    assert not records._HELD[str(path)].index  # a one-shot lookup indexes no line
+    assert RecordCache(path).get(f"{17:064x}") == lines[17]
+    assert RecordCache(path).get("f" * 64) is None
+    assert counts == [path.stat().st_size] and len(records._HELD[str(path)].index) == 6000
+
+
+def test_cache_reads_only_what_another_writer_appended(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    lines = [_record(f"{i:064x}", i).to_json() for i in range(100)]
+    path.write_text("".join(line + "\n" for line in lines[:60]))
+    cache = RecordCache(path)
+    assert cache.get(f"{0:064x}") == lines[0]
+    counts = _count_reads(monkeypatch)
+    _write(path, "".join(line + "\n" for line in lines[60:90]), "ab")  # another writer
+    # appended where the process's copy no longer ends: not taken into the copy
+    cache.append(lines[90])
+    assert cache.get(f"{90:064x}") == lines[90] and cache.get(f"{75:064x}") == lines[75]
+    grown = sum(len(line) + 1 for line in lines[60:91])
+    assert counts == [records._WINDOW + grown]
+    # the bytes just before the old end changed, so the file is read again whole
+    text = path.read_text().replace('"value":89', '"value":-1')
+    _write(path, text + lines[91] + "\n", "r+b")
+    assert json.loads(cache.get(f"{89:064x}"))["value"] == -1
+    assert counts[1:] == [records._WINDOW + len(lines[91]) + 1, path.stat().st_size]
+
+
+def _rewrite_at_its_size(path, old, new, seconds):
+    """Rewrite the file in place, the same size, its mtime moved on by `seconds`:
+    a clock with coarse ticks may leave a quick rewrite's mtime where it was."""
+    st = path.stat()
+    text = path.read_text()
+    assert old in text and len(old) == len(new)
+    _write(path, text.replace(old, new), "r+b")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + seconds * 10**9))
+
+
+def test_cache_reads_again_a_file_rewritten_in_place_at_its_size(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = [_record(f"{i:064x}", i).to_json() for i in range(61)]
+    path.write_text("".join(line + "\n" for line in lines[:60]))
+    cache = RecordCache(path)
+    assert cache.get(f"{13:064x}") == lines[13]
+    # the rewrite is far before the end: the whole file is compared
+    _rewrite_at_its_size(path, '"value":13', '"value":31', 1)
+    assert json.loads(cache.get(f"{13:064x}"))["value"] == 31
+    # an append after a rewrite the process has not seen joins nothing it holds
+    _rewrite_at_its_size(path, '"value":58', '"value":85', 2)
+    cache.append(lines[60])
+    assert json.loads(cache.get(f"{58:064x}"))["value"] == 85
+    assert cache.get(f"{60:064x}") == lines[60]
+
+
+def test_cache_serves_threads_that_share_it(tmp_path):
+    # more threads than cores, switching often: every append is served back and
+    # none is lost from the file or from what the process holds
+    path = tmp_path / "c.jsonl"
+    n = (os.cpu_count() or 2) + 2
+    errors = []
+
+    def worker(t):
+        try:
+            for i in range(25):
+                line = _record(f"{t:04d}{i:04d}", i).to_json()
+                RecordCache(path).append(line)
+                if RecordCache(path).get(f"{t:04d}{i:04d}") != line:
+                    errors.append((t, i))
+        except Exception as e:  # noqa: BLE001 - reported by the assert below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    stored = path.read_text().splitlines()
+    assert len(stored) == 25 * n
+    assert all(RecordCache(path).get(json.loads(line)["cache_key"]) == line for line in stored)
 
 
 _INTS = st.integers(-(10**60), 10**60)
