@@ -176,24 +176,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.sampled is not None and args.ck is None:
-        raise ParameterError("--sampled needs --ck")
-    if args.seed is not None and args.sampled is None:
-        raise ParameterError("--seed needs --sampled")
+    for option, needs in (("sampled", "ck"), ("seed", "sampled"), ("budget", "ck")):
+        if getattr(args, option) is not None and getattr(args, needs) is None:
+            raise ParameterError(f"--{option} needs --{needs}")
+    if args.no_cache:
+        _refuse_unread(args, "--no-cache", ("--cache",))
     seq = _load_sequence(args)
     # One pass picks the measure, its params and compute() -> (value, witness).
     # A value does not depend on the budget, so the budget is no part of a key.
     if args.ck is not None:
         measure = "Ck"
+        budget = measures.DEFAULT_BUDGET if args.budget is None else args.budget
         if args.sampled is not None:
             seed = 0 if args.seed is None else args.seed
             params = {"k": args.ck, "samples": args.sampled, "seed": seed,
                       "draw": measures.SAMPLED_DRAW}
             run = lambda: measures.correlation_measure_sampled(seq, args.ck, args.sampled, seed,
-                                                               budget=args.budget)
+                                                               budget=budget)
         else:
             params = {"k": args.ck}
-            run = lambda: measures.correlation_measure_exact(seq, args.ck, budget=args.budget)
+            run = lambda: measures.correlation_measure_exact(seq, args.ck, budget=budget)
 
         def compute():
             rep = run()
@@ -239,7 +241,7 @@ def cmd_measure(args) -> int:
             "pick one of --ck / --autocorr / --lc-profile / --moc-profile / --two-adic"
         )
 
-    cache = RecordCache(args.cache)
+    cache = RecordCache("cycloseq-cache.jsonl" if args.cache is None else args.cache)
     key = cache_key(seq, measure, params)
     # a hit is the stored line, printed as stored; a miss serializes its record once,
     # for the cache and for the output
@@ -262,9 +264,8 @@ def _status(ok) -> str:
 
 
 def _sextic_suite(args, check):
-    """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail).
-    No --g-policy means both."""
-    policies = ntheory.G_POLICIES if args.policy in (None, "both") else (args.policy,)
+    """Checks over each prime p = 1 (mod 6) and g policy; check(params) -> (status, detail)."""
+    policies = ntheory.G_POLICIES if args.policy == "both" else (args.policy,)
     primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
     for p, policy, params in _arenas(primes, policies):
         name = f"{args.suite} p={p} policy={policy}"
@@ -289,20 +290,19 @@ def _diffset(params):
     return "report", f"two_level={rep.two_level_ideal} (p not 4u^2+27 or 3 not in C1)"
 
 
-def _suite_instances(args):
-    """Each named construction whose order divides p - 1, on one arena a prime,
-    built as it is checked: no word waits for another prime's checks."""
+def _word_suite(args, check):
+    """check(seq) -> (status, detail) over each named construction whose order
+    divides p - 1, on one arena a prime, each word built as it is checked: no
+    word waits for another prime's checks."""
     for p, _, params in _arenas(_admitted(args.primes, 2)):
         n = 2 * p if args.N == "2p" else p
         for name, (m, _) in seqgen.CLASS_SETS.items():
             if (p - 1) % m == 0:
-                yield f"{name} p={p}", seqgen.named_sequence(params, name, n)
+                yield (f"{args.suite} {name} p={p}", *check(seqgen.named_sequence(params, name, n)))
 
 
-def _inequality_suite(args, check):
-    for name, seq in _suite_instances(args):
-        ev = check(seq)
-        yield f"{args.suite} {name}", _status(ev.satisfied), ev.inputs["mode"]
+def _inequality(ev):
+    return _status(ev.satisfied), ev.inputs["mode"]
 
 
 def _moc_le_lc(seq: seqgen.BitSequence) -> bool:
@@ -322,11 +322,6 @@ def _moc_le_lc(seq: seqgen.BitSequence) -> bool:
             moc = measures.max_order_complexity_profile(prefix).values
             return all(m <= l for m, l in zip(moc, lc))
         n = min(N, 2 * n)
-
-
-def _moc_le_lc_suite(args):
-    for name, seq in _suite_instances(args):
-        yield f"moc-le-lc {name}", _status(_moc_le_lc(seq)), f"N={seq.length}"
 
 
 def _weil_suite(args):
@@ -359,6 +354,8 @@ def _weil_suite(args):
     if estimate > args.budget:
         raise BudgetExceeded(estimate, args.budget,
                              hint="lower --kmax or --queries, or raise --budget")
+    if args.queries > sys.maxsize:  # past an intp, numpy would refuse the draw with a ValueError
+        raise MemoryError(f"{args.queries} queries are past the address space")
     rng = np.random.default_rng(args.seed)
     for p, _, params in _arenas(kmaxes):
         kmax = kmaxes[p]
@@ -396,47 +393,41 @@ def _weil_suite(args):
                f"{sat}/{args.queries} within k*sqrt(p)*(1+ln p)")
 
 
-# Each suite yields (name, status, detail), status one of pass/fail/n/a/report.
-# Library functions are looked up at call time, so rebinding one (a monkeypatch,
-# a tracer) reaches the suites.
+# Each suite -> (runner, {option: default}): runner(args) yields (name, status,
+# detail), status one of pass/fail/n/a/report; the dict holds the options only
+# some suites read, with the default its suite applies.  Library functions are
+# looked up at call time, so rebinding one (a monkeypatch, a tracer) reaches them.
+_POLICY = {"policy": "both"}
+_N = {"N": "p"}
 _SUITES = {
-    "cross-construction": lambda args: _sextic_suite(args, _cross_construction),
-    "iw17": lambda args: _inequality_suite(args, bounds.check_iw17),
-    "bw06": lambda args: _inequality_suite(args, bounds.check_bw06),
-    "moc-le-lc": _moc_le_lc_suite,
-    "diffset": lambda args: _sextic_suite(args, _diffset),
-    "weil": _weil_suite,
-    "index-representation": lambda args: _sextic_suite(args, _index_representation),
+    "cross-construction": (lambda args: _sextic_suite(args, _cross_construction), _POLICY),
+    "iw17": (lambda args: _word_suite(args, lambda seq: _inequality(bounds.check_iw17(seq))), _N),
+    "bw06": (lambda args: _word_suite(args, lambda seq: _inequality(bounds.check_bw06(seq))), _N),
+    "moc-le-lc": (lambda args: _word_suite(
+        args, lambda seq: (_status(_moc_le_lc(seq)), f"N={seq.length}")), _N),
+    "diffset": (lambda args: _sextic_suite(args, _diffset), _POLICY),
+    "weil": (_weil_suite, {"seed": 0, "kmax": 6, "queries": 200}),
+    "index-representation": (lambda args: _sextic_suite(args, _index_representation), _POLICY),
 }
 SUITES = tuple(_SUITES)
-# the suites that read --g-policy: each checks both root policies unless told one
-_POLICY_SUITES = ("cross-construction", "diffset", "index-representation")
-
-
-# the options only some suites read, with the default each of its readers applies;
-# every other suite refuses them
-_SUITE_ONLY = ("seed", "kmax", "queries", "N")
-_SUITE_OPTIONS = {
-    "weil": {"seed": 0, "kmax": 6, "queries": 200},
-    **dict.fromkeys(("iw17", "bw06", "moc-le-lc"), {"N": "p"}),
-}
 
 
 def cmd_verify(args) -> int:
-    if args.policy is not None and args.suite not in _POLICY_SUITES:
-        raise ParameterError(f"--g-policy is read only by the suites {', '.join(_POLICY_SUITES)}; "
+    run, reads = _SUITES[args.suite]
+    if args.policy is not None and "policy" not in reads:
+        readers = [suite for suite, (_, options) in _SUITES.items() if "policy" in options]
+        raise ParameterError(f"--g-policy is read only by the suites {', '.join(readers)}; "
                              f"{args.suite} checks the smallest root's words")
-    reads = _SUITE_OPTIONS.get(args.suite, {})
     for option in _SUITE_ONLY:
         if getattr(args, option) is None:
             setattr(args, option, reads.get(option))
-        elif option not in reads:  # refused, together with every other one given
+        elif option not in reads:  # refused, with every other unread one given
             _refuse_unread(args, f"--suite {args.suite}",
                            [f"--{o}" for o in _SUITE_ONLY if o not in reads])
     # nothing is printed until the whole suite has run, then everything in one print
     n = {"pass": 0, "fail": 0, "n/a": 0, "report": 0}
     lines = []
-    for name, status, detail in _SUITES[args.suite](args):
+    for name, status, detail in run(args):
         n[status] += 1
         lines.append(f"[{status.upper():6s}] {name}  {detail}")
     lines.append(f"suite={args.suite}: {n['pass']} passed, {n['fail']} failed, "
@@ -511,14 +502,15 @@ _INT = {"type": int}
 # options several subcommands read; each subcommand takes only those it reads
 _FORMAT = {"--format": {"choices": ("json", "csv"), "default": "json"}}
 _BUDGET = {"--budget": {"type": int, "default": measures.DEFAULT_BUDGET}}
-_CACHE = {"--cache": {"default": "cycloseq-cache.jsonl"}, "--no-cache": _FLAG}
-# --g and measure's --seed have no default, so that each is refused where it is
-# not read; a root is then the smallest, and a seed 0
+# --g and measure's --seed, --budget and --cache have no default, so that each is
+# refused where it is not read; a root is then the smallest, a seed 0, a budget
+# DEFAULT_BUDGET and a cache cycloseq-cache.jsonl
 _ARENA = {"--construction": {"choices": (*seqgen.CLASS_SETS, "cyclotomic")}, "--p": _INT,
           "--g": {}, "--m": _INT, "--classes": {}, "--length": _INT}
 _COMMANDS = {
     "generate": ("construct a sequence file", {**_ARENA, "--output": {}}, {}),
-    "measure": ("compute one measure", {**_FORMAT, "--seed": _INT, **_BUDGET, **_CACHE, **_ARENA,
+    "measure": ("compute one measure", {**_FORMAT, "--seed": _INT, "--budget": _INT, "--cache": {},
+                                        "--no-cache": _FLAG, **_ARENA,
                                         "--input": {}, "--period": _INT, "--sampled": _INT},
                 {"--ck": _INT, "--autocorr": {}, "--lc-profile": _FLAG,  # one measure per call
                  "--moc-profile": _FLAG, "--two-adic": _FLAG}),
@@ -527,7 +519,7 @@ _COMMANDS = {
         "--primes": {"required": True},
         "--g-policy": {"dest": "policy", "choices": (*ntheory.G_POLICIES, "both")},
         # --seed, --kmax, --queries and --N are read by some suites only, so they
-        # have no default here: see _SUITE_OPTIONS
+        # have no default here: see _SUITES
         "--kmax": _INT, "--queries": _INT, "--N": {"choices": ("p", "2p")},
     }, {}),
     "scan": ("C_k vs kernel over a prime range", {
@@ -540,6 +532,10 @@ _COMMANDS = {
         "--k": {"type": int, "required": True}, "--trials": {"type": int, "default": 100},
     }, {}),
 }
+
+# the dests of the options only some suites read, in the order verify declares them
+_SUITE_ONLY = [kwargs.get("dest", option[2:]) for option, kwargs in _COMMANDS["verify"][1].items()
+               if any(kwargs.get("dest", option[2:]) in reads for _, reads in _SUITES.values())]
 
 
 @functools.cache
@@ -629,9 +625,9 @@ def main(argv=None) -> int:
     else:
         args = _make_parser()[0].parse_args(argv)
     try:
-        # measure, verify, scan and baseline take --budget
-        if getattr(args, "budget", 1) < 1:
-            raise ParameterError(f"--budget must be >= 1; got {args.budget}")
+        # measure, verify, scan and baseline take --budget; measure's is None unless given
+        if (budget := getattr(args, "budget", None)) is not None and budget < 1:
+            raise ParameterError(f"--budget must be >= 1; got {budget}")
         return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as e:
         msg = str(e)

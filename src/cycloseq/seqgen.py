@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,13 +112,15 @@ class BitSequence:
 
 
 def _word(core: np.ndarray, length: int, label: str) -> BitSequence:
-    """The p-long 0/1 uint8 core tiled to `length` terms, read-only, of period p;
-    ParameterError unless length >= 1.  A longer word is cut from whole copies of
-    the core laid end to end.  A tiled core wraps, so nothing is checked."""
+    """The p-long 0/1 uint8 core tiled to `length` terms, read-only, of period p:
+    whole copies of the core laid end to end, which wrap, so nothing is checked.
+    ParameterError unless length >= 1, MemoryError past the address space."""
     if length < 1:
         raise ParameterError("length must be >= 1")
     bits = core
     if length > core.size:
+        if length > sys.maxsize - core.size:  # past an intp, numpy would raise a ValueError
+            raise MemoryError(f"{length} bits are past the address space")
         bits = np.empty((-(-length // core.size), core.size), dtype=np.uint8)
         bits[:] = core
         bits = bits.ravel()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq import bounds, cli, measures, ntheory, seqgen
+from cycloseq import bounds, charsum, cli, measures, ntheory, seqgen
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from cycloseq.errors import InvariantViolation
 from cycloseq.ntheory import SexticParams
@@ -187,6 +187,27 @@ def test_verify_builds_a_word_only_when_it_is_checked(suite, module, check, monk
     assert waiting == [] and len(events) == 2 * (len(stdout.splitlines()) - 1)
 
 
+@pytest.mark.parametrize("suite, module, name, extra", [
+    ("cross-construction", seqgen, "hall_sequence_via_characters", ()),
+    ("iw17", bounds, "check_iw17", ()),
+    ("bw06", bounds, "check_bw06", ()),
+    ("moc-le-lc", cli, "_moc_le_lc", ()),
+    ("diffset", bounds, "difference_set_check", ()),
+    ("weil", charsum, "weil_verdicts", ("--kmax", "1", "--queries", "5")),
+    ("index-representation", seqgen, "check_index_representation", ()),
+], ids=["cross-construction", "iw17", "bw06", "moc-le-lc", "diffset", "weil", "index-representation"])
+def test_verify_suites_look_up_what_they_call_when_they_run(suite, module, name, extra,
+                                                             monkeypatch, capsys):
+    # rebound after the CLI is imported, as a tracer rebinds them, each function
+    # a suite calls is reached: a table that bound them at import would miss it
+    called = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: called.append(name) or fn(*a, **kw))
+    code, stdout, _ = run(capsys, "verify", "--suite", suite, "--primes", "13", *extra)
+    assert code == EXIT_OK and " 0 failed," in stdout
+    assert called
+
+
 def test_generate_parameter_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "generate", "--construction", "hall", "--p", "12",
@@ -236,7 +257,7 @@ def test_measure_cache_coherence(tmp_path, capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)  # served from cache
     assert first == second
-    _, fresh, _ = run(capsys, *args, "--no-cache")
+    _, fresh, _ = run(capsys, *args[:-2], "--no-cache")
     a, b = json.loads(first), json.loads(fresh)
     a.pop("timestamp"), b.pop("timestamp")
     assert a == b
@@ -507,7 +528,14 @@ def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite, option", [
+# the suites that read each option only some suites read, written out here
+# rather than read off the CLI's table
+_SUITE_READERS = {
+    "--g-policy": ("cross-construction", "diffset", "index-representation"),
+    "--seed": ("weil",), "--kmax": ("weil",), "--queries": ("weil",),
+    "--N": ("iw17", "bw06", "moc-le-lc"),
+}
+_SUITE_PAIRS = [
     ("diffset", ("--seed", "5")),
     ("diffset", ("--kmax", "3")),
     ("diffset", ("--queries", "5")),
@@ -518,12 +546,28 @@ def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
     ("bw06", ("--kmax", "2")),
     ("moc-le-lc", ("--queries", "3")),
     ("weil", ("--N", "2p")),
-], ids="-".join)
+]
+# every other (suite, option) pair
+_SUITE_PAIRS += [(suite, (option, value)) for suite in cli.SUITES
+                 for option, value in (("--g-policy", "smallest"), ("--seed", "1"), ("--kmax", "2"),
+                                       ("--queries", "3"), ("--N", "2p"))
+                 if all((suite, option) != (s, o) for s, (o, _) in _SUITE_PAIRS)]
+
+
+@pytest.mark.parametrize("suite, option", _SUITE_PAIRS, ids="-".join)
 def test_verify_refuses_options_its_suite_does_not_read(suite, option, capsys):
-    # only weil reads --seed, --kmax and --queries, and only iw17, bw06 and
-    # moc-le-lc read --N: elsewhere each is refused, whatever its value
-    code, stdout, err = run(capsys, "verify", "--suite", suite, "--primes", "13", *option)
-    assert (code, stdout, err) == (EXIT_PARAM, "", f"error: --suite {suite} does not read {option[0]}\n")
+    # only weil reads --seed, --kmax and --queries, only iw17, bw06 and
+    # moc-le-lc read --N, and only the three sextic suites read --g-policy:
+    # elsewhere each is refused, whatever its value; a reader runs with it
+    code, stdout, err = run(capsys, "verify", "--suite", suite, "--primes", "7", *option)
+    if suite in _SUITE_READERS[option[0]]:
+        assert (code, err) == (EXIT_OK, "") and " 0 failed," in stdout
+    elif option[0] == "--g-policy":
+        assert (code, stdout, err) == (
+            EXIT_PARAM, "", "error: --g-policy is read only by the suites cross-construction, "
+                            f"diffset, index-representation; {suite} checks the smallest root's words\n")
+    else:
+        assert (code, stdout, err) == (EXIT_PARAM, "", f"error: --suite {suite} does not read {option[0]}\n")
 
 
 def test_verify_names_every_unread_option_it_refuses(capsys):
@@ -572,6 +616,31 @@ def test_measure_sampled_without_ck_is_refused(capsys):
                             "--sampled", "5", "--lc-profile", "--no-cache")
     assert (code, stdout) == (EXIT_PARAM, "")
     assert "--sampled needs --ck" in err
+
+
+@pytest.mark.parametrize("extra, error", [
+    (("--autocorr", "5", "--budget", "7"), "--budget needs --ck"),
+    (("--lc-profile", "--budget", "1000000000"), "--budget needs --ck"),
+    (("--autocorr", "5", "--cache", "{tmp}/c.jsonl"), "--no-cache does not read --cache"),
+], ids=["budget-autocorr", "budget-lc-profile", "cache"])
+def test_measure_refuses_options_it_does_not_read(extra, error, tmp_path, capsys):
+    # only C_k spends a budget, and --no-cache reads and writes no cache file
+    code, stdout, err = run(capsys, "measure", "--construction", "hall", "--p", "13",
+                            *(a.format(tmp=tmp_path) for a in extra), "--no-cache")
+    assert (code, stdout, err) == (EXIT_PARAM, "", f"error: {error}\n")
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_measure_applies_the_default_budget_and_cache(tmp_path, monkeypatch, capsys):
+    # hall C_3 at p = 499 charges comb(499, 3) * 499 > 10**9 windows
+    args = ("measure", "--construction", "hall", "--p", "499", "--ck", "3", "--no-cache")
+    code, stdout, err = run(capsys, *args)
+    assert (code, stdout) == (EXIT_BUDGET, "") and "exceed budget 1000000000;" in err
+    assert run(capsys, *args, "--budget", str(measures.DEFAULT_BUDGET)) == (code, stdout, err)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, "measure", "--construction", "hall", "--p", "13", "--ck", "1")
+    assert code == EXIT_OK
+    assert (tmp_path / "cycloseq-cache.jsonl").read_text() == stdout
 
 
 def test_measure_sampled_over_budget_is_refused(capsys, monkeypatch):
@@ -1347,11 +1416,19 @@ def test_os_error_is_exit_2(argv, tmp_path, capsys):
         # a budget past the 10**15 queries' charge, so that the allocator is reached
         ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", str(10**15),
          "--budget", str(10**20)),
+        # 10**20 elements are past the address space, where numpy refuses with a ValueError
+        ("measure", "--construction", "hall", "--p", "13", "--length", str(10**20), "--ck", "1",
+         "--no-cache"),
+        ("generate", "--construction", "hall", "--p", "13", "--length", str(10**20),
+         "--output", "{tmp}/x.seq"),
+        ("verify", "--suite", "weil", "--primes", "13", "--kmax", "1", "--queries", str(10**20),
+         "--budget", str(10**60)),
     ],
-    ids=["measure-length", "generate-length", "weil-queries"],
+    ids=["measure-length", "generate-length", "weil-queries",
+         "measure-length-1e20", "generate-length-1e20", "weil-queries-1e20"],
 )
 def test_out_of_memory_is_exit_2(argv, tmp_path, capsys):
-    # 10**15 elements: every allocator refuses at once, nothing is touched
+    # 10**15 or more elements: every allocator refuses at once, nothing is touched
     code, stdout, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_PARAM
     assert stdout == "" and not (tmp_path / "x.seq").exists()
