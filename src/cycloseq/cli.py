@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain, combinations, islice, product
 
@@ -151,11 +152,10 @@ def _load_sequence(args) -> seqgen.BitSequence:
     if args.input is not None:
         _refuse_unread(args, "--input",
                        ("--construction", "--p", "--g", "--m", "--classes", "--length"))
-        seq = seqgen.read_sequence(args.input)
-    elif args.construction is not None and args.p is not None:  # p = 0 is check_prime's to name
-        seq = _build_sequence(args)
-    else:
+        return seqgen.read_sequence(args.input, args.period)
+    if args.construction is None or args.p is None:  # p = 0 is check_prime's to name
         raise ParameterError("need --input FILE or --construction/--p")
+    seq = _build_sequence(args)
     if args.period is not None:
         seq = seqgen.BitSequence.create(seq.bits, period=args.period, label=seq.label)
     return seq
@@ -241,22 +241,35 @@ def cmd_measure(args) -> int:
             "pick one of --ck / --autocorr / --lc-profile / --moc-profile / --two-adic"
         )
 
-    cache = RecordCache("cycloseq-cache.jsonl" if args.cache is None else args.cache)
+    cache_path = "cycloseq-cache.jsonl" if args.cache is None else args.cache
+    if args.input is not None and not args.no_cache:
+        _refuse_cache_on_input(args.input, cache_path)
+    cache = RecordCache(cache_path)
     key = cache_key(seq, measure, params)
     # a hit is the stored line, printed as stored; a miss serializes its record once,
     # for the cache and for the output
     line = None if args.no_cache else cache.get(key)
     if line is None:
         value, witness = compute()
-        line = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
-                             value=value, witness=witness, cache_key=key).to_json()
-        if not args.no_cache:
-            cache.append(line)
+        record = MeasureRecord(sequence_label=seq.label, measure=measure, params=params,
+                               value=value, witness=witness, cache_key=key)
+        line = record.to_json() if args.no_cache else cache.append(record)
     if args.format == "json":
         print(line)
     else:
         MeasureRecord(**json.loads(line)).write_csv()
     return EXIT_OK
+
+
+def _refuse_cache_on_input(path, cache_path) -> None:
+    """Refuse a cache that is the input file, by any path to it (the same device
+    and inode): a record appended to it would leave the word's file unreadable."""
+    try:
+        same = os.path.samefile(path, cache_path)
+    except FileNotFoundError:  # no cache yet: its first append makes a new file
+        return
+    if same:
+        raise ParameterError(f"--cache {cache_path} is the --input file {path}")
 
 
 def _status(ok) -> str:

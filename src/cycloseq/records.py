@@ -1,4 +1,10 @@
-"""Measure records, deterministic serialization, and the JSONL result cache."""
+"""Measure records, deterministic serialization, and the JSONL result cache.
+
+The cache serves the last good record line under a key.  A line read from the
+file is parsed and its fields checked before it is served, whoever wrote it; a
+line this process serialized from a MeasureRecord and appended itself is served
+as written, until the process next reads the file whole.
+"""
 
 from __future__ import annotations
 
@@ -168,10 +174,12 @@ class _Held:
     a file that replaces it.  `index` maps a key to the start of the last line
     before `indexed` that opens as a record under it (see _RECORD_OPENING).  It is
     built at the second lookup, so that a process that looks up once never pays
-    for it.
+    for it.  `own` holds the starts of the lines the process serialized and
+    appended itself since the bytes were last read whole: such a line is a good
+    record, and is served without being parsed.
     """
 
-    __slots__ = ("fd", "dev", "ino", "mtime_ns", "data", "index", "indexed", "regular")
+    __slots__ = ("fd", "dev", "ino", "mtime_ns", "data", "index", "indexed", "regular", "own")
 
     def __init__(self, fd: int):
         self.fd = fd
@@ -186,6 +194,7 @@ class _Held:
         self.data = _read_from(self.fd, 0, st.st_size)
         self.mtime_ns = st.st_mtime_ns
         self.index, self.indexed, self.regular = None, 0, True
+        self.own = set()
 
     def catch_up(self, st) -> bool:
         """Take in what was appended since the stamp.  False when the file did not
@@ -221,7 +230,10 @@ class _Held:
         start = self.index.get(needle)
         if start is None:
             return None
-        line = _record_line(data, start, data.find(b"\n", start), key)
+        stop = data.find(b"\n", start)
+        if start in self.own:  # the process's own line: a good record, as it wrote it
+            return data[start:stop].decode()
+        line = _record_line(data, start, stop, key)
         return line if line is not None else _search(data, key)
 
     def _index(self, end: int) -> None:
@@ -302,12 +314,14 @@ class RecordCache:
             held = _sync(self._name)
             return None if held is None else held.lookup(key)
 
-    def append(self, line: str) -> None:
-        """Append one serialized record, a MeasureRecord.to_json() line.
+    def append(self, record: MeasureRecord) -> str:
+        """Append the record as one line, record.to_json(), and return that line.
 
         When the file is, up to the write, exactly what the process holds of it,
-        the line joins the held bytes, so the process never reads it back.
+        the line joins the held bytes, so the process never reads it back, and a
+        lookup that lands on it serves it without parsing it again.
         """
+        line = record.to_json()
         out = line.encode() + b"\n"
         try:
             fd = os.open(self._name, _O_APPEND, 0o666)
@@ -327,7 +341,10 @@ class RecordCache:
                 if held is not None:
                     st = os.fstat(fd)
                     if st.st_size == len(held.data) + len(out):
+                        if held.data[-1:] in (b"", b"\n"):  # else it ends a line begun before it
+                            held.own.add(len(held.data))
                         held.data += out
                         held.mtime_ns = st.st_mtime_ns
         finally:
             os.close(fd)
+        return line

@@ -9,7 +9,10 @@ every n at once and requires +-1 at each; the two Hall routes agreeing bit for
 bit is the mechanical check of the identity.  The per-n indicator deltas and
 Legendre's squares stay in tests/test_seqgen.py as the oracles.  Each
 construction builds its word through `_word`, 0/1 and p-periodic by
-construction; `BitSequence.create` validates words from outside.
+construction.  Words from outside are validated through one checked
+constructor: `BitSequence.create` for bits in memory, and `read_sequence` for a
+`.seq` file, which it decodes and checks once, with a period in place of its
+header's checked in the same pass.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ class BitSequence:
             ok = arr.dtype.kind in "fO" and np.all((arr == 0) | (arr == 1))
         if not ok:
             raise ParameterError("bits must be 0/1")
-        arr = arr.astype(np.uint8)
-        if period is not None:
-            if period < 1:
-                raise ParameterError(f"period must be positive, got {period}")
-            # wraparound check: bits[n] == bits[n - period] for n >= period
-            if arr.size > period and not np.array_equal(arr[period:], arr[:-period]):
-                raise ParameterError("bits do not wrap with the declared period")
+        return cls._checked(arr.astype(np.uint8), period, label)
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray, period: int | None, label: str) -> "BitSequence":
+        """The word of `arr`, a fresh 1-d 0/1 uint8 array no one else holds, made
+        read-only; ParameterError unless it wraps with `period` (see _check_period)."""
+        _check_period(arr, period)
         arr.setflags(write=False)
         return cls(bits=arr, period=period, label=label)
 
@@ -109,6 +112,17 @@ class BitSequence:
     def __repr__(self) -> str:
         head = self.to01() if self.length <= 32 else self.to01()[:32] + "..."
         return f"BitSequence({head!r}, N={self.length}, period={self.period}, label={self.label!r})"
+
+
+def _check_period(arr: np.ndarray, period: int | None) -> None:
+    """ParameterError unless period is None, or positive with arr[n] == arr[n - period]
+    for n >= period."""
+    if period is None:
+        return
+    if period < 1:
+        raise ParameterError(f"period must be positive, got {period}")
+    if arr.size > period and not np.array_equal(arr[period:], arr[:-period]):
+        raise ParameterError("bits do not wrap with the declared period")
 
 
 def _word(core: np.ndarray, length: int, label: str) -> BitSequence:
@@ -257,31 +271,40 @@ def write_sequence(seq: BitSequence, path) -> None:
     Path(path).write_text(text)
 
 
-def read_sequence(path) -> BitSequence:
+def read_sequence(path, period: int | None = None) -> BitSequence:
     """Read a file written by write_sequence; headerless files read as unlabelled, aperiodic.
 
     ParameterError unless the file is UTF-8 text whose non-'#' lines, stripped
-    and joined, form a nonempty word of ASCII '0'/'1'.
+    and joined, form a nonempty word of ASCII '0'/'1' that wraps with the
+    header's period.  `period`, when given, is the word's period in place of
+    the header's, and the word must wrap with it too.  The file is decoded and
+    its bits checked once, into the one array the word holds.
     """
+    with open(path, "rb") as f:  # a directory is refused here, naming the path
+        raw = f.read()
     try:
-        lines = Path(path).read_bytes().decode().splitlines()
+        lines = raw.decode().splitlines()
     except UnicodeDecodeError:
         raise ParameterError(f"{path}: not a UTF-8 text file")
     label = ""
-    period = None
+    header_period = None
     body = []
     for line in lines:
         if line.startswith("#"):
             header = line[1:].strip()
             m = _PERIOD_RE.match(header)
             if m:
-                label, period = m.group("label"), int(m.group("t"))
+                label, header_period = m.group("label"), int(m.group("t"))
             else:
                 label = header
         elif line.strip():
             body.append(line.strip())
-    # any byte other than ASCII '0'/'1' (a non-ASCII digit is several) lands outside 0..1
-    bits = np.frombuffer("".join(body).encode(), dtype=np.uint8) - ord("0")
-    if not bits.size or (bits > 1).any():
+    word = "".join(body).encode()
+    if not word or word.translate(None, b"01"):  # a non-ASCII digit is other bytes
         raise ParameterError(f"{path}: not a 0/1 sequence file")
-    return BitSequence.create(bits, period=period, label=label)
+    bits = np.frombuffer(word, dtype=np.uint8) - ord("0")
+    if period is None:
+        period = header_period
+    else:  # an overridden header period is still checked, first
+        _check_period(bits, header_period)
+    return BitSequence._checked(bits, period, label)

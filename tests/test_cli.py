@@ -19,7 +19,7 @@ from cycloseq import bounds, charsum, cli, measures, ntheory, seqgen
 from cycloseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, main
 from cycloseq.errors import InvariantViolation
 from cycloseq.ntheory import SexticParams
-from cycloseq.records import MeasureRecord, cache_key
+from cycloseq.records import MeasureRecord, _record_line, cache_key
 from cycloseq.seqgen import read_sequence
 from test_measures import _floyd_reference
 
@@ -313,6 +313,54 @@ def test_measure_cache_hit_prints_what_the_miss_printed(tmp_path, capsys, measur
     if fmt == "csv" and measure[0] in ("--autocorr", "--two-adic"):
         keys = [row.split(",")[3] for row in miss.splitlines()[1:]]
         assert keys == sorted(keys)  # the key order of the JSON record
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("source", ["construction", "file", "headerless-file"])
+def test_measure_hit_on_its_own_line_is_served_unparsed(tmp_path, monkeypatch, capsys, source,
+                                                         fmt):
+    cache = tmp_path / "c.jsonl"
+    (tmp_path / "hall.seq").write_text("# hall(p=13,g=2) period=13\n0110010010011\n")
+    (tmp_path / "bare.seq").write_text("0110010010011\n")
+    word = {"construction": ("--construction", "hall", "--p", "13"),
+            "file": ("--input", str(tmp_path / "hall.seq")),
+            "headerless-file": ("--input", str(tmp_path / "bare.seq"), "--period", "13")}[source]
+    # two requests first, so that the process holds the file when it appends
+    for k in ("1", "2"):
+        assert run(capsys, "measure", *word, "--ck", k, "--cache", str(cache))[0] == EXIT_OK
+    args = ("measure", *word, "--ck", "3", "--format", fmt, "--cache", str(cache))
+    code, miss, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    parsed = []
+    monkeypatch.setattr("cycloseq.records._record_line",
+                        lambda *a: parsed.append(a[1]) or _record_line(*a))
+    assert run(capsys, *args) == (EXIT_OK, miss, "")
+    assert parsed == []
+    assert len(cache.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink", "hardlink", "default"])
+def test_measure_refuses_a_cache_that_is_the_input_file(tmp_path, monkeypatch, capsys,
+                                                        spelling):
+    monkeypatch.chdir(tmp_path)
+    word = tmp_path / ("cycloseq-cache.jsonl" if spelling == "default" else "b.seq")
+    word.write_text("0110010010011\n")
+    cache = {"same": str(word), "dot": f"{tmp_path}/./{word.name}", "symlink": "link.seq",
+             "hardlink": "hard.seq", "default": None}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "link.seq").symlink_to(word)
+    elif spelling == "hardlink":
+        (tmp_path / "hard.seq").hardlink_to(word)
+    args = ("measure", "--input", str(word), "--ck", "1",
+            *(() if cache is None else ("--cache", cache)))
+    for _ in range(2):
+        code, stdout, err = run(capsys, *args)
+        assert code == EXIT_PARAM and stdout == ""
+        assert err.startswith("error: --cache ") and "is the --input file" in err
+    assert word.read_text() == "0110010010011\n"
+    # another cache, or none, is served as before
+    assert run(capsys, *args[:5], "--cache", "c.jsonl")[0] == EXIT_OK
+    assert run(capsys, *args[:5], "--no-cache")[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("corrupt", ['["{key}"]', '{{"cache_key": "{key}", "extra": 1}}',
@@ -1396,8 +1444,10 @@ def test_measure_consistent_period_on_construction(capsys):
         ("measure", "--input", "{tmp}/nosuch.seq", "--lc-profile", "--no-cache"),
         ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--cache", "{tmp}"),
         ("generate", "--construction", "hall", "--p", "13", "--output", "{tmp}/nosuch/x.seq"),
+        ("measure", "--input", "{tmp}", "--ck", "1", "--no-cache"),
     ],
-    ids=["measure-missing-input", "measure-cache-is-a-directory", "generate-missing-dir"],
+    ids=["measure-missing-input", "measure-cache-is-a-directory", "generate-missing-dir",
+         "measure-input-is-a-directory"],
 )
 def test_os_error_is_exit_2(argv, tmp_path, capsys):
     code, stdout, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

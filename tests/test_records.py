@@ -5,6 +5,7 @@ import sys
 import threading
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ def _get_oracle(path, key):
 def test_cache_get_last_record_wins(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
     for key, value in (("a" * 64, 1), ("b" * 64, 2), ("a" * 64, 3)):
-        cache.append(_record(key, value).to_json())
+        cache.append(_record(key, value))
     assert _value(cache, "a" * 64) == 3
     assert _value(cache, "b" * 64) == 2
     assert cache.get("c" * 64) is None
@@ -56,7 +57,7 @@ def test_cache_get_last_record_wins(tmp_path):
 
 def test_cache_get_skips_corrupt_lines(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
-    cache.append(_record("a" * 64, 1).to_json())
+    cache.append(_record("a" * 64, 1))
     with open(cache.path, "a") as f:
         f.write('{"cache_key": "' + "a" * 64 + '", "value": \n')  # truncated write
     assert _value(cache, "a" * 64) == 1
@@ -66,14 +67,15 @@ def test_cache_get_matches_the_key_field_only(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
     rec = _record("b" * 64, 1)
     rec.sequence_label = "a" * 64  # the key appears in the line, but not as its cache_key
-    cache.append(rec.to_json())
+    cache.append(rec)
     assert cache.get("a" * 64) is None
 
 
 def test_cache_get_serves_the_stored_line(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
-    stored = _record("a" * 64, 1).to_json()
-    cache.append(stored)
+    rec = _record("a" * 64, 1)
+    stored = cache.append(rec)
+    assert stored == rec.to_json()
     assert cache.get("a" * 64) == stored
     # a CRLF-terminated record is served without its carriage return
     crlf = _record("a" * 64, 2).to_json()
@@ -88,24 +90,28 @@ def test_cache_get_missing_file(tmp_path):
 
 def test_cache_get_skips_non_object_lines(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
-    cache.append(_record("a" * 64, 1).to_json())
+    cache.append(_record("a" * 64, 1))
     for line in ('["' + "a" * 64 + '"]', '"' + "a" * 64 + '"'):
-        cache.append(line)
+        _write(cache.path, line + "\n", "ab")
         assert _value(cache, "a" * 64) == 1
 
 
 def test_cache_get_skips_records_with_unknown_or_missing_fields(tmp_path):
     cache = RecordCache(tmp_path / "c.jsonl")
     good = json.loads(_record("a" * 64, 1).to_json())
-    cache.append(_canonical({**good, "value": 2, "extra": 1}))
+
+    def write(d):
+        _write(cache.path, _canonical(d) + "\n", "ab")
+
+    write({**good, "value": 2, "extra": 1})
     assert cache.get("a" * 64) is None  # nothing older: the request recomputes
-    cache.append(_canonical(good))
-    cache.append(_canonical({**good, "value": 3, "extra": 1}))
+    write(good)
+    write({**good, "value": 3, "extra": 1})
     missing = dict(good, value=4)
     del missing["params"]
-    cache.append(_canonical(missing))
+    write(missing)
     # a record written while MeasureRecord still had a kernel_values field
-    cache.append(_canonical({**good, "value": 5, "kernel_values": None}))
+    write({**good, "value": 5, "kernel_values": None})
     assert _value(cache, "a" * 64) == 1  # the next older record under the key
 
 
@@ -165,7 +171,7 @@ def _write(path, text, mode):
 
 
 _SESSION_OPS = st.one_of(
-    st.tuples(st.just("append"), _cache_line()),
+    st.tuples(st.just("append"), st.builds(_record, st.sampled_from(KEYS), st.integers(-5, 5))),
     st.tuples(st.just("write"), st.lists(_cache_line(), min_size=1, max_size=2), st.booleans()),
     st.tuples(st.just("truncate"), st.integers(0, 10**4)),
     st.tuples(st.just("rewrite"), st.lists(_cache_line(), max_size=2)),
@@ -178,7 +184,8 @@ _SESSION_OPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_cache_session_matches_line_splitting_oracle(tmp_path_factory, ops):
     """One path, one process, nothing of what the process holds reset: after
-    each step, get serves what the oracle and a fresh byte search serve.
+    each step, get serves what the oracle and a fresh byte search serve.  The
+    process appends good records; corrupt lines come from other writers.
 
     The files stay below the 4096 bytes that are compared before growth is taken
     for an append, so every rewrite is compared whole.  An unterminated last line
@@ -236,8 +243,7 @@ def test_cache_session_reads_linearly(tmp_path, monkeypatch):
     for key in keys:
         line = RecordCache(path).get(key)
         if line is None:
-            line = _record(key, len(served)).to_json()
-            RecordCache(path).append(line)
+            line = RecordCache(path).append(_record(key, len(served)))
         assert served.setdefault(key, line) == line
     assert len(served) == 250
     assert sum(counts) <= 2 * path.stat().st_size
@@ -258,14 +264,15 @@ def test_cache_first_get_reads_the_file_once_and_builds_no_index(tmp_path, monke
 
 def test_cache_reads_only_what_another_writer_appended(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
-    lines = [_record(f"{i:064x}", i).to_json() for i in range(100)]
+    recs = [_record(f"{i:064x}", i) for i in range(100)]
+    lines = [rec.to_json() for rec in recs]
     path.write_text("".join(line + "\n" for line in lines[:60]))
     cache = RecordCache(path)
     assert cache.get(f"{0:064x}") == lines[0]
     counts = _count_reads(monkeypatch)
     _write(path, "".join(line + "\n" for line in lines[60:90]), "ab")  # another writer
     # appended where the process's copy no longer ends: not taken into the copy
-    cache.append(lines[90])
+    cache.append(recs[90])
     assert cache.get(f"{90:064x}") == lines[90] and cache.get(f"{75:064x}") == lines[75]
     grown = sum(len(line) + 1 for line in lines[60:91])
     assert counts == [records._WINDOW + grown]
@@ -288,7 +295,8 @@ def _rewrite_at_its_size(path, old, new, seconds):
 
 def test_cache_reads_again_a_file_rewritten_in_place_at_its_size(tmp_path):
     path = tmp_path / "c.jsonl"
-    lines = [_record(f"{i:064x}", i).to_json() for i in range(61)]
+    recs = [_record(f"{i:064x}", i) for i in range(61)]
+    lines = [rec.to_json() for rec in recs]
     path.write_text("".join(line + "\n" for line in lines[:60]))
     cache = RecordCache(path)
     assert cache.get(f"{13:064x}") == lines[13]
@@ -297,9 +305,80 @@ def test_cache_reads_again_a_file_rewritten_in_place_at_its_size(tmp_path):
     assert json.loads(cache.get(f"{13:064x}"))["value"] == 31
     # an append after a rewrite the process has not seen joins nothing it holds
     _rewrite_at_its_size(path, '"value":58', '"value":85', 2)
-    cache.append(lines[60])
+    cache.append(recs[60])
     assert json.loads(cache.get(f"{58:064x}"))["value"] == 85
     assert cache.get(f"{60:064x}") == lines[60]
+
+
+def _count_parses(monkeypatch) -> list[int]:
+    """Wrap the cache's line parse: the returned list gets each parsed line's start."""
+    starts = []
+    parse = records._record_line
+
+    def counted(data, start, stop, key):
+        starts.append(start)
+        return parse(data, start, stop, key)
+
+    monkeypatch.setattr(records, "_record_line", counted)
+    return starts
+
+
+def _held_cache(path) -> RecordCache:
+    """A cache on a new file that the process already holds and has looked up
+    once, so that its appends join what it holds."""
+    path.write_text(_record("f" * 64, 0).to_json() + "\n")
+    cache = RecordCache(path)
+    assert cache.get("f" * 64) is not None
+    return cache
+
+
+def test_cache_serves_its_own_line_unparsed(tmp_path, monkeypatch):
+    cache = _held_cache(tmp_path / "c.jsonl")
+    own = cache.append(_record("a" * 64, 1))
+    starts = _count_parses(monkeypatch)
+    assert RecordCache(cache.path).get("a" * 64) == own
+    assert starts == []
+    # a line it read from the file, not one it appended, is parsed
+    assert RecordCache(cache.path).get("f" * 64) is not None
+    assert starts == [0]
+
+
+def test_cache_never_serves_a_corrupt_line_another_writer_appends_later(tmp_path, monkeypatch):
+    cache = _held_cache(tmp_path / "c.jsonl")
+    own = cache.append(_record("a" * 64, 1))
+    good = json.loads(own)
+    starts = _count_parses(monkeypatch)
+    for corrupt in (own[:-9], _canonical({**good, "value": 2, "extra": 1}),
+                    _canonical(dict(good, value=3, measure=None)).replace('"measure":null,', "")):
+        size = cache.path.stat().st_size
+        _write(cache.path, corrupt + "\n", "ab")  # another writer, under the same key
+        assert cache.get("a" * 64) == own
+        assert size in starts  # the later line was parsed, and refused
+    # a good record another writer appends later is served: the last record wins
+    later = _canonical({**good, "value": 4})
+    _write(cache.path, later + "\n", "ab")
+    assert cache.get("a" * 64) == later
+
+
+@pytest.mark.parametrize("change", ["truncate", "replace"])
+def test_cache_parses_its_own_lines_again_once_it_reads_the_file_again(tmp_path, monkeypatch,
+                                                                        change):
+    cache = _held_cache(tmp_path / "c.jsonl")
+    own = cache.append(_record("a" * 64, 1))
+    cache.append(_record("b" * 64, 2))
+    starts = _count_parses(monkeypatch)
+    assert cache.get("a" * 64) == own and starts == []
+    start = cache.path.read_bytes().index(own.encode())
+    if change == "truncate":  # the last line goes: the file shrank
+        os.truncate(cache.path, start + len(own) + 1)
+    else:  # the same bytes under another inode
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(cache.path.read_bytes())
+        os.replace(other, cache.path)
+    assert cache.get("a" * 64) == own
+    assert starts == [start]
+    assert cache.get("a" * 64) == own
+    assert starts == [start, start]
 
 
 def test_cache_serves_threads_that_share_it(tmp_path):
@@ -312,8 +391,7 @@ def test_cache_serves_threads_that_share_it(tmp_path):
     def worker(t):
         try:
             for i in range(25):
-                line = _record(f"{t:04d}{i:04d}", i).to_json()
-                RecordCache(path).append(line)
+                line = RecordCache(path).append(_record(f"{t:04d}{i:04d}", i))
                 if RecordCache(path).get(f"{t:04d}{i:04d}") != line:
                     errors.append((t, i))
         except Exception as e:  # noqa: BLE001 - reported by the assert below
@@ -384,8 +462,7 @@ def test_to_json_matches_asdict_serialization(rec):
 def test_cache_append_creates_missing_directories(tmp_path):
     # the first append under two missing directory levels makes them both
     cache = RecordCache(tmp_path / "a" / "b" / "c.jsonl")
-    stored = _record("a" * 64, 1).to_json()
-    cache.append(stored)
+    stored = cache.append(_record("a" * 64, 1))
     assert cache.path.read_bytes() == stored.encode() + b"\n"
     assert cache.get("a" * 64) == stored
 

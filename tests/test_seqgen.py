@@ -647,14 +647,54 @@ def test_file_read_and_to01_match_oracle(tmp_path_factory, bits, label, periodic
     assert read_sequence(path).to01() == seq.to01()
 
 
-@given(st.lists(st.sampled_from(["0", "1", "01", "# x", "#period=5", "# a period=3", " ", "\t",
-                                 "\n", "\r\n", "\r", "x", "\uff10", "\uff11", "\u00a0"]),
-                max_size=12))
+_TEXT_PIECES = ["0", "1", "01", "# x", "#period=5", "# a period=3", " ", "\t", "\n", "\r\n",
+                "\r", "x", "\uff10", "\uff11", "\u00a0"]
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_file_read_matches_oracle_on_text(tmp_path_factory, pieces):
     path = tmp_path_factory.mktemp("seq") / "t.seq"
     path.write_bytes("".join(pieces).encode())
     assert _read_or_refusal(read_sequence, path) == _read_or_refusal(_read_sequence_oracle, path)
+
+
+def _word_or_refusal(read, path):
+    try:
+        seq = read(path)
+    except ParameterError as e:
+        return "refused", str(e)
+    return seq.bits.tolist(), seq.period, seq.label, seq.bits.flags.writeable
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12), st.none() | st.integers(1, 5),
+       st.sampled_from(["absent", "wraps", "no-wrap", "zero"]))
+@settings(max_examples=300, deadline=None)
+@example(["0110"], 2, "wraps")  # the header's period fails under an override that holds
+@example(["0101"], 2, "no-wrap")
+def test_file_read_with_a_period_matches_reading_then_recreating(tmp_path_factory, pieces,
+                                                                  header_period, override):
+    """read_sequence(path, period) is the two steps it replaced: the file read
+    with its own header, then BitSequence.create with the period in its place."""
+    path = tmp_path_factory.mktemp("seq") / "t.seq"
+    header = "" if header_period is None else f"# w period={header_period}\n"
+    path.write_bytes((header + "".join(pieces)).encode())
+    word = "".join(line.strip() for line in "".join(pieces).splitlines()
+                   if not line.startswith("#"))
+    fails = [t for t in range(1, len(word)) if word[t:] != word[:-t]]
+    period = {"absent": None, "zero": 0,
+              "wraps": next(t for t in range(1, len(word) + 2) if t not in fails),
+              # a constant word wraps with every period
+              "no-wrap": fails[0] if fails else len(word) + 1}[override]
+
+    def two_steps(path):
+        seq = read_sequence(path)
+        if period is None:
+            return seq
+        return BitSequence.create(seq.bits, period=period, label=seq.label)
+
+    assert (_word_or_refusal(lambda path: read_sequence(path, period), path)
+            == _word_or_refusal(two_steps, path))
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe01\n", b"# label\n01\xe9\n", b"\x80"])
