@@ -1,9 +1,10 @@
 """Measure records, deterministic serialization, and the JSONL result cache.
 
-The cache serves the last good record line under a key.  A line read from the
-file is parsed and its fields checked before it is served, whoever wrote it; a
-line this process serialized from a MeasureRecord and appended itself is served
-as written, until the process next reads the file whole.
+The cache serves the last good record line under a key, in the one shape
+MeasureRecord.to_json() writes: opening {"cache_key":"<key>".  A line read from
+the file is parsed and its fields checked before it is served, whoever wrote it;
+a line this process serialized from a MeasureRecord and appended itself is
+served as written, until the process next reads the file whole.
 """
 
 from __future__ import annotations
@@ -102,26 +103,25 @@ def _json_cell(v) -> str:
     return _canonical(v)
 
 
-# A record line as MeasureRecord.to_json() writes it opens with its key; the index
-# is built from these openings alone.  Each line that could hold a record under
-# some key must open so: a "cache_key" anywhere else, or a \u escape that could
-# spell one of its letters (\u005f, \u006x, \u007x), makes a file irregular, and
-# its lookups fall back to the byte search.
+# A record line as MeasureRecord.to_json() writes it opens with its key, since
+# its fields are sorted; only a line that opens so is served under the key, so
+# the byte search and the index, built from these openings alone, agree.
 _RECORD_OPENING = re.compile(rb'^\{"cache_key":"([^"\\\n]*)"', re.MULTILINE)
-_ESCAPED_LETTER = re.compile(rb"\\u00[5-7]")
-_INDEXABLE = re.compile(rb'[^"\\\n]*').fullmatch  # keys an opening can hold
 _WINDOW = 4096  # held bytes compared with the file before its growth is taken in
 _HELD_MAX = 16  # cache files a process holds at once; past this the oldest is dropped
 _O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
-_O_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+_O_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _record_line(data, start: int, stop: int, key: str) -> str | None:
     """data[start:stop] without a trailing CR, if it is a good record under `key`.
 
-    Corrupt lines are refused: a line that is not JSON, not a JSON object, or
-    holds a field that MeasureRecord does not take, or lacks one it needs.
+    Refused: a line that does not open with {"cache_key":"<key>", and a corrupt
+    line, one that is not JSON, not a JSON object, or holds a field that
+    MeasureRecord does not take, or lacks one it needs.
     """
+    if not data.startswith(b'{"cache_key":"%s"' % key.encode(), start, stop):
+        return None
     try:
         line = data[start:stop].removesuffix(b"\r").decode()
         d = json.loads(line)
@@ -134,7 +134,7 @@ def _record_line(data, start: int, stop: int, key: str) -> str | None:
 
 def _search(data, key: str) -> str | None:
     """The byte search: `data` is searched for `key`, last occurrence first, and
-    only the line around each occurrence is parsed; the first good record wins."""
+    only the line around each occurrence is checked; the first good record wins."""
     needle = key.encode()
     end = len(data)
     while end > 0 and (hit := data.rfind(needle, 0, end)) >= 0:
@@ -172,14 +172,15 @@ class _Held:
 
     The file stays open while it is held, so that its inode number cannot pass to
     a file that replaces it.  `index` maps a key to the start of the last line
-    before `indexed` that opens as a record under it (see _RECORD_OPENING).  It is
+    before `indexed` that opens as a record under it (see _RECORD_OPENING): the
+    only line _search could serve under the key, unless it is corrupt.  It is
     built at the second lookup, so that a process that looks up once never pays
     for it.  `own` holds the starts of the lines the process serialized and
     appended itself since the bytes were last read whole: such a line is a good
     record, and is served without being parsed.
     """
 
-    __slots__ = ("fd", "dev", "ino", "mtime_ns", "data", "index", "indexed", "regular", "own")
+    __slots__ = ("fd", "dev", "ino", "mtime_ns", "data", "index", "indexed", "own")
 
     def __init__(self, fd: int):
         self.fd = fd
@@ -193,7 +194,7 @@ class _Held:
     def reread(self, st) -> None:
         self.data = _read_from(self.fd, 0, st.st_size)
         self.mtime_ns = st.st_mtime_ns
-        self.index, self.indexed, self.regular = None, 0, True
+        self.index, self.indexed = None, 0
         self.own = set()
 
     def catch_up(self, st) -> bool:
@@ -215,35 +216,25 @@ class _Held:
     def lookup(self, key: str) -> str | None:
         """What _search(self.data, key) returns: that search at the first lookup
         since the file was read whole, the index after."""
-        data, needle = self.data, key.encode()
+        data = self.data
         if self.index is None:
             self.index = {}
             return _search(data, key)
         end = data.rfind(b"\n") + 1  # the lines before `end` are terminated
-        if self.regular and self.indexed < end:
-            self._index(end)
-        if not (self.regular and _INDEXABLE(needle)):
-            return _search(data, key)
+        for m in _RECORD_OPENING.finditer(data, self.indexed, end):
+            self.index[m[1]] = m.start()
+        self.indexed = end
         # a last line with no terminator is never indexed, and it is the last line
-        if data.find(needle, end) >= 0 and (line := _record_line(data, end, len(data), key)) is not None:
+        if end < len(data) and (line := _record_line(data, end, len(data), key)) is not None:
             return line
-        start = self.index.get(needle)
+        start = self.index.get(key.encode())
         if start is None:
             return None
         stop = data.find(b"\n", start)
         if start in self.own:  # the process's own line: a good record, as it wrote it
             return data[start:stop].decode()
         line = _record_line(data, start, stop, key)
-        return line if line is not None else _search(data, key)
-
-    def _index(self, end: int) -> None:
-        data, start, opened = self.data, self.indexed, 0
-        for m in _RECORD_OPENING.finditer(data, start, end):
-            self.index[m[1]] = m.start()
-            opened += 1
-        self.regular = (opened == data.count(b"cache_key", start, end)
-                        and not _ESCAPED_LETTER.search(data, start, end))
-        self.indexed = end
+        return line if line is not None else _search(data, key)  # a corrupt line
 
 
 # Every RecordCache of a path shares what the process holds of its file, since
@@ -308,7 +299,7 @@ class RecordCache:
         only what was appended since it was last read or written.  A file's first
         lookup is the byte search (_search); later ones find the key's last record
         line through the index, and fall back to the byte search when that line is
-        not a good record or the file is irregular.
+        corrupt.
         """
         with _LOCK:
             held = _sync(self._name)
@@ -317,12 +308,13 @@ class RecordCache:
     def append(self, record: MeasureRecord) -> str:
         """Append the record as one line, record.to_json(), and return that line.
 
+        A newline goes first when the file ends in an unterminated line, as a
+        process killed mid-append leaves it, so that the record starts a line.
         When the file is, up to the write, exactly what the process holds of it,
         the line joins the held bytes, so the process never reads it back, and a
         lookup that lands on it serves it without parsing it again.
         """
         line = record.to_json()
-        out = line.encode() + b"\n"
         try:
             fd = os.open(self._name, _O_APPEND, 0o666)
         except FileNotFoundError:  # a directory is missing: only then is one made
@@ -332,17 +324,23 @@ class RecordCache:
             with _LOCK:
                 if fcntl is not None:
                     fcntl.flock(fd, fcntl.LOCK_EX)
+                st = os.fstat(fd)
                 held = _HELD.get(self._name)
-                if held is not None and held.stamp() != _stamp(os.fstat(fd)):
-                    held = None  # the file moved on since the process held it
+                if held is not None and held.stamp() == _stamp(st):
+                    last = held.data[-1:]
+                else:  # not held, or the file moved on since: its last byte, if any
+                    held = None
+                    os.lseek(fd, max(st.st_size - 1, 0), os.SEEK_SET)
+                    last = os.read(fd, 1)
+                lead = b"" if last in (b"", b"\n") else b"\n"
+                out = lead + line.encode() + b"\n"
                 rest = memoryview(out)
                 while rest:
                     rest = rest[os.write(fd, rest) :]
                 if held is not None:
                     st = os.fstat(fd)
                     if st.st_size == len(held.data) + len(out):
-                        if held.data[-1:] in (b"", b"\n"):  # else it ends a line begun before it
-                            held.own.add(len(held.data))
+                        held.own.add(len(held.data) + len(lead))
                         held.data += out
                         held.mtime_ns = st.st_mtime_ns
         finally:

@@ -382,6 +382,29 @@ def test_measure_skips_corrupt_cache_lines(tmp_path, capsys, corrupt):
     assert json.loads(fresh)["value"] == 4
 
 
+@pytest.mark.parametrize("shape", ["reordered", "spaced", "escaped-name"])
+def test_measure_computes_a_request_whose_record_is_in_another_shape(tmp_path, capsys, shape):
+    # a good record, but not as to_json writes it: a miss, computed and appended
+    # in to_json's shape, which the repeat serves
+    cache = tmp_path / "c.jsonl"
+    args = ("measure", "--construction", "hall", "--p", "13", "--ck", "2")
+    _, fresh, _ = run(capsys, *args, "--no-cache")
+    rec = {**json.loads(fresh), "timestamp": "2000-01-01T00:00:00+00:00"}
+    other = {"reordered": json.dumps(dict(reversed(rec.items())), separators=(",", ":")),
+             "spaced": json.dumps(rec, sort_keys=True),
+             "escaped-name": json.dumps(rec, sort_keys=True, separators=(",", ":"))
+             .replace('"cache_key"', '"cache\\u005fkey"')}[shape]
+    assert json.loads(other) == rec
+    cache.write_text(other + "\n")
+    code, miss, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == EXIT_OK
+    assert json.loads(miss)["timestamp"] != rec["timestamp"]  # computed, not served
+    assert {**json.loads(miss), "timestamp": rec["timestamp"]} == rec
+    assert cache.read_text() == other + "\n" + miss
+    assert run(capsys, *args, "--cache", str(cache)) == (EXIT_OK, miss, "")
+    assert cache.read_text() == other + "\n" + miss
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe01\n", b"0\xef\xbc\x901\n", b"01x01\n"],
                          ids=["non-utf8", "full-width-zero", "letter"])
 def test_measure_refuses_a_non_01_input_file(tmp_path, capsys, raw):

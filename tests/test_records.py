@@ -26,11 +26,12 @@ def _value(cache, key):
 
 def _get_oracle(path, key):
     """The line-splitting lookup RecordCache.get replaced, with its corrupt-line rules:
-    every line holding `key` is parsed, last first."""
+    every line that opens as MeasureRecord.to_json() writes a record under `key`
+    is parsed, last first."""
     if not path.exists():
         return None
     for line in reversed(path.read_text().splitlines()):
-        if key not in line:
+        if not line.startswith('{"cache_key":"%s"' % key):
             continue
         try:
             d = json.loads(line)
@@ -125,9 +126,10 @@ def _cache_line(draw):
     kind = draw(st.sampled_from(["record", "truncated", "in-label", "list", "string",
                                  "extra-field", "missing-field", "crlf", "blank", "reordered",
                                  "escaped-name"]))
-    if kind == "reordered":  # a good record in another shape: cache_key last, spaced
+    # records in another shape than to_json's, which are never served
+    if kind == "reordered":  # cache_key last, spaced
         return json.dumps(dict(reversed(rec.items())))
-    if kind == "escaped-name":  # a good record whose field name spells "_" as an escape
+    if kind == "escaped-name":  # the field name spells "_" as an escape
         return json.dumps(rec).replace('"cache_key"', '"cache\\u005fkey"')
     if kind == "truncated":
         line = _canonical(rec)
@@ -379,6 +381,75 @@ def test_cache_parses_its_own_lines_again_once_it_reads_the_file_again(tmp_path,
     assert starts == [start]
     assert cache.get("a" * 64) == own
     assert starts == [start, start]
+
+
+def _other_shapes(rec) -> dict[str, str]:
+    """The record as a JSON line in shapes other than to_json's."""
+    d = json.loads(rec.to_json())
+    return {"reordered": json.dumps(dict(reversed(d.items())), separators=(",", ":")),
+            "spaced": json.dumps(d, sort_keys=True),
+            "escaped-name": rec.to_json().replace('"cache_key"', '"cache\\u005fkey"')}
+
+
+@pytest.mark.parametrize("shape", ["reordered", "spaced", "escaped-name"])
+def test_cache_never_serves_a_record_in_another_shape(tmp_path, shape):
+    path = tmp_path / "c.jsonl"
+    rec = _record("a" * 64, 1)
+    other = _other_shapes(rec)[shape]
+    assert MeasureRecord(**json.loads(other)) == rec  # a good record, in another shape
+    path.write_text(other + "\n")
+    assert RecordCache(path).get("a" * 64) is None  # the first lookup: the byte search
+    assert RecordCache(path).get("a" * 64) is None  # the index
+    # under a good record to_json wrote, the same again, unterminated
+    stored = RecordCache(path).append(_record("a" * 64, 2))
+    _write(path, other, "ab")
+    assert RecordCache(path).get("a" * 64) == stored
+    _write(path, "\n" + other + "\n", "ab")
+    assert RecordCache(path).get("a" * 64) == stored
+    assert _byte_search(path, "a" * 64) == stored
+
+
+def test_cache_searches_no_bytes_after_the_first_lookup(tmp_path, monkeypatch):
+    # a "cache_key" inside a label and a \u escape do not send a lookup to the
+    # byte search; only a corrupt line the index lands on does
+    searched = []
+    search = records._search
+    monkeypatch.setattr(records, "_search",
+                        lambda data, key: searched.append(key) or search(data, key))
+    path = tmp_path / "c.jsonl"
+    good = _record("a" * 64, 1).to_json()
+    in_label = _record("b" * 64, 2)
+    in_label.sequence_label = '{"cache_key":"' + "c" * 64 + '"}'
+    lines = [good, in_label.to_json(), _other_shapes(_record("c" * 64, 3))["escaped-name"]]
+    path.write_text("".join(line + "\n" for line in lines))
+    assert RecordCache(path).get("a" * 64) == good
+    assert searched == ["a" * 64]
+    expected = {"a" * 64: good, "b" * 64: lines[1], "c" * 64: None, "d" * 64: None}
+    for _ in range(2):
+        assert {key: RecordCache(path).get(key) for key in expected} == expected
+        _write(path, "".join(line + "\n" for line in lines[1:]), "ab")  # another writer
+    assert searched == ["a" * 64]
+    _write(path, good[:-9] + "\n", "ab")  # a corrupt line under the key
+    assert RecordCache(path).get("a" * 64) == good
+    assert searched == ["a" * 64, "a" * 64]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["file", "held"])
+def test_cache_append_after_an_unterminated_line_starts_a_line(tmp_path, monkeypatch, held):
+    # a process killed mid-append left part of a line; the next append ends it
+    path = tmp_path / "c.jsonl"
+    partial = _record("a" * 64, 1).to_json()[:60]
+    path.write_text(partial)
+    if held:  # the last byte is read from what the process holds, else from the file
+        assert RecordCache(path).get("a" * 64) is None
+    stored = RecordCache(path).append(_record("a" * 64, 2))
+    assert path.read_text() == partial + "\n" + stored + "\n"
+    starts = _count_parses(monkeypatch)
+    for _ in range(2):
+        assert RecordCache(path).get("a" * 64) == stored
+    if held:  # the appended line is the process's own, served unparsed
+        assert starts == []
+    assert _byte_search(path, "a" * 64) == stored
 
 
 def test_cache_serves_threads_that_share_it(tmp_path):
