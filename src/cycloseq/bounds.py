@@ -32,11 +32,11 @@ from itertools import compress
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, InvariantViolation, ParameterError
+from .errors import InvariantViolation, ParameterError, check_budget
 from .measures import (
     DEFAULT_BUDGET,
     _bits_to_int,
-    _charge,
+    _ck_work,
     berlekamp_massey_profile,
     correlation_measure_exact,
     max_order_complexity,
@@ -222,16 +222,10 @@ def random_baseline(
         raise ParameterError(f"seed must be >= 0; got {rng_seed}")
     if n < 1:
         raise ParameterError(f"n must be >= 1; got {n}")
-    if not 1 <= k <= n:
-        raise ParameterError(f"order k={k} outside 1..{n}")
-    # each word's exact search charges the same E, so all trials are charged once,
-    # before the first draw: E * trials > budget exactly when E > budget // trials.
-    # The baseline has no sampled variant to point to.
-    hint = "lower --n, --k or --trials, or raise --budget"
-    try:
-        _charge(n, k, budget // trials, hint)
-    except BudgetExceeded as e:
-        raise BudgetExceeded(e.estimate * trials, budget, hint) from None
+    # each word's exact search charges the same work, so all trials are charged
+    # at once, before the first draw; the baseline has no sampled variant to point to
+    work, _ = _ck_work(n, k)
+    check_budget(work * trials, budget, "lower --n, --k or --trials, or raise --budget")
     rng = np.random.default_rng(rng_seed)
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     values = []

@@ -31,6 +31,7 @@ from .errors import (
     InvariantViolation,
     NoSuchRoot,
     ParameterError,
+    check_budget,
 )
 from .records import MeasureRecord, RecordCache, cache_key
 
@@ -123,8 +124,10 @@ def _parse_classes(spec: str) -> list[int]:
 
 
 def _refuse_unread(args, reader: str, options) -> None:
-    """Refuse each of options given with reader, which does not read it."""
-    unread = [o for o in options if getattr(args, o[2:]) is not None]
+    """Refuse each of options given with reader, which does not read it: given
+    when its dest, read off the option table, holds other than its default."""
+    table, defaults = _option_table(args.command)[:2]
+    unread = [o for o in options if getattr(args, table[o][0]) != defaults[table[o][0]]]
     if unread:
         raise ParameterError(f"{reader} does not read {', '.join(unread)}")
 
@@ -348,25 +351,23 @@ def _weil_suite(args):
     primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
     kmaxes = {p: min(args.kmax, p) for p in map(int, primes)}
 
-    def charge(p, kmax):
+    def work(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
         complete sum, and every random query read against at most
         min(queries, 5**kmax) distinct exponent rows, each window at most p.
-        The sum stops once it passes both the budget and 2**SHOWN_BITS, where it
-        is refused and shown by its size; no power of 5 past the queries is built."""
+        The sum stops once it passes 2**SHOWN_BITS, which every budget below it
+        refuses, shown by its size; no power of 5 past the queries is built."""
         complete, term = 0, 1
         for k in range(1, kmax + 1):
             term = term * (p - k + 1) * 5 // k  # comb(p, k) * 5**k, exact
             complete += term
-            if complete > args.budget and complete.bit_length() > SHOWN_BITS:
+            if complete.bit_length() > SHOWN_BITS:
                 break
         rows = min(args.queries, 5 ** min(kmax, args.queries.bit_length()))
         return (complete + args.queries * rows) * p
 
-    estimate = sum(charge(p, kmax) for p, kmax in kmaxes.items())
-    if estimate > args.budget:
-        raise BudgetExceeded(estimate, args.budget,
-                             hint="lower --kmax or --queries, or raise --budget")
+    check_budget(sum(work(p, kmax) for p, kmax in kmaxes.items()), args.budget,
+                 "lower --kmax or --queries, or raise --budget")
     if args.queries > sys.maxsize:  # past an intp, numpy would refuse the draw with a ValueError
         raise MemoryError(f"{args.queries} queries are past the address space")
     rng = np.random.default_rng(args.seed)
@@ -431,12 +432,12 @@ def cmd_verify(args) -> int:
         readers = [suite for suite, (_, options) in _SUITES.items() if "policy" in options]
         raise ParameterError(f"--g-policy is read only by the suites {', '.join(readers)}; "
                              f"{args.suite} checks the smallest root's words")
-    for option in _SUITE_ONLY:
-        if getattr(args, option) is None:
-            setattr(args, option, reads.get(option))
-        elif option not in reads:  # refused, with every other unread one given
+    for dest in _SUITE_ONLY.values():
+        if getattr(args, dest) is None:
+            setattr(args, dest, reads.get(dest))
+        elif dest not in reads:  # refused, with every other unread one given
             _refuse_unread(args, f"--suite {args.suite}",
-                           [f"--{o}" for o in _SUITE_ONLY if o not in reads])
+                           [o for o, d in _SUITE_ONLY.items() if d not in reads])
     # nothing is printed until the whole suite has run, then everything in one print
     n = {"pass": 0, "fail": 0, "n/a": 0, "report": 0}
     lines = []
@@ -546,11 +547,6 @@ _COMMANDS = {
     }, {}),
 }
 
-# the dests of the options only some suites read, in the order verify declares them
-_SUITE_ONLY = [kwargs.get("dest", option[2:]) for option, kwargs in _COMMANDS["verify"][1].items()
-               if any(kwargs.get("dest", option[2:]) in reads for _, reads in _SUITES.values())]
-
-
 @functools.cache
 def _make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and the parser of each subcommand by name."""
@@ -583,6 +579,11 @@ def _option_table(command: str):
         if kwargs.get("required"):
             required.append(dest)
     return table, defaults, required, [table[option][0] for option in exclusive]
+
+
+# option string -> dest of the options only some suites read, in verify's order
+_SUITE_ONLY = {option: dest for option, (dest, _, _) in _option_table("verify")[0].items()
+               if any(dest in reads for _, reads in _SUITES.values())}
 
 
 def _parse_exact(command: str, argv):

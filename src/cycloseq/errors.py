@@ -33,12 +33,18 @@ SHOWN_BITS = 4096
 class BudgetExceeded(CycloseqError):
     """Exact enumeration would exceed the configured budget."""
 
-    def __init__(self, estimate: int, budget: int, hint: str = "use the sampled variant"):
+    def __init__(self, estimate: int, budget: int, hint: str):
         self.estimate = estimate
         self.budget = budget
         bits = estimate.bit_length()
         shown = estimate if bits <= SHOWN_BITS else f"at least 2**{bits - 1}"
         super().__init__(f"estimated {shown} window evaluations exceed budget {budget}; {hint}")
+
+
+def check_budget(work: int, budget: int, hint: str) -> None:
+    """The one budget comparison: BudgetExceeded when work, an estimate, passes it."""
+    if work > budget:
+        raise BudgetExceeded(work, budget, hint)
 
 
 class CapExceeded(CycloseqError):

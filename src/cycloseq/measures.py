@@ -58,13 +58,13 @@ and `argmax` return.  Memory is O(N) plus the block.  The sampled measure
 draws a block's shift tuples together, by Floyd's algorithm over every row at
 once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
 
-The budget is an upfront refusal in one unit, window evaluations: the exact
-search is charged its nominal count binom(N, k) * N, not the walk steps it
-evaluates, and the sampled measure min(samples, binom(N, k)) * N (`_charge`).
-A charge is never computed in full to be refused: binom(N, k) >= (N/j)**j,
-j = min(k, N - k), so a charge whose bound passes both 2**4096 and the budget
-is refused from the bound alone, and samples below the bound charge
-samples * N without binom.
+The budget is an upfront refusal in one unit, window evaluations, of an
+estimate that reads no budget (`_ck_work`): the exact search's nominal count
+binom(N, k) * N, not the walk steps it evaluates, and the sampled measure's
+min(samples, binom(N, k)) * N.  binom(N, k) >= (N/j)**j, j = min(k, N - k),
+so samples below that bound are charged samples * N, and an estimate whose
+bound passes 2**4096 is that bound, never binom in full.  One comparison,
+`errors.check_budget`, refuses an estimate past the budget.
 
 The maximum order complexity profile comes from an online suffix automaton
 (`max_order_complexity_profile`).  Its final value alone, M(N) = 1 + the length
@@ -113,7 +113,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SHOWN_BITS, BudgetExceeded, CapExceeded, InvariantViolation, ParameterError
+from .errors import SHOWN_BITS, CapExceeded, InvariantViolation, ParameterError, check_budget
 from .seqgen import BitSequence
 
 DEFAULT_BUDGET = 10**9
@@ -242,6 +242,8 @@ _PREFIX_SUM, _PREFIX_MAX, _PREFIX_MIN = _prefix_tables()
 # packed word and how long the cuts go stale between updates of the best.  The
 # sampled measure draws each block's rows together, so changing this changes
 # its seeded values: SAMPLED_DRAW, part of their cache identity, must change too.
+# The weil suite's seeded queries draw their shifts through `_draw_subsets` in
+# chunks of `_block_rows` rows, so their verdicts change with it as well.
 _BLOCK_CELLS = 1 << 14
 # The sampled measure's draw scheme, a param of its cached records: a record
 # drawn under another scheme is never served.
@@ -401,34 +403,32 @@ def _search_patterns(bits: np.ndarray, k: int) -> tuple[int, list[tuple[int, ...
     return best, attaining
 
 
-def _charge(N: int, k: int, budget: int, hint: str = "use the sampled variant",
-            samples: int | None = None) -> bool:
-    """Charge comb(N, k) * N window evaluations, 1 <= k <= N, or with samples
-    min(samples, comb(N, k)) * N, against budget: BudgetExceeded past it.  True
-    when the samples cover every tuple, samples >= comb(N, k).
+def _ck_work(N: int, k: int, samples: int | None = None) -> tuple[int, bool]:
+    """(work, covered): the window evaluations charged for C_k of an N-bit
+    word, comb(N, k) * N, or with samples min(samples, comb(N, k)) * N, and
+    whether the samples cover every tuple, samples >= comb(N, k).
+    ParameterError unless 1 <= k <= N.  No budget is read: `check_budget` compares.
 
     comb(N, k) >= (N/j)**j >= 2**b, j = min(k, N - k), so comb is computed only
-    when it is needed: samples < 2**b charge samples * N, and a charge whose
-    bound 2**b * N alone passes both 2**SHOWN_BITS and the budget is refused as
-    at least that bound (math.comb(10**20, 10**5) alone takes seconds).  Below
-    that the estimate is exact.
+    when it is needed: samples < 2**b are charged samples * N, and once the
+    bound 2**b * N passes 2**SHOWN_BITS the work is that bound, 2**low, never
+    comb (math.comb(10**20, 10**5) alone takes seconds), which every budget
+    below 2**SHOWN_BITS refuses.  Below that the estimate is exact.
     """
+    if not 1 <= k <= N:
+        raise ParameterError(f"order k={k} outside 1..{N}")
     j = min(k, N - k)
     x = j * (math.log2(N) - math.log2(j)) if j else 0.0
     b = max(0, math.floor(x - x / 2**20) - 1)  # 2**-20 of x and a bit spare cover rounding
     if samples is not None and samples.bit_length() <= b:  # samples < 2**b <= comb(N, k)
-        tuples, covered = samples, False
-    else:
-        low = b + N.bit_length() - 1  # 2**low <= 2**b * N
-        if low >= SHOWN_BITS and budget.bit_length() <= low:
-            raise BudgetExceeded(1 << low, budget, hint)
-        tuples = math.comb(N, k)
-        covered = samples is not None and samples >= tuples
-        if samples is not None:
-            tuples = min(samples, tuples)
-    if tuples * N > budget:
-        raise BudgetExceeded(tuples * N, budget, hint)
-    return covered
+        return samples * N, False
+    low = b + N.bit_length() - 1  # 2**low <= 2**b * N
+    if low >= SHOWN_BITS:
+        return 1 << low, False
+    tuples = math.comb(N, k)
+    if samples is not None and samples < tuples:
+        return samples * N, False
+    return tuples * N, samples is not None
 
 
 def correlation_measure_exact(
@@ -440,9 +440,7 @@ def correlation_measure_exact(
     independent of enumeration order.
     """
     N = seq.length
-    if not 1 <= k <= N:
-        raise ParameterError(f"order k={k} outside 1..{N}")
-    _charge(N, k, budget)
+    check_budget(_ck_work(N, k)[0], budget, "use the sampled variant")
     rows = _step_rows(seq.bits)
     # k = 1 has the one pattern (0,), whose walk's spread is C_1
     best, attaining = _search_patterns(seq.bits, k) if k > 1 else (None, [(0,)])
@@ -482,14 +480,13 @@ def correlation_measure_sampled(
     returned with exhaustive=False.
     """
     N = seq.length
-    if not 1 <= k <= N:
-        raise ParameterError(f"order k={k} outside 1..{N}")
+    work, covered = _ck_work(N, k, samples)
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if rng_seed < 0:
         raise ParameterError(f"seed must be >= 0; got {rng_seed}")
-
-    if _charge(N, k, budget, "lower --sampled or raise --budget", samples):
+    check_budget(work, budget, "lower --sampled or raise --budget")
+    if covered:
         return replace(correlation_measure_exact(seq, k, budget=budget), exhaustive=False)
 
     rng = np.random.default_rng(rng_seed)

@@ -267,3 +267,22 @@ def test_criterion_12_index_representation_identity():
                 checked += 1
         assert checked >= len(SEXTIC_PRIMES_499)
         print(f"        ({checked} (p, g) instances verified)")
+
+
+def test_criterion_13_hall_linear_complexity_of_order_p():
+    # the abstract's premise, by BM at N = 2p on the smallest root's word: the
+    # periodic complexity L is at least (p - 1)/6.  And the p-th profile value
+    # L(p) is at most min(L, L') + 1, L' the periodic complexity of the word with
+    # s_0 flipped (s_0 and s_p at N = 2p): the flip adds the word 1, 0, 0, ... of
+    # complexity 1, complexity is subadditive, and a profile never falls
+    with criterion(13, "L(Hall p, 2p) >= (p-1)/6 and L(p) <= min(L, L') + 1, sextic p < 1500"):
+        primes = [p for p in range(7, 1500, 6) if is_prime(p)]
+        for p in primes:
+            seq = hall_sequence(SexticParams.create(p), 2 * p)
+            profile = berlekamp_massey_profile(seq).values
+            flipped = seq.bits.copy()
+            flipped[[0, p]] ^= 1
+            lc, lc_flipped = profile[-1], berlekamp_massey_profile(BitSequence.create(flipped)).final
+            assert 6 * lc >= p - 1, (p, lc)
+            assert profile[p - 1] <= min(lc, lc_flipped) + 1, (p, profile[p - 1], lc, lc_flipped)
+        assert len(primes) == 115

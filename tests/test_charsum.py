@@ -15,6 +15,8 @@ from cycloseq.errors import ParameterError
 from cycloseq.ntheory import (
     PrimeParams,
     SexticParams,
+    cyclotomic_numbers,
+    is_prime,
     reduce_zeta6,
     zeta6_mul,
     zeta6_norm_sq,
@@ -187,6 +189,52 @@ def test_complete_one_shift_sums_skip_the_vanishing_term(p):
     ind = params.index_table[1:p].astype(np.int64)
     for m in range(1, 6):
         assert (sums[1:, m - 1] == -UNITS[m * ind % 6]).all(), m
+
+
+def jacobi_sums(params, shifts):
+    """The complete sums of the T x k shift tuples, k <= 2, under every exponent
+    row in product order, read off the order-6 cyclotomic numbers and not the
+    kernel: a T x 5**k x 2 array of a + b*w.
+
+    Both sum over n in F_p and then drop the n = 0 term chi^m(d_1)...chi^m(d_k)
+    the suite's sum skips, which is 0 at d_1 = 0 (chi(0) = 0).  At k = 1 the
+    sum over F_p is 0.  At k = 2, n + d_1 = delta x with delta = d_2 - d_1
+    turns it into chi^(a+b)(delta) J_ab, J_ab = sum_{i,j} (i, j) w^(ai + bj).
+    """
+    S = np.asarray(shifts, dtype=np.int64)
+    E = np.array(list(product(range(1, 6), repeat=S.shape[1])))
+    ind = params.cosets(6).astype(np.int64)
+    skipped = UNITS[ind[S] @ E.T % 6] * (S[:, 0] != 0)[:, None, None]
+    if S.shape[1] == 1:
+        return -skipped
+    i = np.arange(6)
+    phases = (E[:, :1, None] * i[:, None] + E[:, 1:, None] * i) % 6  # B x 6 x 6: a i + b j
+    J = np.einsum("ij,bijc->bc", cyclotomic_numbers(params, 6), UNITS[phases])
+    unit = UNITS[E.sum(axis=1) * ind[S[:, 1] - S[:, 0], None] % 6]  # chi^(a+b)(delta)
+    return np.stack(zeta6_mul(np.moveaxis(unit, -1, 0), J.T[:, None]), axis=-1) - skipped
+
+
+@pytest.mark.parametrize("p", [13, 31, 43])
+def test_complete_sums_at_k_up_to_2_are_jacobi_sums(p):
+    # every shift tuple and exponent row: 36 150 pair sums over the three primes
+    params = SexticParams.create(p)
+    for k in (1, 2):
+        shifts = list(combinations(range(p), k))
+        exponents = list(product(range(1, 6), repeat=k))
+        assert (exact_sums(params, exponents, shifts, p) == jacobi_sums(params, shifts)).all()
+
+
+SEXTIC_BELOW_2000 = [p for p in range(7, 2000, 6) if is_prime(p)]
+
+
+@given(st.data(), st.sampled_from(SEXTIC_BELOW_2000), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_drawn_complete_sums_are_jacobi_sums(data, p, k):
+    params = SexticParams.create(p)
+    one_tuple = st.sets(st.integers(0, p - 1), min_size=k, max_size=k).map(sorted)
+    shifts = data.draw(st.lists(one_tuple, min_size=1, max_size=20))
+    exponents = list(product(range(1, 6), repeat=k))
+    assert (exact_sums(params, exponents, shifts, p) == jacobi_sums(params, shifts)).all()
 
 
 @given(st.integers(-(2**31) + 1, 2**31 - 1), st.integers(-(2**31) + 1, 2**31 - 1))

@@ -648,6 +648,27 @@ def test_verify_names_every_unread_option_it_refuses(capsys):
                                                    "--seed, --queries, --N\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--seed", "0", "--no-cache"),
+    # an abbreviation: argparse parses it, under the same dests
+    ("measure", "--construction", "hall", "--p", "13", "--ck", "1", "--seed", "0", "--no-cach"),
+], ids=["exact", "argparse"])
+def test_unread_options_are_named_by_their_option_strings(argv, monkeypatch, capsys):
+    # each option's dest is read off the command's option table, as argparse
+    # stores it: --no-cache under no_cache, --g-policy under policy.  A flag
+    # not given holds False, and a --seed of 0 is given
+    def refuse(args):
+        cli._refuse_unread(args, "this request", ("--lc-profile", "--no-cache", "--seed", "--g"))
+
+    monkeypatch.setattr(cli, "cmd_measure", refuse)
+    assert run(capsys, *argv) == (EXIT_PARAM, "", "error: this request does not read "
+                                                  "--no-cache, --seed\n")
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: cli._refuse_unread(
+        args, "this request", ("--g-policy", "--N")))
+    assert run(capsys, "verify", "--suite", "bw06", "--primes", "13", "--g-policy", "both") == (
+        EXIT_PARAM, "", "error: this request does not read --g-policy\n")
+
+
 def test_verify_suites_apply_the_defaults_of_the_options_they_read(capsys):
     # the defaults each reader applies are the ones the options used to have
     for args, defaults in (
