@@ -95,6 +95,10 @@ def check_iw17(seq: BitSequence) -> BoundEvaluation:
     there on: C_2 >= v = N - j, with v the walk value of D = (i, j) from
     `_witness_value`.  A step n < N - j with s_{n+i} != s_{n+j} means MOC is
     wrong (InvariantViolation).  The witness costs O(N / 64); no budget applies.
+
+    A nonconstant word of prime period p never takes the repeat at N = 2p: there
+    j <= 2**M < p, so s_i..s_{N-1}, at least p + (j - i) - 1 long, has the periods
+    p and j - i, hence (Fine and Wilf) the period 1, and it covers a whole period.
     """
     n = seq.length
     m = max_order_complexity(seq)

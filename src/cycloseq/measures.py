@@ -244,6 +244,7 @@ _PREFIX_SUM, _PREFIX_MAX, _PREFIX_MIN = _prefix_tables()
 # its seeded values: SAMPLED_DRAW, part of their cache identity, must change too.
 # The weil suite's seeded queries draw their shifts through `_draw_subsets` in
 # chunks of `_block_rows` rows, so their verdicts change with it as well.
+# _spreads sums a cell-major block in int16, so _BLOCK_CELLS < 2**24 must hold.
 _BLOCK_CELLS = 1 << 14
 # The sampled measure's draw scheme, a param of its cached records: a record
 # drawn under another scheme is never served.
@@ -296,9 +297,10 @@ def _spreads(cells: np.ndarray) -> np.ndarray:
     """Walk spread of each row of flat table indices (valid steps << 8 | byte).
 
     A block of more rows than cells per row is read cell-major, one slab per
-    cell.  Its walks and spreads stay within 8n for n cells per row, so the
-    doubling prefix is int16 while 8n < 2**15.  Other blocks keep one int32
-    cumsum per row: on long rows it beats log2(n) doubling passes.
+    cell.  Its n cells per row have n**2 < _BLOCK_CELLS < 2**24, so its walks
+    and spreads stay within 8n < 2**15 and the doubling prefix is int16.  Other
+    blocks keep one int32 cumsum per row: on long rows it beats log2(n) doubling
+    passes.
     """
     rows, n = cells.shape
     if rows <= n:
@@ -309,7 +311,7 @@ def _spreads(cells: np.ndarray) -> np.ndarray:
         axis = 0
         cells = np.ascontiguousarray(cells.T)
         steps = _PREFIX_SUM.take(cells)
-        ends = steps.astype(np.int16 if 8 * n < 1 << 15 else np.int32)
+        ends = steps.astype(np.int16)
         s = 1
         while s < n:  # ends[j] sums slabs j - 2s + 1 .. j after the pass at s
             ends[s:] = ends[s:] + ends[:-s]

@@ -4,7 +4,8 @@ The cache serves the last good record line under a key, in the one shape
 MeasureRecord.to_json() writes: opening {"cache_key":"<key>".  A line read from
 the file is parsed and its fields checked before it is served, whoever wrote it;
 a line this process serialized from a MeasureRecord and appended itself is
-served as written, until the process next reads the file whole.
+served as written, until the process next reads the file whole, as it does
+whenever the file's size or mtime is not what the process holds.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ def _json_cell(v) -> str:
 # its fields are sorted; only a line that opens so is served under the key, so
 # the byte search and the index, built from these openings alone, agree.
 _RECORD_OPENING = re.compile(rb'^\{"cache_key":"([^"\\\n]*)"', re.MULTILINE)
-_WINDOW = 4096  # held bytes compared with the file before its growth is taken in
 _HELD_MAX = 16  # cache files a process holds at once; past this the oldest is dropped
 _O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _O_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -146,8 +146,8 @@ def _search(data, key: str) -> str | None:
     return None
 
 
-def _read_from(fd: int, offset: int, size: int) -> bytearray:
-    """`size` bytes of the open file from `offset`, fewer where it ends first.
+def _read_from(fd: int, size: int) -> bytearray:
+    """The first `size` bytes of the open file, fewer where it ends first.
 
     Nothing past them is read: what was appended since the file's stamp was
     taken is left for the next lookup, which sees the file grown past it.
@@ -155,7 +155,7 @@ def _read_from(fd: int, offset: int, size: int) -> bytearray:
     buf = bytearray(size)
     got = 0
     with io.FileIO(fd, closefd=False) as f, memoryview(buf) as view:
-        f.seek(offset)
+        f.seek(0)
         while got < size and (n := f.readinto(view[got:])):
             got += n
     del buf[got:]
@@ -169,15 +169,17 @@ def _stamp(st) -> tuple:
 class _Held:
     """What one process holds of one cache file: its first len(data) bytes, read
     or appended by the process, as of the file's stamp (device, inode, size, mtime).
+    They change in two ways only: `reread`, a read of the whole file, and an
+    append of the process's own that lands right at their end (RecordCache.append).
 
     The file stays open while it is held, so that its inode number cannot pass to
     a file that replaces it.  `index` maps a key to the start of the last line
     before `indexed` that opens as a record under it (see _RECORD_OPENING): the
     only line _search could serve under the key, unless it is corrupt.  It is
-    built at the second lookup, so that a process that looks up once never pays
-    for it.  `own` holds the starts of the lines the process serialized and
-    appended itself since the bytes were last read whole: such a line is a good
-    record, and is served without being parsed.
+    built at the second lookup after a whole read, so that a process that looks
+    up once never pays for it.  `own` holds the starts of the lines the process
+    serialized and appended itself since the bytes were last read whole: such a
+    line is a good record, and is served without being parsed.
     """
 
     __slots__ = ("fd", "dev", "ino", "mtime_ns", "data", "index", "indexed", "own")
@@ -192,26 +194,10 @@ class _Held:
         return self.dev, self.ino, len(self.data), self.mtime_ns
 
     def reread(self, st) -> None:
-        self.data = _read_from(self.fd, 0, st.st_size)
+        self.data = _read_from(self.fd, st.st_size)
         self.mtime_ns = st.st_mtime_ns
         self.index, self.indexed = None, 0
         self.own = set()
-
-    def catch_up(self, st) -> bool:
-        """Take in what was appended since the stamp.  False when the file did not
-        grow, or the held bytes just before its old end are not the file's: it
-        shrank, was touched or was rewritten, and must be read again."""
-        have = len(self.data)
-        if st.st_size <= have:
-            return False
-        w = min(have, _WINDOW)
-        new = _read_from(self.fd, have - w, st.st_size - have + w)
-        if new[:w] != self.data[have - w :]:
-            return False
-        del new[:w]
-        self.data += new
-        self.mtime_ns = st.st_mtime_ns
-        return True
 
     def lookup(self, key: str) -> str | None:
         """What _search(self.data, key) returns: that search at the first lookup
@@ -251,7 +237,13 @@ def _drop(name: str) -> None:
 
 def _sync(name: str) -> _Held | None:
     """What the process holds of the file at `name`, brought up to date; None
-    when there is no file."""
+    when there is no file.
+
+    A held file whose size or mtime is not what the process holds is read again
+    whole: whatever changed, an append by another writer or a rewrite anywhere in
+    it, is seen, unless the rewrite keeps both the size and the mtime to the
+    nanosecond.  A file under another device or inode is held anew.
+    """
     held = _HELD.get(name)
     try:
         st = os.stat(name)
@@ -259,7 +251,7 @@ def _sync(name: str) -> _Held | None:
         _drop(name)
         return None
     if held is not None and (st.st_dev, st.st_ino) == (held.dev, held.ino):
-        if (st.st_size, st.st_mtime_ns) != (len(held.data), held.mtime_ns) and not held.catch_up(st):
+        if (st.st_size, st.st_mtime_ns) != (len(held.data), held.mtime_ns):
             held.reread(os.fstat(held.fd))
         return held
     _drop(name)  # replaced by another file, or never held
@@ -295,11 +287,11 @@ class RecordCache:
         """The stored line of the last record under `key`, without its line
         terminator, or None.
 
-        Served from what the process holds of the file (see _Held), after reading
-        only what was appended since it was last read or written.  A file's first
-        lookup is the byte search (_search); later ones find the key's last record
-        line through the index, and fall back to the byte search when that line is
-        corrupt.
+        Served from what the process holds of the file (see _Held), which is read
+        again whole when the file changed since the process last read or wrote
+        it.  The first lookup after a whole read is the byte search (_search);
+        later ones find the key's last record line through the index, and fall
+        back to the byte search when that line is corrupt.
         """
         with _LOCK:
             held = _sync(self._name)

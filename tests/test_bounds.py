@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycloseq import bounds
@@ -21,10 +21,11 @@ from cycloseq.errors import InvariantViolation, NoSuchRoot, ParameterError
 from cycloseq.measures import (
     berlekamp_massey_profile,
     correlation_measure_exact,
+    max_order_complexity,
     periodic_autocorrelations,
 )
 from cycloseq.ntheory import G_POLICIES, PrimeParams, SexticParams, cyclotomic_numbers, is_prime
-from cycloseq.seqgen import BitSequence, cyclotomic_sequence, hall_sequence
+from cycloseq.seqgen import CLASS_SETS, BitSequence, cyclotomic_sequence, hall_sequence, named_sequence
 from test_measures import _walk_reference, brute_force_ck, max_order_complexity_naive
 
 
@@ -85,6 +86,47 @@ def test_iw17_settles_low_complexity_words(period, n, shifts, v):
     assert ev.satisfied is True
     assert ev.inputs["mode"] == "certified-witness"
     assert (ev.inputs["D"], ev.inputs["v"]) == (shifts, v)
+
+
+def test_iw17_at_2p_is_settled_by_c1_for_every_named_construction():
+    # every row of `verify --suite iw17 --N 2p`: the repeat branch is never taken
+    # (see check_iw17), so none of them walks a witness
+    checked = 0
+    for p in filter(is_prime, range(3, 1500)):
+        params = PrimeParams.create(p)
+        for name, (m, _) in CLASS_SETS.items():
+            if (p - 1) % m == 0:
+                ev = check_iw17(named_sequence(params, name, 2 * p))
+                assert (ev.inputs["D"], ev.inputs["v"]) == ((0,), 1), (name, p)
+                checked += 1
+    assert checked == 238 + 116 + 115  # legendre, dhl, hall
+
+
+@st.composite
+def prime_period_cores(draw):
+    """(p, core): a nonconstant core of prime length p <= 200, drawn bit by bit or,
+    of low complexity, a short pattern repeated over it with a few bits flipped."""
+    p = draw(st.sampled_from([p for p in range(2, 200) if is_prime(p)]))
+    if draw(st.booleans()):
+        core = draw(st.lists(st.integers(0, 1), min_size=p, max_size=p))
+    else:
+        pattern = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+        core = (pattern * p)[:p]
+        for i in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+            core[i] ^= 1
+    assume(0 < sum(core) < p)
+    return p, core
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_period_cores())
+def test_iw17_at_2p_never_takes_the_repeat_for_a_prime_period(case):
+    # were 2**(M+1) < N - M, the repeat i < j <= 2**M < p would give the stretch
+    # s_i..s_(N-1), at least p + (j - i) - 1 long, the periods p and j - i, so by
+    # Fine and Wilf the period 1: the word, which it covers a period of, constant
+    p, core = case
+    m = max_order_complexity(BitSequence.create(core * 2, period=p))
+    assert 2 ** (m + 1) >= 2 * p - m
 
 
 def _assert_iw17_witness(bits):

@@ -176,7 +176,7 @@ _SESSION_OPS = st.one_of(
     st.tuples(st.just("append"), st.builds(_record, st.sampled_from(KEYS), st.integers(-5, 5))),
     st.tuples(st.just("write"), st.lists(_cache_line(), min_size=1, max_size=2), st.booleans()),
     st.tuples(st.just("truncate"), st.integers(0, 10**4)),
-    st.tuples(st.just("rewrite"), st.lists(_cache_line(), max_size=2)),
+    st.tuples(st.just("rewrite"), st.lists(_cache_line(), max_size=2), st.booleans()),
     st.tuples(st.just("recreate"), st.lists(_cache_line(), max_size=2)),
     st.tuples(st.just("unlink")),
 )
@@ -189,10 +189,12 @@ def test_cache_session_matches_line_splitting_oracle(tmp_path_factory, ops):
     each step, get serves what the oracle and a fresh byte search serve.  The
     process appends good records; corrupt lines come from other writers.
 
-    The files stay below the 4096 bytes that are compared before growth is taken
-    for an append, so every rewrite is compared whole.  An unterminated last line
-    never ends in a bare CR: a later write would leave that CR inside a line, where
-    the oracle's splitlines() ends a line and the byte search does not.
+    A rewrite overwrites the file's first lines in place and then grows it, past
+    8192 bytes when asked, so that a later rewrite can change bytes more than 4096
+    bytes before the end while the file's last bytes stay as they were.  An
+    unterminated last line never ends in a bare CR: a later write would leave that
+    CR inside a line, where the oracle's splitlines() ends a line and the byte
+    search does not.
     """
     path = tmp_path_factory.mktemp("cache") / "c.jsonl"
     for op in ops:
@@ -204,17 +206,19 @@ def test_cache_session_matches_line_splitting_oracle(tmp_path_factory, ops):
             _write(path, text, "ab")
         elif op[0] == "truncate" and size:
             os.truncate(path, op[1] % size)
-        elif op[0] == "rewrite":  # in place, to a longer file with other records
-            text = "".join(line + "\n" for line in op[1])
-            while len(text.encode()) <= size:
-                text += _record(KEYS[len(text) % 3], len(text) % 11 - 5).to_json() + "\n"
-            _write(path, text, "r+b" if path.exists() else "wb")
+        elif op[0] == "rewrite":  # its head in place, then grown by other records
+            _write(path, "".join(line + "\n" for line in op[1]), "r+b" if path.exists() else "wb")
+            # under a key of its own, so that no record of the lines before the tail
+            # is shadowed: an edit to them shows.  "\n" ends an unterminated last line
+            tail = "\n"
+            while tail == "\n" or op[2] and path.stat().st_size + len(tail) <= 8192:
+                tail += _record("c" * 8, len(tail) % 11 - 5).to_json() + "\n"
+            _write(path, tail, "ab")
         elif op[0] == "recreate":
             path.unlink(missing_ok=True)
             _write(path, "".join(line + "\n" for line in op[1]), "wb")
         elif op[0] == "unlink":
             path.unlink(missing_ok=True)
-        assert not path.exists() or path.stat().st_size < records._WINDOW
         for key in KEYS + ["c" * 8]:
             line = RecordCache(path).get(key)
             assert line == _byte_search(path, key)
@@ -264,7 +268,7 @@ def test_cache_first_get_reads_the_file_once_and_builds_no_index(tmp_path, monke
     assert counts == [path.stat().st_size] and len(records._HELD[str(path)].index) == 6000
 
 
-def test_cache_reads_only_what_another_writer_appended(tmp_path, monkeypatch):
+def test_cache_reads_whole_each_change_another_writer_makes(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     recs = [_record(f"{i:064x}", i) for i in range(100)]
     lines = [rec.to_json() for rec in recs]
@@ -275,14 +279,32 @@ def test_cache_reads_only_what_another_writer_appended(tmp_path, monkeypatch):
     _write(path, "".join(line + "\n" for line in lines[60:90]), "ab")  # another writer
     # appended where the process's copy no longer ends: not taken into the copy
     cache.append(recs[90])
-    assert cache.get(f"{90:064x}") == lines[90] and cache.get(f"{75:064x}") == lines[75]
-    grown = sum(len(line) + 1 for line in lines[60:91])
-    assert counts == [records._WINDOW + grown]
-    # the bytes just before the old end changed, so the file is read again whole
-    text = path.read_text().replace('"value":89', '"value":-1')
+    assert [cache.get(f"{i:064x}") for i in range(91)] == lines[:91]
+    assert counts == [path.stat().st_size]
+    # a rewrite far before the end, and an append: the file is read again whole
+    text = path.read_text().replace('"value":3,', '"value":-3,')
     _write(path, text + lines[91] + "\n", "r+b")
-    assert json.loads(cache.get(f"{89:064x}"))["value"] == -1
-    assert counts[1:] == [records._WINDOW + len(lines[91]) + 1, path.stat().st_size]
+    assert json.loads(cache.get(f"{3:064x}"))["value"] == -3
+    assert [json.loads(cache.get(f"{i:064x}"))["value"] for i in range(92)] == \
+        [-3 if i == 3 else i for i in range(92)]
+    assert counts[1:] == [path.stat().st_size]
+
+
+def test_cache_serves_a_line_another_writer_edited_far_before_the_end(tmp_path):
+    path = tmp_path / "c.jsonl"
+    lines = [_record(f"{i:064x}", 1000 + i).to_json() for i in range(201)]
+    path.write_text("".join(line + "\n" for line in lines[:200]))
+    cache = RecordCache(path)
+    assert cache.get(f"{3:064x}") == lines[3]
+    assert cache.get(f"{199:064x}") == lines[199]  # held, and indexed
+    # another writer: record 3 edited in place at its length, then one line appended
+    text = path.read_text()
+    edited = lines[3].replace('"value":1003', '"value":1777')
+    assert len(text) - text.index(lines[3]) > 4096 and len(edited) == len(lines[3])
+    _write(path, text.replace(lines[3], edited) + lines[200] + "\n", "r+b")
+    assert cache.get(f"{3:064x}") == edited
+    assert cache.get(f"{200:064x}") == lines[200]
+    assert RecordCache(path).get(f"{3:064x}") == _byte_search(path, f"{3:064x}") == edited
 
 
 def _rewrite_at_its_size(path, old, new, seconds):
@@ -427,11 +449,13 @@ def test_cache_searches_no_bytes_after_the_first_lookup(tmp_path, monkeypatch):
     expected = {"a" * 64: good, "b" * 64: lines[1], "c" * 64: None, "d" * 64: None}
     for _ in range(2):
         assert {key: RecordCache(path).get(key) for key in expected} == expected
-        _write(path, "".join(line + "\n" for line in lines[1:]), "ab")  # another writer
-    assert searched == ["a" * 64]
+        # another writer: the file is read again whole, and searched at the next lookup
+        _write(path, "".join(line + "\n" for line in lines[1:]), "ab")
+    assert searched == ["a" * 64] * 2
     _write(path, good[:-9] + "\n", "ab")  # a corrupt line under the key
+    assert RecordCache(path).get("b" * 64) == lines[1]
     assert RecordCache(path).get("a" * 64) == good
-    assert searched == ["a" * 64, "a" * 64]
+    assert searched == ["a" * 64] * 2 + ["b" * 64, "a" * 64]
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["file", "held"])
