@@ -3,7 +3,9 @@
 Theorem 1's bound on the order-k correlation measure is asymptotic with an
 unspecified absolute constant, so its kernel is reported and compared, never
 asserted with a constant.  Corollary 1's kernel ln(min(N, p)/(sqrt(p) ln^2 p))
-is negative (vacuous) at every desk-scale prime and has no report here yet.
+has no report here yet.  At N >= p it is ln(sqrt(p)/ln^2 p): negative (vacuous)
+at every prime up to 5503 and positive from 5507 on, 0.165 at p = 10009, 0.87
+at 100003 and 1.66 at 1000003; at N < p it is smaller.
 The IW17 and BW06 inequalities are verified from independently recomputed
 quantities.
 

@@ -347,9 +347,8 @@ def _weil_suite(args):
         raise ParameterError(f"--queries must be >= 0; got {args.queries}")
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0; got {args.seed}")
-    # each prime's largest k: k > p has no shift tuple
-    primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0])
-    kmaxes = {p: min(args.kmax, p) for p in map(int, primes)}
+    # Python ints: work's comb(p, k) * 5**k would overflow an int64
+    primes = _admitted(args.primes, seqgen.CLASS_SETS["hall"][0]).tolist()
 
     def work(p, kmax):
         """Window evaluations at p, the unit of C_k's comb(N, k) * N: every
@@ -366,13 +365,14 @@ def _weil_suite(args):
         rows = min(args.queries, 5 ** min(kmax, args.queries.bit_length()))
         return (complete + args.queries * rows) * p
 
-    check_budget(sum(work(p, kmax) for p, kmax in kmaxes.items()), args.budget,
+    # each prime's largest k: k > p has no shift tuple
+    check_budget(sum(work(p, min(args.kmax, p)) for p in primes), args.budget,
                  "lower --kmax or --queries, or raise --budget")
     if args.queries > sys.maxsize:  # past an intp, numpy would refuse the draw with a ValueError
         raise MemoryError(f"{args.queries} queries are past the address space")
     rng = np.random.default_rng(args.seed)
-    for p, _, params in _arenas(kmaxes):
-        kmax = kmaxes[p]
+    for p, _, params in _arenas(primes):
+        kmax = min(args.kmax, p)
         bad = 0
         total = 0
         for k in range(1, kmax + 1):

@@ -47,16 +47,18 @@ up, keeps one cumsum per row.
 
 Every other walk runs on one int8 kernel, `_walks`, over one padded copy of
 the word's signs: the sampled measure's draws, in blocks of at most
-8 * _BLOCK_CELLS steps, through `_walk_maxima`; and the exact witness pass,
-which walks every attaining pattern (0, d_2, ..., d_k) the search hands back
-over its N - d_k steps, k = 1 included: its one pattern (0,) has no search,
-and its walk's spread is C_1.  A walk whose spread differs from the search's
-is an InvariantViolation (exit 4).  A window attains a pattern's spread only
-between a minimum and a maximum of its walk, so the smallest such window
-(a, b) is the first minimum and the first maximum in order, which `argmin`
-and `argmax` return.  Memory is O(N) plus the block.  The sampled measure
-draws a block's shift tuples together, by Floyd's algorithm over every row at
-once (`_draw_subsets`), whose rows x N mask is no bigger than the block's walk.
+8 * _BLOCK_CELLS steps; and the exact witness pass, which walks every
+attaining pattern (0, d_2, ..., d_k) the search hands back over its N - d_k
+steps, k = 1 included: its one pattern (0,) has no search, and its walk's
+spread is C_1.  `_walks` multiplies one shift's gathered rows into the step
+product at a time, so it holds two blocks of steps whatever k is.  A walk
+whose spread differs from the search's is an InvariantViolation (exit 4).  A
+window attains a pattern's spread only between a minimum and a maximum of its
+walk, so the smallest such window (a, b) is the first minimum and the first
+maximum in order, which `argmin` and `argmax` return.  Memory is O(N) plus
+the block.  The sampled measure draws a block's shift tuples together, by
+Floyd's algorithm over every row at once (`_draw_subsets`), whose rows x N
+mask is no bigger than the block's walk.
 
 The budget is an upfront refusal in one unit, window evaluations, of an
 estimate that reads no budget (`_ck_work`): the exact search's nominal count
@@ -172,27 +174,17 @@ def _walks(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Int32 walk P_0 = 0, ..., P_L of prod_i (-1)**s_{n+d_i} for each row D of
     the (r, k) shift array, over the L columns of the `_step_rows` view `rows`.
 
-    A tuple's step product is the product of its shifts' step rows; past
-    N - d_k the d_k row is zero, so P stays at P_{N-d_k}.  The rows are
-    gathered a group of shifts at a time, at most 8 * _BLOCK_CELLS steps per
-    gather (a cell of the exact search packs 8 steps).
+    A tuple's step product is the product of its shifts' step rows, gathered
+    one shift column at a time and multiplied in place, so at most two r x L
+    int8 blocks are held whatever k is; past N - d_k the d_k row is zero, so P
+    stays at P_{N-d_k}.
     """
-    r, k = shifts.shape
-    per = max(1, 8 * _BLOCK_CELLS // (r * rows.shape[1]))
-    steps = rows[shifts[:, :per]].prod(axis=1, dtype=np.int8)
-    for j in range(per, k, per):
-        steps *= rows[shifts[:, j : j + per]].prod(axis=1, dtype=np.int8)
-    walk = np.zeros((r, rows.shape[1] + 1), dtype=np.int32)
+    steps = rows[shifts[:, 0]]
+    for j in range(1, shifts.shape[1]):
+        steps *= rows[shifts[:, j]]
+    walk = np.zeros((len(shifts), rows.shape[1] + 1), dtype=np.int32)
     np.add.accumulate(steps, axis=1, dtype=np.int32, out=walk[:, 1:])
     return walk
-
-
-def _walk_maxima(rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row D of the (r, k) shift array: max_M |P_M| and the smallest
-    M attaining it, over the walks of `_walks` (|P_1| = 1, so M >= 1)."""
-    walk = _walks(rows, shifts)
-    np.abs(walk, out=walk)
-    return walk.max(axis=1), walk.argmax(axis=1)
 
 
 def _block_rows(N: int) -> int:
@@ -474,8 +466,9 @@ def correlation_measure_sampled(
 
     Deterministic for a fixed seed: the samples are drawn and walked a block
     of rows at a time, each block's rows by one `_draw_subsets` call (the
-    SAMPLED_DRAW scheme) and its walks by one `_walk_maxima` call, and the best
-    (value, lexicographically smallest D, M) wins.  The budget charges
+    SAMPLED_DRAW scheme) and its walks by one `_walks` call; a row's value is
+    max_M |P_M|, at the smallest M attaining it, and the best (value,
+    lexicographically smallest D, M) wins.  The budget charges
     min(samples, binom(N, k)) * N, in the exact search's unit, before any draw.
     When `samples` covers the whole tuple space (samples >= binom(N, k))
     nothing is drawn: the exact measure runs and its value and witness are
@@ -497,7 +490,9 @@ def correlation_measure_sampled(
     best = None
     for start in range(0, samples, per_block):
         D = _draw_subsets(rng, N, k, min(per_block, samples - start))
-        values, ms = _walk_maxima(rows, D)
+        walk = _walks(rows, D)
+        np.abs(walk, out=walk)  # |P_1| = 1, so the smallest maximizing M >= 1
+        values, ms = walk.max(axis=1), walk.argmax(axis=1)
         tied = np.flatnonzero(values == values.max())
         i = tied[np.lexsort(D[tied].T[::-1])[0]]
         cand = (-int(values[i]), tuple(D[i].tolist()), int(ms[i]))

@@ -737,7 +737,7 @@ def test_measure_applies_the_default_budget_and_cache(tmp_path, monkeypatch, cap
 
 def test_measure_sampled_over_budget_is_refused(capsys, monkeypatch):
     # 10**6 samples of 10009 steps each: refused before the first draw
-    monkeypatch.setattr(measures, "_walk_maxima", None)
+    monkeypatch.setattr(measures, "_walks", None)
     code, stdout, err = run(capsys, "measure", "--construction", "hall", "--p", "10009",
                             "--ck", "2", "--sampled", "1000000", "--budget", "1000", "--no-cache")
     assert (code, stdout) == (EXIT_BUDGET, "")
@@ -1396,6 +1396,18 @@ def test_verify_weil_budget_counts_every_prime(capsys):
     assert code == EXIT_OK and "[PASS" in stdout
     code, stdout, _ = run(capsys, *args, "--budget", str(estimate - 1))
     assert code == EXIT_BUDGET and stdout == ""
+
+
+def test_verify_weil_checks_a_repeated_prime_each_time(capsys):
+    # as every other suite does, a prime listed twice is checked and charged twice:
+    # (comb(13, 1) * 5 + 2 queries * min(2, 5**1) rows) * 13 windows each time
+    estimate = 2 * (math.comb(13, 1) * 5 + 2 * 2) * 13
+    args = ("verify", "--suite", "weil", "--primes", "13,13", "--kmax", "1", "--queries", "2")
+    code, stdout, _ = run(capsys, *args, "--budget", str(estimate))
+    assert code == EXIT_OK
+    assert stdout.count("] weil complete p=13 k<=1  65/65 ") == 2
+    assert stdout.count("] weil incomplete p=13 (2 random)  2/2 ") == 2
+    assert run(capsys, *args, "--budget", str(estimate - 1))[:2] == (EXIT_BUDGET, "")
 
 
 def test_verify_weil_queries_over_budget_are_refused(monkeypatch, capsys):

@@ -327,11 +327,16 @@ def max_order_complexity_naive(seq, cap=MOC_NAIVE_CAP):
 # --- correlation -------------------------------------------------------------
 
 
+def _for_tuples(seq, tuples):
+    """(max_M |P_M|, smallest maximizing M) of each of the equal-length shift
+    tuples, read off one `_walks` call as the sampled measure reads a block."""
+    walk = np.abs(measures._walks(measures._step_rows(seq.bits), np.array(tuples)))
+    return list(zip(walk.max(axis=1).tolist(), walk.argmax(axis=1).tolist()))
+
+
 def _for_shifts(seq, D):
-    """(max_M |P_M|, smallest maximizing M) of one shift tuple: one row of
-    `_walk_maxima`, the kernel of the sampled measure."""
-    values, ms = measures._walk_maxima(measures._step_rows(seq.bits), np.array([D]))
-    return int(values[0]), int(ms[0])
+    """`_for_tuples` of one shift tuple."""
+    return _for_tuples(seq, [D])[0]
 
 
 def test_for_shifts_examples():
@@ -690,22 +695,22 @@ def test_sampled_matches_per_tuple_reference(data, seq, samples, bound):
                 == _sampled_reference(seq, k, samples, seed))
 
 
-@given(st.data(), biased_words(40), st.sampled_from([1, 50, measures._BLOCK_CELLS]))
+@given(st.data(), biased_words(40))
 @settings(max_examples=150, deadline=None)
-def test_for_shifts_matches_pattern_walk_route(data, seq, bound):
-    # w from 1 to N shifts, and BM's witness tuple, whose product is +1 over
-    # its first N - L steps; small blocks split the shifts into several gathers
+def test_for_shifts_matches_pattern_walk_route(data, seq):
+    # several tuples of w = 1..N shifts with mixed d_k, walked by one `_walks`
+    # call as a sampled block is; and BM's witness tuple, whose product is +1
+    # over its first N - L steps
     N = seq.length
     w = data.draw(st.integers(1, N))
-    tuples = [tuple(sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=w, max_size=w))))]
+    shifts = st.sets(st.integers(0, N - 1), min_size=w, max_size=w).map(sorted)
+    tuples = data.draw(st.lists(shifts, min_size=1, max_size=6))
+    assert _for_tuples(seq, tuples) == [_for_shifts_reference(seq, D) for D in tuples]
     profile = berlekamp_massey_profile(seq)
     L = profile.final
     if L < N:
-        tuples.append(tuple(L - i for i in range(L, -1, -1) if profile.connection >> i & 1))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_BLOCK_CELLS", bound)
-        for D in tuples:
-            assert _for_shifts(seq, D) == _for_shifts_reference(seq, D)
+        D = tuple(L - i for i in range(L, -1, -1) if profile.connection >> i & 1)
+        assert _for_shifts(seq, D) == _for_shifts_reference(seq, D)
 
 
 def _check_draw_subsets(N, k, n, seed):
